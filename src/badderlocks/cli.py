@@ -43,10 +43,17 @@ def _entry_for_bits(bits: int) -> params.GeneratorEntry:
         raise SystemExit(2) from None
 
 
-def _group_hex(s: str) -> str:
-    head = len(s) % 8
-    parts = ([s[:head]] if head else []) + [s[i:i + 8] for i in range(head, len(s), 8)]
-    return " ".join(parts)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _expansion_hex(message: bytes, grouped: bool = False) -> str:
+    """S-box expansion of message as hex, zero-padded to 9 bits per codeword."""
+    width = (9 * max(8, len(message)) + 3) // 4
+    return gf2poly.render_hex(sbox.expand_message(message), group=grouped, width=width)
 
 
 def _cmd_classify(args) -> int:
@@ -56,16 +63,13 @@ def _cmd_classify(args) -> int:
         digest = classifier.classify(message, entry)
     else:
         digest = fastcrc.engine_init(entry).absorb(message).finish()
-    out = digest.hex()
-    print(_group_hex(out) if args.grouped else out)
+    value = gf2poly.BitPolynomial(int.from_bytes(digest.data, "big"))
+    print(gf2poly.render_hex(value, group=args.grouped, width=2 * len(digest.data)))
     return 0
 
 
 def _cmd_expand(args) -> int:
-    message = _read_message(args)
-    p = sbox.expand_message(message)
-    width = (9 * max(8, len(message)) + 3) // 4
-    print(gf2poly.render_hex(p, group=args.grouped, width=width))
+    print(_expansion_hex(_read_message(args), grouped=args.grouped))
     return 0
 
 
@@ -86,9 +90,7 @@ def _load_suite(name: str) -> list[tuple[int, bytes, str]]:
 
 def _compute_vector(suite: str, bits: int, message: bytes) -> str:
     if suite == "c1":
-        p = sbox.expand_message(message)
-        width = (9 * max(8, len(message)) + 3) // 4
-        return gf2poly.render_hex(p, width=width)
+        return _expansion_hex(message)
     return classifier.classify(message, _entry_for_bits(bits)).hex()
 
 
@@ -139,8 +141,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    if args.hash != "sha256":
-        raise SystemExit(f"error: unsupported hash {args.hash!r}")
     message = _read_message(args)
     digest = hashlib.sha256(message).digest()
     layout = reefshoal.plan_layout(args.modulus_bits, 8 * len(digest),
@@ -181,12 +181,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare engine throughput on random data")
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--size", type=int, required=True, metavar="MEBIBYTES")
+    p.add_argument("--size", type=_positive_int, required=True, metavar="MEBIBYTES")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("assemble", help="print the signature representative")
     p.add_argument("--modulus-bits", type=int, required=True)
-    p.add_argument("--hash", default="sha256")
+    p.add_argument("--hash", choices=("sha256",), default="sha256")
     p.add_argument("--reserve-bits", type=int, default=16)
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.set_defaults(func=_cmd_assemble)

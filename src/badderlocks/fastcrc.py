@@ -1,12 +1,13 @@
-"""Table-driven streaming classifier engine.
+"""Table-driven streaming classifier engine in direct form.
 
-The engine emulates a shift register as wide as the generator degree.  One
-cycle extracts the top 9 bits of the register, shifts the next 9-bit S-box
-codeword in from the bottom, and XORs in a precomputed reduction row picked
-by the extracted value.  Finishing inserts `degree` zero bits the same way
-(full 9-bit cycles plus one short cycle when the degree is not a multiple
-of 9) and emits the byte-aligned digest.  Output is bit-identical to
-classifier.classify.
+The register always holds `prefix * x^degree mod generator`, where prefix
+is the S-box expansion of the codewords absorbed so far.  One cycle appends
+a 9-bit codeword c: the register's top 9 bits are XORed with c, the rest
+shift up 9 places, and the precomputed reduction row for the XORed value is
+added in (Sarwate 1988; Williams's "direct" table algorithm).  Finishing
+appends the filler codewords for messages shorter than 8 bytes and emits the
+register byte-aligned, so no zero bits need to be flushed through.  Output
+is bit-identical to classifier.classify.
 """
 
 from __future__ import annotations
@@ -14,57 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classifier import ClassifierDigest
+from .gf2poly import reduction_rows
 from .params import GeneratorEntry
 from .sbox import FILLER, codeword_table
 
-__all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init", "build_all_tables"]
+__all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 
 
 @dataclass(frozen=True)
 class CrcTables:
-    """Precomputed reduction rows for one generator.
-
-    main[v] = (v << degree) mod generator for each 9-bit v; final[v] covers
-    the short end-of-message cycle of (degree mod 9) bits, and is empty when
-    the degree is a multiple of 9.
-    """
+    """Precomputed reduction rows for one generator: main[v] = (v << degree) mod g."""
 
     degree: int
     main: tuple[int, ...]
-    final: tuple[int, ...]
-
-    def nbytes(self) -> int:
-        """Approximate memory held by the table rows."""
-        row = (self.degree + 7) // 8
-        return row * (len(self.main) + len(self.final))
-
-
-def _reduction_rows(generator: int, degree: int, width: int) -> tuple[int, ...]:
-    """rows[v] = (v << degree) mod generator for all width-bit v."""
-    basis = []
-    cur = generator ^ (1 << degree)  # x^degree mod generator
-    for _ in range(width):
-        basis.append(cur)
-        cur <<= 1
-        if cur >> degree:
-            cur ^= generator
-    rows = [0] * (1 << width)
-    for v in range(1, 1 << width):
-        low = v & (v - 1)
-        rows[v] = rows[low] ^ basis[(v ^ low).bit_length() - 1]
-    return tuple(rows)
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
-    """Build the lookup tables for one generator entry."""
-    d = e.degree
-    g = e.generator.value
-    short = d % 9
-    return CrcTables(
-        degree=d,
-        main=_reduction_rows(g, d, 9),
-        final=_reduction_rows(g, d, short) if short else (),
-    )
+    """Build the lookup table for one generator entry."""
+    return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
 
 
 _table_cache: dict[int, CrcTables] = {}
@@ -77,17 +45,12 @@ def _tables_for(e: GeneratorEntry) -> CrcTables:
     return tables
 
 
-def build_all_tables() -> dict[int, CrcTables]:
-    """Eagerly build and cache tables for every registry entry."""
-    from .params import registry
-
-    for e in registry():
-        _tables_for(e)
-    return dict(_table_cache)
-
-
 class CrcEngine:
-    """Single-use streaming state: init, absorb chunks, finish once."""
+    """Single-use streaming state: init, absorb chunks, finish once.
+
+    After absorbing a message of 8 or more bytes, `register` equals the
+    classifier digest of that message as an integer.
+    """
 
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
         self.entry = entry
@@ -96,45 +59,32 @@ class CrcEngine:
         self.consumed = 0
         self._finished = False
 
+    def _cycle(self, data: bytes, codewords: tuple[int, ...]) -> None:
+        """Append codewords[byte] for each byte of data, one table cycle each."""
+        shift = self.entry.degree - 9
+        low_mask = (1 << shift) - 1
+        main = self.tables.main
+        reg = self.register
+        for byte in data:
+            reg = ((reg & low_mask) << 9) ^ main[(reg >> shift) ^ codewords[byte]]
+        self.register = reg
+
     def absorb(self, chunk: bytes) -> "CrcEngine":
         """Run one table cycle per input byte; returns self for chaining."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        d = self.entry.degree
-        reg = self.register
-        main = self.tables.main
-        sbox_entries = codeword_table().entries
-        low_mask = (1 << (d - 9)) - 1
-        shift = d - 9
-        for byte in chunk:
-            reg = (((reg & low_mask) << 9) | sbox_entries[byte]) ^ main[reg >> shift]
-        self.register = reg
+        self._cycle(chunk, codeword_table().entries)
         self.consumed += len(chunk)
         return self
 
-    def _absorb_codeword(self, code: int) -> None:
-        d = self.entry.degree
-        self.register = ((((self.register & ((1 << (d - 9)) - 1)) << 9) | code)
-                         ^ self.tables.main[self.register >> (d - 9)])
-
     def finish(self) -> ClassifierDigest:
-        """Apply the filler rule, insert the trailing zero bits, emit the digest."""
+        """Apply the filler rule and emit the byte-aligned digest."""
         if self._finished:
             raise RuntimeError("engine already finished")
         self._finished = True
-        for _ in range(8 - self.consumed):
-            self._absorb_codeword(FILLER)
-        d = self.entry.degree
-        for _ in range(d // 9):
-            self._absorb_codeword(0)
-        short = d % 9
-        reg = self.register
-        if short:
-            # Short cycle applied as an XOR on the output-side representation.
-            reg = ((reg & ((1 << (d - short)) - 1)) << short) \
-                ^ self.tables.final[reg >> (d - short)]
-        self.register = reg
-        return ClassifierDigest(reg.to_bytes(self.entry.aligned_bits // 8, "big"),
+        # zero bytes index the one-entry filler map: one FILLER cycle each
+        self._cycle(bytes(max(0, 8 - self.consumed)), (FILLER,))
+        return ClassifierDigest(self.register.to_bytes(self.entry.aligned_bits // 8, "big"),
                                 self.entry)
 
 

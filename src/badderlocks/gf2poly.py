@@ -4,9 +4,9 @@ A polynomial b_n x^n + ... + b_1 x + b_0 is packed into a nonnegative
 integer with bit k holding the coefficient of x^k.  Hex text renders that
 integer big-endian, so the last hex digit carries x^3..x^0.  The module
 covers what the classifier and the generator registry need: carry-less
-multiplication, remainder, substitution of x^n + x^m into a polynomial,
-irreducibility testing, LFSR sequence generation and Berlekamp-Massey
-synthesis.
+multiplication, remainder, the (v << d) mod f rows of table-driven
+reduction, substitution of x^n + x^m into a polynomial, irreducibility
+testing, LFSR sequence generation and Berlekamp-Massey synthesis.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "render_hex",
     "multiply",
     "remainder",
+    "reduction_rows",
     "shift_left",
     "compose_tgfsr",
     "is_irreducible",
@@ -60,7 +61,6 @@ class BitPolynomial:
 
 ZERO = BitPolynomial(0)
 ONE = BitPolynomial(1)
-X = BitPolynomial(2)
 
 
 def parse_hex(text: str) -> BitPolynomial:
@@ -162,6 +162,24 @@ def compose_tgfsr(phi: BitPolynomial, n: int, m: int) -> BitPolynomial:
     return acc
 
 
+def reduction_rows(f: BitPolynomial, width: int) -> tuple[int, ...]:
+    """rows[v] = (v << d) mod f for every width-bit v, where d = deg f."""
+    g = f.value
+    d = g.bit_length() - 1
+    basis = []
+    cur = g ^ (1 << d)  # x^d mod f
+    for _ in range(width):
+        basis.append(cur)
+        cur <<= 1
+        if cur >> d:
+            cur ^= g
+    rows = [0] * (1 << width)
+    for v in range(1, 1 << width):
+        low = v & (v - 1)
+        rows[v] = rows[low] ^ basis[(v ^ low).bit_length() - 1]
+    return tuple(rows)
+
+
 def _mod_reducer(f: BitPolynomial):
     """Byte-at-a-time reduction closure for repeated work modulo a fixed f."""
     g = f.value
@@ -171,18 +189,7 @@ def _mod_reducer(f: BitPolynomial):
             return remainder(BitPolynomial(a), f).value
         return reduce_small
 
-    # table[v] = (v << d) mod f, built from the single-bit rows
-    cur = g ^ (1 << d)  # x^d mod f
-    basis = []
-    for _ in range(8):
-        basis.append(cur)
-        cur <<= 1
-        if cur >> d:
-            cur ^= g
-    table = [0] * 256
-    for v in range(1, 256):
-        low = v & (v - 1)
-        table[v] = table[low] ^ basis[(v ^ low).bit_length() - 1]
+    table = reduction_rows(f, 8)
     low_mask = (1 << (d - 8)) - 1
 
     def reduce(a: int) -> int:

@@ -94,9 +94,6 @@ class CodewordTable:
         if self.filler not in valid:
             raise ValueError("filler codeword fails the candidate rules")
 
-    def __getitem__(self, byte: int) -> int:
-        return self.entries[byte]
-
 
 @lru_cache(maxsize=1)
 def codeword_table() -> CodewordTable:

@@ -81,6 +81,14 @@ class TestVerifyParams:
         assert all(line.endswith("ok") for line in lines)
 
 
+class TestBench:
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_nonpositive_size_is_usage_error(self, capsys, monkeypatch, size):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["bench", "--bits", "64", "--size", size])
+        assert exc.value.code == 2
+
+
 class TestAssemble:
     def test_fox_336(self, capsys, monkeypatch):
         code, out = run(capsys, monkeypatch,
@@ -94,3 +102,9 @@ class TestAssemble:
         with pytest.raises(ValueError):
             run(capsys, monkeypatch,
                 ["assemble", "--modulus-bits", "128"], stdin=b"x")
+
+    def test_unknown_hash_is_usage_error(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch,
+                ["assemble", "--modulus-bits", "336", "--hash", "md5"], stdin=FOX)
+        assert exc.value.code == 2

@@ -122,6 +122,17 @@ class TestRemainder:
             assert r.is_zero() or r.degree < g.degree
 
 
+class TestReductionRows:
+    @pytest.mark.parametrize("width", [8, 9])
+    def test_rows_match_remainder(self, width):
+        e = params.entry_for_aligned_bits(192)  # degree 190, not a multiple of 9
+        rows = gf2poly.reduction_rows(e.generator, width)
+        assert len(rows) == 2 ** width
+        for v, row in enumerate(rows):
+            expected = gf2poly.remainder(BitPolynomial(v << e.degree), e.generator)
+            assert row == expected.value, v
+
+
 class TestShiftLeft:
     def test_unit_shift(self):
         assert gf2poly.shift_left(BitPolynomial(1), 63).value == 1 << 63

@@ -35,14 +35,14 @@ class TestCandidates:
 class TestCodewordTable:
     def test_first_and_last(self):
         t = codeword_table()
-        assert t[0x00] == 69
-        assert t[0xFF] == 442
+        assert t.entries[0x00] == 69
+        assert t.entries[0xFF] == 442
 
     def test_entry_0x41(self):
         # counted through the range list: 69-70 (2), 73-78 (8), 81-94 (22),
         # 98-110 (35), 113-118 (41), 120-122 (44), 124 (45), 134 (46),
         # 138-142 (51), 146-158 (64); index 64 is 162, index 65 is 163
-        assert codeword_table()[0x41] == 163
+        assert codeword_table().entries[0x41] == 163
 
     def test_strictly_increasing_subset(self):
         t = codeword_table()
