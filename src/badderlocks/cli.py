@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from importlib import resources
+from typing import NoReturn
 
 from . import classifier, fastcrc, gf2poly, params, reefshoal, sbox
 
@@ -34,19 +35,30 @@ def _read_message(args) -> bytes:
     return sys.stdin.buffer.read()
 
 
+def _usage_error(message: str) -> NoReturn:
+    # an invalid size is a usage error, same exit class as bad flags
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _entry_for_bits(bits: int) -> params.GeneratorEntry:
     try:
         return params.entry_for_aligned_bits(bits)
     except KeyError as exc:
-        # invalid size is a usage error, same exit class as bad flags
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(exc.args[0])
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_byte_multiple(text: str) -> int:
+    value = _positive_int(text)
+    if value % 8:
+        raise argparse.ArgumentTypeError(f"must be a multiple of 8, got {value}")
     return value
 
 
@@ -125,9 +137,9 @@ def _cmd_verify_params(args) -> int:
 def _cmd_bench(args) -> int:
     entry = _entry_for_bits(args.bits)
     data = os.urandom(args.size * 1024 * 1024)
-    fastcrc.engine_init(entry)  # build tables outside the timed region
+    engine = fastcrc.engine_init(entry)  # builds the tables outside the timed region
     t0 = time.perf_counter()
-    fast = fastcrc.engine_init(entry).absorb(data).finish()
+    fast = engine.absorb(data).finish()
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     ref = classifier.classify(data, entry)
@@ -135,7 +147,7 @@ def _cmd_bench(args) -> int:
     if fast.data != ref.data:
         print("ENGINE MISMATCH on benchmark input")
         return 1
-    print(f"engine=fast bytes_per_second={int(len(data) / t_fast)}")
+    print(f"engine=fast path={engine.path} bytes_per_second={int(len(data) / t_fast)}")
     print(f"engine=ref bytes_per_second={int(len(data) / t_ref)}")
     return 0
 
@@ -143,8 +155,11 @@ def _cmd_bench(args) -> int:
 def _cmd_assemble(args) -> int:
     message = _read_message(args)
     digest = hashlib.sha256(message).digest()
-    layout = reefshoal.plan_layout(args.modulus_bits, 8 * len(digest),
-                                   reserve_bits=args.reserve_bits)
+    try:
+        layout = reefshoal.plan_layout(args.modulus_bits, 8 * len(digest),
+                                       reserve_bits=args.reserve_bits)
+    except ValueError as exc:  # the flags parse, but no classifier fits between them
+        _usage_error(str(exc))
     print(reefshoal.assemble(message, digest, layout).hex().upper())
     return 0
 
@@ -185,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("assemble", help="print the signature representative")
-    p.add_argument("--modulus-bits", type=int, required=True)
+    p.add_argument("--modulus-bits", type=_positive_byte_multiple, required=True)
     p.add_argument("--hash", choices=("sha256",), default="sha256")
-    p.add_argument("--reserve-bits", type=int, default=16)
+    p.add_argument("--reserve-bits", type=_positive_byte_multiple, default=16)
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.set_defaults(func=_cmd_assemble)
 

@@ -8,31 +8,143 @@ added in (Sarwate 1988; Williams's "direct" table algorithm).  Finishing
 appends the filler codewords for messages shorter than 8 bytes and emits the
 register byte-aligned, so no zero bits need to be flushed through.  Output
 is bit-identical to classifier.classify.
+
+The cycle loop runs in C (`_absorb.c`) when a C compiler can build it: the
+first import compiles it with `cc` into this package's `__pycache__`, named
+by a hash of the source, the compile command and the machine, and later
+imports load that file.  If it cannot be built or loaded, the same loop runs
+in Python.  `CrcEngine.path` tells which one an engine uses.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 from .classifier import ClassifierDigest
-from .gf2poly import reduction_rows
+from .gf2poly import reduction_basis, reduction_rows
 from .params import GeneratorEntry
 from .sbox import FILLER, codeword_table
 
 __all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 
+_PACKAGE = Path(__file__).parent
+_SOURCE = _PACKAGE / "_absorb.c"
+# no -march=native: the cached file must stay valid if the checkout moves to another host
+_COMPILE = ("-O3", "-shared", "-fPIC")
+
+
+class _Kernel:
+    """The compiled absorb and fill functions, typed, and the codeword maps absorb reads."""
+
+    def __init__(self, path: Path):
+        lib = ctypes.CDLL(str(path))
+        # the arrays passed are built here and in build_tables, sized for w; c_void_p
+        # converts them at half the per-call cost of typed pointers
+        array_p, size = ctypes.c_void_p, ctypes.c_size_t
+        self.absorb = lib.absorb
+        self.absorb.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
+        self.absorb.restype = None
+        self.fill = lib.fill
+        self.fill.argtypes = (array_p, size)
+        self.fill.restype = None
+        self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
+
+    @cached_property
+    def codewords(self) -> ctypes.Array:
+        # built on first absorb, like the S-box table it copies, so set-up does not pay for it
+        return (ctypes.c_uint16 * 256)(*codeword_table().entries)
+
+
+def _compile(command: list[str], path: Path) -> bool:
+    """Build the kernel at path; a temporary name keeps a half-written file from being loaded."""
+    import subprocess  # only a cache miss pays for it
+
+    path.parent.mkdir(exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        if subprocess.run([*command, "-o", str(tmp), str(_SOURCE)], capture_output=True).returncode:
+            return False
+        os.replace(tmp, path)
+        return True
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc") -> _Kernel | None:
+    """The compiled kernel, built into cache_dir unless already there; None if that fails."""
+    try:
+        command = [cc, *_COMPILE]
+        key = b"\0".join([_SOURCE.read_bytes(), " ".join(command).encode(),
+                          os.uname().machine.encode()])
+        path = cache_dir / f"_absorb-{hashlib.sha256(key).hexdigest()[:16]}.so"
+        if not path.is_file() and not _compile(command, path):
+            return None
+        return _Kernel(path)
+    except (OSError, AttributeError):  # no compiler, unwritable directory, dlopen or symbol error
+        return None
+
+
+_kernel = _load_kernel()
+
+
+def _to_words(value: int, w: int) -> array:
+    """value as w native 64-bit words, most significant word first: the kernel's layout."""
+    words = array("Q", value.to_bytes(8 * w, "big"))
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
+
 
 @dataclass(frozen=True)
 class CrcTables:
-    """Precomputed reduction rows for one generator: main[v] = (v << degree) mod g."""
+    """Precomputed reduction rows for one generator: row v = (v << degree) mod g.
+
+    Without a kernel, `main` is a tuple of 512 ints.  With one, it is a
+    ctypes array of 512 rows of `words` 64-bit words, most significant word
+    first and shifted up by 64 * words - degree bits.
+    """
 
     degree: int
-    main: tuple[int, ...]
+    main: tuple[int, ...] | ctypes.Array
+    kernel: _Kernel | None = None
+
+    @property
+    def words(self) -> int:
+        """64-bit words per packed row, and per kernel register: ceil(degree / 64)."""
+        return (self.degree + 63) // 64
+
+    def row(self, v: int) -> int:
+        """Row v as an int, whichever form the table is stored in."""
+        if self.kernel is None:
+            return self.main[v]
+        w = self.words
+        return self._unpack(memoryview(self.main)[v * w:(v + 1) * w])
+
+    def _unpack(self, buffer) -> int:
+        """The value held in a buffer laid out like one packed row; undoes _to_words and the shift."""
+        words = array("Q", bytes(buffer))
+        if sys.byteorder == "little":
+            words.byteswap()
+        return int.from_bytes(words, "big") >> (64 * self.words - self.degree)
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
-    """Build the lookup table for one generator entry."""
-    return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
+    """Build the lookup table for one generator entry, packed for the kernel when it is loaded."""
+    if _kernel is None:
+        return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
+    w = (e.degree + 63) // 64
+    rows = (ctypes.c_uint64 * (512 * w))()
+    for j, basis in enumerate(reduction_basis(e.generator, 9)):
+        rows[w << j:(w << j) + w] = _to_words(basis << (64 * w - e.degree), w)
+    _kernel.fill(rows, w)  # the other 503 rows, from these 9 and the zero row
+    return CrcTables(e.degree, rows, _kernel)
 
 
 _table_cache: dict[int, CrcTables] = {}
@@ -55,25 +167,48 @@ class CrcEngine:
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
         self.entry = entry
         self.tables = tables
-        self.register = 0
         self.consumed = 0
         self._finished = False
+        # an int for the Python loop; for the kernel, words laid out like a table row
+        self._reg = 0 if tables.kernel is None else (ctypes.c_uint64 * tables.words)()
 
-    def _cycle(self, data: bytes, codewords: tuple[int, ...]) -> None:
-        """Append codewords[byte] for each byte of data, one table cycle each."""
+    @property
+    def register(self) -> int:
+        if self.tables.kernel is None:
+            return self._reg
+        return self.tables._unpack(self._reg)
+
+    @property
+    def path(self) -> str:
+        """Which cycle loop this engine runs: "native" (the C kernel) or "python"."""
+        return "python" if self.tables.kernel is None else "native"
+
+    def __repr__(self) -> str:
+        return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
+                f"consumed={self.consumed} path={self.path}>")
+
+    def _cycle(self, data: bytes, filler: bool) -> None:
+        """Append one codeword per byte of data: its S-box codeword, or FILLER for every byte."""
+        kernel = self.tables.kernel
+        if kernel is not None:
+            data = bytes(data)  # no copy for bytes; c_char_p takes nothing else
+            kernel.absorb(self._reg, self.tables.words, self.tables.main,
+                          kernel.filler if filler else kernel.codewords, data, len(data))
+            return
+        codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9
         low_mask = (1 << shift) - 1
         main = self.tables.main
-        reg = self.register
+        reg = self._reg
         for byte in data:
             reg = ((reg & low_mask) << 9) ^ main[(reg >> shift) ^ codewords[byte]]
-        self.register = reg
+        self._reg = reg
 
     def absorb(self, chunk: bytes) -> "CrcEngine":
         """Run one table cycle per input byte; returns self for chaining."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        self._cycle(chunk, codeword_table().entries)
+        self._cycle(chunk, filler=False)
         self.consumed += len(chunk)
         return self
 
@@ -82,8 +217,9 @@ class CrcEngine:
         if self._finished:
             raise RuntimeError("engine already finished")
         self._finished = True
-        # zero bytes index the one-entry filler map: one FILLER cycle each
-        self._cycle(bytes(max(0, 8 - self.consumed)), (FILLER,))
+        if self.consumed < 8:
+            # zero bytes index the one-entry filler map: one FILLER cycle each
+            self._cycle(bytes(8 - self.consumed), filler=True)
         return ClassifierDigest(self.register.to_bytes(self.entry.aligned_bits // 8, "big"),
                                 self.entry)
 

@@ -20,6 +20,7 @@ __all__ = [
     "render_hex",
     "multiply",
     "remainder",
+    "reduction_basis",
     "reduction_rows",
     "shift_left",
     "compose_tgfsr",
@@ -162,8 +163,8 @@ def compose_tgfsr(phi: BitPolynomial, n: int, m: int) -> BitPolynomial:
     return acc
 
 
-def reduction_rows(f: BitPolynomial, width: int) -> tuple[int, ...]:
-    """rows[v] = (v << d) mod f for every width-bit v, where d = deg f."""
+def reduction_basis(f: BitPolynomial, width: int) -> list[int]:
+    """basis[j] = x^(d+j) mod f for j < width, where d = deg f: the rows of v = 1 << j."""
     g = f.value
     d = g.bit_length() - 1
     basis = []
@@ -173,6 +174,12 @@ def reduction_rows(f: BitPolynomial, width: int) -> tuple[int, ...]:
         cur <<= 1
         if cur >> d:
             cur ^= g
+    return basis
+
+
+def reduction_rows(f: BitPolynomial, width: int) -> tuple[int, ...]:
+    """rows[v] = (v << d) mod f for every width-bit v, where d = deg f."""
+    basis = reduction_basis(f, width)
     rows = [0] * (1 << width)
     for v in range(1, 1 << width):
         low = v & (v - 1)

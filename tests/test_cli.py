@@ -1,8 +1,10 @@
 import hashlib
 import io
+import re
 
 import pytest
 
+from badderlocks import fastcrc
 from badderlocks.cli import dispatch
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -82,6 +84,18 @@ class TestVerifyParams:
 
 
 class TestBench:
+    @pytest.mark.parametrize("python_loop", [False, True])
+    def test_names_the_engine_path(self, capsys, monkeypatch, python_loop):
+        # 1 KiB stands in for the MiB of random input, so the reference stays quick
+        monkeypatch.setattr("os.urandom", lambda n: bytes(range(256)) * 4)
+        if python_loop:
+            monkeypatch.setattr(fastcrc, "_kernel", None)
+            monkeypatch.setattr(fastcrc, "_table_cache", {})
+        code, out = run(capsys, monkeypatch, ["bench", "--bits", "64", "--size", "1"])
+        assert code == 0
+        path = "python" if python_loop or fastcrc._kernel is None else "native"
+        assert re.fullmatch(rf"engine=fast path={path} bytes_per_second=\d+", out.splitlines()[0])
+
     @pytest.mark.parametrize("size", ["-1", "0"])
     def test_nonpositive_size_is_usage_error(self, capsys, monkeypatch, size):
         with pytest.raises(SystemExit) as exc:
@@ -99,9 +113,22 @@ class TestAssemble:
         assert out.strip() == expected
 
     def test_too_small_modulus(self, capsys, monkeypatch):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch,
                 ["assemble", "--modulus-bits", "128"], stdin=b"x")
+        assert exc.value.code == 2
+        assert "minimum feasible modulus is 336 bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--modulus-bits", "2050"), ("--modulus-bits", "0"),
+        ("--reserve-bits", "7"), ("--reserve-bits", "-8"), ("--reserve-bits", "0"),
+    ])
+    def test_bad_field_width_is_usage_error(self, capsys, monkeypatch, flag, value):
+        argv = ["assemble", "--modulus-bits", "2048", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, argv, stdin=b"x")
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err  # rejected while parsing
 
     def test_unknown_hash_is_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:

@@ -1,27 +1,63 @@
 import random
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from badderlocks import classifier, gf2poly, params
+from badderlocks import classifier, fastcrc, gf2poly, params
 from badderlocks.fastcrc import build_tables, engine_init
 
 FOX = b"The quick brown fox jumps over the lazy dog"
 
 
+def use_python_loop(monkeypatch):
+    """Make engines built from here on run the Python loop, as on a host without a compiler."""
+    monkeypatch.setattr(fastcrc, "_kernel", None)
+    monkeypatch.setattr(fastcrc, "_table_cache", {})
+
+
+@pytest.fixture(params=["native", "python"])
+def path(request, monkeypatch):
+    """Run the test once through the C kernel and once through the Python loop."""
+    if request.param == "python":
+        use_python_loop(monkeypatch)
+    elif fastcrc._kernel is None:
+        pytest.skip("the C kernel is not loaded here (no working C compiler)")
+    return request.param
+
+
+def both_forms(e):
+    """e's tables as the loaded path builds them, then as the Python loop builds them."""
+    loaded = build_tables(e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastcrc, "_kernel", None)
+        return [loaded, build_tables(e)]
+
+
 class TestTables:
     def test_row_zero_is_zero(self):
         for e in params.registry()[:5]:
-            t = build_tables(e)
-            assert t.main[0] == 0
+            for t in both_forms(e):
+                assert t.row(0) == 0
 
     def test_rows_match_remainder_oracle(self):
-        e = params.entry_for_aligned_bits(64)
-        t = build_tables(e)
+        # degree 63 fits one word; degree 1740 spans 28 words, 52 bits of padding
         rng = random.Random(30)
-        for v in [0, 1, 2, 511] + [rng.randrange(512) for _ in range(20)]:
-            expected = gf2poly.remainder(
-                gf2poly.BitPolynomial(v << e.degree), e.generator)
-            assert t.main[v] == expected.value
+        rows = [0, 1, 2, 3, 256, 511] + [rng.randrange(512) for _ in range(20)]
+        for bits in (64, 1744):
+            e = params.entry_for_aligned_bits(bits)
+            for t in both_forms(e):
+                for v in rows:
+                    expected = gf2poly.remainder(
+                        gf2poly.BitPolynomial(v << e.degree), e.generator)
+                    assert t.row(v) == expected.value, (bits, t.kernel, v)
+
+    def test_kernel_loads_where_a_compiler_runs(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert fastcrc._kernel is not None
+        assert engine_init(params.entry_for_aligned_bits(64)).path == "native"
 
 
 class TestEngine:
@@ -114,3 +150,109 @@ class TestEquivalence:
                 eng.absorb(m[pos:pos + step])
                 pos += step
             assert eng.finish().data == engine_init(e).absorb(m).finish().data
+
+
+class TestPaths:
+    def test_matches_reference_with_random_splits(self, path):
+        rng = random.Random(35)
+        for e in params.registry():
+            for n in [*range(18), 100, 1000]:
+                m = rng.randbytes(n)
+                want = classifier.classify(m, e).data
+                eng = engine_init(e)
+                assert eng.path == path
+                pos = 0
+                while pos < n:
+                    step = rng.randrange(1, n - pos + 1)
+                    eng.absorb(m[pos:pos + step])
+                    pos += step
+                if n >= 8:
+                    assert eng.register == int.from_bytes(want, "big"), (e.index, n)
+                assert eng.finish().data == want, (e.index, n)
+
+    def test_accepts_any_bytes_like_chunk(self, path):
+        e = params.entry_for_aligned_bits(416)
+        want = classifier.classify(FOX, e).data
+        for chunk in (bytearray(FOX), memoryview(FOX)):
+            assert engine_init(e).absorb(chunk).finish().data == want
+
+    def test_repr_names_entry_bytes_and_path(self, path):
+        eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
+        assert repr(eng) == f"<CrcEngine entry=17 bits=1744 consumed=43 path={path}>"
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("case", ["missing compiler", "compile error", "unwritable cache"])
+    def test_failed_build_gives_python_path(self, monkeypatch, tmp_path, case):
+        cache, cc = tmp_path / "cache", "cc"
+        if case == "missing compiler":
+            cc = str(tmp_path / "no-such-cc")
+        elif case == "compile error":
+            cc = "false"  # runs, writes nothing and exits 1
+        else:
+            (tmp_path / "file").write_bytes(b"")
+            cache = tmp_path / "file" / "cache"
+        kernel = fastcrc._load_kernel(cache, cc)
+        assert kernel is None
+        assert not cache.is_dir() or not any(cache.iterdir())  # no temporary file left
+        entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 4288)]
+        loaded = [engine_init(e).absorb(FOX).finish().data for e in entries]
+        monkeypatch.setattr(fastcrc, "_kernel", kernel)
+        monkeypatch.setattr(fastcrc, "_table_cache", {})
+        for e, want in zip(entries, loaded):
+            eng = engine_init(e)
+            assert eng.path == "python"
+            assert eng.absorb(FOX).finish().data == want
+
+    def test_cache_round_trip(self, monkeypatch, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        cache = tmp_path / "cache"
+        assert fastcrc._load_kernel(cache) is not None
+        (built,) = cache.iterdir()
+        assert built.name.startswith("_absorb-") and built.suffix == ".so"
+
+        def no_compile(*args):
+            raise AssertionError("a cached kernel was compiled again")
+
+        monkeypatch.setattr(fastcrc, "_compile", no_compile)
+        assert fastcrc._load_kernel(cache) is not None
+        # a damaged file under the same name in a directory never loaded from:
+        # dlopen fails, and the loader falls back instead of raising
+        damaged = tmp_path / "damaged"
+        damaged.mkdir()
+        (damaged / built.name).write_bytes(b"not a shared object")
+        assert fastcrc._load_kernel(damaged) is None
+
+
+# Fixed examples, so the tier-1 run is repeatable; the path fixture only
+# patches module state that holds for every example, so one setup serves all.
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+entries = st.sampled_from(params.registry())
+# lengths 0-300 cross the 8-byte filler boundary and span many cycles
+messages = st.binary(max_size=300)
+
+
+def split(message: bytes, cuts: list[int]) -> list[bytes]:
+    bounds = sorted({0, len(message), *(c % (len(message) + 1) for c in cuts)})
+    return [message[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(e=entries, m=messages, cuts=st.lists(st.integers(0, 300), max_size=6))
+    def test_engine_equals_reference(self, path, e, m, cuts):
+        eng = engine_init(e)
+        for chunk in split(m, cuts):
+            eng.absorb(chunk)
+        assert eng.finish().data == classifier.classify(m, e).data
+
+    @PROPERTY_SETTINGS
+    @given(e=entries, m=messages, cuts=st.lists(st.integers(0, 300), max_size=12))
+    def test_chunking_invariance(self, path, e, m, cuts):
+        eng = engine_init(e)
+        for chunk in split(m, cuts):
+            eng.absorb(chunk)
+        assert eng.consumed == len(m)
+        assert eng.finish().data == engine_init(e).absorb(m).finish().data
