@@ -1,8 +1,9 @@
 """Reference message classifier: S-box expansion followed by a large CRC.
 
-This is the correctness baseline.  It works directly on polynomials via
-gf2poly and makes no attempt at throughput; the table-driven engine in
-fastcrc is checked against it bit for bit.
+This is the correctness baseline.  It expands the message by joining the
+codewords' binary strings and reduces it by leading-term long division in
+gf2poly, with no reduction tables; the table-driven engine in fastcrc is
+checked against it bit for bit.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Subcommands: classify, expand, vectors, verify-params, bench, assemble.
+Subcommands: classify, expand, vectors, verify-params, assemble.
 Message input is always raw bytes from stdin or a file, never an argument,
 so shell escaping cannot corrupt it.  Exit status 0 means success, 1 means
-a verification or vector mismatch, 2 a usage error.
+a verification or vector mismatch, 2 a usage error or unreadable input.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
-import time
 from importlib import resources
 from typing import NoReturn
 
@@ -29,14 +27,17 @@ _SUITES = {
 
 
 def _read_message(args) -> bytes:
-    if getattr(args, "infile", None):
+    if not args.infile:
+        return sys.stdin.buffer.read()
+    try:
         with open(args.infile, "rb") as f:
             return f.read()
-    return sys.stdin.buffer.read()
+    except OSError as exc:
+        _usage_error(str(exc))
 
 
 def _usage_error(message: str) -> NoReturn:
-    # an invalid size is a usage error, same exit class as bad flags
+    # an invalid size or unreadable input is a usage error, same exit class as bad flags
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -48,15 +49,10 @@ def _entry_for_bits(bits: int) -> params.GeneratorEntry:
         _usage_error(exc.args[0])
 
 
-def _positive_int(text: str) -> int:
+def _positive_byte_multiple(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _positive_byte_multiple(text: str) -> int:
-    value = _positive_int(text)
     if value % 8:
         raise argparse.ArgumentTypeError(f"must be a multiple of 8, got {value}")
     return value
@@ -70,11 +66,7 @@ def _expansion_hex(message: bytes, grouped: bool = False) -> str:
 
 def _cmd_classify(args) -> int:
     entry = _entry_for_bits(args.bits)
-    message = _read_message(args)
-    if args.engine == "ref":
-        digest = classifier.classify(message, entry)
-    else:
-        digest = fastcrc.engine_init(entry).absorb(message).finish()
+    digest = fastcrc.engine_init(entry).absorb(_read_message(args)).finish()
     value = gf2poly.BitPolynomial(int.from_bytes(digest.data, "big"))
     print(gf2poly.render_hex(value, group=args.grouped, width=2 * len(digest.data)))
     return 0
@@ -100,10 +92,13 @@ def _load_suite(name: str) -> list[tuple[int, bytes, str]]:
     return rows
 
 
-def _compute_vector(suite: str, bits: int, message: bytes) -> str:
+def _vector_results(suite: str, bits: int, message: bytes) -> dict[str, str]:
+    """What each implementation computes for one vector row, keyed by its name."""
     if suite == "c1":
-        return _expansion_hex(message)
-    return classifier.classify(message, _entry_for_bits(bits)).hex()
+        return {"expand": _expansion_hex(message)}
+    entry = _entry_for_bits(bits)
+    return {"engine": fastcrc.engine_init(entry).absorb(message).finish().hex(),
+            "reference": classifier.classify(message, entry).hex()}
 
 
 def _cmd_vectors(args) -> int:
@@ -114,11 +109,12 @@ def _cmd_vectors(args) -> int:
         return 0
     failures = 0
     for bits, message, expected in rows:
-        got = _compute_vector(args.suite, bits, message)
-        if got != expected:
-            failures += 1
-            print(f"MISMATCH bits={bits} message={message.hex()} "
+        wrong = {name: got for name, got in _vector_results(args.suite, bits, message).items()
+                 if got != expected}
+        for name, got in wrong.items():
+            print(f"MISMATCH {name} bits={bits} message={message.hex()} "
                   f"expected={expected} got={got}")
+        failures += bool(wrong)
     print(f"{len(rows) - failures}/{len(rows)} vectors match")
     return 1 if failures else 0
 
@@ -132,24 +128,6 @@ def _cmd_verify_params(args) -> int:
         print(f"entry {e.index:2d} (aligned {e.aligned_bits:4d}): {status}")
         failed = failed or not report.ok
     return 1 if failed else 0
-
-
-def _cmd_bench(args) -> int:
-    entry = _entry_for_bits(args.bits)
-    data = os.urandom(args.size * 1024 * 1024)
-    engine = fastcrc.engine_init(entry)  # builds the tables outside the timed region
-    t0 = time.perf_counter()
-    fast = engine.absorb(data).finish()
-    t_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ref = classifier.classify(data, entry)
-    t_ref = time.perf_counter() - t0
-    if fast.data != ref.data:
-        print("ENGINE MISMATCH on benchmark input")
-        return 1
-    print(f"engine=fast path={engine.path} bytes_per_second={int(len(data) / t_fast)}")
-    print(f"engine=ref bytes_per_second={int(len(data) / t_ref)}")
-    return 0
 
 
 def _cmd_assemble(args) -> int:
@@ -174,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="print the classifier digest of the input")
     p.add_argument("--bits", type=int, required=True,
                    help="byte-aligned output size selecting the generator")
-    p.add_argument("--engine", choices=("ref", "fast"), default="fast")
     p.add_argument("--grouped", action="store_true", help="8-digit hex grouping")
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.set_defaults(func=_cmd_classify)
@@ -193,11 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="also test generator irreducibility and the LFSR round-trip")
     p.set_defaults(func=_cmd_verify_params)
-
-    p = sub.add_parser("bench", help="compare engine throughput on random data")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--size", type=_positive_int, required=True, metavar="MEBIBYTES")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("assemble", help="print the signature representative")
     p.add_argument("--modulus-bits", type=_positive_byte_multiple, required=True)

@@ -104,6 +104,12 @@ def codeword_table() -> CodewordTable:
     return CodewordTable(entries=tuple(values))
 
 
+@lru_cache(maxsize=1)
+def _codeword_bits() -> tuple[str, ...]:
+    """9-digit binary strings of the 256 codewords, then of the filler."""
+    return tuple(f"{v:09b}" for v in codeword_table().entries + (FILLER,))
+
+
 def expand_message(m: bytes) -> BitPolynomial:
     """S-box expansion of a byte string into a message polynomial.
 
@@ -112,21 +118,6 @@ def expand_message(m: bytes) -> BitPolynomial:
     appended on the low-order side so the result is exactly 72 bits; longer
     messages expand to 9 bits per byte with no filler.
     """
-    entries = codeword_table().entries
-    codes = [entries[byte] for byte in m]
-    codes.extend([FILLER] * (8 - len(m)))
-    # Pack 9-bit codes into bytes through a small bit buffer so the working
-    # integer never grows with the message.
-    out = bytearray()
-    buf = 0
-    nbits = 0
-    for code in codes:
-        buf = ((buf << 9) | code) & 0xFFFF
-        nbits += 9
-        while nbits >= 8:
-            nbits -= 8
-            out.append((buf >> nbits) & 0xFF)
-    value = int.from_bytes(bytes(out), "big")
-    if nbits:
-        value = (value << nbits) | (buf & ((1 << nbits) - 1))
-    return BitPolynomial(value)
+    bits = _codeword_bits()
+    digits = "".join(map(bits.__getitem__, m)) + bits[256] * (8 - len(m))
+    return BitPolynomial(int(digits, 2))

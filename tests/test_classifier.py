@@ -1,8 +1,9 @@
 import random
+from importlib import resources
 
 import pytest
 
-from badderlocks import gf2poly, params, sbox
+from badderlocks import fastcrc, gf2poly, params, sbox
 from badderlocks.classifier import ClassifierDigest, classify, entropy_ratio
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -67,6 +68,23 @@ class TestClassify:
             direct = gf2poly.remainder(
                 gf2poly.shift_left(padded, e.degree), e.generator)
             assert classify(m, e).data == direct.value.to_bytes(16, "big")
+
+    def test_shares_no_table_with_the_engine(self, monkeypatch):
+        # the reference must stay independent of fastcrc's tables and row builders
+        entries = params.registry()  # quick verification builds rows, so load first
+
+        def forbidden(*args):
+            raise AssertionError("the reference reached a table or row builder")
+
+        for owner, name in [(gf2poly, "reduction_rows"), (gf2poly, "reduction_basis"),
+                            (fastcrc, "build_tables")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        fox = resources.files("badderlocks.data").joinpath("vectors_c2_fox.txt").read_text()
+        expected = {int(bits): digest for bits, _, digest in
+                    (line.split("\t") for line in fox.splitlines())}
+        assert len(expected) == len(entries) == 30
+        for e in entries:
+            assert classify(FOX, e).hex() == expected[e.aligned_bits]
 
 
 class TestEntropyRatio:

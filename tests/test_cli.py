@@ -1,10 +1,9 @@
 import hashlib
 import io
-import re
 
 import pytest
 
-from badderlocks import fastcrc
+from badderlocks import classifier, fastcrc, params
 from badderlocks.cli import dispatch
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -27,12 +26,10 @@ class TestClassify:
     def test_engines_agree(self, capsys, monkeypatch, tmp_path):
         f = tmp_path / "m.bin"
         f.write_bytes(b"\x00\xff" * 100)
-        _, fast = run(capsys, monkeypatch,
-                      ["classify", "--bits", "320", "--in", str(f)])
-        _, ref = run(capsys, monkeypatch,
-                     ["classify", "--bits", "320", "--engine", "ref",
-                      "--in", str(f)])
-        assert fast == ref
+        _, out = run(capsys, monkeypatch,
+                     ["classify", "--bits", "320", "--in", str(f)])
+        ref = classifier.classify(f.read_bytes(), params.entry_for_aligned_bits(320))
+        assert out.strip() == ref.hex()
 
     def test_grouped_output(self, capsys, monkeypatch):
         _, out = run(capsys, monkeypatch,
@@ -43,6 +40,13 @@ class TestClassify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, monkeypatch, ["classify", "--bits", "60"], stdin=b"")
         assert exc.value.code == 2
+
+    def test_missing_file_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch,
+                ["classify", "--bits", "64", "--in", str(tmp_path / "absent")])
+        assert exc.value.code == 2
+        assert "absent" in capsys.readouterr().err
 
 
 class TestExpand:
@@ -55,6 +59,12 @@ class TestExpand:
         _, out = run(capsys, monkeypatch, ["expand"], stdin=b"pqrstuvw")
         assert out.strip() == "6E385C4E372395CCE7"
 
+    def test_directory_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["expand", "--in", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestVectors:
     @pytest.mark.parametrize("suite,count", [
@@ -65,6 +75,20 @@ class TestVectors:
                         ["vectors", "--suite", suite, "--check"])
         assert code == 0
         assert f"{count}/{count} vectors match" in out
+
+    def test_check_catches_a_wrong_engine(self, capsys, monkeypatch):
+        def wrong_finish(self):
+            digest = real_finish(self)
+            return classifier.ClassifierDigest(bytes(len(digest.data)), digest.entry)
+
+        real_finish = fastcrc.CrcEngine.finish
+        monkeypatch.setattr(fastcrc.CrcEngine, "finish", wrong_finish)
+        code, out = run(capsys, monkeypatch,
+                        ["vectors", "--suite", "c2-mixed", "--check"])
+        assert code == 1
+        assert out.count("MISMATCH engine ") == 2
+        assert "MISMATCH reference" not in out
+        assert "0/2 vectors match" in out
 
     def test_emit_is_tab_separated(self, capsys, monkeypatch):
         code, out = run(capsys, monkeypatch, ["vectors", "--suite", "c2-mixed"])
@@ -81,26 +105,6 @@ class TestVerifyParams:
         lines = out.strip().splitlines()
         assert len(lines) == 30
         assert all(line.endswith("ok") for line in lines)
-
-
-class TestBench:
-    @pytest.mark.parametrize("python_loop", [False, True])
-    def test_names_the_engine_path(self, capsys, monkeypatch, python_loop):
-        # 1 KiB stands in for the MiB of random input, so the reference stays quick
-        monkeypatch.setattr("os.urandom", lambda n: bytes(range(256)) * 4)
-        if python_loop:
-            monkeypatch.setattr(fastcrc, "_kernel", None)
-            monkeypatch.setattr(fastcrc, "_table_cache", {})
-        code, out = run(capsys, monkeypatch, ["bench", "--bits", "64", "--size", "1"])
-        assert code == 0
-        path = "python" if python_loop or fastcrc._kernel is None else "native"
-        assert re.fullmatch(rf"engine=fast path={path} bytes_per_second=\d+", out.splitlines()[0])
-
-    @pytest.mark.parametrize("size", ["-1", "0"])
-    def test_nonpositive_size_is_usage_error(self, capsys, monkeypatch, size):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, monkeypatch, ["bench", "--bits", "64", "--size", size])
-        assert exc.value.code == 2
 
 
 class TestAssemble:

@@ -113,6 +113,22 @@ class TestRemainder:
             r = BitPolynomial(rng.getrandbits(g.degree))
             dividend = gf2poly.multiply(q, g) ^ r
             assert gf2poly.remainder(dividend, g) == r
+        # dividends that end inside, on and just past a 64-byte window edge,
+        # and the degree-0 divisor, which leaves remainder 0
+        big = params.entry_for_aligned_bits(4288).generator  # degree 4284
+        one = BitPolynomial(1)
+        for g, bits in [(g, 511), (g, 512), (g, 513), (g, 1024), (g, 1025), (g, 5003),
+                        (big, 511), (big, 512), (big, 513), (big, 1024), (big, 1025),
+                        (big, 5003), (big, 9217), (one, 3), (one, 5003)]:
+            for _ in range(10):
+                top = bits - 1 - g.degree  # degree of the quotient
+                if top >= 0:
+                    q, r = rng.getrandbits(top) | 1 << top, rng.getrandbits(g.degree)
+                else:
+                    q, r = 0, rng.getrandbits(bits) | 1 << (bits - 1)
+                dividend = gf2poly.multiply(BitPolynomial(q), g) ^ BitPolynomial(r)
+                assert dividend.degree == bits - 1
+                assert gf2poly.remainder(dividend, g).value == r, (g.degree, bits)
 
     def test_degree_below_divisor(self):
         rng = random.Random(5)
