@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
+from contextlib import nullcontext
 from importlib import resources
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from . import classifier, fastcrc, gf2poly, params, reefshoal, sbox
 
@@ -26,14 +28,21 @@ _SUITES = {
 }
 
 
-def _read_message(args) -> bytes:
-    if not args.infile:
-        return sys.stdin.buffer.read()
+_CHUNK = 64 * 1024
+
+
+def _read_chunks(args) -> Iterator[bytes]:
+    """The input (--in FILE, else stdin) in pieces of at most _CHUNK bytes."""
     try:
-        with open(args.infile, "rb") as f:
-            return f.read()
+        with open(args.infile, "rb") if args.infile else nullcontext(sys.stdin.buffer) as f:
+            while chunk := f.read(_CHUNK):
+                yield chunk
     except OSError as exc:
         _usage_error(str(exc))
+
+
+def _read_message(args) -> bytes:
+    return b"".join(_read_chunks(args))
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -66,9 +75,18 @@ def _expansion_hex(message: bytes, grouped: bool = False) -> str:
 
 def _cmd_classify(args) -> int:
     entry = _entry_for_bits(args.bits)
-    digest = fastcrc.engine_init(entry).absorb(_read_message(args)).finish()
+    engine = fastcrc.engine_init(entry)
+    start = time.perf_counter()
+    for chunk in _read_chunks(args):
+        engine.absorb(chunk)
+    digest = engine.finish()
+    elapsed = time.perf_counter() - start
     value = gf2poly.BitPolynomial(int.from_bytes(digest.data, "big"))
     print(gf2poly.render_hex(value, group=args.grouped, width=2 * len(digest.data)))
+    if args.stats:
+        print(f"entry={entry.index} bits={entry.aligned_bits} degree={entry.degree} "
+              f"path={engine.path} bytes={engine.consumed} elapsed_s={elapsed:.6f} "
+              f"mib_per_s={engine.consumed / elapsed / 2**20:.3f}", file=sys.stderr)
     return 0
 
 
@@ -154,6 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="byte-aligned output size selecting the generator")
     p.add_argument("--grouped", action="store_true", help="8-digit hex grouping")
     p.add_argument("--in", dest="infile", metavar="FILE")
+    p.add_argument("--stats", action="store_true",
+                   help="also write one key=value line to stderr: entry, bits, degree, "
+                        "engine path, bytes, and the time and rate of reading and absorbing")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("expand", help="print the S-box expanded message polynomial")

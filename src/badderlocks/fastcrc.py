@@ -1,4 +1,4 @@
-"""Table-driven streaming classifier engine in direct form.
+"""Streaming classifier engine in direct form.
 
 The register always holds `prefix * x^degree mod generator`, where prefix
 is the S-box expansion of the codewords absorbed so far.  One cycle appends
@@ -9,11 +9,20 @@ appends the filler codewords for messages shorter than 8 bytes and emits the
 register byte-aligned, so no zero bits need to be flushed through.  Output
 is bit-identical to classifier.classify.
 
-The cycle loop runs in C (`_absorb.c`) when a C compiler can build it: the
-first import compiles it with `cc` into this package's `__pycache__`, named
-by a hash of the source, the compile command and the machine, and later
-imports load that file.  If it cannot be built or loaded, the same loop runs
-in Python.  `CrcEngine.path` tells which one an engine uses.
+Absorb runs on one of three paths, which `CrcEngine.path` names:
+
+- "clmul": C with no table.  Codewords are packed into 64-bit words and
+  each word is reduced by a Barrett step of carry-less multiplies
+  (PCLMULQDQ), ceil(degree / 64) + 1 of them per word.
+- "native": the cycle loop above in C, one 512-row table lookup per byte.
+- "python": the same loop in Python.
+
+`_absorb.c` holds both C loops.  The first import compiles it with `cc`
+into this package's `__pycache__`, named by a hash of the source, the
+compile command and the machine, and later imports load that file.  The
+library reports whether the CPU runs PCLMULQDQ; the clmul path is taken
+where it does, the native path where it does not, and the Python loop where
+the library cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -41,19 +50,30 @@ _COMPILE = ("-O3", "-shared", "-fPIC")
 
 
 class _Kernel:
-    """The compiled absorb and fill functions, typed, and the codeword maps absorb reads."""
+    """The compiled absorb and fill functions, typed, and the codeword maps absorb reads.
+
+    `clmul` is the carry-less absorb, or None where the CPU lacks PCLMULQDQ.
+    """
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
         # the arrays passed are built here and in build_tables, sized for w; c_void_p
         # converts them at half the per-call cost of typed pointers
         array_p, size = ctypes.c_void_p, ctypes.c_size_t
+        absorb_types = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
         self.absorb = lib.absorb
-        self.absorb.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
+        self.absorb.argtypes = absorb_types
         self.absorb.restype = None
         self.fill = lib.fill
         self.fill.argtypes = (array_p, size)
         self.fill.restype = None
+        lib.has_pclmul.argtypes = ()
+        lib.has_pclmul.restype = ctypes.c_int
+        self.clmul = None
+        if lib.has_pclmul():  # absorb_clmul exists only where this returns 1
+            self.clmul = lib.absorb_clmul
+            self.clmul.argtypes = absorb_types
+            self.clmul.restype = None
         self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
 
     @cached_property
@@ -104,16 +124,21 @@ def _to_words(value: int, w: int) -> array:
 
 @dataclass(frozen=True)
 class CrcTables:
-    """Precomputed reduction rows for one generator: row v = (v << degree) mod g.
+    """Precomputed reduction data for one generator g, in the form its path reads.
 
-    Without a kernel, `main` is a tuple of 512 ints.  With one, it is a
-    ctypes array of 512 rows of `words` 64-bit words, most significant word
-    first and shifted up by 64 * words - degree bits.
+    The packed forms hold each value in `words` 64-bit words, most
+    significant word first and shifted up by 64 * words - degree bits.
+
+    - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
+    - "native": `main` is a ctypes array of those 512 rows, packed.
+    - "clmul": `main` is a ctypes array of mu (one word), then g - x^degree
+      packed; see `_barrett_constants`.
     """
 
     degree: int
     main: tuple[int, ...] | ctypes.Array
     kernel: _Kernel | None = None
+    path: str = "python"
 
     @property
     def words(self) -> int:
@@ -121,7 +146,7 @@ class CrcTables:
         return (self.degree + 63) // 64
 
     def row(self, v: int) -> int:
-        """Row v as an int, whichever form the table is stored in."""
+        """Row v as an int, from a "python" or "native" table."""
         if self.kernel is None:
             return self.main[v]
         w = self.words
@@ -135,16 +160,37 @@ class CrcTables:
         return int.from_bytes(words, "big") >> (64 * self.words - self.degree)
 
 
+def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
+    """mu = floor(x^(d+64) / g) - x^64 and g - x^d, for d = deg g.
+
+    For t of degree below 64, the quotient floor(t * x^d / g) is
+    t ^ (t * mu >> 64), and t * x^d mod g is the low d bits of that quotient
+    times g - x^d.
+    """
+    g, d = e.generator.value, e.degree
+    quotient, rest = 0, 1 << (d + 64)
+    for k in range(64, -1, -1):
+        if rest >> (d + k) & 1:
+            quotient |= 1 << k
+            rest ^= g << k
+    return quotient ^ 1 << 64, g ^ 1 << d
+
+
 def build_tables(e: GeneratorEntry) -> CrcTables:
-    """Build the lookup table for one generator entry, packed for the kernel when it is loaded."""
+    """Build the reduction data for one generator entry, in the form the selected path reads."""
     if _kernel is None:
         return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
     w = (e.degree + 63) // 64
+    pad = 64 * w - e.degree
+    if _kernel.clmul is not None:
+        mu, low = _barrett_constants(e)
+        consts = (ctypes.c_uint64 * (1 + w))(mu, *_to_words(low << pad, w))
+        return CrcTables(e.degree, consts, _kernel, "clmul")
     rows = (ctypes.c_uint64 * (512 * w))()
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
-        rows[w << j:(w << j) + w] = _to_words(basis << (64 * w - e.degree), w)
+        rows[w << j:(w << j) + w] = _to_words(basis << pad, w)
     _kernel.fill(rows, w)  # the other 503 rows, from these 9 and the zero row
-    return CrcTables(e.degree, rows, _kernel)
+    return CrcTables(e.degree, rows, _kernel, "native")
 
 
 _table_cache: dict[int, CrcTables] = {}
@@ -180,8 +226,8 @@ class CrcEngine:
 
     @property
     def path(self) -> str:
-        """Which cycle loop this engine runs: "native" (the C kernel) or "python"."""
-        return "python" if self.tables.kernel is None else "native"
+        """Which absorb loop this engine runs: "clmul", "native" or "python"."""
+        return self.tables.path
 
     def __repr__(self) -> str:
         return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
@@ -192,8 +238,9 @@ class CrcEngine:
         kernel = self.tables.kernel
         if kernel is not None:
             data = bytes(data)  # no copy for bytes; c_char_p takes nothing else
-            kernel.absorb(self._reg, self.tables.words, self.tables.main,
-                          kernel.filler if filler else kernel.codewords, data, len(data))
+            absorb = kernel.clmul if self.tables.path == "clmul" else kernel.absorb
+            absorb(self._reg, self.tables.words, self.tables.main,
+                   kernel.filler if filler else kernel.codewords, data, len(data))
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9

@@ -105,9 +105,10 @@ def codeword_table() -> CodewordTable:
 
 
 @lru_cache(maxsize=1)
-def _codeword_bits() -> tuple[str, ...]:
-    """9-digit binary strings of the 256 codewords, then of the filler."""
-    return tuple(f"{v:09b}" for v in codeword_table().entries + (FILLER,))
+def _digit_tables() -> tuple[bytes, ...]:
+    """Nine bytes.translate tables: table k maps a byte to binary digit k of its codeword."""
+    entries = codeword_table().entries
+    return tuple(bytes(ord("0") + (v >> (8 - k) & 1) for v in entries) for k in range(9))
 
 
 def expand_message(m: bytes) -> BitPolynomial:
@@ -118,6 +119,11 @@ def expand_message(m: bytes) -> BitPolynomial:
     appended on the low-order side so the result is exactly 72 bits; longer
     messages expand to 9 bits per byte with no filler.
     """
-    bits = _codeword_bits()
-    digits = "".join(map(bits.__getitem__, m)) + bits[256] * (8 - len(m))
+    # one ASCII digit per bit, written digit position by digit position so no
+    # per-byte object is made: the peak is the 9 bytes per input byte here
+    # plus one translated copy of the message
+    digits = bytearray(9 * len(m))
+    for k, table in enumerate(_digit_tables()):
+        digits[k::9] = m.translate(table)
+    digits += f"{FILLER:09b}".encode() * (8 - len(m))
     return BitPolynomial(int(digits, 2))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -47,6 +48,44 @@ class TestClassify:
                 ["classify", "--bits", "64", "--in", str(tmp_path / "absent")])
         assert exc.value.code == 2
         assert "absent" in capsys.readouterr().err
+
+    def test_reads_input_in_chunks(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "m.bin"
+        f.write_bytes(random.Random(40).randbytes(3 * 65536 + 5))
+        sizes = []
+        absorb = fastcrc.CrcEngine.absorb
+
+        def recording_absorb(engine, chunk):
+            sizes.append(len(chunk))
+            return absorb(engine, chunk)
+
+        monkeypatch.setattr(fastcrc.CrcEngine, "absorb", recording_absorb)
+        code, out = run(capsys, monkeypatch, ["classify", "--bits", "1744", "--in", str(f)])
+        assert code == 0
+        want = classifier.classify(f.read_bytes(), params.entry_for_aligned_bits(1744))
+        assert out.strip() == want.hex()
+        assert sizes == [65536, 65536, 65536, 5]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, monkeypatch, ["classify", "--bits", "64", "--in", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_stats_line(self, capsys, monkeypatch):
+        argv = ["classify", "--bits", "1744", "--grouped"]
+        _, plain = run(capsys, monkeypatch, argv, stdin=FOX)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(FOX)))
+        assert dispatch([*argv, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        (line,) = captured.err.splitlines()
+        fields = dict(token.split("=") for token in line.split())
+        assert list(fields) == ["entry", "bits", "degree", "path", "bytes", "elapsed_s",
+                                "mib_per_s"]
+        e = params.entry_for_aligned_bits(1744)
+        assert fields["entry"] == str(e.index) and fields["bits"] == "1744"
+        assert fields["degree"] == str(e.degree)
+        assert fields["path"] == fastcrc.engine_init(e).path
+        assert fields["bytes"] == str(len(FOX))
+        assert float(fields["elapsed_s"]) > 0 and float(fields["mib_per_s"]) > 0
 
 
 class TestExpand:

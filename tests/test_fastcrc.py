@@ -1,5 +1,9 @@
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,34 +15,45 @@ from badderlocks.fastcrc import build_tables, engine_init
 FOX = b"The quick brown fox jumps over the lazy dog"
 
 
-def use_python_loop(monkeypatch):
-    """Make engines built from here on run the Python loop, as on a host without a compiler."""
-    monkeypatch.setattr(fastcrc, "_kernel", None)
+def use_path(monkeypatch, path):
+    """Make engines built from here on run the given path.
+
+    "native" is forced by clearing the CPU check's result, as on a host
+    without PCLMULQDQ; "python" by unloading the kernel, as on a host
+    without a compiler.
+    """
+    if path != "python" and fastcrc._kernel is None:
+        pytest.skip("the C kernel is not loaded here (no working C compiler)")
+    if path == "clmul" and fastcrc._kernel.clmul is None:
+        pytest.skip("this CPU has no PCLMULQDQ")
+    if path == "native":
+        monkeypatch.setattr(fastcrc._kernel, "clmul", None)
+    elif path == "python":
+        monkeypatch.setattr(fastcrc, "_kernel", None)
     monkeypatch.setattr(fastcrc, "_table_cache", {})
 
 
-@pytest.fixture(params=["native", "python"])
+@pytest.fixture(params=["clmul", "native", "python"])
 def path(request, monkeypatch):
-    """Run the test once through the C kernel and once through the Python loop."""
-    if request.param == "python":
-        use_python_loop(monkeypatch)
-    elif fastcrc._kernel is None:
-        pytest.skip("the C kernel is not loaded here (no working C compiler)")
+    """Run the test through the carry-less kernel, the table kernel and the Python loop."""
+    use_path(monkeypatch, request.param)
     return request.param
 
 
-def both_forms(e):
-    """e's tables as the loaded path builds them, then as the Python loop builds them."""
-    loaded = build_tables(e)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastcrc, "_kernel", None)
-        return [loaded, build_tables(e)]
+def row_forms(e):
+    """e's tables as the table kernel builds them, then as the Python loop builds them."""
+    forms = []
+    for path in ("python",) if fastcrc._kernel is None else ("native", "python"):
+        with pytest.MonkeyPatch.context() as mp:
+            use_path(mp, path)
+            forms.append(build_tables(e))
+    return forms
 
 
 class TestTables:
     def test_row_zero_is_zero(self):
         for e in params.registry()[:5]:
-            for t in both_forms(e):
+            for t in row_forms(e):
                 assert t.row(0) == 0
 
     def test_rows_match_remainder_oracle(self):
@@ -47,17 +62,44 @@ class TestTables:
         rows = [0, 1, 2, 3, 256, 511] + [rng.randrange(512) for _ in range(20)]
         for bits in (64, 1744):
             e = params.entry_for_aligned_bits(bits)
-            for t in both_forms(e):
+            for t in row_forms(e):
                 for v in rows:
                     expected = gf2poly.remainder(
                         gf2poly.BitPolynomial(v << e.degree), e.generator)
-                    assert t.row(v) == expected.value, (bits, t.kernel, v)
+                    assert t.row(v) == expected.value, (bits, t.path, v)
+
+    def test_barrett_constants_reduce_a_word(self):
+        # t * x^d mod g == low d bits of q * (g - x^d), q = t ^ (t * mu >> 64)
+        poly = gf2poly.BitPolynomial
+        rng = random.Random(36)
+        for e in params.registry():
+            mu, low = fastcrc._barrett_constants(e)
+            assert mu < 1 << 64
+            assert low == e.generator.value ^ 1 << e.degree
+            for t in [1, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(8)]:
+                q = t ^ gf2poly.multiply(poly(t), poly(mu)).value >> 64
+                product = gf2poly.multiply(poly(q), poly(low)).value
+                want = gf2poly.remainder(poly(t << e.degree), e.generator).value
+                assert product & ((1 << e.degree) - 1) == want, (e.index, t)
+
+    def test_clmul_tables_pack_the_constants(self, monkeypatch):
+        use_path(monkeypatch, "clmul")
+        for e in params.registry():
+            t = build_tables(e)
+            mu, low = fastcrc._barrett_constants(e)
+            assert t.path == "clmul" and t.main[0] == mu
+            assert t._unpack(memoryview(t.main)[1:]) == low, e.index
 
     def test_kernel_loads_where_a_compiler_runs(self):
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         assert fastcrc._kernel is not None
-        assert engine_init(params.entry_for_aligned_bits(64)).path == "native"
+        path = engine_init(params.entry_for_aligned_bits(64)).path
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.is_file():
+            assert path in ("clmul", "native")
+        else:
+            assert path == ("clmul" if "pclmulqdq" in cpuinfo.read_text().split() else "native")
 
 
 class TestEngine:
@@ -156,7 +198,8 @@ class TestPaths:
     def test_matches_reference_with_random_splits(self, path):
         rng = random.Random(35)
         for e in params.registry():
-            for n in [*range(18), 100, 1000]:
+            # 64 B is exactly nine 64-bit words of codewords, no tail bits
+            for n in [*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000]:
                 m = rng.randbytes(n)
                 want = classifier.classify(m, e).data
                 eng = engine_init(e)
@@ -223,6 +266,57 @@ class TestKernelBuild:
         damaged.mkdir()
         (damaged / built.name).write_bytes(b"not a shared object")
         assert fastcrc._load_kernel(damaged) is None
+
+    def test_sanitized_build_matches_vectors(self, tmp_path):
+        # warnings are errors, and any undefined behaviour (a shift by 64, an
+        # out-of-range index) aborts the child
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        lib = tmp_path / "_absorb-ubsan.so"
+        build = subprocess.run(
+            ["cc", "-O1", "-g", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+             "-fsanitize=undefined", "-fno-sanitize-recover=all",
+             "-o", str(lib), str(fastcrc._SOURCE)], capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        run = subprocess.run([sys.executable, "-c", SANITIZED_SWEEP, str(lib)],
+                             capture_output=True, text=True, timeout=600,
+                             env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
+        assert run.returncode == 0, run.stderr
+        paths = ["clmul", "native"] if fastcrc._kernel.clmul is not None else ["native"]
+        per_path = 52 + 30 * 26  # the three c2 suites, then the sweep
+        assert run.stdout.split() == [*paths, str(per_path * len(paths))]
+
+
+# Run in a child process against a sanitizer build of the kernel, so that
+# undefined behaviour aborts the child instead of the test run.
+SANITIZED_SWEEP = """
+import random, sys
+from badderlocks import classifier, cli, fastcrc, params
+fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
+paths = ["clmul"] * (fastcrc._kernel.clmul is not None) + ["native"]
+rng = random.Random(37)
+checked = 0
+for path in paths:
+    if path == "native":
+        fastcrc._kernel.clmul = None
+    fastcrc._table_cache.clear()
+    for suite in ("c2-fox", "c2-small", "c2-mixed"):
+        for bits, m, want in cli._load_suite(suite):
+            eng = fastcrc.engine_init(params.entry_for_aligned_bits(bits))
+            assert eng.path == path and eng.absorb(m).finish().hex() == want, (suite, bits, m)
+            checked += 1
+    for e in params.registry():
+        for n in [*range(18), 63, 64, 65, 71, 72, 73, 128, 1000]:
+            m = rng.randbytes(n)
+            eng, pos = fastcrc.engine_init(e), 0
+            while pos < n:
+                step = rng.randrange(1, n - pos + 1)
+                eng.absorb(m[pos:pos + step])
+                pos += step
+            assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
+            checked += 1
+print(" ".join(paths), checked)
+"""
 
 
 # Fixed examples, so the tier-1 run is repeatable; the path fixture only

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -139,3 +140,24 @@ class TestExpandMessage:
             msgs = {bytes(rng.randrange(256) for _ in range(n)) for _ in range(300)}
             outputs = {expand_message(m).value for m in msgs}
             assert len(outputs) == len(msgs)
+
+    def test_codewords_concatenate_in_order(self):
+        rng = random.Random(12)
+        table = codeword_table().entries
+        for n in (8, 9, 64, 1000):
+            m = rng.randbytes(n)
+            want = int("".join(f"{table[b]:09b}" for b in m), 2)
+            assert expand_message(m).value == want, n
+
+    def test_peak_memory_on_1_mib(self):
+        # the digit string takes 9 B per input byte and the result 1.125 B;
+        # nothing may be allocated per input byte beyond that
+        m = random.Random(13).randbytes(1 << 20)
+        expand_message(b"warm")  # builds the cached tables outside the trace
+        tracemalloc.start()
+        try:
+            expand_message(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * len(m), peak / len(m)
