@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import time
 from contextlib import nullcontext
@@ -141,9 +142,15 @@ def _cmd_verify_params(args) -> int:
     level = "full" if args.full else "quick"
     failed = False
     for e in params.registry():
+        start = time.perf_counter()
         report = params.verify_entry(e, level=level)
-        status = "ok" if report.ok else "FAIL " + ", ".join(report.failures())
-        print(f"entry {e.index:2d} (aligned {e.aligned_bits:4d}): {status}")
+        elapsed = time.perf_counter() - start
+        if args.json:
+            print(json.dumps({"index": e.index, "aligned_bits": e.aligned_bits, "level": level,
+                              "checks": dict(report.checks), "elapsed_s": round(elapsed, 6)}))
+        else:
+            status = "ok" if report.ok else "FAIL " + ", ".join(report.failures())
+            print(f"entry {e.index:2d} (aligned {e.aligned_bits:4d}): {status}")
         failed = failed or not report.ok
     return 1 if failed else 0
 
@@ -190,6 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-params", help="verify the generator registry")
     p.add_argument("--full", action="store_true",
                    help="also test generator irreducibility and the LFSR round-trip")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object per entry: index, aligned_bits, level, "
+                        "checks (name: passed) and elapsed_s")
     p.set_defaults(func=_cmd_verify_params)
 
     p = sub.add_parser("assemble", help="print the signature representative")

@@ -9,20 +9,23 @@ appends the filler codewords for messages shorter than 8 bytes and emits the
 register byte-aligned, so no zero bits need to be flushed through.  Output
 is bit-identical to classifier.classify.
 
-Absorb runs on one of three paths, which `CrcEngine.path` names:
+Absorb runs on one of four paths, which `CrcEngine.path` names:
 
-- "clmul": C with no table.  Codewords are packed into 64-bit words and
-  each word is reduced by a Barrett step of carry-less multiplies
-  (PCLMULQDQ), ceil(degree / 64) + 1 of them per word.
+- "vpclmul": C with no table.  Codewords are packed into 64-bit words and
+  each word is reduced by a Barrett step of carry-less multiplies,
+  ceil(degree / 64) + 1 of them per word, on AVX-512 eight of them per
+  pair of VPCLMULQDQ instructions.
+- "clmul": the same step with PCLMULQDQ, one multiply per instruction.
 - "native": the cycle loop above in C, one 512-row table lookup per byte.
 - "python": the same loop in Python.
 
-`_absorb.c` holds both C loops.  The first import compiles it with `cc`
-into this package's `__pycache__`, named by a hash of the source, the
+`_absorb.c` holds the three C loops.  The first import compiles it with
+`cc` into this package's `__pycache__`, named by a hash of the source, the
 compile command and the machine, and later imports load that file.  The
-library reports whether the CPU runs PCLMULQDQ; the clmul path is taken
-where it does, the native path where it does not, and the Python loop where
-the library cannot be built or loaded.
+library asks the CPU which carry-less instructions it runs: the vpclmul
+path is taken where it reports AVX-512F and VPCLMULQDQ, else the clmul path
+where it reports PCLMULQDQ, else the native path; the Python loop runs
+where the library cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ _COMPILE = ("-O3", "-shared", "-fPIC")
 
 
 class _Kernel:
-    """The compiled absorb and fill functions, typed, and the codeword maps absorb reads.
+    """The compiled absorb loops and fill, typed, and the codeword maps absorb reads.
 
-    `clmul` is the carry-less absorb, or None where the CPU lacks PCLMULQDQ.
+    Each absorb loop is the attribute named after its path.  `vpclmul` and
+    `clmul` are None where the CPU cannot run them.
     """
 
     def __init__(self, path: Path):
@@ -60,20 +64,21 @@ class _Kernel:
         # the arrays passed are built here and in build_tables, sized for w; c_void_p
         # converts them at half the per-call cost of typed pointers
         array_p, size = ctypes.c_void_p, ctypes.c_size_t
-        absorb_types = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
-        self.absorb = lib.absorb
-        self.absorb.argtypes = absorb_types
-        self.absorb.restype = None
+
+        def absorb_loop(function):
+            function.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
+            function.restype = None
+            return function
+
+        self.native = absorb_loop(lib.absorb)
         self.fill = lib.fill
         self.fill.argtypes = (array_p, size)
         self.fill.restype = None
-        lib.has_pclmul.argtypes = ()
-        lib.has_pclmul.restype = ctypes.c_int
-        self.clmul = None
-        if lib.has_pclmul():  # absorb_clmul exists only where this returns 1
-            self.clmul = lib.absorb_clmul
-            self.clmul.argtypes = absorb_types
-            self.clmul.restype = None
+        lib.carryless.argtypes = ()
+        lib.carryless.restype = ctypes.c_int
+        level = lib.carryless()  # each carry-less loop exists only where this reaches its level
+        self.clmul = absorb_loop(lib.absorb_clmul) if level >= 1 else None
+        self.vpclmul = absorb_loop(lib.absorb_vpclmul) if level >= 2 else None
         self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
 
     @cached_property
@@ -131,8 +136,8 @@ class CrcTables:
 
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
     - "native": `main` is a ctypes array of those 512 rows, packed.
-    - "clmul": `main` is a ctypes array of mu (one word), then g - x^degree
-      packed; see `_barrett_constants`.
+    - "vpclmul" and "clmul": `main` is a ctypes array of mu (one word), then
+      g - x^degree packed; see `_barrett_constants`.
     """
 
     degree: int
@@ -182,10 +187,11 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
         return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
     w = (e.degree + 63) // 64
     pad = 64 * w - e.degree
-    if _kernel.clmul is not None:
-        mu, low = _barrett_constants(e)
-        consts = (ctypes.c_uint64 * (1 + w))(mu, *_to_words(low << pad, w))
-        return CrcTables(e.degree, consts, _kernel, "clmul")
+    for path in ("vpclmul", "clmul"):
+        if getattr(_kernel, path) is not None:
+            mu, low = _barrett_constants(e)
+            consts = (ctypes.c_uint64 * (1 + w))(mu, *_to_words(low << pad, w))
+            return CrcTables(e.degree, consts, _kernel, path)
     rows = (ctypes.c_uint64 * (512 * w))()
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
         rows[w << j:(w << j) + w] = _to_words(basis << pad, w)
@@ -226,7 +232,7 @@ class CrcEngine:
 
     @property
     def path(self) -> str:
-        """Which absorb loop this engine runs: "clmul", "native" or "python"."""
+        """Which absorb loop this engine runs: "vpclmul", "clmul", "native" or "python"."""
         return self.tables.path
 
     def __repr__(self) -> str:
@@ -238,7 +244,7 @@ class CrcEngine:
         kernel = self.tables.kernel
         if kernel is not None:
             data = bytes(data)  # no copy for bytes; c_char_p takes nothing else
-            absorb = kernel.clmul if self.tables.path == "clmul" else kernel.absorb
+            absorb = getattr(kernel, self.tables.path)
             absorb(self._reg, self.tables.words, self.tables.main,
                    kernel.filler if filler else kernel.codewords, data, len(data))
             return

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -144,6 +146,28 @@ class TestVerifyParams:
         lines = out.strip().splitlines()
         assert len(lines) == 30
         assert all(line.endswith("ok") for line in lines)
+
+    def test_json_names_the_failing_check(self, capsys, monkeypatch):
+        verify_entry = params.verify_entry
+
+        def one_check_fails(e, level="quick"):
+            report = verify_entry(e, level)
+            if e.index != 5:
+                return report
+            (name, _), *rest = report.checks
+            return dataclasses.replace(report, checks=((name, False), *rest))
+
+        monkeypatch.setattr(params, "verify_entry", one_check_fails)
+        code, out = run(capsys, monkeypatch, ["verify-params", "--json"])
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["index"] for r in rows] == list(range(1, 31))
+        assert {r["level"] for r in rows} == {"quick"}
+        assert all(r["elapsed_s"] >= 0 for r in rows)
+        failing = {(r["index"], name) for r in rows
+                   for name, passed in r["checks"].items() if not passed}
+        assert failing == {(5, "target matches size formula")}
+        assert rows[4]["aligned_bits"] == 320 and len(rows[4]["checks"]) > 1
 
 
 class TestAssemble:

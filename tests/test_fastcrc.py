@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,27 +16,33 @@ from badderlocks.fastcrc import build_tables, engine_init
 FOX = b"The quick brown fox jumps over the lazy dog"
 
 
+# the kernel's absorb loops, in the order build_tables prefers them
+KERNEL_PATHS = ("vpclmul", "clmul", "native")
+
+
 def use_path(monkeypatch, path):
     """Make engines built from here on run the given path.
 
-    "native" is forced by clearing the CPU check's result, as on a host
-    without PCLMULQDQ; "python" by unloading the kernel, as on a host
+    A kernel path is forced by clearing the loops build_tables would pick
+    first, as on a CPU the CPU check finds without them: "clmul" clears
+    vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
     without a compiler.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
-    if path == "clmul" and fastcrc._kernel.clmul is None:
-        pytest.skip("this CPU has no PCLMULQDQ")
-    if path == "native":
-        monkeypatch.setattr(fastcrc._kernel, "clmul", None)
-    elif path == "python":
+    if path == "python":
         monkeypatch.setattr(fastcrc, "_kernel", None)
+    else:
+        if getattr(fastcrc._kernel, path) is None:
+            pytest.skip(f"this CPU cannot run the {path} kernel")
+        for faster in KERNEL_PATHS[:KERNEL_PATHS.index(path)]:
+            monkeypatch.setattr(fastcrc._kernel, faster, None)
     monkeypatch.setattr(fastcrc, "_table_cache", {})
 
 
-@pytest.fixture(params=["clmul", "native", "python"])
+@pytest.fixture(params=["vpclmul", "clmul", "native", "python"])
 def path(request, monkeypatch):
-    """Run the test through the carry-less kernel, the table kernel and the Python loop."""
+    """Run the test through both carry-less kernels, the table kernel and the Python loop."""
     use_path(monkeypatch, request.param)
     return request.param
 
@@ -97,9 +104,11 @@ class TestTables:
         path = engine_init(params.entry_for_aligned_bits(64)).path
         cpuinfo = Path("/proc/cpuinfo")
         if not cpuinfo.is_file():
-            assert path in ("clmul", "native")
+            assert path in KERNEL_PATHS
         else:
-            assert path == ("clmul" if "pclmulqdq" in cpuinfo.read_text().split() else "native")
+            flags = set(cpuinfo.read_text().split())
+            assert path == ("vpclmul" if {"avx512f", "vpclmulqdq"} <= flags
+                            else "clmul" if "pclmulqdq" in flags else "native")
 
 
 class TestEngine:
@@ -282,9 +291,54 @@ class TestKernelBuild:
                              capture_output=True, text=True, timeout=600,
                              env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
         assert run.returncode == 0, run.stderr
-        paths = ["clmul", "native"] if fastcrc._kernel.clmul is not None else ["native"]
-        per_path = 52 + 30 * 26  # the three c2 suites, then the sweep
+        paths = [p for p in KERNEL_PATHS if getattr(fastcrc._kernel, p) is not None]
+        per_path = 52 + 30 * 26 + 7 * 81  # the three c2 suites, the sweep, the block edges
         assert run.stdout.split() == [*paths, str(per_path * len(paths))]
+
+    def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
+        # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
+        # ones, so no AVX-512 instruction may reach them, even through a helper the
+        # compiler inlined or cloned; and the table loops run on any x86-64 CPU
+        if os.uname().machine != "x86_64":
+            pytest.skip("the carry-less kernels are compiled on x86-64 only")
+        if shutil.which("cc") is None or shutil.which("objdump") is None:
+            pytest.skip("needs cc and objdump on PATH")
+        lib = tmp_path / "_absorb.so"
+        assert fastcrc._compile(["cc", *fastcrc._COMPILE], lib)
+        listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
+                                 check=True).stdout
+        functions = disassembly(listing)
+        assert any(avx512(i) for i in functions["absorb_vpclmul"])  # the check sees AVX-512
+        for name, instructions in functions.items():
+            if "vpclmul" not in name:
+                assert not [i for i in instructions if avx512(i)], name
+        for name in ("absorb", "fill"):
+            assert not [i for i in functions[name] if "pclmul" in i[1]], name
+
+
+def disassembly(listing: str) -> dict[str, list[tuple[bytes, str]]]:
+    """Each function of an objdump -d listing: its instructions as (encoding, text)."""
+    functions: dict[str, list[tuple[bytes, str]]] = {}
+    for line in listing.splitlines():
+        if header := re.fullmatch(r"[0-9a-f]+ <(.+)>:", line):
+            instructions = functions.setdefault(header[1], [])
+        elif (insn := re.fullmatch(r"\s*[0-9a-f]+:\t((?:[0-9a-f]{2} )+)\s*\t(.*)", line)) \
+                and functions:
+            instructions.append((bytes.fromhex(insn[1]), insn[2]))
+    return functions
+
+
+LEGACY_PREFIXES = frozenset(b"\x26\x2e\x36\x3e\x64\x65\x66\x67\xf0\xf2\xf3")
+AVX512_REGISTERS = re.compile(r"%zmm|%[xy]mm(?:1[6-9]|2[0-9]|3[01])\b|%k[0-7]\b")
+
+
+def avx512(instruction: tuple[bytes, str]) -> bool:
+    """Whether an x86-64 instruction needs AVX-512: EVEX-encoded (0x62 after any
+    legacy prefixes, which in 64-bit mode is nothing else) or using a register
+    only AVX-512 has."""
+    encoding, text = instruction
+    opcode = next((b for b in encoding if b not in LEGACY_PREFIXES), None)
+    return opcode == 0x62 or bool(AVX512_REGISTERS.search(text))
 
 
 # Run in a child process against a sanitizer build of the kernel, so that
@@ -293,12 +347,15 @@ SANITIZED_SWEEP = """
 import random, sys
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
-paths = ["clmul"] * (fastcrc._kernel.clmul is not None) + ["native"]
+paths = [p for p in ("vpclmul", "clmul", "native") if getattr(fastcrc._kernel, p) is not None]
+# entries whose register ends at or just past a whole block of eight 64-bit words, or
+# fills less than one (w = 1, 7, 8, 10, 28, 44, 67; no entry has w = 9)
+block_edges = [params.entry_for_aligned_bits(b) for b in (64, 416, 512, 608, 1744, 2784, 4288)]
 rng = random.Random(37)
 checked = 0
-for path in paths:
-    if path == "native":
-        fastcrc._kernel.clmul = None
+for i, path in enumerate(paths):
+    if i:
+        setattr(fastcrc._kernel, paths[i - 1], None)  # so build_tables picks the next path
     fastcrc._table_cache.clear()
     for suite in ("c2-fox", "c2-small", "c2-mixed"):
         for bits, m, want in cli._load_suite(suite):
@@ -313,6 +370,13 @@ for path in paths:
                 step = rng.randrange(1, n - pos + 1)
                 eng.absorb(m[pos:pos + step])
                 pos += step
+            assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
+            checked += 1
+    for e in block_edges:
+        for n in range(81):
+            m = rng.randbytes(n)
+            eng = fastcrc.engine_init(e)
+            eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
 print(" ".join(paths), checked)
@@ -350,3 +414,17 @@ class TestProperties:
             eng.absorb(chunk)
         assert eng.consumed == len(m)
         assert eng.finish().data == engine_init(e).absorb(m).finish().data
+
+    @PROPERTY_SETTINGS
+    @given(e=entries, a=st.binary(max_size=200), b=st.binary(max_size=200))
+    def test_registers_combine(self, path, e, a, b):
+        # reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, each register taken before
+        # finish; lengths 0-200 cross the 8-byte filler boundary and the word boundaries
+        poly = gf2poly.BitPolynomial
+
+        def register(m):
+            return engine_init(e).absorb(m).register
+
+        moved = gf2poly.remainder(gf2poly.multiply(poly(register(a)), poly(1 << 9 * len(b))),
+                                  e.generator)
+        assert register(a + b) == moved.value ^ register(b)
