@@ -8,10 +8,20 @@
  * Three loops: absorb, a 512-row table walk that any CPU runs, and on x86-64
  * two table-free carry-less kernels with one shared driver, absorb_clmul
  * (PCLMULQDQ, two words of each product per instruction pair) and
- * absorb_vpclmul (VPCLMULQDQ on AVX-512F, eight words per pair).  Each carry-less kernel is compiled for its own
- * instruction set through target attributes, never -march=native, so no
- * AVX-512 instruction reaches code that a PCLMULQDQ-only CPU runs; carryless()
- * reports which kernels this CPU can run.
+ * absorb_vpclmul (VPCLMULQDQ on AVX-512F, eight words per pair).  Each
+ * carry-less kernel is compiled for its own instruction set through target
+ * attributes, never -march=native, so no AVX-512 instruction reaches code
+ * that a PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU
+ * can run.
+ *
+ * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
+ * absorb_split_vpclmul.  One persistent worker thread per process absorbs
+ * the first n - n2 bytes into the register while the calling thread absorbs
+ * the last n2 = 2^j bytes into a zeroed one, s; combine_* then joins them by
+ * reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g (zlib's crc32_combine, in
+ * the Barrett algebra of the carry-less kernels), with a constant
+ * K_j = x^(9 * 2^j - 2pad - d) mod g that the caller supplies in the
+ * register layout.  The threads are POSIX threads: build with -pthread.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -46,6 +56,11 @@ void fill(uint64_t *rows, size_t w)
 
 #if defined(__x86_64__)
 #include <immintrin.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
+#include <unistd.h>
 
 #define VPCLMUL __attribute__((target("pclmul,avx512f,vpclmulqdq")))
 
@@ -186,6 +201,193 @@ VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *re
     memset(G_lsw, 0, sizeof G_lsw);
     memset(r, 0, sizeof r);
     absorb_carryless(reg, w, consts, cw, data, n, G_lsw, r, shift_add_vpclmul);
+}
+
+/* reg = reg * k * x^d + s mod g, all three laid out like the register.  The
+ * 2w-word product reg * k, schoolbook with scalar PCLMULQDQ, is fed through
+ * the word step from a zero register, which leaves it times x^d mod g.  With
+ * k = K_j = x^(9 * 2^j - 2pad - d) mod g that is reg * x^(9 * 2^j) + s: the
+ * register moved past 2^j more bytes.  With reg = k = K_j and s = 0 it is
+ * K_(j+1). */
+__attribute__((target("pclmul"), always_inline)) static inline void
+combine_carryless(uint64_t *reg, size_t w, const uint64_t *restrict consts, const uint64_t *k,
+                  const uint64_t *s, uint64_t *restrict G_lsw, uint64_t *restrict r,
+                  shift_add_fn *shift_add)
+{
+    uint64_t k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
+    for (size_t i = 0; i < w; i++) {
+        G_lsw[i] = consts[w - i];
+        k_lsw[i] = k[w - 1 - i];
+        r[i] = 0;
+    }
+    k_lsw[w] = 0;
+    memset(p, 0, sizeof p);
+    for (size_t i = 0; i < w; i++)
+        add_multiple(p + i, k_lsw, w + 1, reg[w - 1 - i]);
+    for (size_t i = 2 * w; i-- > 0;)
+        shift_add(r, G_lsw, w, quotient(r[w - 1] ^ p[i], consts[0], 64));
+    for (size_t i = 0; i < w; i++)
+        reg[i] = r[w - 1 - i] ^ s[i];
+}
+
+__attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg, size_t w,
+                                                     const uint64_t *restrict consts,
+                                                     const uint64_t *k, const uint64_t *s)
+{
+    uint64_t G_lsw[w], r[w];
+    combine_carryless(reg, w, consts, k, s, G_lsw, r, shift_add_clmul);
+}
+
+VPCLMUL void combine_vpclmul(uint64_t *reg, size_t w, const uint64_t *restrict consts,
+                             const uint64_t *k, const uint64_t *s)
+{
+    uint64_t G_lsw[(w + 7) & ~(size_t)7], r[(w + 7) & ~(size_t)7];
+    memset(G_lsw, 0, sizeof G_lsw);
+    memset(r, 0, sizeof r);
+    combine_carryless(reg, w, consts, k, s, G_lsw, r, shift_add_vpclmul);
+}
+
+/* The worker: one thread per process, started by the first split and
+ * restarted in a forked child, whose pid differs.  One caller at a time
+ * holds guard and posts it a job; a caller that finds guard taken runs the
+ * plain loop instead.  The job is written before a release store of state
+ * and read after the worker's acquire exchange from POSTED to TAKEN.  A
+ * caller done with its own part while the job is still POSTED takes it
+ * back and runs it itself, so a worker that another process keeps off the
+ * CPU costs no more than one thread would.  Each side waits by yielding the
+ * CPU a while, then sleeping on wake: pause in place of sched_yield ran 3x
+ * slower than one thread when another busy process shared the two CPUs.
+ * This code is compiled for the baseline instruction set: it reaches the
+ * kernels only through pointers. */
+typedef void absorb_fn(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
+                       const uint16_t *cw, const uint8_t *data, size_t n);
+typedef void combine_fn(uint64_t *reg, size_t w, const uint64_t *restrict consts,
+                        const uint64_t *k, const uint64_t *s);
+
+enum { IDLE, POSTED, TAKEN };
+/* about 400 us of sched_yield: long enough to catch the next chunk of a stream */
+#define SPINS 1000
+
+static pthread_mutex_t guard = PTHREAD_MUTEX_INITIALIZER;
+static pthread_mutex_t lock; /* with wake, for a side that has stopped spinning */
+static pthread_cond_t wake;
+static atomic_int state;
+static pid_t worker_pid; /* the process the worker runs in; 0 before the first split */
+static struct {
+    absorb_fn *absorb;
+    uint64_t *reg;
+    size_t w;
+    const uint64_t *consts;
+    const uint16_t *cw;
+    const uint8_t *data;
+    size_t n;
+} job;
+
+static void set_state(int value)
+{
+    pthread_mutex_lock(&lock);
+    atomic_store_explicit(&state, value, memory_order_release);
+    pthread_mutex_unlock(&lock);
+    pthread_cond_broadcast(&wake);
+}
+
+static void wait_for(int value)
+{
+    for (int i = 0; i < SPINS; i++) {
+        if (atomic_load_explicit(&state, memory_order_acquire) == value)
+            return;
+        sched_yield();
+    }
+    pthread_mutex_lock(&lock);
+    while (atomic_load_explicit(&state, memory_order_acquire) != value)
+        pthread_cond_wait(&wake, &lock);
+    pthread_mutex_unlock(&lock);
+}
+
+static void *work(void *unused)
+{
+    (void)unused;
+    for (;;) {
+        wait_for(POSTED);
+        int posted = POSTED;
+        if (!atomic_compare_exchange_strong_explicit(&state, &posted, TAKEN, memory_order_acquire,
+                                                     memory_order_relaxed))
+            continue; /* the caller took the job back */
+        job.absorb(job.reg, job.w, job.consts, job.cw, job.data, job.n);
+        set_state(IDLE);
+    }
+    return NULL;
+}
+
+/* Whether this process's worker runs, starting it if not; called under guard. */
+static int start_worker(void)
+{
+    pid_t pid = getpid();
+    if (worker_pid == pid)
+        return 1;
+    pthread_mutex_init(&lock, NULL);
+    pthread_cond_init(&wake, NULL);
+    /* signals are for the caller's threads: the worker starts with all blocked */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pthread_t thread;
+    int failed = pthread_create(&thread, NULL, work, NULL);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (failed)
+        return 0;
+    pthread_detach(thread);
+    worker_pid = pid;
+    return 1;
+}
+
+/* absorb(reg, ..., data, n) on two threads: the worker takes the first
+ * n - n2 bytes, continuing reg, and this thread the last n2 = 2^j bytes from
+ * zero; k is K_j.  Returns 1 if the worker ran its part, 0 if this thread
+ * absorbed all n bytes. */
+static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg, size_t w,
+                        const uint64_t *consts, const uint16_t *cw, const uint8_t *data,
+                        size_t n, size_t n2, const uint64_t *k)
+{
+    if (pthread_mutex_trylock(&guard) == 0) {
+        if (start_worker()) {
+            job.absorb = absorb;
+            job.reg = reg;
+            job.w = w;
+            job.consts = consts;
+            job.cw = cw;
+            job.data = data;
+            job.n = n - n2;
+            set_state(POSTED);
+            uint64_t s[w];
+            memset(s, 0, sizeof s);
+            absorb(s, w, consts, cw, data + n - n2, n2);
+            int posted = POSTED, split = !atomic_compare_exchange_strong_explicit(
+                &state, &posted, IDLE, memory_order_relaxed, memory_order_relaxed);
+            if (split)
+                wait_for(IDLE);
+            pthread_mutex_unlock(&guard);
+            if (!split) /* the worker has not started: take its part back */
+                absorb(reg, w, consts, cw, data, n - n2);
+            combine(reg, w, consts, k, s);
+            return split;
+        }
+        pthread_mutex_unlock(&guard);
+    }
+    absorb(reg, w, consts, cw, data, n); /* another caller has the worker, or it cannot start */
+    return 0;
+}
+
+int absorb_split_clmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint16_t *cw,
+                       const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
+{
+    return absorb_split(absorb_clmul, combine_clmul, reg, w, consts, cw, data, n, n2, k);
+}
+
+int absorb_split_vpclmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint16_t *cw,
+                         const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
+{
+    return absorb_split(absorb_vpclmul, combine_vpclmul, reg, w, consts, cw, data, n, n2, k);
 }
 #endif
 

@@ -4,6 +4,9 @@ Subcommands: classify, expand, vectors, verify-params, assemble.
 Message input is always raw bytes from stdin or a file, never an argument,
 so shell escaping cannot corrupt it.  Exit status 0 means success, 1 means
 a verification or vector mismatch, 2 a usage error or unreadable input.
+If the reader of stdout closes it early (`| head -1`), the command stops
+with status 141 (128 + SIGPIPE, as `yes | head -1` reports) and prints no
+error.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -219,12 +223,16 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     try:
-        sys.exit(dispatch(sys.argv[1:]))
-    except SystemExit:
-        raise
+        status = dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:
+        # stdout goes to devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -20,12 +20,24 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 - "python": the same loop in Python.
 
 `_absorb.c` holds the three C loops.  The first import compiles it with
-`cc` into this package's `__pycache__`, named by a hash of the source, the
-compile command and the machine, and later imports load that file.  The
-library asks the CPU which carry-less instructions it runs: the vpclmul
-path is taken where it reports AVX-512F and VPCLMULQDQ, else the clmul path
-where it reports PCLMULQDQ, else the native path; the Python loop runs
-where the library cannot be built or loaded.
+`cc -pthread` into this package's `__pycache__`, named by a hash of the
+source, the compile command and the machine, and later imports load that
+file.  The library asks the CPU which carry-less instructions it runs: the
+vpclmul path is taken where it reports AVX-512F and VPCLMULQDQ, else the
+clmul path where it reports PCLMULQDQ, else the native path; the Python
+loop runs where the library cannot be built or loaded.
+
+On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
+threads where this process may run on two CPUs or more: a persistent C
+worker thread absorbs the first n - n2 bytes into the register while the
+calling thread absorbs the last n2 into a zeroed one, n2 being the largest
+power of two <= n / 2, and the C code joins the two by
+reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g.  The constant that moves a
+register past 2^j bytes is cached per generator on first use.  A second
+thread calling absorb while the worker is busy, or a worker that has not
+started its part by the time the caller's is done, leaves the work to the
+calling thread.  Smaller chunks, the other paths and a one-CPU affinity
+mask run one thread, and every path gives the same digest.
 """
 
 from __future__ import annotations
@@ -35,12 +47,12 @@ import hashlib
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from .classifier import ClassifierDigest
-from .gf2poly import reduction_basis, reduction_rows
+from .gf2poly import BitPolynomial, reduction_basis, reduction_rows, remainder
 from .params import GeneratorEntry
 from .sbox import FILLER, codeword_table
 
@@ -49,14 +61,15 @@ __all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 _PACKAGE = Path(__file__).parent
 _SOURCE = _PACKAGE / "_absorb.c"
 # no -march=native: the cached file must stay valid if the checkout moves to another host
-_COMPILE = ("-O3", "-shared", "-fPIC")
+_COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
 
 
 class _Kernel:
     """The compiled absorb loops and fill, typed, and the codeword maps absorb reads.
 
     Each absorb loop is the attribute named after its path.  `vpclmul` and
-    `clmul` are None where the CPU cannot run them.
+    `clmul` are None where the CPU cannot run them; `split` and `combine`
+    hold their two-thread entries and combine steps, keyed by path.
     """
 
     def __init__(self, path: Path):
@@ -77,8 +90,17 @@ class _Kernel:
         lib.carryless.argtypes = ()
         lib.carryless.restype = ctypes.c_int
         level = lib.carryless()  # each carry-less loop exists only where this reaches its level
-        self.clmul = absorb_loop(lib.absorb_clmul) if level >= 1 else None
-        self.vpclmul = absorb_loop(lib.absorb_vpclmul) if level >= 2 else None
+        self.clmul = self.vpclmul = None
+        self.split, self.combine = {}, {}
+        for path in ("clmul", "vpclmul")[:level]:
+            setattr(self, path, absorb_loop(getattr(lib, f"absorb_{path}")))
+            split = self.split[path] = getattr(lib, f"absorb_split_{path}")
+            split.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size, size,
+                              array_p)
+            split.restype = ctypes.c_int  # 1 if split, 0 if the plain loop ran
+            combine = self.combine[path] = getattr(lib, f"combine_{path}")
+            combine.argtypes = (array_p, size, array_p, array_p, array_p)
+            combine.restype = None
         self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
 
     @cached_property
@@ -119,6 +141,15 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc") -> 
 _kernel = _load_kernel()
 
 
+def _split_bytes() -> int:
+    """The smallest chunk absorbed on two threads: 16 KiB where this process may run on two CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 16 * 1024 if (cpus or 1) >= 2 else sys.maxsize
+
+
+_SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
+
+
 def _to_words(value: int, w: int) -> array:
     """value as w native 64-bit words, most significant word first: the kernel's layout."""
     words = array("Q", value.to_bytes(8 * w, "big"))
@@ -137,13 +168,15 @@ class CrcTables:
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
     - "native": `main` is a ctypes array of those 512 rows, packed.
     - "vpclmul" and "clmul": `main` is a ctypes array of mu (one word), then
-      g - x^degree packed; see `_barrett_constants`.
+      g - x^degree packed; see `_barrett_constants`.  `shifts` caches the
+      packed combine constants by j; see `_shift`.
     """
 
     degree: int
     main: tuple[int, ...] | ctypes.Array
     kernel: _Kernel | None = None
     path: str = "python"
+    shifts: dict[int, ctypes.Array] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def words(self) -> int:
@@ -199,6 +232,31 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
     return CrcTables(e.degree, rows, _kernel, "native")
 
 
+def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array | None:
+    """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path; None if negative.
+
+    The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
+    r moved past 2^j bytes.  The smallest j with a nonnegative exponent is
+    reduced once here; each later K_j is the combine step squaring K_(j-1).
+    """
+    k = tables.shifts.get(j)
+    if k is None:
+        w = tables.words
+        pad = 64 * w - e.degree
+        exponent = (9 << j) - 2 * pad - e.degree
+        if exponent < 0:
+            return None
+        if 2 * exponent < 9 << j:  # K_(j-1) would have a negative exponent
+            power = remainder(BitPolynomial(1 << exponent), e.generator).value
+            k = (ctypes.c_uint64 * w)(*_to_words(power << pad, w))
+        else:
+            half = _shift(e, tables, j - 1)
+            k = (ctypes.c_uint64 * w)(*half)
+            tables.kernel.combine[tables.path](k, w, tables.main, half, (ctypes.c_uint64 * w)())
+        tables.shifts[j] = k
+    return k
+
+
 _table_cache: dict[int, CrcTables] = {}
 
 
@@ -241,12 +299,21 @@ class CrcEngine:
 
     def _cycle(self, data: bytes, filler: bool) -> None:
         """Append one codeword per byte of data: its S-box codeword, or FILLER for every byte."""
-        kernel = self.tables.kernel
+        tables = self.tables
+        kernel = tables.kernel
         if kernel is not None:
             data = bytes(data)  # no copy for bytes; c_char_p takes nothing else
-            absorb = getattr(kernel, self.tables.path)
-            absorb(self._reg, self.tables.words, self.tables.main,
-                   kernel.filler if filler else kernel.codewords, data, len(data))
+            codewords = kernel.filler if filler else kernel.codewords
+            n = len(data)
+            if n >= _SPLIT_BYTES and tables.path in kernel.split:
+                n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
+                k = _shift(self.entry, tables, n2.bit_length() - 1)
+                if k is not None:
+                    kernel.split[tables.path](self._reg, tables.words, tables.main, codewords,
+                                              data, n, n2, k)
+                    return
+            getattr(kernel, tables.path)(self._reg, tables.words, tables.main, codewords,
+                                         data, n)
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9

@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,22 @@ class TestVectors:
 
 
 class TestVerifyParams:
+    def test_closed_pipe_is_not_an_error(self):
+        # `verify-params | head -1`: the reader leaves after one line; -u writes each
+        # line at once, and the 30 entries take well over a millisecond each
+        src = Path(fastcrc.__file__).parents[1]
+        child = subprocess.Popen([sys.executable, "-u", "-m", "badderlocks", "verify-params"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONPATH": str(src)})
+        try:
+            assert child.stdout.readline().startswith(b"entry  1 ")
+            child.stdout.close()
+            assert child.wait(timeout=120) == 141
+            assert child.stderr.read() == b""
+        finally:
+            child.kill()
+            child.stderr.close()
+
     def test_quick(self, capsys, monkeypatch):
         code, out = run(capsys, monkeypatch, ["verify-params"])
         assert code == 0

@@ -1,9 +1,12 @@
+import multiprocessing
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,13 @@ FOX = b"The quick brown fox jumps over the lazy dog"
 
 # the kernel's absorb loops, in the order build_tables prefers them
 KERNEL_PATHS = ("vpclmul", "clmul", "native")
+CARRYLESS_PATHS = KERNEL_PATHS[:2]
+# the chunk size from which the "-split" variants absorb on two threads
+TEST_SPLIT_BYTES = 1024
+# how long a test repeats split absorbs until the worker takes a part: a caller takes
+# back a part the worker has not started, as when the scheduler has put the worker on
+# the caller's CPU until it balances the two
+WORKER_PATIENCE_S = 10
 
 
 def use_path(monkeypatch, path):
@@ -26,13 +36,17 @@ def use_path(monkeypatch, path):
     A kernel path is forced by clearing the loops build_tables would pick
     first, as on a CPU the CPU check finds without them: "clmul" clears
     vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
-    without a compiler.
+    without a compiler.  "vpclmul-split" and "clmul-split" are those paths
+    with the two-thread floor lowered to TEST_SPLIT_BYTES.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
     if path == "python":
         monkeypatch.setattr(fastcrc, "_kernel", None)
     else:
+        if path.endswith("-split"):
+            path = path.removesuffix("-split")
+            monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
         if getattr(fastcrc._kernel, path) is None:
             pytest.skip(f"this CPU cannot run the {path} kernel")
         for faster in KERNEL_PATHS[:KERNEL_PATHS.index(path)]:
@@ -40,11 +54,58 @@ def use_path(monkeypatch, path):
     monkeypatch.setattr(fastcrc, "_table_cache", {})
 
 
-@pytest.fixture(params=["vpclmul", "clmul", "native", "python"])
+@pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native", "python"])
 def path(request, monkeypatch):
-    """Run the test through both carry-less kernels, the table kernel and the Python loop."""
+    """Run the test through both carry-less kernels, each also split across two
+    threads from 1 KiB, the table kernel and the Python loop."""
     use_path(monkeypatch, request.param)
     return request.param
+
+
+def first_carryless_path(monkeypatch) -> str:
+    """Force the fastest carry-less path this host runs, or skip."""
+    loaded = [p for p in CARRYLESS_PATHS
+              if fastcrc._kernel is not None and getattr(fastcrc._kernel, p) is not None]
+    if not loaded:
+        pytest.skip("no carry-less kernel is loaded here")
+    use_path(monkeypatch, loaded[0])
+    return loaded[0]
+
+
+def record_splits(monkeypatch) -> list[int]:
+    """Wrap each two-thread entry; the list collects what each call returns:
+    1 if the worker thread absorbed its part, 0 if the calling thread did all."""
+    taken: list[int] = []
+    for name, split in fastcrc._kernel.split.items():
+        monkeypatch.setitem(fastcrc._kernel.split, name,
+                            lambda *args, split=split: taken.append(split(*args)))
+    return taken
+
+
+def unsplit(monkeypatch, e, m: bytes, chunk: int | None = None) -> bytes:
+    """The digest of m on one thread, absorbed in pieces of chunk bytes (default: whole)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(fastcrc, "_SPLIT_BYTES", sys.maxsize)
+        return stream(e, m, chunk)
+
+
+def stream(e, m: bytes, chunk: int | None = None) -> bytes:
+    eng = engine_init(e)
+    step = chunk or max(len(m), 1)
+    for i in range(0, len(m), step):
+        eng.absorb(m[i:i + step])
+    return eng.finish().data
+
+
+_references: dict[tuple[int, bytes], bytes] = {}
+
+
+def reference(e, m: bytes) -> bytes:
+    """classifier.classify(m, e).data, once per session: the path variants share their messages."""
+    key = (e.index, m)
+    if key not in _references:
+        _references[key] = classifier.classify(m, e).data
+    return _references[key]
 
 
 def row_forms(e):
@@ -96,6 +157,48 @@ class TestTables:
             mu, low = fastcrc._barrett_constants(e)
             assert t.path == "clmul" and t.main[0] == mu
             assert t._unpack(memoryview(t.main)[1:]) == low, e.index
+
+    @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
+    def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
+        # K_j = x^(9 * 2^j - 2pad - d) mod g: K_j * x^(2pad + d) = x^(9 * 2^j) mod g, deg K_j < d;
+        # j0 is reduced once, the rest are squared by the kernel's combine step
+        use_path(monkeypatch, kernel)
+        poly = gf2poly.BitPolynomial
+        for e in params.registry():
+            t = build_tables(e)
+            pad = 64 * t.words - e.degree
+            j0 = next(j for j in range(64) if 9 << j >= 2 * pad + e.degree)
+            assert fastcrc._shift(e, t, j0 - 1) is None
+            power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
+            for j in range(16):
+                if j in (j0, j0 + 1, 14, 15):
+                    k = t._unpack(fastcrc._shift(e, t, j))
+                    assert k >> e.degree == 0, (e.index, j)
+                    moved = gf2poly.remainder(poly(k << 2 * pad + e.degree), e.generator)
+                    assert moved == power, (e.index, j)
+                power = gf2poly.remainder(gf2poly.multiply(power, power), e.generator)
+
+    def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
+        # a worker that never starts or a guard that is never free falls back to one
+        # thread with the right digest; only the entry's result shows it
+        first_carryless_path(monkeypatch)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+        if len(cpus) < 2:
+            pytest.skip("this process may run on one CPU only")
+        assert fastcrc._SPLIT_BYTES == 16 * 1024
+        m = random.Random(38).randbytes(64 * 1024)
+        entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 4288)]
+        for kernel in CARRYLESS_PATHS:
+            if getattr(fastcrc._kernel, kernel) is None:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                use_path(mp, kernel)
+                want = [unsplit(mp, e, m) for e in entries]
+                taken = record_splits(mp)
+                deadline = time.monotonic() + WORKER_PATIENCE_S
+                while 1 not in taken and time.monotonic() < deadline:
+                    assert [engine_init(e).absorb(m).finish().data for e in entries] == want
+                assert 1 in taken, kernel
 
     def test_kernel_loads_where_a_compiler_runs(self):
         if shutil.which("cc") is None:
@@ -207,12 +310,14 @@ class TestPaths:
     def test_matches_reference_with_random_splits(self, path):
         rng = random.Random(35)
         for e in params.registry():
-            # 64 B is exactly nine 64-bit words of codewords, no tail bits
-            for n in [*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000]:
+            # 64 B is exactly nine 64-bit words of codewords, no tail bits; from 1 KiB
+            # the -split variants and from 16 KiB every carry-less path split a chunk
+            for n in [*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000, 1023, 1024, 1025,
+                      2047, 2048, 3072, 16383, 16384, 16385, 65536]:
                 m = rng.randbytes(n)
-                want = classifier.classify(m, e).data
+                want = reference(e, m)
                 eng = engine_init(e)
-                assert eng.path == path
+                assert eng.path == path.removesuffix("-split")
                 pos = 0
                 while pos < n:
                     step = rng.randrange(1, n - pos + 1)
@@ -230,7 +335,87 @@ class TestPaths:
 
     def test_repr_names_entry_bytes_and_path(self, path):
         eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
-        assert repr(eng) == f"<CrcEngine entry=17 bits=1744 consumed=43 path={path}>"
+        assert repr(eng) == \
+            f"<CrcEngine entry=17 bits=1744 consumed=43 path={path.removesuffix('-split')}>"
+
+
+class TestThreads:
+    def test_concurrent_streams_match_sequential(self, monkeypatch):
+        # four streams on a 2-CPU host: callers that find the worker busy run the plain loop
+        first_carryless_path(monkeypatch)
+        entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 2784, 4288)]
+        rng = random.Random(39)
+        messages = [rng.randbytes(1 << 20) for _ in entries]
+        want = [unsplit(monkeypatch, e, m, 64 * 1024) for e, m in zip(entries, messages)]
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
+        taken = record_splits(monkeypatch)
+        got = [None] * len(entries)
+        start = threading.Barrier(len(entries))
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = stream(entries[i], messages[i], 64 * 1024)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(entries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+        assert len(taken) == 16 * len(entries) and set(taken) <= {0, 1} and 1 in taken
+
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        first_carryless_path(monkeypatch)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(40).randbytes(64 * 1024)
+        want = unsplit(monkeypatch, e, m)
+        taken = record_splits(monkeypatch)
+
+        def until_the_worker_splits():
+            digests, deadline = [], time.monotonic() + WORKER_PATIENCE_S
+            while 1 not in taken and time.monotonic() < deadline:
+                digests.append(engine_init(e).absorb(m).finish().data)
+            return digests
+
+        assert set(until_the_worker_splits()) == {want}
+        assert 1 in taken  # the worker runs in this process now
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def child():
+            taken.clear()
+            writer.send((until_the_worker_splits(), taken))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert reader.poll(60), "no answer from the child: a deadlock"
+            digests, child_taken = reader.recv()
+        finally:
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+        assert not process.is_alive() and process.exitcode == 0
+        assert set(digests) == {want}
+        assert 1 in child_taken  # the child's own worker ran
+
+    def test_one_cpu_takes_no_split(self, monkeypatch):
+        first_carryless_path(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", fastcrc._split_bytes())
+        taken = record_splits(monkeypatch)
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(41).randbytes(64 * 1024)
+        want = unsplit(monkeypatch, e, m)
+        assert engine_init(e).absorb(m).finish().data == want
+        assert taken == []
 
 
 class TestKernelBuild:
@@ -283,7 +468,7 @@ class TestKernelBuild:
             pytest.skip("no cc on PATH")
         lib = tmp_path / "_absorb-ubsan.so"
         build = subprocess.run(
-            ["cc", "-O1", "-g", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+            ["cc", "-O1", "-g", "-shared", "-fPIC", "-pthread", "-Wall", "-Wextra", "-Werror",
              "-fsanitize=undefined", "-fno-sanitize-recover=all",
              "-o", str(lib), str(fastcrc._SOURCE)], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
@@ -293,7 +478,42 @@ class TestKernelBuild:
         assert run.returncode == 0, run.stderr
         paths = [p for p in KERNEL_PATHS if getattr(fastcrc._kernel, p) is not None]
         per_path = 52 + 30 * 26 + 7 * 81  # the three c2 suites, the sweep, the block edges
-        assert run.stdout.split() == [*paths, str(per_path * len(paths))]
+        splits = (30 * 5 + 1) * len([p for p in paths if p in CARRYLESS_PATHS])
+        assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits)]
+
+    def test_thread_sanitizer_finds_no_race(self, monkeypatch, tmp_path):
+        # CPython does not run under an LD_PRELOADed libtsan, so a C program
+        # includes the kernel source and calls the split entry from two threads
+        kernel = first_carryless_path(monkeypatch)
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        built = subprocess.run(["cc", "-fsanitize=thread", "-o", str(tmp_path / "probe"),
+                                str(probe)], capture_output=True)
+        if built.returncode or subprocess.run([str(tmp_path / "probe")]).returncode:
+            pytest.skip("no working ThreadSanitizer (libtsan) here")
+        cases = []
+        for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192)):
+            e = params.entry_for_aligned_bits(bits)
+            t = build_tables(e)
+            k = fastcrc._shift(e, t, n2.bit_length() - 1)
+            cases.append("{%d, %d, %d, {%s}, {%s}}" % (
+                t.words, n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k))))
+        codewords = ", ".join(map(str, fastcrc._kernel.codewords))
+        source = tmp_path / "race.c"
+        source.write_text(TSAN_PROGRAM % {"kernel": kernel, "codewords": codewords,
+                                           "cases": ",\n    ".join(cases)})
+        program = tmp_path / "race"
+        build = subprocess.run(
+            ["cc", "-O1", "-g", "-fsanitize=thread", "-pthread", "-Wall", "-Wextra", "-Werror",
+             "-I", str(fastcrc._SOURCE.parent), "-o", str(program), str(source)],
+            capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        run = subprocess.run([str(program)], capture_output=True, text=True, timeout=600)
+        assert "ThreadSanitizer" not in run.stderr, run.stderr
+        assert run.returncode == 0, run.stdout + run.stderr
+        mismatches, split, plain = map(int, run.stdout.split())
+        assert mismatches == 0 and split > 0 and split + plain == 2 * 3 * 40
+
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
@@ -344,7 +564,7 @@ def avx512(instruction: tuple[bytes, str]) -> bool:
 # Run in a child process against a sanitizer build of the kernel, so that
 # undefined behaviour aborts the child instead of the test run.
 SANITIZED_SWEEP = """
-import random, sys
+import random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
 paths = [p for p in ("vpclmul", "clmul", "native") if getattr(fastcrc._kernel, p) is not None]
@@ -379,7 +599,81 @@ for i, path in enumerate(paths):
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
+    if path in fastcrc._kernel.split:  # the two-thread entry and the combine step
+        split, fastcrc._SPLIT_BYTES = fastcrc._kernel.split[path], 1024
+        taken = []
+        fastcrc._kernel.split[path] = lambda *args: taken.append(split(*args))
+        for e in params.registry():
+            for n in (1024, 1025, 2048, 3072, 5000):
+                m = rng.randbytes(n)
+                cut = rng.randrange(n - 1023)
+                eng = fastcrc.engine_init(e).absorb(m[:cut]).absorb(m[cut:])
+                assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
+                checked += 1
+        # above, a caller done first with its short part takes back the worker's; a
+        # stream of 64 KiB chunks keeps the worker awake, and it takes parts once the
+        # scheduler has it on the other CPU
+        e, m = params.entry_for_aligned_bits(1744), rng.randbytes(4 * 65536)
+        want, deadline = classifier.classify(m, e).data, time.monotonic() + 10
+        taken.clear()
+        while 1 not in taken and time.monotonic() < deadline:
+            eng = fastcrc.engine_init(e)
+            for i in range(0, len(m), 65536):
+                eng.absorb(m[i:i + 65536])
+            assert eng.finish().data == want, path
+        assert 1 in taken, path
+        checked += 1
+        fastcrc._kernel.split[path], fastcrc._SPLIT_BYTES = split, sys.maxsize
 print(" ".join(paths), checked)
+"""
+
+
+# Two threads each run every case 40 times: a plain absorb and a split one from
+# the same nonzero register, which must agree.  Prints mismatches, splits taken
+# and plain loops run.
+TSAN_PROGRAM = """
+#include "_absorb.c"
+#include <stdio.h>
+
+#define MAX_W 67
+static const uint16_t codewords[256] = {%(codewords)s};
+static const struct { size_t w, n, n2; uint64_t consts[MAX_W + 1], k[MAX_W]; } cases[] = {
+    %(cases)s
+};
+static uint8_t data[40000 + 100];
+static atomic_int mismatches, split, plain;
+
+static void *run(void *seed)
+{
+    for (int round = 0; round < 40; round++)
+        for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
+            uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
+            size_t w = cases[c].w, start = (size_t)seed + round;
+            absorb_%(kernel)s(a, w, cases[c].consts, codewords, data, start);
+            memcpy(b, a, sizeof a);
+            absorb_%(kernel)s(a, w, cases[c].consts, codewords, data + start, cases[c].n);
+            int took = absorb_split_%(kernel)s(b, w, cases[c].consts, codewords, data + start,
+                                               cases[c].n, cases[c].n2, cases[c].k);
+            atomic_fetch_add(took ? &split : &plain, 1);
+            if (memcmp(a, b, sizeof a))
+                atomic_fetch_add(&mismatches, 1);
+        }
+    return NULL;
+}
+
+int main(void)
+{
+    uint32_t x = 12345;
+    for (size_t i = 0; i < sizeof data; i++)
+        data[i] = (uint8_t)((x = x * 1103515245 + 12345) >> 16);
+    pthread_t threads[2];
+    for (size_t i = 0; i < 2; i++)
+        pthread_create(&threads[i], NULL, run, (void *)(i * 7 + 1));
+    for (size_t i = 0; i < 2; i++)
+        pthread_join(threads[i], NULL);
+    printf("%%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&split), atomic_load(&plain));
+    return atomic_load(&mismatches) != 0;
+}
 """
 
 
@@ -388,8 +682,15 @@ print(" ".join(paths), checked)
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
                              suppress_health_check=[HealthCheck.function_scoped_fixture])
 entries = st.sampled_from(params.registry())
-# lengths 0-300 cross the 8-byte filler boundary and span many cycles
-messages = st.binary(max_size=300)
+
+
+def messages(path: str, short: int = 300) -> st.SearchStrategy[bytes]:
+    """0 to short bytes, which cross the 8-byte filler boundary and span many
+    cycles; on the -split variants also 1-3 KiB, past the lowered floor."""
+    small = st.binary(max_size=short)
+    if not path.endswith("-split"):
+        return small
+    return st.one_of(small, st.binary(min_size=TEST_SPLIT_BYTES, max_size=3 * 1024))
 
 
 def split(message: bytes, cuts: list[int]) -> list[bytes]:
@@ -399,16 +700,18 @@ def split(message: bytes, cuts: list[int]) -> list[bytes]:
 
 class TestProperties:
     @PROPERTY_SETTINGS
-    @given(e=entries, m=messages, cuts=st.lists(st.integers(0, 300), max_size=6))
-    def test_engine_equals_reference(self, path, e, m, cuts):
+    @given(e=entries, data=st.data(), cuts=st.lists(st.integers(0, 300), max_size=6))
+    def test_engine_equals_reference(self, path, e, data, cuts):
+        m = data.draw(messages(path))
         eng = engine_init(e)
         for chunk in split(m, cuts):
             eng.absorb(chunk)
         assert eng.finish().data == classifier.classify(m, e).data
 
     @PROPERTY_SETTINGS
-    @given(e=entries, m=messages, cuts=st.lists(st.integers(0, 300), max_size=12))
-    def test_chunking_invariance(self, path, e, m, cuts):
+    @given(e=entries, data=st.data(), cuts=st.lists(st.integers(0, 300), max_size=12))
+    def test_chunking_invariance(self, path, e, data, cuts):
+        m = data.draw(messages(path))
         eng = engine_init(e)
         for chunk in split(m, cuts):
             eng.absorb(chunk)
@@ -416,11 +719,12 @@ class TestProperties:
         assert eng.finish().data == engine_init(e).absorb(m).finish().data
 
     @PROPERTY_SETTINGS
-    @given(e=entries, a=st.binary(max_size=200), b=st.binary(max_size=200))
-    def test_registers_combine(self, path, e, a, b):
+    @given(e=entries, data=st.data())
+    def test_registers_combine(self, path, e, data):
         # reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, each register taken before
         # finish; lengths 0-200 cross the 8-byte filler boundary and the word boundaries
         poly = gf2poly.BitPolynomial
+        a, b = data.draw(messages(path, 200)), data.draw(messages(path, 200))
 
         def register(m):
             return engine_init(e).absorb(m).register
