@@ -14,6 +14,16 @@
  * that a PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU
  * can run.
  *
+ * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
+ * step, and each step's quotient waits on the last one's register.  Given
+ * block constants, absorb_vpclmul first reduces whole blocks of B words
+ * (64B / 9 bytes; B = 144, 1 KiB, for every registry entry) with one
+ * Barrett step per block, whose quotient Q = T + (T * mu' >> 64B) uses
+ * mu' = floor(x^(d + 64B) / g) - x^(64B) (P. Barrett, CRYPTO '86, over
+ * GF(2)); the word step takes the rest of the call.  fastcrc passes the
+ * block constants for calls of 4 KiB and more, so short messages never
+ * build them.
+ *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul.  One persistent worker thread per process absorbs
  * the first n - n2 bytes into the register while the calling thread absorbs
@@ -21,7 +31,8 @@
  * reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g (zlib's crc32_combine, in
  * the Barrett algebra of the carry-less kernels), with a constant
  * K_j = x^(9 * 2^j - 2pad - d) mod g that the caller supplies in the
- * register layout.  The threads are POSIX threads: build with -pthread.
+ * register layout.  On vpclmul both parts and the combine take the block
+ * step.  The threads are POSIX threads: build with -pthread.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -139,25 +150,141 @@ VPCLMUL static inline void shift_add_vpclmul(uint64_t *r, const uint64_t *G, siz
 
 typedef void shift_add_fn(uint64_t *r, const uint64_t *G, size_t w, uint64_t q);
 
+/* The block step, on the vpclmul path only.  With the register r and a block
+ * M of B codeword words, both least significant word first, and
+ * T = r * x^(64(B - w)) + M, the new register r * x^(64B) + M * x^(64w)
+ * mod g * x^pad is T * x^(64w) mod g * x^pad: with the Barrett quotient
+ * Q = the low w words of T + (T * mu' >> 64B), it is the low w words of
+ * Q * G, G = (g - x^d) * x^pad.  Only the product words that reach Q and
+ * the new r are formed.
+ *
+ * blocks, which fastcrc builds on an entry's first block absorb, holds B,
+ * then eight copies of mu' (B words) and eight of G (w words), each padded
+ * to whole blocks of eight words: copy s of G is G shifted up s words,
+ * (w + 14) / 8 blocks long; copy s of mu' is shifted up s + lift words,
+ * (B + lift + 14) / 8 blocks long, lift being 1 where B is a multiple of 8
+ * and 0 elsewhere. */
+
+/* Blocks o_lo <= o < o_hi of the product a * c into out, eight words each;
+ * a has n words and c comes as eight copies of nc blocks, the s-th shifted up
+ * s words.  Word a[8i + s] times block j of copy s lands lane-aligned in
+ * block i + j: the even words of each block through VPCLMULQDQ 0x00, the odd
+ * ones through 0x10 and one word further up, which one valignq per block
+ * applies.  Block o_lo takes no odd words from the block below it, so its
+ * lowest word is short unless o_lo is 0.  Two products at a time go into
+ * each sum by one three-way XOR. */
+VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, size_t n,
+                                           const uint64_t *c, size_t nc, size_t o_lo,
+                                           size_t o_hi)
+{
+    __m512i below = _mm512_setzero_si512();
+    for (size_t o = o_lo; o < o_hi; o++) {
+        __m512i even = _mm512_setzero_si512(), odd = _mm512_setzero_si512();
+        for (size_t i = o < nc ? 0 : o - nc + 1; i <= o && 8 * i < n; i++) {
+            const uint64_t *block = c + 8 * (o - i), *word = a + 8 * i;
+            size_t words = n - 8 * i < 8 ? n - 8 * i : 8, s = 0;
+            for (; s + 2 <= words; s += 2) {
+                __m512i t0 = _mm512_set1_epi64((long long)word[s]);
+                __m512i t1 = _mm512_set1_epi64((long long)word[s + 1]);
+                __m512i c0 = _mm512_loadu_si512(block + 8 * nc * s);
+                __m512i c1 = _mm512_loadu_si512(block + 8 * nc * (s + 1));
+                even = _mm512_ternarylogic_epi64(even, _mm512_clmulepi64_epi128(t0, c0, 0x00),
+                                                 _mm512_clmulepi64_epi128(t1, c1, 0x00), 0x96);
+                odd = _mm512_ternarylogic_epi64(odd, _mm512_clmulepi64_epi128(t0, c0, 0x10),
+                                                _mm512_clmulepi64_epi128(t1, c1, 0x10), 0x96);
+            }
+            if (s < words) {
+                __m512i t = _mm512_set1_epi64((long long)word[s]);
+                __m512i copy = _mm512_loadu_si512(block + 8 * nc * s);
+                even = _mm512_xor_si512(even, _mm512_clmulepi64_epi128(t, copy, 0x00));
+                odd = _mm512_xor_si512(odd, _mm512_clmulepi64_epi128(t, copy, 0x10));
+            }
+        }
+        _mm512_storeu_si512(out + 8 * (o - o_lo),
+                            _mm512_xor_si512(even, _mm512_alignr_epi64(odd, below, 7)));
+        below = odd;
+    }
+}
+
+/* r = the low w words of T * x^(64w) mod g * x^pad, for T of B words of
+ * which words n and up are zero; r has room for whole blocks.  lift keeps
+ * word B of T * mu', the lowest that reaches Q, off the short lowest word
+ * of a block. */
+VPCLMUL __attribute__((noinline, noclone)) static void
+block_step_vpclmul(uint64_t *r, size_t w, const uint64_t *T, size_t n, const uint64_t *blocks)
+{
+    size_t B = blocks[0], lift = B % 8 == 0, n_mu = (B + lift + 14) / 8;
+    size_t o_lo = (B + lift) / 8, o_hi = (B + lift + w - 1) / 8 + 1;
+    uint64_t P[8 * (o_hi - o_lo)], Q[w];
+    product_vpclmul(P, T, n, blocks + 1, n_mu, o_lo, o_hi);
+    for (size_t k = 0; k < w; k++)
+        Q[k] = T[k] ^ P[B + lift - 8 * o_lo + k];
+    product_vpclmul(r, Q, w, blocks + 1 + 64 * n_mu, (w + 14) / 8, 0, (w + 7) / 8);
+}
+
+/* M = the codewords of 64 bytes as nine words, least significant first, the
+ * first codeword highest.  Each 8 bytes give 72 bits from eight independent
+ * loads; group 7 - j lands in word j, shifted up 8j bits, and its top bits
+ * spill into word j + 1. */
+VPCLMUL static inline void pack_vpclmul(uint64_t *M, const uint16_t *cw, const uint8_t *data)
+{
+    uint64_t spill = 0;
+#pragma GCC unroll 8
+    for (unsigned j = 0; j < 8; j++) {
+        const uint8_t *b = data + 8 * (7 - j);
+        uint64_t lo = (uint64_t)cw[b[0]] << 63 | (uint64_t)cw[b[1]] << 54 |
+                      (uint64_t)cw[b[2]] << 45 | (uint64_t)cw[b[3]] << 36 |
+                      (uint64_t)cw[b[4]] << 27 | (uint64_t)cw[b[5]] << 18 |
+                      (uint64_t)cw[b[6]] << 9 | cw[b[7]];
+        unsigned __int128 group = ((unsigned __int128)(cw[b[0]] >> 1) << 64 | lo) << 8 * j;
+        M[j] = spill | (uint64_t)group;
+        spill = (uint64_t)(group >> 64);
+    }
+    M[8] = spill;
+}
+
+/* Absorb one block of 64B / 9 bytes into r, the register least significant
+ * word first. */
+VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, size_t w, const uint64_t *blocks,
+                                                 const uint16_t *cw, const uint8_t *data)
+{
+    size_t B = blocks[0];
+    uint64_t T[B];
+    for (size_t c = 0; c < B / 9; c++)
+        pack_vpclmul(T + B - 9 * (c + 1), cw, data + 64 * c); /* first 64 bytes highest */
+    for (size_t k = 0; k < w; k++)
+        T[B - w + k] ^= r[k];
+    block_step_vpclmul(r, w, T, B, blocks);
+}
+
+typedef void absorb_block_fn(uint64_t *r, size_t w, const uint64_t *blocks, const uint16_t *cw,
+                             const uint8_t *data);
+
 /* The carry-less kernels' shared loop, no table.  consts holds
  * mu = floor(x^(d+64) / g) - x^64, then G = (g - x^d) * x^pad in w words laid
  * out like reg; both are copied into r and G_lsw least significant word
- * first.  Codewords are packed into 64-bit words c, first codeword highest.
- * Per word, t = r[w - 1] ^ c and q = floor(t * x^d / g) = t ^ clmul_hi(t, mu)
- * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
- * PCLMULQDQ", Intel 2009); the register moves up one word and takes the low
- * w words of q * G.  A last b < 64 bits take the same step with q cut to b
- * bits and a b-bit shift in place of the word move. */
+ * first.  With blocks (vpclmul only), whole blocks of 64B / 9 bytes go
+ * through the block step first.  The rest of the codewords are packed into
+ * 64-bit words c, first codeword highest.  Per word, t = r[w - 1] ^ c and
+ * q = floor(t * x^d / g) = t ^ clmul_hi(t, mu) (Gopal et al., "Fast CRC
+ * Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009); the
+ * register moves up one word and takes the low w words of q * G.  A last
+ * b < 64 bits take the same step with q cut to b bits and a b-bit shift in
+ * place of the word move. */
 __attribute__((target("pclmul"), always_inline)) static inline void
 absorb_carryless(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-                 const uint16_t *cw, const uint8_t *data, size_t n, uint64_t *restrict G_lsw,
-                 uint64_t *restrict r, shift_add_fn *shift_add)
+                 const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n,
+                 uint64_t *restrict G_lsw, uint64_t *restrict r, shift_add_fn *shift_add,
+                 absorb_block_fn *absorb_block)
 {
     const uint64_t mu = consts[0];
     for (size_t i = 0; i < w; i++) {
         G_lsw[i] = consts[w - i];
         r[i] = reg[w - 1 - i];
     }
+    if (blocks)
+        for (size_t bytes = 64 * blocks[0] / 9; n >= bytes; n -= bytes, data += bytes)
+            absorb_block(r, w, blocks, cw, data);
     uint64_t acc = 0; /* codeword bits not yet in a word, right-aligned */
     unsigned held = 0; /* how many: 0 to 63 */
     for (size_t k = 0; k < n; k++) {
@@ -189,32 +316,51 @@ __attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg, size
                                                     size_t n)
 {
     uint64_t G_lsw[w], r[w];
-    absorb_carryless(reg, w, consts, cw, data, n, G_lsw, r, shift_add_clmul);
+    absorb_carryless(reg, w, consts, NULL, cw, data, n, G_lsw, r, shift_add_clmul, NULL);
 }
 
-VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-                            const uint16_t *cw, const uint8_t *data, size_t n)
+/* The vpclmul loop, taking whole blocks first where blocks is not NULL. */
+VPCLMUL __attribute__((always_inline)) static inline void
+loop_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
+             const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n)
 {
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
      * next word's load of r[w - 1], which cost a third of the rate at 1744 bits */
     uint64_t G_lsw[(w + 7) & ~(size_t)7], r[(w + 7) & ~(size_t)7];
     memset(G_lsw, 0, sizeof G_lsw);
     memset(r, 0, sizeof r);
-    absorb_carryless(reg, w, consts, cw, data, n, G_lsw, r, shift_add_vpclmul);
+    absorb_carryless(reg, w, consts, blocks, cw, data, n, G_lsw, r, shift_add_vpclmul,
+                     pack_and_step_vpclmul);
 }
 
-/* reg = reg * k * x^d + s mod g, all three laid out like the register.  The
- * 2w-word product reg * k, schoolbook with scalar PCLMULQDQ, is fed through
- * the word step from a zero register, which leaves it times x^d mod g.  With
+/* The word step alone keeps the signature one argument shorter than the
+ * block loop's: a short message pays for every argument ctypes converts. */
+VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
+                            const uint16_t *cw, const uint8_t *data, size_t n)
+{
+    loop_vpclmul(reg, w, consts, NULL, cw, data, n);
+}
+
+VPCLMUL void absorb_blocks_vpclmul(uint64_t *restrict reg, size_t w,
+                                   const uint64_t *restrict consts, const uint64_t *blocks,
+                                   const uint16_t *cw, const uint8_t *data, size_t n)
+{
+    loop_vpclmul(reg, w, consts, blocks, cw, data, n);
+}
+
+/* reg = reg * k * x^d + s mod g, all three laid out like the register.  With
  * k = K_j = x^(9 * 2^j - 2pad - d) mod g that is reg * x^(9 * 2^j) + s: the
  * register moved past 2^j more bytes.  With reg = k = K_j and s = 0 it is
- * K_(j+1). */
-__attribute__((target("pclmul"), always_inline)) static inline void
-combine_carryless(uint64_t *reg, size_t w, const uint64_t *restrict consts, const uint64_t *k,
-                  const uint64_t *s, uint64_t *restrict G_lsw, uint64_t *restrict r,
-                  shift_add_fn *shift_add)
+ * K_(j+1).  The 2w-word product reg * k, schoolbook with scalar PCLMULQDQ,
+ * is fed through the word step from a zero register, which leaves it times
+ * x^d mod g. */
+__attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg, size_t w,
+                                                     const uint64_t *restrict consts,
+                                                     const uint64_t *blocks, const uint64_t *k,
+                                                     const uint64_t *s)
 {
-    uint64_t k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
+    (void)blocks;
+    uint64_t G_lsw[w], r[w], k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
     for (size_t i = 0; i < w; i++) {
         G_lsw[i] = consts[w - i];
         k_lsw[i] = k[w - 1 - i];
@@ -225,26 +371,39 @@ combine_carryless(uint64_t *reg, size_t w, const uint64_t *restrict consts, cons
     for (size_t i = 0; i < w; i++)
         add_multiple(p + i, k_lsw, w + 1, reg[w - 1 - i]);
     for (size_t i = 2 * w; i-- > 0;)
-        shift_add(r, G_lsw, w, quotient(r[w - 1] ^ p[i], consts[0], 64));
+        shift_add_clmul(r, G_lsw, w, quotient(r[w - 1] ^ p[i], consts[0], 64));
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];
 }
 
-__attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg, size_t w,
-                                                     const uint64_t *restrict consts,
-                                                     const uint64_t *k, const uint64_t *s)
-{
-    uint64_t G_lsw[w], r[w];
-    combine_carryless(reg, w, consts, k, s, G_lsw, r, shift_add_clmul);
-}
-
+/* The same on the block machinery: the product through product_vpclmul with
+ * eight shifted copies of k, then fed through the block step, B words at a
+ * time from the top, the product zero-extended to whole blocks.  The top
+ * block holds only the product's top words, the rest of it zero. */
 VPCLMUL void combine_vpclmul(uint64_t *reg, size_t w, const uint64_t *restrict consts,
-                             const uint64_t *k, const uint64_t *s)
+                             const uint64_t *blocks, const uint64_t *k, const uint64_t *s)
 {
-    uint64_t G_lsw[(w + 7) & ~(size_t)7], r[(w + 7) & ~(size_t)7];
-    memset(G_lsw, 0, sizeof G_lsw);
+    (void)consts;
+    size_t B = blocks[0], n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
+    size_t words = steps * B > 8 * n_p ? steps * B : 8 * n_p;
+    uint64_t a[w], copies[64 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
+    memset(copies, 0, sizeof copies);
+    for (size_t i = 0; i < w; i++) {
+        a[i] = reg[w - 1 - i];
+        for (size_t c = 0; c < 8; c++)
+            copies[8 * n_k * c + c + i] = k[w - 1 - i];
+    }
+    product_vpclmul(p, a, w, copies, n_k, 0, n_p);
+    memset(p + 8 * n_p, 0, (words - 8 * n_p) * sizeof *p);
     memset(r, 0, sizeof r);
-    combine_carryless(reg, w, consts, k, s, G_lsw, r, shift_add_vpclmul);
+    for (size_t c = steps; c-- > 0;) {
+        memcpy(T, p + c * B, sizeof T);
+        for (size_t i = 0; i < w; i++)
+            T[B - w + i] ^= r[i];
+        block_step_vpclmul(r, w, T, c + 1 < steps ? B : 2 * w - c * B, blocks);
+    }
+    for (size_t i = 0; i < w; i++)
+        reg[i] = r[w - 1 - i] ^ s[i];
 }
 
 /* The worker: one thread per process, started by the first split and
@@ -260,9 +419,20 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, size_t w, const uint64_t *restrict c
  * This code is compiled for the baseline instruction set: it reaches the
  * kernels only through pointers. */
 typedef void absorb_fn(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-                       const uint16_t *cw, const uint8_t *data, size_t n);
+                       const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n);
+
+/* absorb_clmul with a part's signature: the clmul kernel has no block step */
+__attribute__((target("pclmul"))) static void part_clmul(uint64_t *restrict reg, size_t w,
+                                                         const uint64_t *restrict consts,
+                                                         const uint64_t *blocks,
+                                                         const uint16_t *cw, const uint8_t *data,
+                                                         size_t n)
+{
+    (void)blocks;
+    absorb_clmul(reg, w, consts, cw, data, n);
+}
 typedef void combine_fn(uint64_t *reg, size_t w, const uint64_t *restrict consts,
-                        const uint64_t *k, const uint64_t *s);
+                        const uint64_t *blocks, const uint64_t *k, const uint64_t *s);
 
 enum { IDLE, POSTED, TAKEN };
 /* about 400 us of sched_yield: long enough to catch the next chunk of a stream */
@@ -278,6 +448,7 @@ static struct {
     uint64_t *reg;
     size_t w;
     const uint64_t *consts;
+    const uint64_t *blocks;
     const uint16_t *cw;
     const uint8_t *data;
     size_t n;
@@ -313,7 +484,7 @@ static void *work(void *unused)
         if (!atomic_compare_exchange_strong_explicit(&state, &posted, TAKEN, memory_order_acquire,
                                                      memory_order_relaxed))
             continue; /* the caller took the job back */
-        job.absorb(job.reg, job.w, job.consts, job.cw, job.data, job.n);
+        job.absorb(job.reg, job.w, job.consts, job.blocks, job.cw, job.data, job.n);
         set_state(IDLE);
     }
     return NULL;
@@ -346,8 +517,8 @@ static int start_worker(void)
  * zero; k is K_j.  Returns 1 if the worker ran its part, 0 if this thread
  * absorbed all n bytes. */
 static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg, size_t w,
-                        const uint64_t *consts, const uint16_t *cw, const uint8_t *data,
-                        size_t n, size_t n2, const uint64_t *k)
+                        const uint64_t *consts, const uint64_t *blocks, const uint16_t *cw,
+                        const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
 {
     if (pthread_mutex_trylock(&guard) == 0) {
         if (start_worker()) {
@@ -355,39 +526,45 @@ static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg, s
             job.reg = reg;
             job.w = w;
             job.consts = consts;
+            job.blocks = blocks;
             job.cw = cw;
             job.data = data;
             job.n = n - n2;
             set_state(POSTED);
             uint64_t s[w];
             memset(s, 0, sizeof s);
-            absorb(s, w, consts, cw, data + n - n2, n2);
+            absorb(s, w, consts, blocks, cw, data + n - n2, n2);
             int posted = POSTED, split = !atomic_compare_exchange_strong_explicit(
                 &state, &posted, IDLE, memory_order_relaxed, memory_order_relaxed);
             if (split)
                 wait_for(IDLE);
             pthread_mutex_unlock(&guard);
             if (!split) /* the worker has not started: take its part back */
-                absorb(reg, w, consts, cw, data, n - n2);
-            combine(reg, w, consts, k, s);
+                absorb(reg, w, consts, blocks, cw, data, n - n2);
+            combine(reg, w, consts, blocks, k, s);
             return split;
         }
         pthread_mutex_unlock(&guard);
     }
-    absorb(reg, w, consts, cw, data, n); /* another caller has the worker, or it cannot start */
+    /* another caller has the worker, or it cannot start */
+    absorb(reg, w, consts, blocks, cw, data, n);
     return 0;
 }
 
-int absorb_split_clmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint16_t *cw,
-                       const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
+int absorb_split_clmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint64_t *blocks,
+                       const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
+                       const uint64_t *k)
 {
-    return absorb_split(absorb_clmul, combine_clmul, reg, w, consts, cw, data, n, n2, k);
+    return absorb_split(part_clmul, combine_clmul, reg, w, consts, blocks, cw, data, n, n2, k);
 }
 
-int absorb_split_vpclmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint16_t *cw,
-                         const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
+/* blocks must not be NULL: combine_vpclmul runs the block step */
+int absorb_split_vpclmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint64_t *blocks,
+                         const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
+                         const uint64_t *k)
 {
-    return absorb_split(absorb_vpclmul, combine_vpclmul, reg, w, consts, cw, data, n, n2, k);
+    return absorb_split(absorb_blocks_vpclmul, combine_vpclmul, reg, w, consts, blocks, cw, data,
+                        n, n2, k);
 }
 #endif
 

@@ -11,11 +11,16 @@ is bit-identical to classifier.classify.
 
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
-- "vpclmul": C with no table.  Codewords are packed into 64-bit words and
-  each word is reduced by a Barrett step of carry-less multiplies,
-  ceil(degree / 64) + 1 of them per word, on AVX-512 eight of them per
-  pair of VPCLMULQDQ instructions.
-- "clmul": the same step with PCLMULQDQ, one multiply per instruction.
+- "vpclmul": C with no table, on AVX-512.  Codewords are packed into 64-bit
+  words.  A call of 4 KiB or more is reduced a block of B = 144 words
+  (1 KiB) at a time, by one Barrett step per block whose products,
+  formed with VPCLMULQDQ, do not wait on each other; the block constants
+  (mu' = floor(x^(degree + 64B) / g) - x^(64B), and eight shifted copies
+  of it and of g - x^degree) are built on an entry's first such call.
+  Shorter calls, and what follows a call's last whole block, take the
+  per-word Barrett step, ceil(degree / 64) + 1 carry-less multiplies per
+  word, eight of them per pair of VPCLMULQDQ instructions.
+- "clmul": the per-word step with PCLMULQDQ, one multiply per instruction.
 - "native": the cycle loop above in C, one 512-row table lookup per byte.
 - "python": the same loop in Python.
 
@@ -33,11 +38,12 @@ worker thread absorbs the first n - n2 bytes into the register while the
 calling thread absorbs the last n2 into a zeroed one, n2 being the largest
 power of two <= n / 2, and the C code joins the two by
 reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g.  The constant that moves a
-register past 2^j bytes is cached per generator on first use.  A second
-thread calling absorb while the worker is busy, or a worker that has not
-started its part by the time the caller's is done, leaves the work to the
-calling thread.  Smaller chunks, the other paths and a one-CPU affinity
-mask run one thread, and every path gives the same digest.
+register past 2^j bytes is cached per generator on first use.  On vpclmul
+both parts and the combine take the block step.  A second thread calling
+absorb while the worker is busy, or a worker that has not started its part
+by the time the caller's is done, leaves the work to the calling thread.
+Smaller chunks, the other paths and a one-CPU affinity mask run one
+thread, and every path gives the same digest.
 """
 
 from __future__ import annotations
@@ -68,8 +74,9 @@ class _Kernel:
     """The compiled absorb loops and fill, typed, and the codeword maps absorb reads.
 
     Each absorb loop is the attribute named after its path.  `vpclmul` and
-    `clmul` are None where the CPU cannot run them; `split` and `combine`
-    hold their two-thread entries and combine steps, keyed by path.
+    `clmul` are None where the CPU cannot run them; `blocks` is the vpclmul
+    loop that takes whole blocks first; `split` and `combine` hold their
+    two-thread entries and combine steps, keyed by path.
     """
 
     def __init__(self, path: Path):
@@ -78,8 +85,8 @@ class _Kernel:
         # converts them at half the per-call cost of typed pointers
         array_p, size = ctypes.c_void_p, ctypes.c_size_t
 
-        def absorb_loop(function):
-            function.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size)
+        def absorb_loop(function, *blocks):
+            function.argtypes = (array_p, size, array_p, *blocks, array_p, ctypes.c_char_p, size)
             function.restype = None
             return function
 
@@ -90,16 +97,18 @@ class _Kernel:
         lib.carryless.argtypes = ()
         lib.carryless.restype = ctypes.c_int
         level = lib.carryless()  # each carry-less loop exists only where this reaches its level
-        self.clmul = self.vpclmul = None
+        self.clmul = self.vpclmul = self.blocks = None
         self.split, self.combine = {}, {}
+        if level >= 2:  # the vpclmul loop with the block constants after the Barrett ones
+            self.blocks = absorb_loop(lib.absorb_blocks_vpclmul, array_p)
         for path in ("clmul", "vpclmul")[:level]:
             setattr(self, path, absorb_loop(getattr(lib, f"absorb_{path}")))
             split = self.split[path] = getattr(lib, f"absorb_split_{path}")
-            split.argtypes = (array_p, size, array_p, array_p, ctypes.c_char_p, size, size,
-                              array_p)
+            split.argtypes = (array_p, size, array_p, array_p, array_p, ctypes.c_char_p, size,
+                              size, array_p)
             split.restype = ctypes.c_int  # 1 if split, 0 if the plain loop ran
             combine = self.combine[path] = getattr(lib, f"combine_{path}")
-            combine.argtypes = (array_p, size, array_p, array_p, array_p)
+            combine.argtypes = (array_p, size, array_p, array_p, array_p, array_p)
             combine.restype = None
         self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
 
@@ -148,6 +157,14 @@ def _split_bytes() -> int:
 
 
 _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
+# the smallest chunk the vpclmul path absorbs by blocks, well above short messages (256 B
+# at most in digest-short), so they never build the block constants
+_BLOCK_BYTES = 4096
+# B, the words one block step reduces: a multiple of 9, so a block is 64B / 9 = 1024 whole
+# bytes, and at least the register's w words (67 at most).  Larger blocks spread the step's
+# fixed work, the w-by-w product and the ends of the mu' product, over more words: B = 144
+# ran 5-8% faster than B = 72 at 1744-4288 bits, and B = 216 or 288 no faster again.
+_BLOCK_WORDS = 144
 
 
 def _to_words(value: int, w: int) -> array:
@@ -169,7 +186,9 @@ class CrcTables:
     - "native": `main` is a ctypes array of those 512 rows, packed.
     - "vpclmul" and "clmul": `main` is a ctypes array of mu (one word), then
       g - x^degree packed; see `_barrett_constants`.  `shifts` caches the
-      packed combine constants by j; see `_shift`.
+      packed combine constants by j; see `_shift`.  On "vpclmul", `blocks`
+      holds the block constants once the first block absorb has built them;
+      see `_block_constants`.
     """
 
     degree: int
@@ -177,6 +196,7 @@ class CrcTables:
     kernel: _Kernel | None = None
     path: str = "python"
     shifts: dict[int, ctypes.Array] = field(default_factory=dict, compare=False, repr=False)
+    blocks: list[ctypes.Array] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def words(self) -> int:
@@ -198,6 +218,17 @@ class CrcTables:
         return int.from_bytes(words, "big") >> (64 * self.words - self.degree)
 
 
+def _reciprocal(e: GeneratorEntry, bits: int) -> int:
+    """floor(x^(d + bits) / g) - x^bits for d = deg g, by long division."""
+    g, d = e.generator.value, e.degree
+    quotient, rest = 0, 1 << (d + bits)
+    for k in range(bits, -1, -1):
+        if rest >> (d + k) & 1:
+            quotient |= 1 << k
+            rest ^= g << k
+    return quotient ^ 1 << bits
+
+
 def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
     """mu = floor(x^(d+64) / g) - x^64 and g - x^d, for d = deg g.
 
@@ -205,13 +236,26 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
     t ^ (t * mu >> 64), and t * x^d mod g is the low d bits of that quotient
     times g - x^d.
     """
-    g, d = e.generator.value, e.degree
-    quotient, rest = 0, 1 << (d + 64)
-    for k in range(64, -1, -1):
-        if rest >> (d + k) & 1:
-            quotient |= 1 << k
-            rest ^= g << k
-    return quotient ^ 1 << 64, g ^ 1 << d
+    return _reciprocal(e, 64), e.generator.value ^ 1 << e.degree
+
+
+def _block_constants(e: GeneratorEntry) -> ctypes.Array:
+    """B, then eight copies of mu' and eight of G, as _absorb.c's block step reads them.
+
+    mu' = floor(x^(d + 64B) / g) - x^(64B), in B words, and
+    G = (g - x^d) * x^pad, in w words.  Copy s is shifted up s words (mu'
+    one word more where B is a multiple of 8) and padded to whole blocks of
+    eight words, least significant word first (the block step runs only on
+    x86-64, which is little-endian).
+    """
+    w, b = (e.degree + 63) // 64, _BLOCK_WORDS
+    words = array("Q", [b])
+    g = _barrett_constants(e)[1] << 64 * w - e.degree
+    for value, n, lift in ((_reciprocal(e, 64 * b), b, b % 8 == 0), (g, w, 0)):
+        length = 8 * ((n + lift + 14) // 8)
+        for s in range(lift, lift + 8):
+            words.frombytes((value << 64 * s).to_bytes(8 * length, "little"))
+    return (ctypes.c_uint64 * len(words)).from_buffer(words)
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
@@ -252,9 +296,19 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array | None:
         else:
             half = _shift(e, tables, j - 1)
             k = (ctypes.c_uint64 * w)(*half)
-            tables.kernel.combine[tables.path](k, w, tables.main, half, (ctypes.c_uint64 * w)())
+            tables.kernel.combine[tables.path](k, w, tables.main, _blocks(e, tables), half,
+                                               (ctypes.c_uint64 * w)())
         tables.shifts[j] = k
     return k
+
+
+def _blocks(e: GeneratorEntry, tables: CrcTables) -> ctypes.Array | None:
+    """The block constants on the vpclmul path, built on first use; None on the other paths."""
+    if tables.path != "vpclmul":
+        return None
+    if not tables.blocks:
+        tables.blocks.append(_block_constants(e))
+    return tables.blocks[0]
 
 
 _table_cache: dict[int, CrcTables] = {}
@@ -308,12 +362,16 @@ class CrcEngine:
             if n >= _SPLIT_BYTES and tables.path in kernel.split:
                 n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
                 k = _shift(self.entry, tables, n2.bit_length() - 1)
-                if k is not None:
-                    kernel.split[tables.path](self._reg, tables.words, tables.main, codewords,
-                                              data, n, n2, k)
+                if k is not None:  # the combine takes the block step, so both parts do too
+                    kernel.split[tables.path](self._reg, tables.words, tables.main,
+                                              _blocks(self.entry, tables), codewords, data, n,
+                                              n2, k)
                     return
-            getattr(kernel, tables.path)(self._reg, tables.words, tables.main, codewords,
-                                         data, n)
+            if n >= _BLOCK_BYTES and tables.path == "vpclmul":
+                kernel.blocks(self._reg, tables.words, tables.main, _blocks(self.entry, tables),
+                              codewords, data, n)
+                return
+            getattr(kernel, tables.path)(self._reg, tables.words, tables.main, codewords, data, n)
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from badderlocks import classifier, fastcrc, gf2poly, params
+from badderlocks import classifier, fastcrc, gf2poly, params, sbox
 from badderlocks.fastcrc import build_tables, engine_init
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -24,6 +24,11 @@ KERNEL_PATHS = ("vpclmul", "clmul", "native")
 CARRYLESS_PATHS = KERNEL_PATHS[:2]
 # the chunk size from which the "-split" variants absorb on two threads
 TEST_SPLIT_BYTES = 1024
+# the chunk size from which the "-block" variant takes the block step: one block, 1 KiB
+# (B = 144 words) for every entry
+TEST_BLOCK_BYTES = 1024
+# the block floor every other variant keeps
+BLOCK_FLOOR = fastcrc._BLOCK_BYTES
 # how long a test repeats split absorbs until the worker takes a part: a caller takes
 # back a part the worker has not started, as when the scheduler has put the worker on
 # the caller's CPU until it balances the two
@@ -37,7 +42,9 @@ def use_path(monkeypatch, path):
     first, as on a CPU the CPU check finds without them: "clmul" clears
     vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
     without a compiler.  "vpclmul-split" and "clmul-split" are those paths
-    with the two-thread floor lowered to TEST_SPLIT_BYTES.
+    with the two-thread floor lowered to TEST_SPLIT_BYTES, and
+    "vpclmul-block" is vpclmul with the block floor lowered to
+    TEST_BLOCK_BYTES.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
@@ -47,6 +54,9 @@ def use_path(monkeypatch, path):
         if path.endswith("-split"):
             path = path.removesuffix("-split")
             monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
+        elif path.endswith("-block"):
+            path = path.removesuffix("-block")
+            monkeypatch.setattr(fastcrc, "_BLOCK_BYTES", TEST_BLOCK_BYTES)
         if getattr(fastcrc._kernel, path) is None:
             pytest.skip(f"this CPU cannot run the {path} kernel")
         for faster in KERNEL_PATHS[:KERNEL_PATHS.index(path)]:
@@ -54,10 +64,12 @@ def use_path(monkeypatch, path):
     monkeypatch.setattr(fastcrc, "_table_cache", {})
 
 
-@pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native", "python"])
+@pytest.fixture(params=["vpclmul", "vpclmul-block", "vpclmul-split", "clmul", "clmul-split",
+                        "native", "python"])
 def path(request, monkeypatch):
     """Run the test through both carry-less kernels, each also split across two
-    threads from 1 KiB, the table kernel and the Python loop."""
+    threads from 1 KiB and vpclmul also by blocks from one block, the table
+    kernel and the Python loop."""
     use_path(monkeypatch, request.param)
     return request.param
 
@@ -177,6 +189,46 @@ class TestTables:
                     moved = gf2poly.remainder(poly(k << 2 * pad + e.degree), e.generator)
                     assert moved == power, (e.index, j)
                 power = gf2poly.remainder(gf2poly.multiply(power, power), e.generator)
+
+    def test_block_constants_match_gf2poly(self):
+        # the block step: for T of B words, Q = low w words of T ^ (T * mu' >> 64B) and
+        # the low w words of Q * G are T * x^(64w) mod g * x^pad
+        poly = gf2poly.BitPolynomial
+        rng = random.Random(42)
+        for e in params.registry():
+            w = (e.degree + 63) // 64
+            b, pad, low_w = fastcrc._BLOCK_WORDS, 64 * w - e.degree, (1 << 64 * w) - 1
+            mu = fastcrc._reciprocal(e, 64 * b)
+            g = fastcrc._barrett_constants(e)[1] << pad
+            assert b >= w and b % 9 == 0 and mu >> 64 * b == 0, e.index
+            for t in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
+                q = (t ^ gf2poly.multiply(poly(t), poly(mu)).value >> 64 * b) & low_w
+                want = gf2poly.remainder(poly(t << 64 * w), poly(e.generator.value << pad))
+                assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, e.index
+            # the packed form: B, then eight copies of mu' and of G, copy s shifted up s words
+            # (one more for mu' where B is a multiple of 8), in whole blocks of eight words
+            words = fastcrc._block_constants(e)
+            assert words[0] == b
+            at = 1
+            for value, n, lift in ((mu, b, b % 8 == 0), (g, w, 0)):
+                length = 8 * ((n + lift + 14) // 8)
+                for s in range(8):
+                    copy = int.from_bytes(bytes(memoryview(words)[at:at + length]), "little")
+                    assert copy == value << 64 * (s + lift), (e.index, s)
+                    at += length
+            assert at == len(words)
+
+    def test_block_constants_are_built_on_the_first_block_absorb(self, monkeypatch):
+        # short messages (digest-short's are 256 B at most) never build them
+        use_path(monkeypatch, "vpclmul")
+        e = params.entry_for_aligned_bits(1744)
+        tables = build_tables(e)
+        assert tables.blocks == []
+        eng = engine_init(e)
+        eng.absorb(bytes(BLOCK_FLOOR - 1)).absorb(bytes(256))
+        assert eng.tables.blocks == []
+        eng.absorb(bytes(BLOCK_FLOOR))
+        assert len(eng.tables.blocks) == 1 and eng.tables.blocks[0][0] == fastcrc._BLOCK_WORDS
 
     def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
         # a worker that never starts or a guard that is never free falls back to one
@@ -309,15 +361,18 @@ class TestEquivalence:
 class TestPaths:
     def test_matches_reference_with_random_splits(self, path):
         rng = random.Random(35)
+        block = 64 * fastcrc._BLOCK_WORDS // 9
+        edges = [block - 1, block, block + 1, BLOCK_FLOOR - 1, BLOCK_FLOOR, BLOCK_FLOOR + 1]
         for e in params.registry():
             # 64 B is exactly nine 64-bit words of codewords, no tail bits; from 1 KiB
-            # the -split variants and from 16 KiB every carry-less path split a chunk
-            for n in [*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000, 1023, 1024, 1025,
-                      2047, 2048, 3072, 16383, 16384, 16385, 65536]:
+            # the -split variants and from 16 KiB every carry-less path split a chunk;
+            # vpclmul takes the block step from one block (-block) or the floor
+            for n in dict.fromkeys([*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000, 1023, 1024,
+                                    1025, 2047, 2048, 3072, 16383, 16384, 16385, 65536, *edges]):
                 m = rng.randbytes(n)
                 want = reference(e, m)
                 eng = engine_init(e)
-                assert eng.path == path.removesuffix("-split")
+                assert eng.path == path.partition("-")[0]
                 pos = 0
                 while pos < n:
                     step = rng.randrange(1, n - pos + 1)
@@ -326,6 +381,8 @@ class TestPaths:
                 if n >= 8:
                     assert eng.register == int.from_bytes(want, "big"), (e.index, n)
                 assert eng.finish().data == want, (e.index, n)
+                if n in edges:  # and in one call, at the block and floor edges
+                    assert engine_init(e).absorb(m).finish().data == want, (e.index, n)
 
     def test_accepts_any_bytes_like_chunk(self, path):
         e = params.entry_for_aligned_bits(416)
@@ -336,7 +393,7 @@ class TestPaths:
     def test_repr_names_entry_bytes_and_path(self, path):
         eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
         assert repr(eng) == \
-            f"<CrcEngine entry=17 bits=1744 consumed=43 path={path.removesuffix('-split')}>"
+            f"<CrcEngine entry=17 bits=1744 consumed=43 path={path.partition('-')[0]}>"
 
 
 class TestThreads:
@@ -479,7 +536,8 @@ class TestKernelBuild:
         paths = [p for p in KERNEL_PATHS if getattr(fastcrc._kernel, p) is not None]
         per_path = 52 + 30 * 26 + 7 * 81  # the three c2 suites, the sweep, the block edges
         splits = (30 * 5 + 1) * len([p for p in paths if p in CARRYLESS_PATHS])
-        assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits)]
+        blocks = 7 * 6 * ("vpclmul" in paths)  # the block step's edges
+        assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits + blocks)]
 
     def test_thread_sanitizer_finds_no_race(self, monkeypatch, tmp_path):
         # CPython does not run under an LD_PRELOADed libtsan, so a C program
@@ -491,13 +549,17 @@ class TestKernelBuild:
                                 str(probe)], capture_output=True)
         if built.returncode or subprocess.run([str(tmp_path / "probe")]).returncode:
             pytest.skip("no working ThreadSanitizer (libtsan) here")
+        # every part of 1 KiB (one block) or more takes the block step on vpclmul; in the
+        # last case the worker's part is under one block
         cases = []
-        for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192)):
+        for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192),
+                            (2784, 30000, 8192), (416, 3000, 1024)):
             e = params.entry_for_aligned_bits(bits)
             t = build_tables(e)
             k = fastcrc._shift(e, t, n2.bit_length() - 1)
-            cases.append("{%d, %d, %d, {%s}, {%s}}" % (
-                t.words, n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k))))
+            cases.append("{%d, %d, %d, {%s}, {%s}, {%s}}" % (
+                t.words, n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k)),
+                ", ".join(map(hex, fastcrc._block_constants(e)))))
         codewords = ", ".join(map(str, fastcrc._kernel.codewords))
         source = tmp_path / "race.c"
         source.write_text(TSAN_PROGRAM % {"kernel": kernel, "codewords": codewords,
@@ -512,7 +574,7 @@ class TestKernelBuild:
         assert "ThreadSanitizer" not in run.stderr, run.stderr
         assert run.returncode == 0, run.stdout + run.stderr
         mismatches, split, plain = map(int, run.stdout.split())
-        assert mismatches == 0 and split > 0 and split + plain == 2 * 3 * 40
+        assert mismatches == 0 and split > 0 and split + plain == 2 * len(cases) * 40
 
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
@@ -528,7 +590,8 @@ class TestKernelBuild:
         listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
                                  check=True).stdout
         functions = disassembly(listing)
-        assert any(avx512(i) for i in functions["absorb_vpclmul"])  # the check sees AVX-512
+        for name in ("absorb_vpclmul", "absorb_blocks_vpclmul", "block_step_vpclmul"):
+            assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
         for name, instructions in functions.items():
             if "vpclmul" not in name:
                 assert not [i for i in instructions if avx512(i)], name
@@ -599,6 +662,17 @@ for i, path in enumerate(paths):
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
+    if path == "vpclmul":  # the block step at one block +-1 (floor lowered to one block)
+        floor = fastcrc._BLOCK_BYTES  # and across the floor
+        block = 64 * fastcrc._BLOCK_WORDS // 9
+        for e in block_edges:
+            for n, fastcrc._BLOCK_BYTES in [(block + i, block) for i in (-1, 0, 1)] + \
+                                           [(floor + i, floor) for i in (-1, 0, 1)]:
+                m = rng.randbytes(n)
+                eng = fastcrc.engine_init(e).absorb(m)
+                assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
+                checked += 1
+        fastcrc._BLOCK_BYTES = floor
     if path in fastcrc._kernel.split:  # the two-thread entry and the combine step
         split, fastcrc._SPLIT_BYTES = fastcrc._kernel.split[path], 1024
         taken = []
@@ -628,16 +702,21 @@ print(" ".join(paths), checked)
 """
 
 
-# Two threads each run every case 40 times: a plain absorb and a split one from
-# the same nonzero register, which must agree.  Prints mismatches, splits taken
-# and plain loops run.
+# Two threads each run every case 40 times: a plain absorb (the word step) and
+# a split one from the same nonzero register, which must agree.  The split is
+# given the block constants, which the clmul kernel ignores.  Prints
+# mismatches, splits taken and plain loops run.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
 
 #define MAX_W 67
+#define MAX_BLOCKS (1 + 64 * 29) /* B = 144: copies of 19 blocks for mu', 10 for G */
 static const uint16_t codewords[256] = {%(codewords)s};
-static const struct { size_t w, n, n2; uint64_t consts[MAX_W + 1], k[MAX_W]; } cases[] = {
+static const struct {
+    size_t w, n, n2;
+    uint64_t consts[MAX_W + 1], k[MAX_W], blocks[MAX_BLOCKS];
+} cases[] = {
     %(cases)s
 };
 static uint8_t data[40000 + 100];
@@ -652,8 +731,8 @@ static void *run(void *seed)
             absorb_%(kernel)s(a, w, cases[c].consts, codewords, data, start);
             memcpy(b, a, sizeof a);
             absorb_%(kernel)s(a, w, cases[c].consts, codewords, data + start, cases[c].n);
-            int took = absorb_split_%(kernel)s(b, w, cases[c].consts, codewords, data + start,
-                                               cases[c].n, cases[c].n2, cases[c].k);
+            int took = absorb_split_%(kernel)s(b, w, cases[c].consts, cases[c].blocks, codewords,
+                                               data + start, cases[c].n, cases[c].n2, cases[c].k);
             atomic_fetch_add(took ? &split : &plain, 1);
             if (memcmp(a, b, sizeof a))
                 atomic_fetch_add(&mismatches, 1);
@@ -686,11 +765,14 @@ entries = st.sampled_from(params.registry())
 
 def messages(path: str, short: int = 300) -> st.SearchStrategy[bytes]:
     """0 to short bytes, which cross the 8-byte filler boundary and span many
-    cycles; on the -split variants also 1-3 KiB, past the lowered floor."""
+    cycles; on the -split variants also 1-3 KiB, past the lowered floor, and
+    on the -block variant one to three blocks."""
     small = st.binary(max_size=short)
-    if not path.endswith("-split"):
-        return small
-    return st.one_of(small, st.binary(min_size=TEST_SPLIT_BYTES, max_size=3 * 1024))
+    if path.endswith("-split"):
+        return st.one_of(small, st.binary(min_size=TEST_SPLIT_BYTES, max_size=3 * 1024))
+    if path.endswith("-block"):
+        return st.one_of(small, st.binary(min_size=TEST_BLOCK_BYTES, max_size=3 * TEST_BLOCK_BYTES))
+    return small
 
 
 def split(message: bytes, cuts: list[int]) -> list[bytes]:
@@ -732,3 +814,18 @@ class TestProperties:
         moved = gf2poly.remainder(gf2poly.multiply(poly(register(a)), poly(1 << 9 * len(b))),
                                   e.generator)
         assert register(a + b) == moved.value ^ register(b)
+
+    @PROPERTY_SETTINGS
+    @given(e=entries, data=st.data())
+    def test_digests_are_linear(self, path, e, data):
+        # for |a| == |b|, digest(a) ^ digest(b) == (expand(a) ^ expand(b)) * x^d mod g: the
+        # filler that messages under 8 bytes take cancels, so finished digests are compared
+        a = data.draw(messages(path))
+        b = data.draw(st.binary(min_size=len(a), max_size=len(a)))
+
+        def digest(m):
+            return int.from_bytes(engine_init(e).absorb(m).finish().data, "big")
+
+        both = sbox.expand_message(a) ^ sbox.expand_message(b)
+        want = gf2poly.remainder(gf2poly.shift_left(both, e.degree), e.generator)
+        assert digest(a) ^ digest(b) == want.value
