@@ -3,16 +3,19 @@
  * A degree-d register is passed in w = ceil(d / 64) words, most significant
  * word first, shifted up by pad = 64w - d bits so its top 9 bits are bits
  * 55-63 of word 0.  Every loop leaves it holding prefix * x^d mod g after
- * every call, whatever the number of bytes.
+ * every call, whatever the number of bytes.  Every table a loop reads starts
+ * with w, as the block constants start with B, so no call passes either.
  *
- * Three loops: absorb, a 512-row table walk that any CPU runs, and on x86-64
- * two table-free carry-less kernels with one shared driver, absorb_clmul
- * (PCLMULQDQ, two words of each product per instruction pair) and
- * absorb_vpclmul (VPCLMULQDQ on AVX-512F, eight words per pair).  Each
- * carry-less kernel is compiled for its own instruction set through target
- * attributes, never -march=native, so no AVX-512 instruction reaches code
- * that a PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU
- * can run.
+ * Three loops with one signature, (reg, table, blocks, cw, data, n): absorb,
+ * a 512-row table walk that any CPU runs, and on x86-64 two table-free
+ * carry-less kernels with one shared loop, absorb_clmul (PCLMULQDQ, two
+ * words of each product per instruction pair) and absorb_vpclmul
+ * (VPCLMULQDQ on AVX-512F, eight words per pair).  Only absorb_vpclmul
+ * reads blocks; the other two ignore it.  Each carry-less kernel is
+ * compiled for its own instruction set through target attributes, never
+ * -march=native, so no AVX-512 instruction reaches code that a
+ * PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU can
+ * run.
  *
  * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
  * step, and each step's quotient waits on the last one's register.  Given
@@ -21,8 +24,8 @@
  * Barrett step per block, whose quotient Q = T + (T * mu' >> 64B) uses
  * mu' = floor(x^(d + 64B) / g) - x^(64B) (P. Barrett, CRYPTO '86, over
  * GF(2)); the word step takes the rest of the call.  fastcrc passes the
- * block constants for calls of 4 KiB and more, so short messages never
- * build them.
+ * block constants for calls of one block or more and NULL below that, so
+ * short messages never build them.
  *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul.  One persistent worker thread per process absorbs
@@ -38,13 +41,16 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Table kernel.  Reduction rows are stored like the register, 512 rows of w
- * words each.  One cycle per byte: XOR the top 9 bits with cw[byte], shift up
- * 9, add the row.  The word loop runs forward, most significant word first:
- * gcc -O3 vectorises that order. */
-void absorb(uint64_t *restrict reg, size_t w, const uint64_t *restrict rows,
+/* Table kernel.  The table is w, then 512 reduction rows stored like the
+ * register, w words each.  One cycle per byte: XOR the top 9 bits with
+ * cw[byte], shift up 9, add the row.  The word loop runs forward, most
+ * significant word first: gcc -O3 vectorises that order. */
+void absorb(uint64_t *restrict reg, const uint64_t *restrict table, const uint64_t *blocks,
             const uint16_t *cw, const uint8_t *data, size_t n)
 {
+    (void)blocks;
+    const size_t w = table[0];
+    const uint64_t *restrict rows = table + 1;
     for (size_t k = 0; k < n; k++) {
         const uint64_t *restrict row = rows + ((reg[0] >> 55) ^ cw[data[k]]) * w;
         for (size_t i = 0; i + 1 < w; i++)
@@ -53,11 +59,13 @@ void absorb(uint64_t *restrict reg, size_t w, const uint64_t *restrict rows,
     }
 }
 
-/* Build rows[v] = rows[v & (v - 1)] ^ rows[lowest bit of v] in place; the
- * caller sets rows[0] to zero and rows[1 << j] to the 9 basis rows, which
- * the recurrence leaves as they are. */
-void fill(uint64_t *rows, size_t w)
+/* Build rows[v] = rows[v & (v - 1)] ^ rows[lowest bit of v] in place, the
+ * rows following w in table; the caller sets rows[0] to zero and rows[1 << j]
+ * to the 9 basis rows, which the recurrence leaves as they are. */
+void fill(uint64_t *table)
 {
+    const size_t w = table[0];
+    uint64_t *rows = table + 1;
     for (size_t v = 1; v < 512; v++) {
         size_t low = v & (v - 1);
         for (size_t i = 0; i < w; i++)
@@ -260,17 +268,17 @@ VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, size_t w, const ui
 typedef void absorb_block_fn(uint64_t *r, size_t w, const uint64_t *blocks, const uint16_t *cw,
                              const uint8_t *data);
 
-/* The carry-less kernels' shared loop, no table.  consts holds
- * mu = floor(x^(d+64) / g) - x^64, then G = (g - x^d) * x^pad in w words laid
- * out like reg; both are copied into r and G_lsw least significant word
- * first.  With blocks (vpclmul only), whole blocks of 64B / 9 bytes go
- * through the block step first.  The rest of the codewords are packed into
- * 64-bit words c, first codeword highest.  Per word, t = r[w - 1] ^ c and
- * q = floor(t * x^d / g) = t ^ clmul_hi(t, mu) (Gopal et al., "Fast CRC
- * Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009); the
- * register moves up one word and takes the low w words of q * G.  A last
- * b < 64 bits take the same step with q cut to b bits and a b-bit shift in
- * place of the word move. */
+/* The carry-less kernels' shared loop, no table.  consts, the table past w,
+ * holds mu = floor(x^(d+64) / g) - x^64, then G = (g - x^d) * x^pad in w
+ * words laid out like reg; reg and G are copied into r and G_lsw least
+ * significant word first.  With blocks (vpclmul only), whole blocks of
+ * 64B / 9 bytes go through the block step first.  The rest of the
+ * codewords are packed into 64-bit words c, first codeword highest.  Per
+ * word, t = r[w - 1] ^ c and q = floor(t * x^d / g) = t ^ clmul_hi(t, mu)
+ * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+ * PCLMULQDQ", Intel 2009); the register moves up one word and takes the low
+ * w words of q * G.  A last b < 64 bits take the same step with q cut to b
+ * bits and a b-bit shift in place of the word move. */
 __attribute__((target("pclmul"), always_inline)) static inline void
 absorb_carryless(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
                  const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n,
@@ -310,42 +318,30 @@ absorb_carryless(uint64_t *restrict reg, size_t w, const uint64_t *restrict cons
         reg[i] = r[w - 1 - i];
 }
 
-__attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg, size_t w,
-                                                    const uint64_t *restrict consts,
-                                                    const uint16_t *cw, const uint8_t *data,
-                                                    size_t n)
+__attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
+                                                    const uint64_t *restrict table,
+                                                    const uint64_t *blocks, const uint16_t *cw,
+                                                    const uint8_t *data, size_t n)
 {
+    (void)blocks;
+    const size_t w = table[0];
     uint64_t G_lsw[w], r[w];
-    absorb_carryless(reg, w, consts, NULL, cw, data, n, G_lsw, r, shift_add_clmul, NULL);
+    absorb_carryless(reg, w, table + 1, NULL, cw, data, n, G_lsw, r, shift_add_clmul, NULL);
 }
 
-/* The vpclmul loop, taking whole blocks first where blocks is not NULL. */
-VPCLMUL __attribute__((always_inline)) static inline void
-loop_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-             const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n)
+/* Whole blocks first where blocks is not NULL, then the word step. */
+VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
+                            const uint64_t *blocks, const uint16_t *cw, const uint8_t *data,
+                            size_t n)
 {
+    const size_t w = table[0];
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
      * next word's load of r[w - 1], which cost a third of the rate at 1744 bits */
     uint64_t G_lsw[(w + 7) & ~(size_t)7], r[(w + 7) & ~(size_t)7];
     memset(G_lsw, 0, sizeof G_lsw);
     memset(r, 0, sizeof r);
-    absorb_carryless(reg, w, consts, blocks, cw, data, n, G_lsw, r, shift_add_vpclmul,
+    absorb_carryless(reg, w, table + 1, blocks, cw, data, n, G_lsw, r, shift_add_vpclmul,
                      pack_and_step_vpclmul);
-}
-
-/* The word step alone keeps the signature one argument shorter than the
- * block loop's: a short message pays for every argument ctypes converts. */
-VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-                            const uint16_t *cw, const uint8_t *data, size_t n)
-{
-    loop_vpclmul(reg, w, consts, NULL, cw, data, n);
-}
-
-VPCLMUL void absorb_blocks_vpclmul(uint64_t *restrict reg, size_t w,
-                                   const uint64_t *restrict consts, const uint64_t *blocks,
-                                   const uint16_t *cw, const uint8_t *data, size_t n)
-{
-    loop_vpclmul(reg, w, consts, blocks, cw, data, n);
 }
 
 /* reg = reg * k * x^d + s mod g, all three laid out like the register.  With
@@ -354,12 +350,14 @@ VPCLMUL void absorb_blocks_vpclmul(uint64_t *restrict reg, size_t w,
  * K_(j+1).  The 2w-word product reg * k, schoolbook with scalar PCLMULQDQ,
  * is fed through the word step from a zero register, which leaves it times
  * x^d mod g. */
-__attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg, size_t w,
-                                                     const uint64_t *restrict consts,
+__attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
+                                                     const uint64_t *restrict table,
                                                      const uint64_t *blocks, const uint64_t *k,
                                                      const uint64_t *s)
 {
     (void)blocks;
+    const size_t w = table[0];
+    const uint64_t *consts = table + 1;
     uint64_t G_lsw[w], r[w], k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
     for (size_t i = 0; i < w; i++) {
         G_lsw[i] = consts[w - i];
@@ -380,11 +378,11 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg, size_t w,
  * eight shifted copies of k, then fed through the block step, B words at a
  * time from the top, the product zero-extended to whole blocks.  The top
  * block holds only the product's top words, the rest of it zero. */
-VPCLMUL void combine_vpclmul(uint64_t *reg, size_t w, const uint64_t *restrict consts,
+VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
                              const uint64_t *blocks, const uint64_t *k, const uint64_t *s)
 {
-    (void)consts;
-    size_t B = blocks[0], n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
+    size_t w = table[0], B = blocks[0];
+    size_t n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
     size_t words = steps * B > 8 * n_p ? steps * B : 8 * n_p;
     uint64_t a[w], copies[64 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
     memset(copies, 0, sizeof copies);
@@ -418,21 +416,10 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, size_t w, const uint64_t *restrict c
  * slower than one thread when another busy process shared the two CPUs.
  * This code is compiled for the baseline instruction set: it reaches the
  * kernels only through pointers. */
-typedef void absorb_fn(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
+typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table,
                        const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n);
-
-/* absorb_clmul with a part's signature: the clmul kernel has no block step */
-__attribute__((target("pclmul"))) static void part_clmul(uint64_t *restrict reg, size_t w,
-                                                         const uint64_t *restrict consts,
-                                                         const uint64_t *blocks,
-                                                         const uint16_t *cw, const uint8_t *data,
-                                                         size_t n)
-{
-    (void)blocks;
-    absorb_clmul(reg, w, consts, cw, data, n);
-}
-typedef void combine_fn(uint64_t *reg, size_t w, const uint64_t *restrict consts,
-                        const uint64_t *blocks, const uint64_t *k, const uint64_t *s);
+typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *blocks,
+                        const uint64_t *k, const uint64_t *s);
 
 enum { IDLE, POSTED, TAKEN };
 /* about 400 us of sched_yield: long enough to catch the next chunk of a stream */
@@ -446,8 +433,7 @@ static pid_t worker_pid; /* the process the worker runs in; 0 before the first s
 static struct {
     absorb_fn *absorb;
     uint64_t *reg;
-    size_t w;
-    const uint64_t *consts;
+    const uint64_t *table;
     const uint64_t *blocks;
     const uint16_t *cw;
     const uint8_t *data;
@@ -484,7 +470,7 @@ static void *work(void *unused)
         if (!atomic_compare_exchange_strong_explicit(&state, &posted, TAKEN, memory_order_acquire,
                                                      memory_order_relaxed))
             continue; /* the caller took the job back */
-        job.absorb(job.reg, job.w, job.consts, job.blocks, job.cw, job.data, job.n);
+        job.absorb(job.reg, job.table, job.blocks, job.cw, job.data, job.n);
         set_state(IDLE);
     }
     return NULL;
@@ -516,55 +502,53 @@ static int start_worker(void)
  * n - n2 bytes, continuing reg, and this thread the last n2 = 2^j bytes from
  * zero; k is K_j.  Returns 1 if the worker ran its part, 0 if this thread
  * absorbed all n bytes. */
-static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg, size_t w,
-                        const uint64_t *consts, const uint64_t *blocks, const uint16_t *cw,
+static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg,
+                        const uint64_t *table, const uint64_t *blocks, const uint16_t *cw,
                         const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
 {
     if (pthread_mutex_trylock(&guard) == 0) {
         if (start_worker()) {
             job.absorb = absorb;
             job.reg = reg;
-            job.w = w;
-            job.consts = consts;
+            job.table = table;
             job.blocks = blocks;
             job.cw = cw;
             job.data = data;
             job.n = n - n2;
             set_state(POSTED);
-            uint64_t s[w];
+            uint64_t s[table[0]];
             memset(s, 0, sizeof s);
-            absorb(s, w, consts, blocks, cw, data + n - n2, n2);
+            absorb(s, table, blocks, cw, data + n - n2, n2);
             int posted = POSTED, split = !atomic_compare_exchange_strong_explicit(
                 &state, &posted, IDLE, memory_order_relaxed, memory_order_relaxed);
             if (split)
                 wait_for(IDLE);
             pthread_mutex_unlock(&guard);
             if (!split) /* the worker has not started: take its part back */
-                absorb(reg, w, consts, blocks, cw, data, n - n2);
-            combine(reg, w, consts, blocks, k, s);
+                absorb(reg, table, blocks, cw, data, n - n2);
+            combine(reg, table, blocks, k, s);
             return split;
         }
         pthread_mutex_unlock(&guard);
     }
     /* another caller has the worker, or it cannot start */
-    absorb(reg, w, consts, blocks, cw, data, n);
+    absorb(reg, table, blocks, cw, data, n);
     return 0;
 }
 
-int absorb_split_clmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint64_t *blocks,
+int absorb_split_clmul(uint64_t *reg, const uint64_t *table, const uint64_t *blocks,
                        const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
                        const uint64_t *k)
 {
-    return absorb_split(part_clmul, combine_clmul, reg, w, consts, blocks, cw, data, n, n2, k);
+    return absorb_split(absorb_clmul, combine_clmul, reg, table, blocks, cw, data, n, n2, k);
 }
 
 /* blocks must not be NULL: combine_vpclmul runs the block step */
-int absorb_split_vpclmul(uint64_t *reg, size_t w, const uint64_t *consts, const uint64_t *blocks,
+int absorb_split_vpclmul(uint64_t *reg, const uint64_t *table, const uint64_t *blocks,
                          const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
                          const uint64_t *k)
 {
-    return absorb_split(absorb_blocks_vpclmul, combine_vpclmul, reg, w, consts, blocks, cw, data,
-                        n, n2, k);
+    return absorb_split(absorb_vpclmul, combine_vpclmul, reg, table, blocks, cw, data, n, n2, k);
 }
 #endif
 

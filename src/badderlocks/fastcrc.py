@@ -12,8 +12,8 @@ is bit-identical to classifier.classify.
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
 - "vpclmul": C with no table, on AVX-512.  Codewords are packed into 64-bit
-  words.  A call of 4 KiB or more is reduced a block of B = 144 words
-  (1 KiB) at a time, by one Barrett step per block whose products,
+  words.  A call of one block, B = 144 words (1 KiB), or more is reduced a
+  block at a time, by one Barrett step per block whose products,
   formed with VPCLMULQDQ, do not wait on each other; the block constants
   (mu' = floor(x^(degree + 64B) / g) - x^(64B), and eight shifted copies
   of it and of g - x^degree) are built on an entry's first such call.
@@ -24,13 +24,17 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 - "native": the cycle loop above in C, one 512-row table lookup per byte.
 - "python": the same loop in Python.
 
-`_absorb.c` holds the three C loops.  The first import compiles it with
-`cc -pthread` into this package's `__pycache__`, named by a hash of the
-source, the compile command and the machine, and later imports load that
-file.  The library asks the CPU which carry-less instructions it runs: the
-vpclmul path is taken where it reports AVX-512F and VPCLMULQDQ, else the
-clmul path where it reports PCLMULQDQ, else the native path; the Python
-loop runs where the library cannot be built or loaded.
+`_absorb.c` holds the three C loops, which share one signature, (register,
+table, block constants, codeword map, data, length): the table's first word
+is the register's word count, so no call passes it, and only vpclmul reads
+the block constants, NULL for calls under one block.  The first import
+compiles it with `cc -pthread` into this package's `__pycache__`, named by
+a hash of the source, the compile command and the machine, and later
+imports load that file.  The library asks the CPU which carry-less
+instructions it runs: the vpclmul path is taken where it reports AVX-512F
+and VPCLMULQDQ, else the clmul path where it reports PCLMULQDQ, else the
+native path; the Python loop runs where the library cannot be built or
+loaded.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -73,43 +77,34 @@ _COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
 class _Kernel:
     """The compiled absorb loops and fill, typed, and the codeword maps absorb reads.
 
-    Each absorb loop is the attribute named after its path.  `vpclmul` and
-    `clmul` are None where the CPU cannot run them; `blocks` is the vpclmul
-    loop that takes whole blocks first; `split` and `combine` hold their
+    Each absorb loop is the attribute named after its path, and all three
+    take (reg, table, blocks, codewords, data, n).  `vpclmul` and `clmul` are
+    None where the CPU cannot run them; `split` and `combine` hold their
     two-thread entries and combine steps, keyed by path.
     """
 
     def __init__(self, path: Path):
         lib = ctypes.CDLL(str(path))
-        # the arrays passed are built here and in build_tables, sized for w; c_void_p
-        # converts them at half the per-call cost of typed pointers
+        # the arrays passed are built here and in build_tables, each table headed by its
+        # word count; c_void_p converts them at half the per-call cost of typed pointers
         array_p, size = ctypes.c_void_p, ctypes.c_size_t
+        loop = (array_p, array_p, array_p, array_p, ctypes.c_char_p, size)
 
-        def absorb_loop(function, *blocks):
-            function.argtypes = (array_p, size, array_p, *blocks, array_p, ctypes.c_char_p, size)
-            function.restype = None
+        def typed(name, restype, *argtypes):
+            function = getattr(lib, name)
+            function.argtypes, function.restype = argtypes, restype
             return function
 
-        self.native = absorb_loop(lib.absorb)
-        self.fill = lib.fill
-        self.fill.argtypes = (array_p, size)
-        self.fill.restype = None
-        lib.carryless.argtypes = ()
-        lib.carryless.restype = ctypes.c_int
-        level = lib.carryless()  # each carry-less loop exists only where this reaches its level
-        self.clmul = self.vpclmul = self.blocks = None
+        self.native = typed("absorb", None, *loop)
+        self.fill = typed("fill", None, array_p)
+        level = typed("carryless", ctypes.c_int)()  # each carry-less loop exists from its level
+        self.clmul = self.vpclmul = None
         self.split, self.combine = {}, {}
-        if level >= 2:  # the vpclmul loop with the block constants after the Barrett ones
-            self.blocks = absorb_loop(lib.absorb_blocks_vpclmul, array_p)
         for path in ("clmul", "vpclmul")[:level]:
-            setattr(self, path, absorb_loop(getattr(lib, f"absorb_{path}")))
-            split = self.split[path] = getattr(lib, f"absorb_split_{path}")
-            split.argtypes = (array_p, size, array_p, array_p, array_p, ctypes.c_char_p, size,
-                              size, array_p)
-            split.restype = ctypes.c_int  # 1 if split, 0 if the plain loop ran
-            combine = self.combine[path] = getattr(lib, f"combine_{path}")
-            combine.argtypes = (array_p, size, array_p, array_p, array_p, array_p)
-            combine.restype = None
+            setattr(self, path, typed(f"absorb_{path}", None, *loop))
+            # returns 1 if split, 0 if the plain loop ran
+            self.split[path] = typed(f"absorb_split_{path}", ctypes.c_int, *loop, size, array_p)
+            self.combine[path] = typed(f"combine_{path}", None, *[array_p] * 5)
         self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
 
     @cached_property
@@ -157,14 +152,14 @@ def _split_bytes() -> int:
 
 
 _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
-# the smallest chunk the vpclmul path absorbs by blocks, well above short messages (256 B
-# at most in digest-short), so they never build the block constants
-_BLOCK_BYTES = 4096
 # B, the words one block step reduces: a multiple of 9, so a block is 64B / 9 = 1024 whole
 # bytes, and at least the register's w words (67 at most).  Larger blocks spread the step's
 # fixed work, the w-by-w product and the ends of the mu' product, over more words: B = 144
 # ran 5-8% faster than B = 72 at 1744-4288 bits, and B = 216 or 288 no faster again.
 _BLOCK_WORDS = 144
+# the smallest chunk the vpclmul path absorbs by blocks: one block, well above short
+# messages (256 B at most in digest-short), so they never build the block constants
+_BLOCK_BYTES = 64 * _BLOCK_WORDS // 9
 
 
 def _to_words(value: int, w: int) -> array:
@@ -180,11 +175,13 @@ class CrcTables:
     """Precomputed reduction data for one generator g, in the form its path reads.
 
     The packed forms hold each value in `words` 64-bit words, most
-    significant word first and shifted up by 64 * words - degree bits.
+    significant word first and shifted up by 64 * words - degree bits.  On
+    the kernel paths `main` is a ctypes array whose first word is `words`,
+    which the kernel reads in place of an argument.
 
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
-    - "native": `main` is a ctypes array of those 512 rows, packed.
-    - "vpclmul" and "clmul": `main` is a ctypes array of mu (one word), then
+    - "native": `main` is `words`, then those 512 rows, packed.
+    - "vpclmul" and "clmul": `main` is `words`, mu (one word), then
       g - x^degree packed; see `_barrett_constants`.  `shifts` caches the
       packed combine constants by j; see `_shift`.  On "vpclmul", `blocks`
       holds the block constants once the first block absorb has built them;
@@ -208,7 +205,7 @@ class CrcTables:
         if self.kernel is None:
             return self.main[v]
         w = self.words
-        return self._unpack(memoryview(self.main)[v * w:(v + 1) * w])
+        return self._unpack(memoryview(self.main)[1 + v * w:1 + (v + 1) * w])
 
     def _unpack(self, buffer) -> int:
         """The value held in a buffer laid out like one packed row; undoes _to_words and the shift."""
@@ -267,36 +264,37 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
     for path in ("vpclmul", "clmul"):
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
-            consts = (ctypes.c_uint64 * (1 + w))(mu, *_to_words(low << pad, w))
+            consts = (ctypes.c_uint64 * (2 + w))(w, mu, *_to_words(low << pad, w))
             return CrcTables(e.degree, consts, _kernel, path)
-    rows = (ctypes.c_uint64 * (512 * w))()
+    rows = (ctypes.c_uint64 * (1 + 512 * w))(w)
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
-        rows[w << j:(w << j) + w] = _to_words(basis << pad, w)
-    _kernel.fill(rows, w)  # the other 503 rows, from these 9 and the zero row
+        rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
+    _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
     return CrcTables(e.degree, rows, _kernel, "native")
 
 
-def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array | None:
-    """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path; None if negative.
+def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array:
+    """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path.
 
     The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
-    r moved past 2^j bytes.  The smallest j with a nonnegative exponent is
-    reduced once here; each later K_j is the combine step squaring K_(j-1).
+    r moved past 2^j bytes.  The exponent is nonnegative for every split of
+    a chunk of 1 KiB or more: its second part is 2^j >= 512 bytes, and
+    9 * 512 > 2 * pad + d for every registry entry.  The smallest j with a
+    nonnegative exponent is reduced once here; each later K_j is the
+    combine step squaring K_(j-1).
     """
     k = tables.shifts.get(j)
     if k is None:
         w = tables.words
         pad = 64 * w - e.degree
         exponent = (9 << j) - 2 * pad - e.degree
-        if exponent < 0:
-            return None
         if 2 * exponent < 9 << j:  # K_(j-1) would have a negative exponent
             power = remainder(BitPolynomial(1 << exponent), e.generator).value
             k = (ctypes.c_uint64 * w)(*_to_words(power << pad, w))
         else:
             half = _shift(e, tables, j - 1)
             k = (ctypes.c_uint64 * w)(*half)
-            tables.kernel.combine[tables.path](k, w, tables.main, _blocks(e, tables), half,
+            tables.kernel.combine[tables.path](k, tables.main, _blocks(e, tables), half,
                                                (ctypes.c_uint64 * w)())
         tables.shifts[j] = k
     return k
@@ -356,22 +354,17 @@ class CrcEngine:
         tables = self.tables
         kernel = tables.kernel
         if kernel is not None:
-            data = bytes(data)  # no copy for bytes; c_char_p takes nothing else
             codewords = kernel.filler if filler else kernel.codewords
             n = len(data)
+            # vpclmul's block constants from one block up, so every split chunk has them for
+            # the combine, which takes the block step
+            blocks = _blocks(self.entry, tables) if n >= _BLOCK_BYTES else None
             if n >= _SPLIT_BYTES and tables.path in kernel.split:
                 n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
-                k = _shift(self.entry, tables, n2.bit_length() - 1)
-                if k is not None:  # the combine takes the block step, so both parts do too
-                    kernel.split[tables.path](self._reg, tables.words, tables.main,
-                                              _blocks(self.entry, tables), codewords, data, n,
-                                              n2, k)
-                    return
-            if n >= _BLOCK_BYTES and tables.path == "vpclmul":
-                kernel.blocks(self._reg, tables.words, tables.main, _blocks(self.entry, tables),
-                              codewords, data, n)
+                kernel.split[tables.path](self._reg, tables.main, blocks, codewords, data, n, n2,
+                                          _shift(self.entry, tables, n2.bit_length() - 1))
                 return
-            getattr(kernel, tables.path)(self._reg, tables.words, tables.main, codewords, data, n)
+            getattr(kernel, tables.path)(self._reg, tables.main, blocks, codewords, data, n)
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9
@@ -383,11 +376,14 @@ class CrcEngine:
         self._reg = reg
 
     def absorb(self, chunk: bytes) -> "CrcEngine":
-        """Run one table cycle per input byte; returns self for chaining."""
+        """Run one table cycle per byte of a bytes-like chunk; returns self for chaining."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        self._cycle(chunk, filler=False)
-        self.consumed += len(chunk)
+        # its raw bytes, whatever the item size, taken before any state changes, so a
+        # non-buffer raises TypeError first; bytes, which c_char_p takes, are not copied
+        data = chunk if type(chunk) is bytes else memoryview(chunk).tobytes()
+        self._cycle(data, filler=False)
+        self.consumed += len(data)
         return self
 
     def finish(self) -> ClassifierDigest:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -22,17 +23,15 @@ FOX = b"The quick brown fox jumps over the lazy dog"
 # the kernel's absorb loops, in the order build_tables prefers them
 KERNEL_PATHS = ("vpclmul", "clmul", "native")
 CARRYLESS_PATHS = KERNEL_PATHS[:2]
-# the chunk size from which the "-split" variants absorb on two threads
+# the chunk size from which the "-split" variants absorb on two threads: the smallest
+# split floor any code or test uses
 TEST_SPLIT_BYTES = 1024
-# the chunk size from which the "-block" variant takes the block step: one block, 1 KiB
-# (B = 144 words) for every entry
-TEST_BLOCK_BYTES = 1024
-# the block floor every other variant keeps
-BLOCK_FLOOR = fastcrc._BLOCK_BYTES
 # how long a test repeats split absorbs until the worker takes a part: a caller takes
 # back a part the worker has not started, as when the scheduler has put the worker on
 # the caller's CPU until it balances the two
 WORKER_PATIENCE_S = 10
+# the table cache of each path, kept for the whole test run
+_path_tables: dict[str, dict] = {}
 
 
 def use_path(monkeypatch, path):
@@ -42,9 +41,9 @@ def use_path(monkeypatch, path):
     first, as on a CPU the CPU check finds without them: "clmul" clears
     vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
     without a compiler.  "vpclmul-split" and "clmul-split" are those paths
-    with the two-thread floor lowered to TEST_SPLIT_BYTES, and
-    "vpclmul-block" is vpclmul with the block floor lowered to
-    TEST_BLOCK_BYTES.
+    with the two-thread floor lowered to TEST_SPLIT_BYTES.  Each path keeps
+    one table cache for the whole test run, so the block and combine
+    constants of an entry are built once.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
@@ -54,22 +53,17 @@ def use_path(monkeypatch, path):
         if path.endswith("-split"):
             path = path.removesuffix("-split")
             monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
-        elif path.endswith("-block"):
-            path = path.removesuffix("-block")
-            monkeypatch.setattr(fastcrc, "_BLOCK_BYTES", TEST_BLOCK_BYTES)
         if getattr(fastcrc._kernel, path) is None:
             pytest.skip(f"this CPU cannot run the {path} kernel")
         for faster in KERNEL_PATHS[:KERNEL_PATHS.index(path)]:
             monkeypatch.setattr(fastcrc._kernel, faster, None)
-    monkeypatch.setattr(fastcrc, "_table_cache", {})
+    monkeypatch.setattr(fastcrc, "_table_cache", _path_tables.setdefault(path, {}))
 
 
-@pytest.fixture(params=["vpclmul", "vpclmul-block", "vpclmul-split", "clmul", "clmul-split",
-                        "native", "python"])
+@pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native", "python"])
 def path(request, monkeypatch):
     """Run the test through both carry-less kernels, each also split across two
-    threads from 1 KiB and vpclmul also by blocks from one block, the table
-    kernel and the Python loop."""
+    threads from 1 KiB, the table kernel and the Python loop."""
     use_path(monkeypatch, request.param)
     return request.param
 
@@ -167,20 +161,21 @@ class TestTables:
         for e in params.registry():
             t = build_tables(e)
             mu, low = fastcrc._barrett_constants(e)
-            assert t.path == "clmul" and t.main[0] == mu
-            assert t._unpack(memoryview(t.main)[1:]) == low, e.index
+            assert t.path == "clmul" and t.main[:2] == [t.words, mu]
+            assert t._unpack(memoryview(t.main)[2:]) == low, e.index
 
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
         # K_j = x^(9 * 2^j - 2pad - d) mod g: K_j * x^(2pad + d) = x^(9 * 2^j) mod g, deg K_j < d;
-        # j0 is reduced once, the rest are squared by the kernel's combine step
+        # j0 is reduced once, the rest are squared by the kernel's combine step; a split's
+        # second part has TEST_SPLIT_BYTES // 2 bytes or more, so its exponent is never negative
         use_path(monkeypatch, kernel)
         poly = gf2poly.BitPolynomial
         for e in params.registry():
             t = build_tables(e)
             pad = 64 * t.words - e.degree
             j0 = next(j for j in range(64) if 9 << j >= 2 * pad + e.degree)
-            assert fastcrc._shift(e, t, j0 - 1) is None
+            assert 9 * (TEST_SPLIT_BYTES // 2) > 2 * pad + e.degree, e.index
             power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
             for j in range(16):
                 if j in (j0, j0 + 1, 14, 15):
@@ -224,11 +219,11 @@ class TestTables:
         e = params.entry_for_aligned_bits(1744)
         tables = build_tables(e)
         assert tables.blocks == []
-        eng = engine_init(e)
-        eng.absorb(bytes(BLOCK_FLOOR - 1)).absorb(bytes(256))
-        assert eng.tables.blocks == []
-        eng.absorb(bytes(BLOCK_FLOOR))
-        assert len(eng.tables.blocks) == 1 and eng.tables.blocks[0][0] == fastcrc._BLOCK_WORDS
+        eng = fastcrc.CrcEngine(e, tables)
+        eng.absorb(bytes(fastcrc._BLOCK_BYTES - 1)).absorb(bytes(256))
+        assert tables.blocks == []
+        eng.absorb(bytes(fastcrc._BLOCK_BYTES))
+        assert len(tables.blocks) == 1 and tables.blocks[0][0] == fastcrc._BLOCK_WORDS
 
     def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
         # a worker that never starts or a guard that is never free falls back to one
@@ -361,14 +356,14 @@ class TestEquivalence:
 class TestPaths:
     def test_matches_reference_with_random_splits(self, path):
         rng = random.Random(35)
-        block = 64 * fastcrc._BLOCK_WORDS // 9
-        edges = [block - 1, block, block + 1, BLOCK_FLOOR - 1, BLOCK_FLOOR, BLOCK_FLOOR + 1]
+        block = fastcrc._BLOCK_BYTES
+        edges = [block - 1, block, block + 1]
         for e in params.registry():
             # 64 B is exactly nine 64-bit words of codewords, no tail bits; from 1 KiB
             # the -split variants and from 16 KiB every carry-less path split a chunk;
-            # vpclmul takes the block step from one block (-block) or the floor
-            for n in dict.fromkeys([*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000, 1023, 1024,
-                                    1025, 2047, 2048, 3072, 16383, 16384, 16385, 65536, *edges]):
+            # vpclmul takes the block step from one block, 1 KiB
+            for n in dict.fromkeys([*range(18), 63, 64, 65, 71, 72, 73, 100, 128, 1000, *edges,
+                                    2047, 2048, 3072, 16383, 16384, 16385, 65536]):
                 m = rng.randbytes(n)
                 want = reference(e, m)
                 eng = engine_init(e)
@@ -381,14 +376,22 @@ class TestPaths:
                 if n >= 8:
                     assert eng.register == int.from_bytes(want, "big"), (e.index, n)
                 assert eng.finish().data == want, (e.index, n)
-                if n in edges:  # and in one call, at the block and floor edges
+                if n in edges:  # and in one call, at the block edges
                     assert engine_init(e).absorb(m).finish().data == want, (e.index, n)
 
     def test_accepts_any_bytes_like_chunk(self, path):
-        e = params.entry_for_aligned_bits(416)
-        want = classifier.classify(FOX, e).data
-        for chunk in (bytearray(FOX), memoryview(FOX)):
-            assert engine_init(e).absorb(chunk).finish().data == want
+        # a chunk is absorbed as its raw bytes, whatever its item size; a non-buffer is
+        # refused before the register or the byte count moves
+        e = params.entry_for_aligned_bits(64)
+        words = array("Q", [0x0102030405060708])
+        for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes())):
+            eng = engine_init(e).absorb(chunk)
+            assert eng.consumed == len(m)
+            assert eng.finish().data == reference(e, m)
+        eng = engine_init(e).absorb(b"abc")
+        with pytest.raises(TypeError):
+            eng.absorb(5)
+        assert (eng.register, eng.consumed) == (engine_init(e).absorb(b"abc").register, 3)
 
     def test_repr_names_entry_bytes_and_path(self, path):
         eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
@@ -534,10 +537,10 @@ class TestKernelBuild:
                              env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
         assert run.returncode == 0, run.stderr
         paths = [p for p in KERNEL_PATHS if getattr(fastcrc._kernel, p) is not None]
-        per_path = 52 + 30 * 26 + 7 * 81  # the three c2 suites, the sweep, the block edges
+        # the three c2 suites, the sweep, then the register-width and the one-block edges
+        per_path = 52 + 30 * 26 + 7 * 81 + 7 * 3
         splits = (30 * 5 + 1) * len([p for p in paths if p in CARRYLESS_PATHS])
-        blocks = 7 * 6 * ("vpclmul" in paths)  # the block step's edges
-        assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits + blocks)]
+        assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits)]
 
     def test_thread_sanitizer_finds_no_race(self, monkeypatch, tmp_path):
         # CPython does not run under an LD_PRELOADed libtsan, so a C program
@@ -557,8 +560,8 @@ class TestKernelBuild:
             e = params.entry_for_aligned_bits(bits)
             t = build_tables(e)
             k = fastcrc._shift(e, t, n2.bit_length() - 1)
-            cases.append("{%d, %d, %d, {%s}, {%s}, {%s}}" % (
-                t.words, n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k)),
+            cases.append("{%d, %d, {%s}, {%s}, {%s}}" % (
+                n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k)),
                 ", ".join(map(hex, fastcrc._block_constants(e)))))
         codewords = ", ".join(map(str, fastcrc._kernel.codewords))
         source = tmp_path / "race.c"
@@ -590,7 +593,7 @@ class TestKernelBuild:
         listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
                                  check=True).stdout
         functions = disassembly(listing)
-        for name in ("absorb_vpclmul", "absorb_blocks_vpclmul", "block_step_vpclmul"):
+        for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
         for name, instructions in functions.items():
             if "vpclmul" not in name:
@@ -662,17 +665,12 @@ for i, path in enumerate(paths):
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
-    if path == "vpclmul":  # the block step at one block +-1 (floor lowered to one block)
-        floor = fastcrc._BLOCK_BYTES  # and across the floor
-        block = 64 * fastcrc._BLOCK_WORDS // 9
-        for e in block_edges:
-            for n, fastcrc._BLOCK_BYTES in [(block + i, block) for i in (-1, 0, 1)] + \
-                                           [(floor + i, floor) for i in (-1, 0, 1)]:
-                m = rng.randbytes(n)
-                eng = fastcrc.engine_init(e).absorb(m)
-                assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
-                checked += 1
-        fastcrc._BLOCK_BYTES = floor
+    for e in block_edges:  # one call at one block +-1, where vpclmul takes the block step
+        for n in range(fastcrc._BLOCK_BYTES - 1, fastcrc._BLOCK_BYTES + 2):
+            m = rng.randbytes(n)
+            eng = fastcrc.engine_init(e).absorb(m)
+            assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
+            checked += 1
     if path in fastcrc._kernel.split:  # the two-thread entry and the combine step
         split, fastcrc._SPLIT_BYTES = fastcrc._kernel.split[path], 1024
         taken = []
@@ -702,10 +700,10 @@ print(" ".join(paths), checked)
 """
 
 
-# Two threads each run every case 40 times: a plain absorb (the word step) and
-# a split one from the same nonzero register, which must agree.  The split is
-# given the block constants, which the clmul kernel ignores.  Prints
-# mismatches, splits taken and plain loops run.
+# Two threads each run every case 40 times: a plain absorb (the word step, no
+# block constants) and a split one from the same nonzero register, which must
+# agree.  The split is given the block constants, which the clmul kernel
+# ignores.  Prints mismatches, splits taken and plain loops run.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
@@ -714,8 +712,8 @@ TSAN_PROGRAM = """
 #define MAX_BLOCKS (1 + 64 * 29) /* B = 144: copies of 19 blocks for mu', 10 for G */
 static const uint16_t codewords[256] = {%(codewords)s};
 static const struct {
-    size_t w, n, n2;
-    uint64_t consts[MAX_W + 1], k[MAX_W], blocks[MAX_BLOCKS];
+    size_t n, n2;
+    uint64_t table[MAX_W + 2], k[MAX_W], blocks[MAX_BLOCKS]; /* table: w, mu, G */
 } cases[] = {
     %(cases)s
 };
@@ -727,11 +725,11 @@ static void *run(void *seed)
     for (int round = 0; round < 40; round++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
-            size_t w = cases[c].w, start = (size_t)seed + round;
-            absorb_%(kernel)s(a, w, cases[c].consts, codewords, data, start);
+            size_t start = (size_t)seed + round;
+            absorb_%(kernel)s(a, cases[c].table, NULL, codewords, data, start);
             memcpy(b, a, sizeof a);
-            absorb_%(kernel)s(a, w, cases[c].consts, codewords, data + start, cases[c].n);
-            int took = absorb_split_%(kernel)s(b, w, cases[c].consts, cases[c].blocks, codewords,
+            absorb_%(kernel)s(a, cases[c].table, NULL, codewords, data + start, cases[c].n);
+            int took = absorb_split_%(kernel)s(b, cases[c].table, cases[c].blocks, codewords,
                                                data + start, cases[c].n, cases[c].n2, cases[c].k);
             atomic_fetch_add(took ? &split : &plain, 1);
             if (memcmp(a, b, sizeof a))
@@ -765,13 +763,11 @@ entries = st.sampled_from(params.registry())
 
 def messages(path: str, short: int = 300) -> st.SearchStrategy[bytes]:
     """0 to short bytes, which cross the 8-byte filler boundary and span many
-    cycles; on the -split variants also 1-3 KiB, past the lowered floor, and
-    on the -block variant one to three blocks."""
+    cycles; on the -split variants also 1-3 KiB, past the lowered floor, which
+    on vpclmul-split is one to three blocks."""
     small = st.binary(max_size=short)
     if path.endswith("-split"):
         return st.one_of(small, st.binary(min_size=TEST_SPLIT_BYTES, max_size=3 * 1024))
-    if path.endswith("-block"):
-        return st.one_of(small, st.binary(min_size=TEST_BLOCK_BYTES, max_size=3 * TEST_BLOCK_BYTES))
     return small
 
 
