@@ -17,6 +17,12 @@
  * PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU can
  * run.
  *
+ * The carry-less kernels read each constant once, in place, least
+ * significant word first: their table is w, mu, seven zero words, then
+ * G = (g - x^d) * x^pad zero-padded to whole blocks of eight words.  A
+ * product eight words at a time reads a constant shifted up s < 8 words by
+ * one unaligned load at offset -s, which brings in the zeros around it.
+ *
  * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
  * step, and each step's quotient waits on the last one's register.  Given
  * block constants, absorb_vpclmul first reduces whole blocks of B words
@@ -102,6 +108,7 @@ __attribute__((target("pclmul"))) static inline uint64_t quotient(uint64_t t, ui
 
 /* In the carry-less kernels the register r and G are held least significant
  * word first, so the product q * G[i] lands on words i and i + 1. */
+#define G_AT 9 /* G's offset in the table: w, mu, seven zero words, G */
 
 /* r ^= the low w words of q * G, one word at a time. */
 __attribute__((target("pclmul"))) static inline void add_multiple(uint64_t *r, const uint64_t *G,
@@ -140,7 +147,7 @@ __attribute__((target("pclmul"))) static inline void shift_add_clmul(uint64_t *r
 /* The same eight words at a time: one VPCLMULQDQ for the even words of G and
  * one for the odd, one align across the block boundary to move up a word.
  * Whole blocks are read and written: r and G have room for them, G is zero
- * past w, so words past w take no part in the low w. */
+ * past w in the table, so words past w take no part in the low w. */
 VPCLMUL static inline void shift_add_vpclmul(uint64_t *r, const uint64_t *G, size_t w,
                                              uint64_t q)
 {
@@ -167,17 +174,17 @@ typedef void shift_add_fn(uint64_t *r, const uint64_t *G, size_t w, uint64_t q);
  * the new r are formed.
  *
  * blocks, which fastcrc builds on an entry's first block absorb, holds B,
- * then eight copies of mu' (B words) and eight of G (w words), each padded
- * to whole blocks of eight words: copy s of G is G shifted up s words,
- * (w + 14) / 8 blocks long; copy s of mu' is shifted up s + lift words,
- * (B + lift + 14) / 8 blocks long, lift being 1 where B is a multiple of 8
- * and 0 elsewhere. */
+ * then mu' (B words) once: after seven zero words and lift more, lift being
+ * 1 where B is a multiple of 8 and 0 elsewhere, and zero-padded to
+ * (B + lift + 14) / 8 whole blocks of eight words from blocks + 8.  G is
+ * read from the table. */
 
 /* Blocks o_lo <= o < o_hi of the product a * c into out, eight words each;
- * a has n words and c comes as eight copies of nc blocks, the s-th shifted up
- * s words.  Word a[8i + s] times block j of copy s lands lane-aligned in
- * block i + j: the even words of each block through VPCLMULQDQ 0x00, the odd
- * ones through 0x10 and one word further up, which one valignq per block
+ * a has n words, and c is nc blocks with seven zero words below them.  Copy
+ * s of c, c shifted up s words, has its block j at c + 8j - s, one unaligned
+ * load.  Word a[8i + s] times block j of copy s lands lane-aligned in block
+ * i + j: the even words of each block through VPCLMULQDQ 0x00, the odd ones
+ * through 0x10 and one word further up, which one valignq per block
  * applies.  Block o_lo takes no odd words from the block below it, so its
  * lowest word is short unless o_lo is 0.  Two products at a time go into
  * each sum by one three-way XOR. */
@@ -194,8 +201,8 @@ VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, siz
             for (; s + 2 <= words; s += 2) {
                 __m512i t0 = _mm512_set1_epi64((long long)word[s]);
                 __m512i t1 = _mm512_set1_epi64((long long)word[s + 1]);
-                __m512i c0 = _mm512_loadu_si512(block + 8 * nc * s);
-                __m512i c1 = _mm512_loadu_si512(block + 8 * nc * (s + 1));
+                __m512i c0 = _mm512_loadu_si512(block - s);
+                __m512i c1 = _mm512_loadu_si512(block - s - 1);
                 even = _mm512_ternarylogic_epi64(even, _mm512_clmulepi64_epi128(t0, c0, 0x00),
                                                  _mm512_clmulepi64_epi128(t1, c1, 0x00), 0x96);
                 odd = _mm512_ternarylogic_epi64(odd, _mm512_clmulepi64_epi128(t0, c0, 0x10),
@@ -203,7 +210,7 @@ VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, siz
             }
             if (s < words) {
                 __m512i t = _mm512_set1_epi64((long long)word[s]);
-                __m512i copy = _mm512_loadu_si512(block + 8 * nc * s);
+                __m512i copy = _mm512_loadu_si512(block - s);
                 even = _mm512_xor_si512(even, _mm512_clmulepi64_epi128(t, copy, 0x00));
                 odd = _mm512_xor_si512(odd, _mm512_clmulepi64_epi128(t, copy, 0x10));
             }
@@ -217,17 +224,19 @@ VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, siz
 /* r = the low w words of T * x^(64w) mod g * x^pad, for T of B words of
  * which words n and up are zero; r has room for whole blocks.  lift keeps
  * word B of T * mu', the lowest that reaches Q, off the short lowest word
- * of a block. */
+ * of a block.  The low w words of Q * G read only G's first (w + 7) / 8
+ * blocks. */
 VPCLMUL __attribute__((noinline, noclone)) static void
-block_step_vpclmul(uint64_t *r, size_t w, const uint64_t *T, size_t n, const uint64_t *blocks)
+block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n,
+                   const uint64_t *blocks)
 {
-    size_t B = blocks[0], lift = B % 8 == 0, n_mu = (B + lift + 14) / 8;
+    size_t w = table[0], B = blocks[0], lift = B % 8 == 0;
     size_t o_lo = (B + lift) / 8, o_hi = (B + lift + w - 1) / 8 + 1;
     uint64_t P[8 * (o_hi - o_lo)], Q[w];
-    product_vpclmul(P, T, n, blocks + 1, n_mu, o_lo, o_hi);
+    product_vpclmul(P, T, n, blocks + 8, (B + lift + 14) / 8, o_lo, o_hi);
     for (size_t k = 0; k < w; k++)
         Q[k] = T[k] ^ P[B + lift - 8 * o_lo + k];
-    product_vpclmul(r, Q, w, blocks + 1 + 64 * n_mu, (w + 14) / 8, 0, (w + 7) / 8);
+    product_vpclmul(r, Q, w, table + G_AT, (w + 7) / 8, 0, (w + 7) / 8);
 }
 
 /* M = the codewords of 64 bytes as nine words, least significant first, the
@@ -253,26 +262,26 @@ VPCLMUL static inline void pack_vpclmul(uint64_t *M, const uint16_t *cw, const u
 
 /* Absorb one block of 64B / 9 bytes into r, the register least significant
  * word first. */
-VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, size_t w, const uint64_t *blocks,
-                                                 const uint16_t *cw, const uint8_t *data)
+VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, const uint64_t *table,
+                                                 const uint64_t *blocks, const uint16_t *cw,
+                                                 const uint8_t *data)
 {
-    size_t B = blocks[0];
+    size_t w = table[0], B = blocks[0];
     uint64_t T[B];
     for (size_t c = 0; c < B / 9; c++)
         pack_vpclmul(T + B - 9 * (c + 1), cw, data + 64 * c); /* first 64 bytes highest */
     for (size_t k = 0; k < w; k++)
         T[B - w + k] ^= r[k];
-    block_step_vpclmul(r, w, T, B, blocks);
+    block_step_vpclmul(r, table, T, B, blocks);
 }
 
-typedef void absorb_block_fn(uint64_t *r, size_t w, const uint64_t *blocks, const uint16_t *cw,
-                             const uint8_t *data);
+typedef void absorb_block_fn(uint64_t *r, const uint64_t *table, const uint64_t *blocks,
+                             const uint16_t *cw, const uint8_t *data);
 
-/* The carry-less kernels' shared loop, no table.  consts, the table past w,
- * holds mu = floor(x^(d+64) / g) - x^64, then G = (g - x^d) * x^pad in w
- * words laid out like reg; reg and G are copied into r and G_lsw least
- * significant word first.  With blocks (vpclmul only), whole blocks of
- * 64B / 9 bytes go through the block step first.  The rest of the
+/* The carry-less kernels' shared loop, no table of rows.  The table holds
+ * w, mu = floor(x^(d+64) / g) - x^64 and, from word G_AT, G; reg is copied
+ * into r least significant word first.  With blocks (vpclmul only), whole
+ * blocks of 64B / 9 bytes go through the block step first.  The rest of the
  * codewords are packed into 64-bit words c, first codeword highest.  Per
  * word, t = r[w - 1] ^ c and q = floor(t * x^d / g) = t ^ clmul_hi(t, mu)
  * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
@@ -280,19 +289,17 @@ typedef void absorb_block_fn(uint64_t *r, size_t w, const uint64_t *blocks, cons
  * w words of q * G.  A last b < 64 bits take the same step with q cut to b
  * bits and a b-bit shift in place of the word move. */
 __attribute__((target("pclmul"), always_inline)) static inline void
-absorb_carryless(uint64_t *restrict reg, size_t w, const uint64_t *restrict consts,
-                 const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n,
-                 uint64_t *restrict G_lsw, uint64_t *restrict r, shift_add_fn *shift_add,
-                 absorb_block_fn *absorb_block)
+absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const uint64_t *blocks,
+                 const uint16_t *cw, const uint8_t *data, size_t n, uint64_t *restrict r,
+                 shift_add_fn *shift_add, absorb_block_fn *absorb_block)
 {
-    const uint64_t mu = consts[0];
-    for (size_t i = 0; i < w; i++) {
-        G_lsw[i] = consts[w - i];
+    const size_t w = table[0];
+    const uint64_t mu = table[1], *G = table + G_AT;
+    for (size_t i = 0; i < w; i++)
         r[i] = reg[w - 1 - i];
-    }
     if (blocks)
         for (size_t bytes = 64 * blocks[0] / 9; n >= bytes; n -= bytes, data += bytes)
-            absorb_block(r, w, blocks, cw, data);
+            absorb_block(r, table, blocks, cw, data);
     uint64_t acc = 0; /* codeword bits not yet in a word, right-aligned */
     unsigned held = 0; /* how many: 0 to 63 */
     for (size_t k = 0; k < n; k++) {
@@ -305,14 +312,14 @@ absorb_carryless(uint64_t *restrict reg, size_t w, const uint64_t *restrict cons
         held -= 55; /* bits of c left over once the word is full: 0 to 8 */
         uint64_t q = quotient(r[w - 1] ^ (acc << (9 - held) | c >> held), mu, 64);
         acc = c & ((UINT64_C(1) << held) - 1);
-        shift_add(r, G_lsw, w, q);
+        shift_add(r, G, w, q);
     }
     if (held) {
         uint64_t q = quotient(r[w - 1] ^ acc << (64 - held), mu, held);
         for (size_t i = w - 1; i > 0; i--)
             r[i] = r[i] << held | r[i - 1] >> (64 - held);
         r[0] <<= held;
-        add_multiple(r, G_lsw, w, q);
+        add_multiple(r, G, w, q);
     }
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i];
@@ -324,9 +331,8 @@ __attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
                                                     const uint8_t *data, size_t n)
 {
     (void)blocks;
-    const size_t w = table[0];
-    uint64_t G_lsw[w], r[w];
-    absorb_carryless(reg, w, table + 1, NULL, cw, data, n, G_lsw, r, shift_add_clmul, NULL);
+    uint64_t r[table[0]];
+    absorb_carryless(reg, table, NULL, cw, data, n, r, shift_add_clmul, NULL);
 }
 
 /* Whole blocks first where blocks is not NULL, then the word step. */
@@ -334,14 +340,11 @@ VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict tab
                             const uint64_t *blocks, const uint16_t *cw, const uint8_t *data,
                             size_t n)
 {
-    const size_t w = table[0];
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
      * next word's load of r[w - 1], which cost a third of the rate at 1744 bits */
-    uint64_t G_lsw[(w + 7) & ~(size_t)7], r[(w + 7) & ~(size_t)7];
-    memset(G_lsw, 0, sizeof G_lsw);
+    uint64_t r[(table[0] + 7) & ~(size_t)7];
     memset(r, 0, sizeof r);
-    absorb_carryless(reg, w, table + 1, blocks, cw, data, n, G_lsw, r, shift_add_vpclmul,
-                     pack_and_step_vpclmul);
+    absorb_carryless(reg, table, blocks, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
 }
 
 /* reg = reg * k * x^d + s mod g, all three laid out like the register.  With
@@ -357,10 +360,8 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
 {
     (void)blocks;
     const size_t w = table[0];
-    const uint64_t *consts = table + 1;
-    uint64_t G_lsw[w], r[w], k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
+    uint64_t r[w], k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
     for (size_t i = 0; i < w; i++) {
-        G_lsw[i] = consts[w - i];
         k_lsw[i] = k[w - 1 - i];
         r[i] = 0;
     }
@@ -369,14 +370,15 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
     for (size_t i = 0; i < w; i++)
         add_multiple(p + i, k_lsw, w + 1, reg[w - 1 - i]);
     for (size_t i = 2 * w; i-- > 0;)
-        shift_add_clmul(r, G_lsw, w, quotient(r[w - 1] ^ p[i], consts[0], 64));
+        shift_add_clmul(r, table + G_AT, w, quotient(r[w - 1] ^ p[i], table[1], 64));
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];
 }
 
 /* The same on the block machinery: the product through product_vpclmul with
- * eight shifted copies of k, then fed through the block step, B words at a
- * time from the top, the product zero-extended to whole blocks.  The top
+ * one copy of k, least significant word first after seven zero words and
+ * zero-padded to whole blocks, then fed through the block step, B words at
+ * a time from the top, the product zero-extended to whole blocks.  The top
  * block holds only the product's top words, the rest of it zero. */
 VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
                              const uint64_t *blocks, const uint64_t *k, const uint64_t *s)
@@ -384,21 +386,20 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
     size_t w = table[0], B = blocks[0];
     size_t n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
     size_t words = steps * B > 8 * n_p ? steps * B : 8 * n_p;
-    uint64_t a[w], copies[64 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
-    memset(copies, 0, sizeof copies);
+    uint64_t a[w], k_lsw[7 + 8 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
+    memset(k_lsw, 0, sizeof k_lsw);
     for (size_t i = 0; i < w; i++) {
         a[i] = reg[w - 1 - i];
-        for (size_t c = 0; c < 8; c++)
-            copies[8 * n_k * c + c + i] = k[w - 1 - i];
+        k_lsw[7 + i] = k[w - 1 - i];
     }
-    product_vpclmul(p, a, w, copies, n_k, 0, n_p);
+    product_vpclmul(p, a, w, k_lsw + 7, n_k, 0, n_p);
     memset(p + 8 * n_p, 0, (words - 8 * n_p) * sizeof *p);
     memset(r, 0, sizeof r);
     for (size_t c = steps; c-- > 0;) {
         memcpy(T, p + c * B, sizeof T);
         for (size_t i = 0; i < w; i++)
             T[B - w + i] ^= r[i];
-        block_step_vpclmul(r, w, T, c + 1 < steps ? B : 2 * w - c * B, blocks);
+        block_step_vpclmul(r, table, T, c + 1 < steps ? B : 2 * w - c * B, blocks);
     }
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];

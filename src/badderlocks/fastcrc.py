@@ -15,8 +15,9 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
   words.  A call of one block, B = 144 words (1 KiB), or more is reduced a
   block at a time, by one Barrett step per block whose products,
   formed with VPCLMULQDQ, do not wait on each other; the block constants
-  (mu' = floor(x^(degree + 64B) / g) - x^(64B), and eight shifted copies
-  of it and of g - x^degree) are built on an entry's first such call.
+  (mu' = floor(x^(degree + 64B) / g) - x^(64B), stored once like every
+  carry-less constant and read shifted up s < 8 words by one load at
+  offset -s) are built on an entry's first such call.
   Shorter calls, and what follows a call's last whole block, take the
   per-word Barrett step, ceil(degree / 64) + 1 carry-less multiplies per
   word, eight of them per pair of VPCLMULQDQ instructions.
@@ -163,11 +164,18 @@ _BLOCK_BYTES = 64 * _BLOCK_WORDS // 9
 
 
 def _to_words(value: int, w: int) -> array:
-    """value as w native 64-bit words, most significant word first: the kernel's layout."""
+    """value as w native 64-bit words, most significant word first: the register's layout."""
     words = array("Q", value.to_bytes(8 * w, "big"))
     if sys.byteorder == "little":
         words.byteswap()
     return words
+
+
+def _constants(head: list[int], value: int, n: int) -> ctypes.Array:
+    """head, then value in n 64-bit words least significant first, as the carry-less kernels
+    read their constants (they run only on x86-64, which is little-endian)."""
+    words = array("Q", head) + array("Q", value.to_bytes(8 * n, "little"))
+    return (ctypes.c_uint64 * len(words)).from_buffer(words)
 
 
 @dataclass(frozen=True)
@@ -181,11 +189,12 @@ class CrcTables:
 
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
     - "native": `main` is `words`, then those 512 rows, packed.
-    - "vpclmul" and "clmul": `main` is `words`, mu (one word), then
-      g - x^degree packed; see `_barrett_constants`.  `shifts` caches the
-      packed combine constants by j; see `_shift`.  On "vpclmul", `blocks`
-      holds the block constants once the first block absorb has built them;
-      see `_block_constants`.
+    - "vpclmul" and "clmul": `main` is `words`, mu (one word), seven zero
+      words, then G = (g - x^degree) * x^pad least significant word first,
+      zero-padded to whole blocks of eight words; see `_barrett_constants`.
+      `shifts` caches the packed combine constants by j; see `_shift`.  On
+      "vpclmul", `blocks` holds the block constants once the first block
+      absorb has built them; see `_block_constants`.
     """
 
     degree: int
@@ -237,22 +246,16 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
 
 
 def _block_constants(e: GeneratorEntry) -> ctypes.Array:
-    """B, then eight copies of mu' and eight of G, as _absorb.c's block step reads them.
+    """B, then mu' = floor(x^(d + 64B) / g) - x^(64B) once, as the block step reads it.
 
-    mu' = floor(x^(d + 64B) / g) - x^(64B), in B words, and
-    G = (g - x^d) * x^pad, in w words.  Copy s is shifted up s words (mu'
-    one word more where B is a multiple of 8) and padded to whole blocks of
-    eight words, least significant word first (the block step runs only on
-    x86-64, which is little-endian).
+    mu' (B words) follows seven zero words, and one more (lift) where B is a
+    multiple of 8, and is zero-padded to (B + lift + 14) // 8 whole blocks
+    from word 8; the block step reads it shifted up s < 8 words at offset -s.
     """
-    w, b = (e.degree + 63) // 64, _BLOCK_WORDS
-    words = array("Q", [b])
-    g = _barrett_constants(e)[1] << 64 * w - e.degree
-    for value, n, lift in ((_reciprocal(e, 64 * b), b, b % 8 == 0), (g, w, 0)):
-        length = 8 * ((n + lift + 14) // 8)
-        for s in range(lift, lift + 8):
-            words.frombytes((value << 64 * s).to_bytes(8 * length, "little"))
-    return (ctypes.c_uint64 * len(words)).from_buffer(words)
+    b = _BLOCK_WORDS
+    lift = b % 8 == 0
+    mu = _reciprocal(e, 64 * b)
+    return _constants([b], mu << 64 * (7 + lift), 7 + 8 * ((b + lift + 14) // 8))
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
@@ -264,7 +267,7 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
     for path in ("vpclmul", "clmul"):
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
-            consts = (ctypes.c_uint64 * (2 + w))(w, mu, *_to_words(low << pad, w))
+            consts = _constants([w, mu], low << pad + 64 * 7, 7 + 8 * ((w + 7) // 8))
             return CrcTables(e.degree, consts, _kernel, path)
     rows = (ctypes.c_uint64 * (1 + 512 * w))(w)
     for j, basis in enumerate(reduction_basis(e.generator, 9)):

@@ -60,10 +60,6 @@ class BitPolynomial:
         return f"BitPolynomial(0x{self.value:X})"
 
 
-ZERO = BitPolynomial(0)
-ONE = BitPolynomial(1)
-
-
 def parse_hex(text: str) -> BitPolynomial:
     """Parse a big-endian hex string, whitespace permitted, into a polynomial."""
     digits = []
@@ -153,14 +149,11 @@ def compose_tgfsr(phi: BitPolynomial, n: int, m: int) -> BitPolynomial:
         raise ValueError("phi must be nonzero")
     if not 0 <= m < n:
         raise ValueError(f"require 0 <= m < n, got n={n} m={m}")
-    t = BitPolynomial((1 << n) | (1 << m))
-    # Horner evaluation from the top coefficient down.
-    acc = ZERO
+    # Horner evaluation from the top coefficient down; acc * t is two shifts
+    acc = 0
     for k in range(phi.degree, -1, -1):
-        acc = multiply(acc, t)
-        if (phi.value >> k) & 1:
-            acc ^= ONE
-    return acc
+        acc = acc << n ^ acc << m ^ (phi.value >> k & 1)
+    return BitPolynomial(acc)
 
 
 def reduction_basis(f: BitPolynomial, width: int) -> list[int]:

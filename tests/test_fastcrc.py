@@ -157,12 +157,18 @@ class TestTables:
                 assert product & ((1 << e.degree) - 1) == want, (e.index, t)
 
     def test_clmul_tables_pack_the_constants(self, monkeypatch):
+        # w, mu, seven zero words, then G = (g - x^d) * x^pad least significant word first,
+        # zero-padded to whole blocks of eight words: the kernels' shifted loads read the zeros
         use_path(monkeypatch, "clmul")
         for e in params.registry():
             t = build_tables(e)
+            w = t.words
             mu, low = fastcrc._barrett_constants(e)
-            assert t.path == "clmul" and t.main[:2] == [t.words, mu]
-            assert t._unpack(memoryview(t.main)[2:]) == low, e.index
+            assert t.path == "clmul" and t.main[:2] == [w, mu]
+            assert len(t.main) == 9 + 8 * ((w + 7) // 8), e.index
+            assert t.main[2:9] == [0] * 7 and t.main[9 + w:] == [0] * (len(t.main) - 9 - w)
+            g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
+            assert g == low << 64 * w - e.degree, e.index
 
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
@@ -200,18 +206,14 @@ class TestTables:
                 q = (t ^ gf2poly.multiply(poly(t), poly(mu)).value >> 64 * b) & low_w
                 want = gf2poly.remainder(poly(t << 64 * w), poly(e.generator.value << pad))
                 assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, e.index
-            # the packed form: B, then eight copies of mu' and of G, copy s shifted up s words
-            # (one more for mu' where B is a multiple of 8), in whole blocks of eight words
+            # the packed form: B, then mu' once, least significant word first, after seven
+            # zero words and one more where B is a multiple of 8, zero-padded to whole blocks
+            # of eight words from word 8
             words = fastcrc._block_constants(e)
-            assert words[0] == b
-            at = 1
-            for value, n, lift in ((mu, b, b % 8 == 0), (g, w, 0)):
-                length = 8 * ((n + lift + 14) // 8)
-                for s in range(8):
-                    copy = int.from_bytes(bytes(memoryview(words)[at:at + length]), "little")
-                    assert copy == value << 64 * (s + lift), (e.index, s)
-                    at += length
-            assert at == len(words)
+            lift = b % 8 == 0
+            assert words[0] == b and len(words) == 8 + 8 * ((b + lift + 14) // 8)
+            packed = int.from_bytes(bytes(memoryview(words)[1:]), "little")
+            assert packed == mu << 64 * (7 + lift), e.index
 
     def test_block_constants_are_built_on_the_first_block_absorb(self, monkeypatch):
         # short messages (digest-short's are 256 B at most) never build them
@@ -546,38 +548,43 @@ class TestKernelBuild:
         # CPython does not run under an LD_PRELOADed libtsan, so a C program
         # includes the kernel source and calls the split entry from two threads
         kernel = first_carryless_path(monkeypatch)
-        probe = tmp_path / "probe.c"
-        probe.write_text("int main(void) { return 0; }\n")
-        built = subprocess.run(["cc", "-fsanitize=thread", "-o", str(tmp_path / "probe"),
-                                str(probe)], capture_output=True)
-        if built.returncode or subprocess.run([str(tmp_path / "probe")]).returncode:
-            pytest.skip("no working ThreadSanitizer (libtsan) here")
         # every part of 1 KiB (one block) or more takes the block step on vpclmul; in the
         # last case the worker's part is under one block
         cases = []
         for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192),
                             (2784, 30000, 8192), (416, 3000, 1024)):
-            e = params.entry_for_aligned_bits(bits)
-            t = build_tables(e)
-            k = fastcrc._shift(e, t, n2.bit_length() - 1)
-            cases.append("{%d, %d, {%s}, {%s}, {%s}}" % (
-                n, n2, ", ".join(map(hex, t.main)), ", ".join(map(hex, k)),
-                ", ".join(map(hex, fastcrc._block_constants(e)))))
-        codewords = ", ".join(map(str, fastcrc._kernel.codewords))
-        source = tmp_path / "race.c"
-        source.write_text(TSAN_PROGRAM % {"kernel": kernel, "codewords": codewords,
-                                           "cases": ",\n    ".join(cases)})
-        program = tmp_path / "race"
-        build = subprocess.run(
-            ["cc", "-O1", "-g", "-fsanitize=thread", "-pthread", "-Wall", "-Wextra", "-Werror",
-             "-I", str(fastcrc._SOURCE.parent), "-o", str(program), str(source)],
-            capture_output=True, text=True)
-        assert build.returncode == 0, build.stderr
-        run = subprocess.run([str(program)], capture_output=True, text=True, timeout=600)
-        assert "ThreadSanitizer" not in run.stderr, run.stderr
-        assert run.returncode == 0, run.stdout + run.stderr
+            table, k, blocks = kernel_constants(params.entry_for_aligned_bits(bits), n2)
+            cases.append("{%d, %d, %s, %s, %s}" % (n, n2, c_words(table), c_words(k),
+                                                    c_words(blocks)))
+        run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
+            "kernel": kernel, "codewords": c_words(fastcrc._kernel.codewords),
+            "cases": ",\n    ".join(cases)})
         mismatches, split, plain = map(int, run.stdout.split())
         assert mismatches == 0 and split > 0 and split + plain == 2 * len(cases) * 40
+
+    def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
+        # the kernels load whole blocks of eight words, up to seven words below each
+        # constant and past its last word; a C program copies each constant, the message
+        # and the register into buffers of exactly their size, so any such load past
+        # what fastcrc builds is a heap-buffer-overflow
+        first_carryless_path(monkeypatch)
+        m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
+        cases = []
+        for bits in (64, 416, 512, 608, 1744, 2784, 4288):
+            e = params.entry_for_aligned_bits(bits)
+            table, k, blocks = kernel_constants(e, ASAN_SPLIT_PART)
+            pad = 64 * table[0] - e.degree
+            want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad,
+                                      table[0]) for n in ASAN_LENGTHS]
+            cases.append("{%d, %d, %s, %s, %s, {%s}}" % (
+                len(table), len(blocks), c_words(table), c_words(k), c_words(blocks),
+                ", ".join(map(c_words, want))))
+        run = sanitized_program(tmp_path, "address", ASAN_PROGRAM % {
+            "codewords": c_words(fastcrc._kernel.codewords), "message": c_words(m),
+            "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
+            "cases": ",\n    ".join(cases)})
+        mismatches, runs = map(int, run.stdout.split())
+        assert mismatches == 0 and runs == 3 * len(cases) * len(fastcrc._kernel.split)
 
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
@@ -600,6 +607,40 @@ class TestKernelBuild:
                 assert not [i for i in instructions if avx512(i)], name
         for name in ("absorb", "fill"):
             assert not [i for i in functions[name] if "pclmul" in i[1]], name
+
+
+def kernel_constants(e, n2: int):
+    """e's carry-less table, K_j for a second part of n2 = 2^j bytes and its block
+    constants, as fastcrc builds them for the kernels."""
+    t = build_tables(e)
+    return t.main, fastcrc._shift(e, t, n2.bit_length() - 1), fastcrc._block_constants(e)
+
+
+def c_words(words) -> str:
+    """A C initializer for an array of integers."""
+    return "{%s}" % ", ".join(map(hex, words))
+
+
+def sanitized_program(tmp_path, sanitizer: str, source: str) -> subprocess.CompletedProcess:
+    """Build a C program that includes the kernel source under -fsanitize=sanitizer and
+    run it; skip where that sanitizer does not build or run here."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-o", str(tmp_path / "probe"),
+                            str(probe)], capture_output=True)
+    if built.returncode or subprocess.run([str(tmp_path / "probe")]).returncode:
+        pytest.skip(f"no working -fsanitize={sanitizer} here")
+    (tmp_path / "program.c").write_text(source)
+    program = tmp_path / "program"
+    build = subprocess.run(
+        ["cc", "-O1", "-g", f"-fsanitize={sanitizer}", "-pthread", "-Wall", "-Wextra", "-Werror",
+         "-I", str(fastcrc._SOURCE.parent), "-o", str(program), str(tmp_path / "program.c")],
+        capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    run = subprocess.run([str(program)], capture_output=True, text=True, timeout=600)
+    assert "Sanitizer" not in run.stderr, run.stderr
+    assert run.returncode == 0, run.stdout + run.stderr
+    return run
 
 
 def disassembly(listing: str) -> dict[str, list[tuple[bytes, str]]]:
@@ -709,11 +750,12 @@ TSAN_PROGRAM = """
 #include <stdio.h>
 
 #define MAX_W 67
-#define MAX_BLOCKS (1 + 64 * 29) /* B = 144: copies of 19 blocks for mu', 10 for G */
-static const uint16_t codewords[256] = {%(codewords)s};
+#define MAX_TABLE (9 + 72) /* w, mu, seven zero words, G in whole blocks of eight words */
+#define MAX_BLOCKS (8 + 8 * 19) /* B = 144: B, eight zero words, mu' in 19 blocks */
+static const uint16_t codewords[256] = %(codewords)s;
 static const struct {
     size_t n, n2;
-    uint64_t table[MAX_W + 2], k[MAX_W], blocks[MAX_BLOCKS]; /* table: w, mu, G */
+    uint64_t table[MAX_TABLE], k[MAX_W], blocks[MAX_BLOCKS];
 } cases[] = {
     %(cases)s
 };
@@ -750,6 +792,76 @@ int main(void)
         pthread_join(threads[i], NULL);
     printf("%%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&split), atomic_load(&plain));
     return atomic_load(&mismatches) != 0;
+}
+"""
+
+
+# The lengths the AddressSanitizer program absorbs on each carry-less kernel: by the
+# word step alone (no block constants), by the block step (two blocks and a tail) and
+# on two threads, the second part ASAN_SPLIT_PART bytes (two blocks each side).
+ASAN_LENGTHS = (1100, 3000, 5000)
+ASAN_SPLIT_PART = 2048
+
+# Each case's table, block constants, K_j, message and register are copied into
+# buffers of exactly their size.  Prints mismatches against the reference and
+# absorbs run.
+ASAN_PROGRAM = """
+#include "_absorb.c"
+#include <stdio.h>
+#include <stdlib.h>
+
+#define MAX_W 67
+#define MAX_TABLE (9 + 72)
+#define MAX_BLOCKS (8 + 8 * 19)
+static const uint16_t codewords[256] = %(codewords)s;
+static const uint8_t message[] = %(message)s;
+static const size_t lengths[3] = {%(lengths)s};
+static const struct {
+    size_t table_words, block_words;
+    uint64_t table[MAX_TABLE], k[MAX_W], blocks[MAX_BLOCKS], want[3][MAX_W];
+} cases[] = {
+    %(cases)s
+};
+
+static void *exactly(const void *from, size_t bytes)
+{
+    void *to = malloc(bytes);
+    memcpy(to, from, bytes);
+    return to;
+}
+
+int main(void)
+{
+    absorb_fn *absorbs[] = {absorb_clmul, absorb_vpclmul};
+    int (*splits[])(uint64_t *, const uint64_t *, const uint64_t *, const uint16_t *,
+                    const uint8_t *, size_t, size_t, const uint64_t *) = {
+        absorb_split_clmul, absorb_split_vpclmul};
+    int mismatches = 0, runs = 0;
+    for (int kernel = 0; kernel < carryless(); kernel++)
+        for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
+            size_t w = cases[c].table[0];
+            uint64_t *table = exactly(cases[c].table, cases[c].table_words * 8);
+            uint64_t *blocks = exactly(cases[c].blocks, cases[c].block_words * 8);
+            uint64_t *k = exactly(cases[c].k, w * 8);
+            for (int run = 0; run < 3; run++) {
+                uint8_t *data = exactly(message, lengths[run]);
+                uint64_t *reg = calloc(w, 8);
+                if (run < 2)
+                    absorbs[kernel](reg, table, run ? blocks : NULL, codewords, data,
+                                    lengths[run]);
+                else
+                    splits[kernel](reg, table, blocks, codewords, data, lengths[run], %(part)d, k);
+                mismatches += memcmp(reg, cases[c].want[run], w * 8) != 0;
+                runs++;
+                free(reg);
+                free(data);
+            }
+            free(k);
+            free(blocks);
+            free(table);
+        }
+    printf("%%d %%d\\n", mismatches, runs);
+    return mismatches != 0;
 }
 """
 
