@@ -1,4 +1,6 @@
-/* Native direct-form absorb loops for badderlocks.fastcrc, loaded through ctypes.
+/* Native direct-form absorb loops for badderlocks.fastcrc, which calls them
+ * through the extension module _absorbmodule.c; that file includes this one,
+ * which stays plain C for the sanitizer programs that include it too.
  *
  * A degree-d register is passed in w = ceil(d / 64) words, most significant
  * word first, shifted up by pad = 64w - d bits so its top 9 bits are bits

@@ -26,16 +26,19 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 - "python": the same loop in Python.
 
 `_absorb.c` holds the three C loops, which share one signature, (register,
-table, block constants, codeword map, data, length): the table's first word
-is the register's word count, so no call passes it, and only vpclmul reads
-the block constants, NULL for calls under one block.  The first import
-compiles it with `cc -pthread` into this package's `__pycache__`, named by
-a hash of the source, the compile command and the machine, and later
-imports load that file.  The library asks the CPU which carry-less
-instructions it runs: the vpclmul path is taken where it reports AVX-512F
-and VPCLMULQDQ, else the clmul path where it reports PCLMULQDQ, else the
-native path; the Python loop runs where the library cannot be built or
-loaded.
+table, block constants, codeword map, data): the table's first word is the
+register's word count, so no call passes it, and only vpclmul reads the
+block constants, None for calls under one block.  `_absorbmodule.c`
+includes it and makes it a CPython extension module whose functions take
+these as buffers, check their sizes before writing a word, and release the
+GIL for chunks of 4 KiB or more.  The first import compiles the module with
+`cc -pthread` and the interpreter's `Python.h` into this package's
+`__pycache__`, named by a hash of both sources, the compile command, the
+machine and the interpreter's extension suffix, and later imports load
+that file.  The module asks the CPU which carry-less instructions it runs:
+the vpclmul path is taken where it reports AVX-512F and VPCLMULQDQ, else
+the clmul path where it reports PCLMULQDQ, else the native path; the Python
+loop runs where the module cannot be built or imported.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -53,10 +56,12 @@ thread, and every path gives the same digest.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import sys
+import sysconfig
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,58 +75,51 @@ from .sbox import FILLER, codeword_table
 __all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 
 _PACKAGE = Path(__file__).parent
-_SOURCE = _PACKAGE / "_absorb.c"
+_SOURCES = (_PACKAGE / "_absorbmodule.c", _PACKAGE / "_absorb.c")  # the first includes the second
 # no -march=native: the cached file must stay valid if the checkout moves to another host
 _COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
 
 
 class _Kernel:
-    """The compiled absorb loops and fill, typed, and the codeword maps absorb reads.
+    """The extension module's absorb loops, fill and digest, and the codeword maps absorb reads.
 
     Each absorb loop is the attribute named after its path, and all three
-    take (reg, table, blocks, codewords, data, n).  `vpclmul` and `clmul` are
+    take (reg, table, blocks, codewords, data).  `vpclmul` and `clmul` are
     None where the CPU cannot run them; `split` and `combine` hold their
     two-thread entries and combine steps, keyed by path.
     """
 
     def __init__(self, path: Path):
-        lib = ctypes.CDLL(str(path))
-        # the arrays passed are built here and in build_tables, each table headed by its
-        # word count; c_void_p converts them at half the per-call cost of typed pointers
-        array_p, size = ctypes.c_void_p, ctypes.c_size_t
-        loop = (array_p, array_p, array_p, array_p, ctypes.c_char_p, size)
-
-        def typed(name, restype, *argtypes):
-            function = getattr(lib, name)
-            function.argtypes, function.restype = argtypes, restype
-            return function
-
-        self.native = typed("absorb", None, *loop)
-        self.fill = typed("fill", None, array_p)
-        level = typed("carryless", ctypes.c_int)()  # each carry-less loop exists from its level
+        name = "badderlocks._absorb"
+        loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+        self.native, self.fill, self.digest = module.absorb, module.fill, module.digest
         self.clmul = self.vpclmul = None
         self.split, self.combine = {}, {}
-        for path in ("clmul", "vpclmul")[:level]:
-            setattr(self, path, typed(f"absorb_{path}", None, *loop))
-            # returns 1 if split, 0 if the plain loop ran
-            self.split[path] = typed(f"absorb_split_{path}", ctypes.c_int, *loop, size, array_p)
-            self.combine[path] = typed(f"combine_{path}", None, *[array_p] * 5)
-        self.filler = (ctypes.c_uint16 * 1)(FILLER)  # zero bytes index it, as in the Python loop
+        for path in ("clmul", "vpclmul")[:module.carryless()]:  # each exists from its level
+            setattr(self, path, getattr(module, f"absorb_{path}"))
+            # returns True if split, False if the plain loop ran
+            self.split[path] = getattr(module, f"absorb_split_{path}")
+            self.combine[path] = getattr(module, f"combine_{path}")
+        self.filler = array("H", [FILLER]) * 256  # every byte maps to FILLER
 
     @cached_property
-    def codewords(self) -> ctypes.Array:
+    def codewords(self) -> array:
         # built on first absorb, like the S-box table it copies, so set-up does not pay for it
-        return (ctypes.c_uint16 * 256)(*codeword_table().entries)
+        return array("H", codeword_table().entries)
 
 
 def _compile(command: list[str], path: Path) -> bool:
-    """Build the kernel at path; a temporary name keeps a half-written file from being loaded."""
+    """Build the module at path; a temporary name keeps a half-written file from being loaded."""
     import subprocess  # only a cache miss pays for it
 
     path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        if subprocess.run([*command, "-o", str(tmp), str(_SOURCE)], capture_output=True).returncode:
+        if subprocess.run([*command, "-o", str(tmp), str(_SOURCES[0])],
+                          capture_output=True).returncode:
             return False
         os.replace(tmp, path)
         return True
@@ -129,17 +127,22 @@ def _compile(command: list[str], path: Path) -> bool:
         tmp.unlink(missing_ok=True)
 
 
-def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc") -> _Kernel | None:
-    """The compiled kernel, built into cache_dir unless already there; None if that fails."""
+def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
+                 include: str = sysconfig.get_paths()["include"]) -> _Kernel | None:
+    """The compiled module, built into cache_dir against include's Python.h unless already
+    there; None if that fails."""
     try:
-        command = [cc, *_COMPILE]
-        key = b"\0".join([_SOURCE.read_bytes(), " ".join(command).encode(),
-                          os.uname().machine.encode()])
-        path = cache_dir / f"_absorb-{hashlib.sha256(key).hexdigest()[:16]}.so"
+        command = [cc, *_COMPILE, "-I", include]
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
+        key = b"\0".join([*(source.read_bytes() for source in _SOURCES),
+                          " ".join(command).encode(), os.uname().machine.encode(),
+                          suffix.encode()])
+        path = cache_dir / f"_absorb-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
         if not path.is_file() and not _compile(command, path):
             return None
         return _Kernel(path)
-    except (OSError, AttributeError):  # no compiler, unwritable directory, dlopen or symbol error
+    # no compiler or Python.h, an unwritable directory, or a file that does not import
+    except (OSError, ImportError):
         return None
 
 
@@ -165,17 +168,14 @@ _BLOCK_BYTES = 64 * _BLOCK_WORDS // 9
 
 def _to_words(value: int, w: int) -> array:
     """value as w native 64-bit words, most significant word first: the register's layout."""
-    words = array("Q", value.to_bytes(8 * w, "big"))
-    if sys.byteorder == "little":
-        words.byteswap()
-    return words
+    mask = (1 << 64) - 1
+    return array("Q", [value >> shift & mask for shift in range(64 * (w - 1), -1, -64)])
 
 
-def _constants(head: list[int], value: int, n: int) -> ctypes.Array:
+def _constants(head: list[int], value: int, n: int) -> array:
     """head, then value in n 64-bit words least significant first, as the carry-less kernels
     read their constants (they run only on x86-64, which is little-endian)."""
-    words = array("Q", head) + array("Q", value.to_bytes(8 * n, "little"))
-    return (ctypes.c_uint64 * len(words)).from_buffer(words)
+    return array("Q", head) + array("Q", value.to_bytes(8 * n, "little"))
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class CrcTables:
 
     The packed forms hold each value in `words` 64-bit words, most
     significant word first and shifted up by 64 * words - degree bits.  On
-    the kernel paths `main` is a ctypes array whose first word is `words`,
+    the kernel paths `main` is an array("Q") whose first word is `words`,
     which the kernel reads in place of an argument.
 
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
@@ -198,30 +198,16 @@ class CrcTables:
     """
 
     degree: int
-    main: tuple[int, ...] | ctypes.Array
+    main: tuple[int, ...] | array
     kernel: _Kernel | None = None
     path: str = "python"
-    shifts: dict[int, ctypes.Array] = field(default_factory=dict, compare=False, repr=False)
-    blocks: list[ctypes.Array] = field(default_factory=list, compare=False, repr=False)
+    shifts: dict[int, array] = field(default_factory=dict, compare=False, repr=False)
+    blocks: list[array] = field(default_factory=list, compare=False, repr=False)
 
-    @property
+    @cached_property  # each engine's register is sized by it
     def words(self) -> int:
         """64-bit words per packed row, and per kernel register: ceil(degree / 64)."""
         return (self.degree + 63) // 64
-
-    def row(self, v: int) -> int:
-        """Row v as an int, from a "python" or "native" table."""
-        if self.kernel is None:
-            return self.main[v]
-        w = self.words
-        return self._unpack(memoryview(self.main)[1 + v * w:1 + (v + 1) * w])
-
-    def _unpack(self, buffer) -> int:
-        """The value held in a buffer laid out like one packed row; undoes _to_words and the shift."""
-        words = array("Q", bytes(buffer))
-        if sys.byteorder == "little":
-            words.byteswap()
-        return int.from_bytes(words, "big") >> (64 * self.words - self.degree)
 
 
 def _reciprocal(e: GeneratorEntry, bits: int) -> int:
@@ -245,7 +231,7 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
     return _reciprocal(e, 64), e.generator.value ^ 1 << e.degree
 
 
-def _block_constants(e: GeneratorEntry) -> ctypes.Array:
+def _block_constants(e: GeneratorEntry) -> array:
     """B, then mu' = floor(x^(d + 64B) / g) - x^(64B) once, as the block step reads it.
 
     mu' (B words) follows seven zero words, and one more (lift) where B is a
@@ -269,14 +255,15 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
             mu, low = _barrett_constants(e)
             consts = _constants([w, mu], low << pad + 64 * 7, 7 + 8 * ((w + 7) // 8))
             return CrcTables(e.degree, consts, _kernel, path)
-    rows = (ctypes.c_uint64 * (1 + 512 * w))(w)
+    rows = array("Q", bytes(8 * (1 + 512 * w)))
+    rows[0] = w
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
         rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
     _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
     return CrcTables(e.degree, rows, _kernel, "native")
 
 
-def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array:
+def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
     """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path.
 
     The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
@@ -293,17 +280,17 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> ctypes.Array:
         exponent = (9 << j) - 2 * pad - e.degree
         if 2 * exponent < 9 << j:  # K_(j-1) would have a negative exponent
             power = remainder(BitPolynomial(1 << exponent), e.generator).value
-            k = (ctypes.c_uint64 * w)(*_to_words(power << pad, w))
+            k = _to_words(power << pad, w)
         else:
             half = _shift(e, tables, j - 1)
-            k = (ctypes.c_uint64 * w)(*half)
+            k = array("Q", half)
             tables.kernel.combine[tables.path](k, tables.main, _blocks(e, tables), half,
-                                               (ctypes.c_uint64 * w)())
+                                               array("Q", bytes(8 * w)))
         tables.shifts[j] = k
     return k
 
 
-def _blocks(e: GeneratorEntry, tables: CrcTables) -> ctypes.Array | None:
+def _blocks(e: GeneratorEntry, tables: CrcTables) -> array | None:
     """The block constants on the vpclmul path, built on first use; None on the other paths."""
     if tables.path != "vpclmul":
         return None
@@ -335,13 +322,11 @@ class CrcEngine:
         self.consumed = 0
         self._finished = False
         # an int for the Python loop; for the kernel, words laid out like a table row
-        self._reg = 0 if tables.kernel is None else (ctypes.c_uint64 * tables.words)()
+        self._reg = 0 if tables.kernel is None else bytearray(8 * tables.words)
 
     @property
     def register(self) -> int:
-        if self.tables.kernel is None:
-            return self._reg
-        return self.tables._unpack(self._reg)
+        return int.from_bytes(self._digest(), "big")
 
     @property
     def path(self) -> str:
@@ -352,22 +337,22 @@ class CrcEngine:
         return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
                 f"consumed={self.consumed} path={self.path}>")
 
-    def _cycle(self, data: bytes, filler: bool) -> None:
-        """Append one codeword per byte of data: its S-box codeword, or FILLER for every byte."""
+    def _cycle(self, data, n: int, filler: bool) -> None:
+        """Append one codeword per byte of data's n bytes: its S-box codeword, or FILLER for
+        every byte.  data is bytes, or on the kernel paths any contiguous buffer."""
         tables = self.tables
         kernel = tables.kernel
         if kernel is not None:
             codewords = kernel.filler if filler else kernel.codewords
-            n = len(data)
             # vpclmul's block constants from one block up, so every split chunk has them for
             # the combine, which takes the block step
             blocks = _blocks(self.entry, tables) if n >= _BLOCK_BYTES else None
             if n >= _SPLIT_BYTES and tables.path in kernel.split:
                 n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
-                kernel.split[tables.path](self._reg, tables.main, blocks, codewords, data, n, n2,
+                kernel.split[tables.path](self._reg, tables.main, blocks, codewords, data, n2,
                                           _shift(self.entry, tables, n2.bit_length() - 1))
                 return
-            getattr(kernel, tables.path)(self._reg, tables.main, blocks, codewords, data, n)
+            getattr(kernel, tables.path)(self._reg, tables.main, blocks, codewords, data)
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9
@@ -378,15 +363,28 @@ class CrcEngine:
             reg = ((reg & low_mask) << 9) ^ main[(reg >> shift) ^ codewords[byte]]
         self._reg = reg
 
+    def _digest(self) -> bytes:
+        """The register as the entry's byte-aligned digest, big-endian."""
+        size = self.entry.aligned_bits // 8
+        if self.tables.kernel is None:
+            return self._reg.to_bytes(size, "big")
+        return self.tables.kernel.digest(self._reg, self.entry.degree, size)
+
     def absorb(self, chunk: bytes) -> "CrcEngine":
         """Run one table cycle per byte of a bytes-like chunk; returns self for chaining."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        # its raw bytes, whatever the item size, taken before any state changes, so a
-        # non-buffer raises TypeError first; bytes, which c_char_p takes, are not copied
-        data = chunk if type(chunk) is bytes else memoryview(chunk).tobytes()
-        self._cycle(data, filler=False)
-        self.consumed += len(data)
+        if type(chunk) is bytes:
+            n = len(chunk)
+        else:
+            # its raw bytes, whatever the item size, read in place by the kernel where they are
+            # contiguous; a non-buffer raises TypeError here, before any state changes
+            view = memoryview(chunk)
+            n = view.nbytes
+            if not view.c_contiguous or self.tables.kernel is None:
+                chunk = view.tobytes()
+        self._cycle(chunk, n, filler=False)
+        self.consumed += n
         return self
 
     def finish(self) -> ClassifierDigest:
@@ -395,10 +393,9 @@ class CrcEngine:
             raise RuntimeError("engine already finished")
         self._finished = True
         if self.consumed < 8:
-            # zero bytes index the one-entry filler map: one FILLER cycle each
-            self._cycle(bytes(8 - self.consumed), filler=True)
-        return ClassifierDigest(self.register.to_bytes(self.entry.aligned_bits // 8, "big"),
-                                self.entry)
+            # zero bytes, one FILLER cycle each
+            self._cycle(bytes(8 - self.consumed), 8 - self.consumed, filler=True)
+        return ClassifierDigest(self._digest(), self.entry)
 
 
 def engine_init(e: GeneratorEntry) -> CrcEngine:

@@ -48,6 +48,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             ClassifierDigest(b"\x00" * 7, e)
 
+    def test_digest_equality_and_hex(self):
+        # the engine and the reference build the same type, compared by data and entry
+        e, f = params.entry_for_aligned_bits(64), params.entry_for_aligned_bits(128)
+        d = classify(FOX, e)
+        assert d == fastcrc.engine_init(e).absorb(FOX).finish()
+        assert hash(d) == hash(ClassifierDigest(bytes(d.data), e))
+        assert d != ClassifierDigest(bytes(8), e) and d != classify(FOX, f) and d != d.data
+        assert d.hex() == "4A0B6AAA2BA80913"
+
     def test_crc_linear_over_expanded_domain(self):
         # the CRC stage is linear even though the byte-level classifier is not
         rng = random.Random(21)

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import random
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 from array import array
@@ -18,6 +20,7 @@ from badderlocks import classifier, fastcrc, gf2poly, params, sbox
 from badderlocks.fastcrc import build_tables, engine_init
 
 FOX = b"The quick brown fox jumps over the lazy dog"
+PYTHON_INCLUDE = sysconfig.get_paths()["include"]  # where the module's build finds Python.h
 
 
 # the kernel's absorb loops, in the order build_tables prefers them
@@ -124,11 +127,26 @@ def row_forms(e):
     return forms
 
 
+def value(t, words) -> int:
+    """The value held in words laid out like t's register: the kernel's digest of them."""
+    return int.from_bytes(t.kernel.digest(words, t.degree, 8 * t.words), "big")
+
+
+def row(t, v: int) -> int:
+    """Row v of a "python" or "native" table; on "native" the register one cycle takes from
+    zero with codeword v, which every byte maps to."""
+    if t.kernel is None:
+        return t.main[v]
+    reg = bytearray(8 * t.words)
+    t.kernel.native(reg, t.main, None, array("H", [v]) * 256, b"\0")
+    return value(t, reg)
+
+
 class TestTables:
     def test_row_zero_is_zero(self):
         for e in params.registry()[:5]:
             for t in row_forms(e):
-                assert t.row(0) == 0
+                assert row(t, 0) == 0
 
     def test_rows_match_remainder_oracle(self):
         # degree 63 fits one word; degree 1740 spans 28 words, 52 bits of padding
@@ -140,7 +158,7 @@ class TestTables:
                 for v in rows:
                     expected = gf2poly.remainder(
                         gf2poly.BitPolynomial(v << e.degree), e.generator)
-                    assert t.row(v) == expected.value, (bits, t.path, v)
+                    assert row(t, v) == expected.value, (bits, t.path, v)
 
     def test_barrett_constants_reduce_a_word(self):
         # t * x^d mod g == low d bits of q * (g - x^d), q = t ^ (t * mu >> 64)
@@ -164,9 +182,10 @@ class TestTables:
             t = build_tables(e)
             w = t.words
             mu, low = fastcrc._barrett_constants(e)
-            assert t.path == "clmul" and t.main[:2] == [w, mu]
+            assert t.path == "clmul" and t.main[:2].tolist() == [w, mu]
             assert len(t.main) == 9 + 8 * ((w + 7) // 8), e.index
-            assert t.main[2:9] == [0] * 7 and t.main[9 + w:] == [0] * (len(t.main) - 9 - w)
+            assert t.main[2:9].tolist() == [0] * 7
+            assert t.main[9 + w:].tolist() == [0] * (len(t.main) - 9 - w)
             g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
             assert g == low << 64 * w - e.degree, e.index
 
@@ -185,7 +204,7 @@ class TestTables:
             power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
             for j in range(16):
                 if j in (j0, j0 + 1, 14, 15):
-                    k = t._unpack(fastcrc._shift(e, t, j))
+                    k = value(t, fastcrc._shift(e, t, j))
                     assert k >> e.degree == 0, (e.index, j)
                     moved = gf2poly.remainder(poly(k << 2 * pad + e.degree), e.generator)
                     assert moved == power, (e.index, j)
@@ -381,15 +400,26 @@ class TestPaths:
                 if n in edges:  # and in one call, at the block edges
                     assert engine_init(e).absorb(m).finish().data == want, (e.index, n)
 
-    def test_accepts_any_bytes_like_chunk(self, path):
-        # a chunk is absorbed as its raw bytes, whatever its item size; a non-buffer is
-        # refused before the register or the byte count moves
+    def test_accepts_any_bytes_like_chunk(self, path, monkeypatch):
+        # a chunk is absorbed as its raw bytes, whatever its item size, and a contiguous one
+        # reaches the kernel as it is, not copied; a non-buffer is refused before the
+        # register or the byte count moves
         e = params.entry_for_aligned_bits(64)
+        received = []
+        loop = path.partition("-")[0]
+        if path != "python":
+            kernel_loop = getattr(fastcrc._kernel, loop)
+            monkeypatch.setattr(fastcrc._kernel, loop,
+                                lambda *args: received.append(args[4]) or kernel_loop(*args))
         words = array("Q", [0x0102030405060708])
-        for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes())):
+        for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes()),
+                         (memoryview(FOX)[::2], FOX[::2])):
             eng = engine_init(e).absorb(chunk)
             assert eng.consumed == len(m)
             assert eng.finish().data == reference(e, m)
+            if received:
+                contiguous = memoryview(chunk).c_contiguous
+                assert (received[-1] is chunk) == contiguous, (path, type(chunk))
         eng = engine_init(e).absorb(b"abc")
         with pytest.raises(TypeError):
             eng.absorb(5)
@@ -479,19 +509,148 @@ class TestThreads:
         assert engine_init(e).absorb(m).finish().data == want
         assert taken == []
 
+    @pytest.mark.parametrize("kernel", KERNEL_PATHS)
+    def test_large_absorb_releases_the_gil(self, monkeypatch, kernel):
+        # a Python loop on a second thread stamps the time while the first is inside one
+        # 4 MiB absorb.  A switch interval longer than the test keeps the GIL with the
+        # absorbing thread unless the call itself gives it up, and the loop sleeps between
+        # stamps, so two stamps inside one call show it did
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may run on one CPU only")
+        use_path(monkeypatch, kernel)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", sys.maxsize)  # leave a CPU to the loop
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(46).randbytes(4 << 20)
+        engine_init(e).absorb(m[:fastcrc._BLOCK_BYTES])  # block constants, outside the call
+        stamps, done, calls = [], threading.Event(), []
+
+        def stamp():
+            while not done.is_set():
+                stamps.append(time.monotonic())
+                time.sleep(1e-4)
+
+        def inside():
+            return max((sum(start < t < end for t in stamps) for start, end in calls), default=0)
+
+        thread = threading.Thread(target=stamp)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(10 * WORKER_PATIENCE_S)
+        try:
+            thread.start()
+            deadline = time.monotonic() + WORKER_PATIENCE_S
+            while inside() < 2 and time.monotonic() < deadline:
+                start = time.monotonic()
+                engine_init(e).absorb(m)
+                calls.append((start, time.monotonic()))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert inside() >= 2, kernel
+
+
+@pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native"])
+def kernel_path(request, monkeypatch):
+    """The path fixture's variants that call the extension module."""
+    use_path(monkeypatch, request.param)
+    return request.param
+
+
+class TestBinding:
+    @pytest.mark.parametrize("case", ["short register", "long register", "read-only register",
+                                      "short table", "non-buffer chunk"])
+    def test_bad_input_raises_before_any_write(self, kernel_path, case):
+        # the module checks every buffer before it writes a word: a register too short for
+        # the table's word count sits between guard words that must stay zero; 5,000 bytes
+        # take the block step on vpclmul and the split entry on the -split variants
+        e = params.entry_for_aligned_bits(1744)
+        w = (e.degree + 63) // 64
+        for chunk in (FOX, random.Random(45).randbytes(5000)):
+            eng = engine_init(e).absorb(b"abc")
+            want = eng.register
+            guarded, error = bytearray(8 * (w + 3)), ValueError
+            if case == "short register":
+                eng._reg = memoryview(guarded)[8:8 * w]
+            elif case == "long register":
+                eng._reg = memoryview(guarded)[8:8 * (w + 2)]
+            elif case == "read-only register":
+                eng._reg, error = bytes(8 * w), TypeError
+            elif case == "short table":
+                eng.tables = dataclasses.replace(eng.tables, main=eng.tables.main[:-1])
+            else:
+                chunk, error = 5, TypeError
+            with pytest.raises(error):
+                eng.absorb(chunk)
+            assert eng.consumed == 3 and guarded == bytearray(len(guarded)), case
+            if case in ("short table", "non-buffer chunk"):
+                assert eng.register == want, case
+
+    def test_each_argument_is_checked(self, kernel_path):
+        # direct calls: each wrong argument raises, and the register is not written
+        path = kernel_path.partition("-")[0]
+        kernel = fastcrc._kernel
+        e = params.entry_for_aligned_bits(1744)
+        t = build_tables(e)
+        w, cw, loop = t.words, kernel.codewords, getattr(kernel, path)
+        blocks = fastcrc._blocks(e, t)  # None but on vpclmul
+        reg = bytearray(8 * w)
+        loop(reg, t.main, blocks, cw, FOX)
+        want = bytes(reg)
+        misaligned = memoryview(bytearray(8 * w + 8))[1:1 + 8 * w]
+        claims_more = array("Q", t.main)
+        claims_more[0] = w + 8
+        calls = [
+            (TypeError, loop, (reg, t.main, blocks, cw)),
+            (TypeError, loop, (reg, t.main, blocks, cw, 5)),
+            (TypeError, loop, (reg, 5, blocks, cw, FOX)),
+            (TypeError, loop, (reg, t.main, blocks, memoryview(cw)[::2], FOX)),
+            (ValueError, loop, (misaligned, t.main, blocks, cw, FOX)),
+            (ValueError, loop, (reg, claims_more, blocks, cw, FOX)),
+            (ValueError, loop, (reg, t.main, blocks, cw[:255], FOX)),
+            (ValueError, loop, (reg, t.main, blocks, cw, reg)),  # reg overlaps the data
+            (ValueError, loop, (reg, t.main, array("Q", [144]), cw, FOX)),
+            (ValueError, kernel.digest, (reg, e.degree, e.aligned_bits // 8 - 1)),
+            (ValueError, kernel.digest, (reg, 64 * w + 1, 8 * w)),
+            (ValueError, kernel.fill, (array("Q", [w]) * (512 * w),)),
+            (TypeError, kernel.fill, (bytes(8 * (1 + 512 * w)),)),
+        ]
+        if blocks is not None:
+            calls.append((ValueError, loop, (reg, t.main, blocks[:-1], cw, FOX)))
+        if path in kernel.split:
+            split, combine = kernel.split[path], kernel.combine[path]
+            k, zero = fastcrc._shift(e, t, 10), bytes(8 * w)
+            n = 3 * 1024
+            calls += [
+                (ValueError, split, (reg, t.main, blocks, cw, bytes(n), n + 1, k)),
+                (ValueError, split, (reg, t.main, blocks, cw, bytes(n), 1024, k[:-1])),
+                (ValueError, combine, (reg, t.main, blocks, k, zero[:-8])),
+                (ValueError, combine, (reg, t.main, blocks, reg, zero)),  # reg is also k
+            ]
+            if path == "vpclmul":  # its split and combine take the block step
+                calls += [(ValueError, split, (reg, t.main, None, cw, bytes(n), 1024, k)),
+                          (ValueError, combine, (reg, t.main, None, k, zero))]
+        for error, function, args in calls:
+            with pytest.raises(error):
+                function(*args)
+            assert reg == want, (function.__name__, args[1:])
+
 
 class TestKernelBuild:
-    @pytest.mark.parametrize("case", ["missing compiler", "compile error", "unwritable cache"])
+    @pytest.mark.parametrize("case", ["missing compiler", "compile error", "unwritable cache",
+                                      "missing Python.h"])
     def test_failed_build_gives_python_path(self, monkeypatch, tmp_path, case):
-        cache, cc = tmp_path / "cache", "cc"
+        cache, cc, include = tmp_path / "cache", "cc", PYTHON_INCLUDE
         if case == "missing compiler":
             cc = str(tmp_path / "no-such-cc")
         elif case == "compile error":
             cc = "false"  # runs, writes nothing and exits 1
-        else:
+        elif case == "unwritable cache":
             (tmp_path / "file").write_bytes(b"")
             cache = tmp_path / "file" / "cache"
-        kernel = fastcrc._load_kernel(cache, cc)
+        else:  # a compiler, but no Python.h where the module looks for it
+            include = str(tmp_path / "no-include")
+        kernel = fastcrc._load_kernel(cache, cc, include)
         assert kernel is None
         assert not cache.is_dir() or not any(cache.iterdir())  # no temporary file left
         entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 4288)]
@@ -517,7 +676,7 @@ class TestKernelBuild:
         monkeypatch.setattr(fastcrc, "_compile", no_compile)
         assert fastcrc._load_kernel(cache) is not None
         # a damaged file under the same name in a directory never loaded from:
-        # dlopen fails, and the loader falls back instead of raising
+        # the import fails, and the loader falls back instead of raising
         damaged = tmp_path / "damaged"
         damaged.mkdir()
         (damaged / built.name).write_bytes(b"not a shared object")
@@ -531,8 +690,8 @@ class TestKernelBuild:
         lib = tmp_path / "_absorb-ubsan.so"
         build = subprocess.run(
             ["cc", "-O1", "-g", "-shared", "-fPIC", "-pthread", "-Wall", "-Wextra", "-Werror",
-             "-fsanitize=undefined", "-fno-sanitize-recover=all",
-             "-o", str(lib), str(fastcrc._SOURCE)], capture_output=True, text=True)
+             "-fsanitize=undefined", "-fno-sanitize-recover=all", "-I", PYTHON_INCLUDE,
+             "-o", str(lib), str(fastcrc._SOURCES[0])], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
         run = subprocess.run([sys.executable, "-c", SANITIZED_SWEEP, str(lib)],
                              capture_output=True, text=True, timeout=600,
@@ -589,21 +748,24 @@ class TestKernelBuild:
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
-        # ones, so no AVX-512 instruction may reach them, even through a helper the
-        # compiler inlined or cloned; and the table loops run on any x86-64 CPU
+        # kernels, the module's wrappers included, so no AVX-512 instruction may reach
+        # them, even through a helper the compiler inlined or cloned; and the table loops
+        # run on any x86-64 CPU.  The module is built as the loader builds it.
         if os.uname().machine != "x86_64":
             pytest.skip("the carry-less kernels are compiled on x86-64 only")
         if shutil.which("cc") is None or shutil.which("objdump") is None:
             pytest.skip("needs cc and objdump on PATH")
         lib = tmp_path / "_absorb.so"
-        assert fastcrc._compile(["cc", *fastcrc._COMPILE], lib)
+        assert fastcrc._compile(["cc", *fastcrc._COMPILE, "-I", PYTHON_INCLUDE], lib)
         listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
                                  check=True).stdout
         functions = disassembly(listing)
         for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
+        for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul"):
+            assert name in functions, name  # the check sees the wrappers
         for name, instructions in functions.items():
-            if "vpclmul" not in name:
+            if "vpclmul" not in name or name.startswith("py_"):
                 assert not [i for i in instructions if avx512(i)], name
         for name in ("absorb", "fill"):
             assert not [i for i in functions[name] if "pclmul" in i[1]], name
@@ -634,7 +796,7 @@ def sanitized_program(tmp_path, sanitizer: str, source: str) -> subprocess.Compl
     program = tmp_path / "program"
     build = subprocess.run(
         ["cc", "-O1", "-g", f"-fsanitize={sanitizer}", "-pthread", "-Wall", "-Wextra", "-Werror",
-         "-I", str(fastcrc._SOURCE.parent), "-o", str(program), str(tmp_path / "program.c")],
+         "-I", str(fastcrc._PACKAGE), "-o", str(program), str(tmp_path / "program.c")],
         capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     run = subprocess.run([str(program)], capture_output=True, text=True, timeout=600)
