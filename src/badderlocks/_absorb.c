@@ -6,15 +6,14 @@
  * word first, shifted up by pad = 64w - d bits so its top 9 bits are bits
  * 55-63 of word 0.  Every loop leaves it holding prefix * x^d mod g after
  * every call, whatever the number of bytes.  Every table a loop reads starts
- * with w, as the block constants start with B, so no call passes either.
+ * with w, and vpclmul's block constants with B, so no call passes either.
  *
- * Three loops with one signature, (reg, table, blocks, cw, data, n): absorb,
- * a 512-row table walk that any CPU runs, and on x86-64 two table-free
+ * Three loops with one signature, (reg, table, cw, data, n): absorb, a
+ * 512-row table walk that any CPU runs, and on x86-64 two table-free
  * carry-less kernels with one shared loop, absorb_clmul (PCLMULQDQ, two
  * words of each product per instruction pair) and absorb_vpclmul
- * (VPCLMULQDQ on AVX-512F, eight words per pair).  Only absorb_vpclmul
- * reads blocks; the other two ignore it.  Each carry-less kernel is
- * compiled for its own instruction set through target attributes, never
+ * (VPCLMULQDQ on AVX-512F, eight words per pair).  Each carry-less kernel
+ * is compiled for its own instruction set through target attributes, never
  * -march=native, so no AVX-512 instruction reaches code that a
  * PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU can
  * run.
@@ -24,16 +23,17 @@
  * G = (g - x^d) * x^pad zero-padded to whole blocks of eight words.  A
  * product eight words at a time reads a constant shifted up s < 8 words by
  * one unaligned load at offset -s, which brings in the zeros around it.
+ * vpclmul's table goes on with its block constants: B, seven zero words and
+ * lift more, then mu' (B words), zero-padded to whole blocks of eight.
  *
  * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
- * step, and each step's quotient waits on the last one's register.  Given
- * block constants, absorb_vpclmul first reduces whole blocks of B words
- * (64B / 9 bytes; B = 144, 1 KiB, for every registry entry) with one
- * Barrett step per block, whose quotient Q = T + (T * mu' >> 64B) uses
+ * step, and each step's quotient waits on the last one's register.
+ * absorb_vpclmul first reduces whole blocks of B words (64B / 9 bytes;
+ * B = 144, 1 KiB, for every registry entry) with one Barrett step per
+ * block, whose quotient Q = T + (T * mu' >> 64B) uses
  * mu' = floor(x^(d + 64B) / g) - x^(64B) (P. Barrett, CRYPTO '86, over
- * GF(2)); the word step takes the rest of the call.  fastcrc passes the
- * block constants for calls of one block or more and NULL below that, so
- * short messages never build them.
+ * GF(2)); the word step takes the rest of the call.  fill_vpclmul computes
+ * mu' by the word step when the table is built.
  *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul.  One persistent worker thread per process absorbs
@@ -53,10 +53,9 @@
  * register, w words each.  One cycle per byte: XOR the top 9 bits with
  * cw[byte], shift up 9, add the row.  The word loop runs forward, most
  * significant word first: gcc -O3 vectorises that order. */
-void absorb(uint64_t *restrict reg, const uint64_t *restrict table, const uint64_t *blocks,
-            const uint16_t *cw, const uint8_t *data, size_t n)
+void absorb(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
+            const uint8_t *data, size_t n)
 {
-    (void)blocks;
     const size_t w = table[0];
     const uint64_t *restrict rows = table + 1;
     for (size_t k = 0; k < n; k++) {
@@ -80,6 +79,12 @@ void fill(uint64_t *table)
             rows[v * w + i] = rows[low * w + i] ^ rows[(v ^ low) * w + i];
     }
 }
+
+/* Offsets in a carry-less table, which the module checks on every platform:
+ * G after w, mu and seven zero words; vpclmul's block constants after G's
+ * whole blocks of eight words. */
+#define G_AT 9
+#define BLOCKS_AT(w) (G_AT + 8 * (((w) + 7) / 8))
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -110,7 +115,6 @@ __attribute__((target("pclmul"))) static inline uint64_t quotient(uint64_t t, ui
 
 /* In the carry-less kernels the register r and G are held least significant
  * word first, so the product q * G[i] lands on words i and i + 1. */
-#define G_AT 9 /* G's offset in the table: w, mu, seven zero words, G */
 
 /* r ^= the low w words of q * G, one word at a time. */
 __attribute__((target("pclmul"))) static inline void add_multiple(uint64_t *r, const uint64_t *G,
@@ -175,11 +179,10 @@ typedef void shift_add_fn(uint64_t *r, const uint64_t *G, size_t w, uint64_t q);
  * Q * G, G = (g - x^d) * x^pad.  Only the product words that reach Q and
  * the new r are formed.
  *
- * blocks, which fastcrc builds on an entry's first block absorb, holds B,
- * then mu' (B words) once: after seven zero words and lift more, lift being
- * 1 where B is a multiple of 8 and 0 elsewhere, and zero-padded to
- * (B + lift + 14) / 8 whole blocks of eight words from blocks + 8.  G is
- * read from the table. */
+ * The block constants, from table + BLOCKS_AT(w), hold B, then mu' (B words)
+ * once: after seven zero words and lift more, lift being 1 where B is a
+ * multiple of 8 and 0 elsewhere, and zero-padded to (B + lift + 14) / 8
+ * whole blocks of eight words from their word 8. */
 
 /* Blocks o_lo <= o < o_hi of the product a * c into out, eight words each;
  * a has n words, and c is nc blocks with seven zero words below them.  Copy
@@ -229,13 +232,12 @@ VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, siz
  * of a block.  The low w words of Q * G read only G's first (w + 7) / 8
  * blocks. */
 VPCLMUL __attribute__((noinline, noclone)) static void
-block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n,
-                   const uint64_t *blocks)
+block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n)
 {
-    size_t w = table[0], B = blocks[0], lift = B % 8 == 0;
+    size_t w = table[0], B = table[BLOCKS_AT(w)], lift = B % 8 == 0;
     size_t o_lo = (B + lift) / 8, o_hi = (B + lift + w - 1) / 8 + 1;
     uint64_t P[8 * (o_hi - o_lo)], Q[w];
-    product_vpclmul(P, T, n, blocks + 8, (B + lift + 14) / 8, o_lo, o_hi);
+    product_vpclmul(P, T, n, table + BLOCKS_AT(w) + 8, (B + lift + 14) / 8, o_lo, o_hi);
     for (size_t k = 0; k < w; k++)
         Q[k] = T[k] ^ P[B + lift - 8 * o_lo + k];
     product_vpclmul(r, Q, w, table + G_AT, (w + 7) / 8, 0, (w + 7) / 8);
@@ -265,43 +267,42 @@ VPCLMUL static inline void pack_vpclmul(uint64_t *M, const uint16_t *cw, const u
 /* Absorb one block of 64B / 9 bytes into r, the register least significant
  * word first. */
 VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, const uint64_t *table,
-                                                 const uint64_t *blocks, const uint16_t *cw,
-                                                 const uint8_t *data)
+                                                 const uint16_t *cw, const uint8_t *data)
 {
-    size_t w = table[0], B = blocks[0];
+    size_t w = table[0], B = table[BLOCKS_AT(w)];
     uint64_t T[B];
     for (size_t c = 0; c < B / 9; c++)
         pack_vpclmul(T + B - 9 * (c + 1), cw, data + 64 * c); /* first 64 bytes highest */
     for (size_t k = 0; k < w; k++)
         T[B - w + k] ^= r[k];
-    block_step_vpclmul(r, table, T, B, blocks);
+    block_step_vpclmul(r, table, T, B);
 }
 
-typedef void absorb_block_fn(uint64_t *r, const uint64_t *table, const uint64_t *blocks,
-                             const uint16_t *cw, const uint8_t *data);
+typedef void absorb_block_fn(uint64_t *r, const uint64_t *table, const uint16_t *cw,
+                             const uint8_t *data);
 
 /* The carry-less kernels' shared loop, no table of rows.  The table holds
  * w, mu = floor(x^(d+64) / g) - x^64 and, from word G_AT, G; reg is copied
- * into r least significant word first.  With blocks (vpclmul only), whole
- * blocks of 64B / 9 bytes go through the block step first.  The rest of the
- * codewords are packed into 64-bit words c, first codeword highest.  Per
+ * into r least significant word first.  With absorb_block (vpclmul only),
+ * whole blocks of 64B / 9 bytes go through the block step first.  The rest
+ * of the codewords are packed into 64-bit words c, first codeword highest.  Per
  * word, t = r[w - 1] ^ c and q = floor(t * x^d / g) = t ^ clmul_hi(t, mu)
  * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
  * PCLMULQDQ", Intel 2009); the register moves up one word and takes the low
  * w words of q * G.  A last b < 64 bits take the same step with q cut to b
  * bits and a b-bit shift in place of the word move. */
 __attribute__((target("pclmul"), always_inline)) static inline void
-absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const uint64_t *blocks,
-                 const uint16_t *cw, const uint8_t *data, size_t n, uint64_t *restrict r,
-                 shift_add_fn *shift_add, absorb_block_fn *absorb_block)
+absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
+                 const uint8_t *data, size_t n, uint64_t *restrict r, shift_add_fn *shift_add,
+                 absorb_block_fn *absorb_block)
 {
     const size_t w = table[0];
     const uint64_t mu = table[1], *G = table + G_AT;
     for (size_t i = 0; i < w; i++)
         r[i] = reg[w - 1 - i];
-    if (blocks)
-        for (size_t bytes = 64 * blocks[0] / 9; n >= bytes; n -= bytes, data += bytes)
-            absorb_block(r, table, blocks, cw, data);
+    if (absorb_block)
+        for (size_t bytes = 64 * table[BLOCKS_AT(w)] / 9; n >= bytes; n -= bytes, data += bytes)
+            absorb_block(r, table, cw, data);
     uint64_t acc = 0; /* codeword bits not yet in a word, right-aligned */
     unsigned held = 0; /* how many: 0 to 63 */
     for (size_t k = 0; k < n; k++) {
@@ -329,24 +330,38 @@ absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const u
 
 __attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
                                                     const uint64_t *restrict table,
-                                                    const uint64_t *blocks, const uint16_t *cw,
-                                                    const uint8_t *data, size_t n)
+                                                    const uint16_t *cw, const uint8_t *data,
+                                                    size_t n)
 {
-    (void)blocks;
     uint64_t r[table[0]];
-    absorb_carryless(reg, table, NULL, cw, data, n, r, shift_add_clmul, NULL);
+    absorb_carryless(reg, table, cw, data, n, r, shift_add_clmul, NULL);
 }
 
-/* Whole blocks first where blocks is not NULL, then the word step. */
+/* Whole blocks first, then the word step. */
 VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
-                            const uint64_t *blocks, const uint16_t *cw, const uint8_t *data,
-                            size_t n)
+                            const uint16_t *cw, const uint8_t *data, size_t n)
 {
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
      * next word's load of r[w - 1], which cost a third of the rate at 1744 bits */
     uint64_t r[(table[0] + 7) & ~(size_t)7];
     memset(r, 0, sizeof r);
-    absorb_carryless(reg, table, blocks, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
+    absorb_carryless(reg, table, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
+}
+
+/* mu' into the block constants of a vpclmul table whose B is in place.
+ * x^(d + 64B) = g * x^(64B) + (g - x^d) * x^(64B), so mu' is
+ * floor((g - x^d) * x^(64B) / g): the B quotients of the word step from the
+ * register r = G through B zero words, the first one highest. */
+VPCLMUL void fill_vpclmul(uint64_t *table)
+{
+    size_t w = table[0], B = table[BLOCKS_AT(w)], lift = B % 8 == 0;
+    uint64_t r[(w + 7) & ~(size_t)7], *mu = table + BLOCKS_AT(w) + 8 + lift;
+    memcpy(r, table + G_AT, sizeof r); /* G's whole blocks */
+    for (size_t i = 0; i < B; i++) {
+        uint64_t q = quotient(r[w - 1], table[1], 64);
+        shift_add_vpclmul(r, table + G_AT, w, q);
+        mu[B - 1 - i] = q;
+    }
 }
 
 /* reg = reg * k * x^d + s mod g, all three laid out like the register.  With
@@ -357,10 +372,8 @@ VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict tab
  * x^d mod g. */
 __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
                                                      const uint64_t *restrict table,
-                                                     const uint64_t *blocks, const uint64_t *k,
-                                                     const uint64_t *s)
+                                                     const uint64_t *k, const uint64_t *s)
 {
-    (void)blocks;
     const size_t w = table[0];
     uint64_t r[w], k_lsw[w + 1], p[2 * w]; /* k with a zero word on top; the product */
     for (size_t i = 0; i < w; i++) {
@@ -382,10 +395,10 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
  * zero-padded to whole blocks, then fed through the block step, B words at
  * a time from the top, the product zero-extended to whole blocks.  The top
  * block holds only the product's top words, the rest of it zero. */
-VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
-                             const uint64_t *blocks, const uint64_t *k, const uint64_t *s)
+VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
+                             const uint64_t *s)
 {
-    size_t w = table[0], B = blocks[0];
+    size_t w = table[0], B = table[BLOCKS_AT(w)];
     size_t n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
     size_t words = steps * B > 8 * n_p ? steps * B : 8 * n_p;
     uint64_t a[w], k_lsw[7 + 8 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
@@ -401,7 +414,7 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
         memcpy(T, p + c * B, sizeof T);
         for (size_t i = 0; i < w; i++)
             T[B - w + i] ^= r[i];
-        block_step_vpclmul(r, table, T, c + 1 < steps ? B : 2 * w - c * B, blocks);
+        block_step_vpclmul(r, table, T, c + 1 < steps ? B : 2 * w - c * B);
     }
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];
@@ -419,10 +432,10 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table,
  * slower than one thread when another busy process shared the two CPUs.
  * This code is compiled for the baseline instruction set: it reaches the
  * kernels only through pointers. */
-typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table,
-                       const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n);
-typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *blocks,
-                        const uint64_t *k, const uint64_t *s);
+typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
+                       const uint8_t *data, size_t n);
+typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
+                        const uint64_t *s);
 
 enum { IDLE, POSTED, TAKEN };
 /* about 400 us of sched_yield: long enough to catch the next chunk of a stream */
@@ -437,7 +450,6 @@ static struct {
     absorb_fn *absorb;
     uint64_t *reg;
     const uint64_t *table;
-    const uint64_t *blocks;
     const uint16_t *cw;
     const uint8_t *data;
     size_t n;
@@ -473,7 +485,7 @@ static void *work(void *unused)
         if (!atomic_compare_exchange_strong_explicit(&state, &posted, TAKEN, memory_order_acquire,
                                                      memory_order_relaxed))
             continue; /* the caller took the job back */
-        job.absorb(job.reg, job.table, job.blocks, job.cw, job.data, job.n);
+        job.absorb(job.reg, job.table, job.cw, job.data, job.n);
         set_state(IDLE);
     }
     return NULL;
@@ -506,52 +518,48 @@ static int start_worker(void)
  * zero; k is K_j.  Returns 1 if the worker ran its part, 0 if this thread
  * absorbed all n bytes. */
 static int absorb_split(absorb_fn *absorb, combine_fn *combine, uint64_t *reg,
-                        const uint64_t *table, const uint64_t *blocks, const uint16_t *cw,
-                        const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
+                        const uint64_t *table, const uint16_t *cw, const uint8_t *data, size_t n,
+                        size_t n2, const uint64_t *k)
 {
     if (pthread_mutex_trylock(&guard) == 0) {
         if (start_worker()) {
             job.absorb = absorb;
             job.reg = reg;
             job.table = table;
-            job.blocks = blocks;
             job.cw = cw;
             job.data = data;
             job.n = n - n2;
             set_state(POSTED);
             uint64_t s[table[0]];
             memset(s, 0, sizeof s);
-            absorb(s, table, blocks, cw, data + n - n2, n2);
+            absorb(s, table, cw, data + n - n2, n2);
             int posted = POSTED, split = !atomic_compare_exchange_strong_explicit(
                 &state, &posted, IDLE, memory_order_relaxed, memory_order_relaxed);
             if (split)
                 wait_for(IDLE);
             pthread_mutex_unlock(&guard);
             if (!split) /* the worker has not started: take its part back */
-                absorb(reg, table, blocks, cw, data, n - n2);
-            combine(reg, table, blocks, k, s);
+                absorb(reg, table, cw, data, n - n2);
+            combine(reg, table, k, s);
             return split;
         }
         pthread_mutex_unlock(&guard);
     }
     /* another caller has the worker, or it cannot start */
-    absorb(reg, table, blocks, cw, data, n);
+    absorb(reg, table, cw, data, n);
     return 0;
 }
 
-int absorb_split_clmul(uint64_t *reg, const uint64_t *table, const uint64_t *blocks,
-                       const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
-                       const uint64_t *k)
+int absorb_split_clmul(uint64_t *reg, const uint64_t *table, const uint16_t *cw,
+                       const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
 {
-    return absorb_split(absorb_clmul, combine_clmul, reg, table, blocks, cw, data, n, n2, k);
+    return absorb_split(absorb_clmul, combine_clmul, reg, table, cw, data, n, n2, k);
 }
 
-/* blocks must not be NULL: combine_vpclmul runs the block step */
-int absorb_split_vpclmul(uint64_t *reg, const uint64_t *table, const uint64_t *blocks,
-                         const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
-                         const uint64_t *k)
+int absorb_split_vpclmul(uint64_t *reg, const uint64_t *table, const uint16_t *cw,
+                         const uint8_t *data, size_t n, size_t n2, const uint64_t *k)
 {
-    return absorb_split(absorb_vpclmul, combine_vpclmul, reg, table, blocks, cw, data, n, n2, k);
+    return absorb_split(absorb_vpclmul, combine_vpclmul, reg, table, cw, data, n, n2, k);
 }
 #endif
 

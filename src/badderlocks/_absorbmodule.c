@@ -11,18 +11,18 @@
  * alignment ValueError.  An absorb of RELEASE_BYTES or more runs without
  * the GIL; the buffers it holds keep their memory in place meanwhile.
  *
- *   absorb, absorb_clmul, absorb_vpclmul (reg, table, blocks, codewords, data)
- *   absorb_split_clmul, absorb_split_vpclmul (reg, table, blocks, codewords,
- *       data, n2, k) -> True if the worker thread absorbed its part
- *   combine_clmul, combine_vpclmul (reg, table, blocks, k, s)
- *   fill (table)
+ *   absorb, absorb_clmul, absorb_vpclmul (reg, table, codewords, data)
+ *   absorb_split_clmul, absorb_split_vpclmul (reg, table, codewords, data,
+ *       n2, k) -> True if the worker thread absorbed its part
+ *   combine_clmul, combine_vpclmul (reg, table, k, s)
+ *   fill (table), fill_vpclmul (table)
  *   digest (reg, degree, size) -> the register's degree-bit value as size
  *       big-endian bytes
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
  *
- * blocks is None or the block constants; only the vpclmul functions read
- * them, and its split and combine need them.  The clmul and vpclmul
- * functions exist on x86-64 only.
+ * A vpclmul table is a clmul table followed by its block constants, whose
+ * mu' fill_vpclmul computes in place.  The clmul and vpclmul functions
+ * exist on x86-64 only.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,29 +38,32 @@
  * are allowed: 64 Kbit.  The registry's largest register is 67 words. */
 #define MAX_WORDS 1024
 
-typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table,
-                     const uint64_t *blocks, const uint16_t *cw, const uint8_t *data, size_t n);
-typedef int split_fn(uint64_t *reg, const uint64_t *table, const uint64_t *blocks,
-                     const uint16_t *cw, const uint8_t *data, size_t n, size_t n2,
-                     const uint64_t *k);
-typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *blocks,
-                          const uint64_t *k, const uint64_t *s);
+typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
+                     const uint8_t *data, size_t n);
+typedef int split_fn(uint64_t *reg, const uint64_t *table, const uint16_t *cw, const uint8_t *data,
+                     size_t n, size_t n2, const uint64_t *k);
+typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
+                          const uint64_t *s);
+
+/* The kinds of table: the table walk's, the carry-less word step's, and that
+ * followed by the block constants. */
+enum kind { ROWS_TABLE, CLMUL_TABLE, VPCLMUL_TABLE };
 
 /* One absorb path: its loop and, on the carry-less paths, its two-thread
- * entry and combine step, the kind of table it reads and whether its split
- * and combine take the block step. */
+ * entry and combine step, and the kind of table it reads. */
 struct path {
     loop_fn *loop;
     split_fn *split;
     combine_step *combine;
-    int carryless, block_step;
+    enum kind kind;
 };
 
-static const struct path table_path = {absorb, NULL, NULL, 0, 0};
+static const struct path table_path = {absorb, NULL, NULL, ROWS_TABLE};
 #if defined(__x86_64__)
-static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, combine_clmul, 1, 0};
-static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, combine_vpclmul, 1,
-                                         1};
+static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, combine_clmul,
+                                       CLMUL_TABLE};
+static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, combine_vpclmul,
+                                         VPCLMUL_TABLE};
 #endif
 
 /* The buffers a call holds, released together. */
@@ -106,28 +109,31 @@ static int apart(const Py_buffer *reg, const Py_buffer *read)
 }
 
 /* w, the word count the table starts with, if the table is long enough for
- * it on the given kind of path: 1 + 512w words for the table walk, w, mu,
- * seven zero words and G in whole blocks of eight for the carry-less loops;
- * 0 with ValueError if not. */
-static size_t table_words(const Py_buffer *table, int carryless)
+ * it on the given kind of path; 0 with ValueError if not.  The table walk
+ * reads 1 + 512w words; the carry-less loops w, mu, seven zero words and G
+ * in whole blocks of eight; vpclmul then the block constants, B, a multiple
+ * of 9 from w to MAX_WORDS, and mu' after seven zero words and lift more,
+ * in whole blocks of eight. */
+static size_t table_words(const Py_buffer *table, enum kind kind)
 {
-    size_t n = items(table, 8), w = n ? *(const uint64_t *)table->buf : 0;
-    if (w >= 1 && w <= MAX_WORDS && n >= (carryless ? 9 + 8 * ((w + 7) / 8) : 1 + 512 * w))
-        return w;
-    PyErr_SetString(PyExc_ValueError, "table is too short for its word count");
-    return 0;
-}
-
-/* Whether the block constants suit a w-word register: B, a multiple of 9
- * from w to MAX_WORDS, then mu' after seven zero words and lift more, in
- * whole blocks of eight words from word 8; ValueError if not. */
-static int blocks_fit(const Py_buffer *blocks, size_t w)
-{
-    size_t n = items(blocks, 8), B = n ? *(const uint64_t *)blocks->buf : 0, lift = B % 8 == 0;
-    if (B >= w && B % 9 == 0 && B <= MAX_WORDS && n >= 8 + 8 * ((B + lift + 14) / 8))
-        return 1;
-    PyErr_SetString(PyExc_ValueError, "blocks do not fit the table");
-    return 0;
+    const uint64_t *t = table->buf;
+    size_t n = items(table, 8), w = n ? t[0] : 0, B = 0;
+    size_t need = kind == ROWS_TABLE ? 1 + 512 * w : BLOCKS_AT(w);
+    if (kind == VPCLMUL_TABLE) {
+        B = n > need ? t[need] : 0;
+        need += 8 + 8 * ((B + (B % 8 == 0) + 14) / 8);
+    }
+    if (w < 1 || w > MAX_WORDS || n < need) {
+        PyErr_SetString(PyExc_ValueError, "table is too short for its word count");
+        return 0;
+    }
+    if (kind == VPCLMUL_TABLE && (B < w || B % 9 || B > MAX_WORDS)) {
+        PyErr_Format(PyExc_ValueError,
+                     "table's block size must be a multiple of 9 from its word count to %d",
+                     MAX_WORDS);
+        return 0;
+    }
+    return w;
 }
 
 /* Whether a buffer holds exactly w words; ValueError naming it if not. */
@@ -147,40 +153,20 @@ static int arguments(Py_ssize_t given, Py_ssize_t wanted, const char *name)
     return 0;
 }
 
-/* The blocks argument: NULL for None, else its buffer checked against w;
- * *ok is cleared with an exception set on failure. */
-static const uint64_t *block_constants(struct views *v, PyObject *obj, size_t w, int required,
-                                       int *ok)
-{
-    if (obj == Py_None) {
-        if (required) {
-            PyErr_SetString(PyExc_ValueError, "this path's split and combine need blocks");
-            *ok = 0;
-        }
-        return NULL;
-    }
-    const Py_buffer *blocks = take(v, obj, "blocks", 0, 8);
-    *ok = blocks && blocks_fit(blocks, w);
-    return *ok ? blocks->buf : NULL;
-}
-
-/* (reg, table, blocks, codewords, data), and with split (..., n2, k). */
+/* (reg, table, codewords, data), and with split (..., n2, k). */
 static PyObject *absorb_call(const struct path *p, int split, PyObject *const *args,
                              Py_ssize_t nargs, const char *name)
 {
-    if (!arguments(nargs, split ? 7 : 5, name))
+    if (!arguments(nargs, split ? 6 : 4, name))
         return NULL;
     struct views v = {.held = 0};
     PyObject *result = NULL;
     Py_buffer *reg, *table, *cw, *data, *k = NULL;
     if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
         goto done;
-    size_t w = table_words(table, p->carryless);
-    int ok = w && holds_words(reg, w, "reg");
-    const uint64_t *blocks = ok ? block_constants(&v, args[2], w, split && p->block_step, &ok)
-                                : NULL;
-    if (!ok || !(cw = take(&v, args[3], "codewords", 0, 2)) ||
-        !(data = take(&v, args[4], "data", 0, 1)))
+    size_t w = table_words(table, p->kind);
+    if (!w || !holds_words(reg, w, "reg") || !(cw = take(&v, args[2], "codewords", 0, 2)) ||
+        !(data = take(&v, args[3], "data", 0, 1)))
         goto done;
     if (items(cw, 2) < 256) {
         PyErr_SetString(PyExc_ValueError, "codewords must map all 256 byte values");
@@ -188,7 +174,7 @@ static PyObject *absorb_call(const struct path *p, int split, PyObject *const *a
     }
     size_t n = (size_t)data->len, n2 = 0;
     if (split) {
-        Py_ssize_t given = PyLong_AsSsize_t(args[5]);
+        Py_ssize_t given = PyLong_AsSsize_t(args[4]);
         if (given == -1 && PyErr_Occurred())
             goto done;
         if (given < 0 || (size_t)given > n) {
@@ -196,7 +182,7 @@ static PyObject *absorb_call(const struct path *p, int split, PyObject *const *a
             goto done;
         }
         n2 = (size_t)given;
-        if (!(k = take(&v, args[6], "k", 0, 8)) || !holds_words(k, w, "k"))
+        if (!(k = take(&v, args[5], "k", 0, 8)) || !holds_words(k, w, "k"))
             goto done;
     }
     for (int i = 1; i < v.held; i++)
@@ -206,9 +192,9 @@ static PyObject *absorb_call(const struct path *p, int split, PyObject *const *a
     PyThreadState *released = n >= RELEASE_BYTES ? PyEval_SaveThread() : NULL;
     int took = 0;
     if (split)
-        took = p->split(reg->buf, table->buf, blocks, cw->buf, data->buf, n, n2, k->buf);
+        took = p->split(reg->buf, table->buf, cw->buf, data->buf, n, n2, k->buf);
     else
-        p->loop(reg->buf, table->buf, blocks, cw->buf, data->buf, n);
+        p->loop(reg->buf, table->buf, cw->buf, data->buf, n);
     if (released)
         PyEval_RestoreThread(released);
     result = split ? PyBool_FromLong(took) : Py_NewRef(Py_None);
@@ -217,27 +203,26 @@ done:
     return result;
 }
 
-/* (reg, table, blocks, k, s): reg = reg * k * x^d + s mod g. */
+/* (reg, table, k, s): reg = reg * k * x^d + s mod g. */
 static PyObject *combine_call(const struct path *p, PyObject *const *args, Py_ssize_t nargs,
                               const char *name)
 {
-    if (!arguments(nargs, 5, name))
+    if (!arguments(nargs, 4, name))
         return NULL;
     struct views v = {.held = 0};
     PyObject *result = NULL;
     Py_buffer *reg, *table, *k, *s;
     if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
         goto done;
-    size_t w = table_words(table, 1);
-    int ok = w && holds_words(reg, w, "reg");
-    const uint64_t *blocks = ok ? block_constants(&v, args[2], w, p->block_step, &ok) : NULL;
-    if (!ok || !(k = take(&v, args[3], "k", 0, 8)) || !holds_words(k, w, "k") ||
-        !(s = take(&v, args[4], "s", 0, 8)) || !holds_words(s, w, "s"))
+    size_t w = table_words(table, p->kind);
+    if (!w || !holds_words(reg, w, "reg") || !(k = take(&v, args[2], "k", 0, 8)) ||
+        !holds_words(k, w, "k") || !(s = take(&v, args[3], "s", 0, 8)) ||
+        !holds_words(s, w, "s"))
         goto done;
     for (int i = 1; i < v.held; i++)
         if (!apart(reg, &v.view[i]))
             goto done;
-    p->combine(reg->buf, table->buf, blocks, k->buf, s->buf);
+    p->combine(reg->buf, table->buf, k->buf, s->buf);
     result = Py_NewRef(Py_None);
 done:
     release(&v);
@@ -289,20 +274,36 @@ static PyObject *py_combine_vpclmul(PyObject *module, PyObject *const *args, Py_
 }
 #endif
 
+/* (table): fill_fn(table) once the table is checked as the given kind. */
+static PyObject *fill_call(void (*fill_fn)(uint64_t *), enum kind kind, PyObject *const *args,
+                           Py_ssize_t nargs, const char *name)
+{
+    if (!arguments(nargs, 1, name))
+        return NULL;
+    struct views v = {.held = 0};
+    Py_buffer *table = take(&v, args[0], "table", 1, 8);
+    int ok = table && table_words(table, kind);
+    if (ok)
+        fill_fn(table->buf);
+    release(&v);
+    return ok ? Py_NewRef(Py_None) : NULL;
+}
+
 /* (table): the table walk's 503 rows that are sums of its nine basis rows. */
 static PyObject *py_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (!arguments(nargs, 1, "fill"))
-        return NULL;
-    struct views v = {.held = 0};
-    Py_buffer *table = take(&v, args[0], "table", 1, 8);
-    int ok = table && table_words(table, 0);
-    if (ok)
-        fill(table->buf);
-    release(&v);
-    return ok ? Py_NewRef(Py_None) : NULL;
+    return fill_call(fill, ROWS_TABLE, args, nargs, "fill");
 }
+
+#if defined(__x86_64__)
+/* (table): mu' into a vpclmul table's block constants, whose B is in place. */
+static PyObject *py_fill_vpclmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    return fill_call(fill_vpclmul, VPCLMUL_TABLE, args, nargs, "fill_vpclmul");
+}
+#endif
 
 /* (reg, degree, size): the register moved down pad = 64w - degree bits, as
  * size big-endian bytes, written from the least significant word up; the
@@ -366,6 +367,7 @@ static PyMethodDef methods[] = {
     FASTCALL("absorb_split_vpclmul", py_absorb_split_vpclmul),
     FASTCALL("combine_clmul", py_combine_clmul),
     FASTCALL("combine_vpclmul", py_combine_vpclmul),
+    FASTCALL("fill_vpclmul", py_fill_vpclmul),
 #endif
     FASTCALL("fill", py_fill),
     FASTCALL("digest", py_digest),

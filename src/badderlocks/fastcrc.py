@@ -11,13 +11,13 @@ is bit-identical to classifier.classify.
 
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
-- "vpclmul": C with no table, on AVX-512.  Codewords are packed into 64-bit
-  words.  A call of one block, B = 144 words (1 KiB), or more is reduced a
-  block at a time, by one Barrett step per block whose products,
-  formed with VPCLMULQDQ, do not wait on each other; the block constants
-  (mu' = floor(x^(degree + 64B) / g) - x^(64B), stored once like every
+- "vpclmul": C with no table of rows, on AVX-512.  Codewords are packed
+  into 64-bit words.  A call of one block, B = 144 words (1 KiB), or more
+  is reduced a block at a time, by one Barrett step per block whose
+  products, formed with VPCLMULQDQ, do not wait on each other; its constant
+  mu' = floor(x^(degree + 64B) / g) - x^(64B), stored once like every
   carry-less constant and read shifted up s < 8 words by one load at
-  offset -s) are built on an entry's first such call.
+  offset -s, is computed by the kernel when the entry's tables are built.
   Shorter calls, and what follows a call's last whole block, take the
   per-word Barrett step, ceil(degree / 64) + 1 carry-less multiplies per
   word, eight of them per pair of VPCLMULQDQ instructions.
@@ -26,9 +26,9 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 - "python": the same loop in Python.
 
 `_absorb.c` holds the three C loops, which share one signature, (register,
-table, block constants, codeword map, data): the table's first word is the
-register's word count, so no call passes it, and only vpclmul reads the
-block constants, None for calls under one block.  `_absorbmodule.c`
+table, codeword map, data): the table's first word is the register's word
+count, so no call passes it, and vpclmul's table ends with its block
+constants.  `_absorbmodule.c`
 includes it and makes it a CPython extension module whose functions take
 these as buffers, check their sizes before writing a word, and release the
 GIL for chunks of 4 KiB or more.  The first import compiles the module with
@@ -84,9 +84,10 @@ class _Kernel:
     """The extension module's absorb loops, fill and digest, and the codeword maps absorb reads.
 
     Each absorb loop is the attribute named after its path, and all three
-    take (reg, table, blocks, codewords, data).  `vpclmul` and `clmul` are
-    None where the CPU cannot run them; `split` and `combine` hold their
-    two-thread entries and combine steps, keyed by path.
+    take (reg, table, codewords, data).  `vpclmul`, `clmul` and
+    `fill_vpclmul`, which computes mu' into a vpclmul table, are None where
+    the CPU cannot run them; `split` and `combine` hold the two-thread
+    entries and combine steps, keyed by path.
     """
 
     def __init__(self, path: Path):
@@ -103,6 +104,7 @@ class _Kernel:
             # returns True if split, False if the plain loop ran
             self.split[path] = getattr(module, f"absorb_split_{path}")
             self.combine[path] = getattr(module, f"combine_{path}")
+        self.fill_vpclmul = None if self.vpclmul is None else module.fill_vpclmul
         self.filler = array("H", [FILLER]) * 256  # every byte maps to FILLER
 
     @cached_property
@@ -161,9 +163,6 @@ _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
 # fixed work, the w-by-w product and the ends of the mu' product, over more words: B = 144
 # ran 5-8% faster than B = 72 at 1744-4288 bits, and B = 216 or 288 no faster again.
 _BLOCK_WORDS = 144
-# the smallest chunk the vpclmul path absorbs by blocks: one block, well above short
-# messages (256 B at most in digest-short), so they never build the block constants
-_BLOCK_BYTES = 64 * _BLOCK_WORDS // 9
 
 
 def _to_words(value: int, w: int) -> array:
@@ -192,9 +191,11 @@ class CrcTables:
     - "vpclmul" and "clmul": `main` is `words`, mu (one word), seven zero
       words, then G = (g - x^degree) * x^pad least significant word first,
       zero-padded to whole blocks of eight words; see `_barrett_constants`.
-      `shifts` caches the packed combine constants by j; see `_shift`.  On
-      "vpclmul", `blocks` holds the block constants once the first block
-      absorb has built them; see `_block_constants`.
+      On "vpclmul" the block constants follow: B, seven zero words and one
+      more where B is a multiple of 8, then mu' = floor(x^(degree + 64B) / g)
+      - x^(64B) least significant word first, zero-padded to whole blocks of
+      eight words, which the kernel's `fill_vpclmul` computes.  `shifts`
+      caches the packed combine constants by j; see `_shift`.
     """
 
     degree: int
@@ -202,7 +203,6 @@ class CrcTables:
     kernel: _Kernel | None = None
     path: str = "python"
     shifts: dict[int, array] = field(default_factory=dict, compare=False, repr=False)
-    blocks: list[array] = field(default_factory=list, compare=False, repr=False)
 
     @cached_property  # each engine's register is sized by it
     def words(self) -> int:
@@ -210,38 +210,20 @@ class CrcTables:
         return (self.degree + 63) // 64
 
 
-def _reciprocal(e: GeneratorEntry, bits: int) -> int:
-    """floor(x^(d + bits) / g) - x^bits for d = deg g, by long division."""
-    g, d = e.generator.value, e.degree
-    quotient, rest = 0, 1 << (d + bits)
-    for k in range(bits, -1, -1):
-        if rest >> (d + k) & 1:
-            quotient |= 1 << k
-            rest ^= g << k
-    return quotient ^ 1 << bits
-
-
 def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
-    """mu = floor(x^(d+64) / g) - x^64 and g - x^d, for d = deg g.
+    """mu = floor(x^(d+64) / g) - x^64, by long division, and g - x^d, for d = deg g.
 
     For t of degree below 64, the quotient floor(t * x^d / g) is
     t ^ (t * mu >> 64), and t * x^d mod g is the low d bits of that quotient
     times g - x^d.
     """
-    return _reciprocal(e, 64), e.generator.value ^ 1 << e.degree
-
-
-def _block_constants(e: GeneratorEntry) -> array:
-    """B, then mu' = floor(x^(d + 64B) / g) - x^(64B) once, as the block step reads it.
-
-    mu' (B words) follows seven zero words, and one more (lift) where B is a
-    multiple of 8, and is zero-padded to (B + lift + 14) // 8 whole blocks
-    from word 8; the block step reads it shifted up s < 8 words at offset -s.
-    """
-    b = _BLOCK_WORDS
-    lift = b % 8 == 0
-    mu = _reciprocal(e, 64 * b)
-    return _constants([b], mu << 64 * (7 + lift), 7 + 8 * ((b + lift + 14) // 8))
+    g, d = e.generator.value, e.degree
+    mu, rest = 0, 1 << (d + 64)
+    for k in range(64, -1, -1):
+        if rest >> (d + k) & 1:
+            mu |= 1 << k
+            rest ^= g << k
+    return mu ^ 1 << 64, g ^ 1 << d
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
@@ -254,6 +236,10 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
             consts = _constants([w, mu], low << pad + 64 * 7, 7 + 8 * ((w + 7) // 8))
+            if path == "vpclmul":  # B, then room for mu' after seven zero words and lift
+                lift = _BLOCK_WORDS % 8 == 0
+                consts += _constants([_BLOCK_WORDS], 0, 7 + 8 * ((_BLOCK_WORDS + lift + 14) // 8))
+                _kernel.fill_vpclmul(consts)
             return CrcTables(e.degree, consts, _kernel, path)
     rows = array("Q", bytes(8 * (1 + 512 * w)))
     rows[0] = w
@@ -284,19 +270,9 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
         else:
             half = _shift(e, tables, j - 1)
             k = array("Q", half)
-            tables.kernel.combine[tables.path](k, tables.main, _blocks(e, tables), half,
-                                               array("Q", bytes(8 * w)))
+            tables.kernel.combine[tables.path](k, tables.main, half, array("Q", bytes(8 * w)))
         tables.shifts[j] = k
     return k
-
-
-def _blocks(e: GeneratorEntry, tables: CrcTables) -> array | None:
-    """The block constants on the vpclmul path, built on first use; None on the other paths."""
-    if tables.path != "vpclmul":
-        return None
-    if not tables.blocks:
-        tables.blocks.append(_block_constants(e))
-    return tables.blocks[0]
 
 
 _table_cache: dict[int, CrcTables] = {}
@@ -344,15 +320,12 @@ class CrcEngine:
         kernel = tables.kernel
         if kernel is not None:
             codewords = kernel.filler if filler else kernel.codewords
-            # vpclmul's block constants from one block up, so every split chunk has them for
-            # the combine, which takes the block step
-            blocks = _blocks(self.entry, tables) if n >= _BLOCK_BYTES else None
             if n >= _SPLIT_BYTES and tables.path in kernel.split:
                 n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
-                kernel.split[tables.path](self._reg, tables.main, blocks, codewords, data, n2,
+                kernel.split[tables.path](self._reg, tables.main, codewords, data, n2,
                                           _shift(self.entry, tables, n2.bit_length() - 1))
                 return
-            getattr(kernel, tables.path)(self._reg, tables.main, blocks, codewords, data)
+            getattr(kernel, tables.path)(self._reg, tables.main, codewords, data)
             return
         codewords = (FILLER,) if filler else codeword_table().entries
         shift = self.entry.degree - 9

@@ -62,16 +62,13 @@ class BitPolynomial:
 
 def parse_hex(text: str) -> BitPolynomial:
     """Parse a big-endian hex string, whitespace permitted, into a polynomial."""
-    digits = []
-    for offset, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        if ch not in "0123456789abcdefABCDEF":
-            raise ValueError(f"non-hex character {ch!r} at offset {offset}")
-        digits.append(ch)
+    digits = "".join(text.split())
+    # int(digits, 16) alone would also take a 0x prefix, a sign, underscores and non-ASCII digits
+    if bad := digits.strip("0123456789abcdefABCDEF"):
+        raise ValueError(f"non-hex character {bad[0]!r} at offset {text.index(bad[0])}")
     if not digits:
         raise ValueError("no hex digits in input")
-    return BitPolynomial(int("".join(digits), 16))
+    return BitPolynomial(int(digits, 16))
 
 
 def render_hex(p: BitPolynomial, group: bool = False, width: int | None = None) -> str:
@@ -220,29 +217,12 @@ def _mod_reducer(f: BitPolynomial):
 
 
 def _square(v: int) -> int:
-    """Square of a packed GF(2) polynomial (spread every bit apart)."""
-    out = 0
-    shift = 0
-    while v:
-        byte = v & 0xFF
-        out |= _SPREAD[byte] << shift
-        v >>= 8
-        shift += 16
-    return out
+    """Square of a packed GF(2) polynomial: bit i moves to bit 2i.
 
-
-def _make_spread():
-    t = []
-    for b in range(256):
-        s = 0
-        for i in range(8):
-            if b >> i & 1:
-                s |= 1 << (2 * i)
-        t.append(s)
-    return t
-
-
-_SPREAD = _make_spread()
+    v's binary digits read as base-4 digits put bit i at 4^i = 2^(2i); a
+    power-of-two base is exempt from the int_max_str_digits limit.
+    """
+    return int(format(v, "b"), 4)
 
 
 def _gcd(a: int, b: int) -> int:

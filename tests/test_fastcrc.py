@@ -29,6 +29,8 @@ CARRYLESS_PATHS = KERNEL_PATHS[:2]
 # the chunk size from which the "-split" variants absorb on two threads: the smallest
 # split floor any code or test uses
 TEST_SPLIT_BYTES = 1024
+# the bytes of one block step on vpclmul: B words of codewords, 1 KiB
+BLOCK_BYTES = 64 * fastcrc._BLOCK_WORDS // 9
 # how long a test repeats split absorbs until the worker takes a part: a caller takes
 # back a part the worker has not started, as when the scheduler has put the worker on
 # the caller's CPU until it balances the two
@@ -45,8 +47,8 @@ def use_path(monkeypatch, path):
     vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
     without a compiler.  "vpclmul-split" and "clmul-split" are those paths
     with the two-thread floor lowered to TEST_SPLIT_BYTES.  Each path keeps
-    one table cache for the whole test run, so the block and combine
-    constants of an entry are built once.
+    one table cache for the whole test run, so the combine constants of an
+    entry are built once.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
@@ -138,7 +140,7 @@ def row(t, v: int) -> int:
     if t.kernel is None:
         return t.main[v]
     reg = bytearray(8 * t.words)
-    t.kernel.native(reg, t.main, None, array("H", [v]) * 256, b"\0")
+    t.kernel.native(reg, t.main, array("H", [v]) * 256, b"\0")
     return value(t, reg)
 
 
@@ -176,18 +178,32 @@ class TestTables:
 
     def test_clmul_tables_pack_the_constants(self, monkeypatch):
         # w, mu, seven zero words, then G = (g - x^d) * x^pad least significant word first,
-        # zero-padded to whole blocks of eight words: the kernels' shifted loads read the zeros
-        use_path(monkeypatch, "clmul")
-        for e in params.registry():
-            t = build_tables(e)
-            w = t.words
-            mu, low = fastcrc._barrett_constants(e)
-            assert t.path == "clmul" and t.main[:2].tolist() == [w, mu]
-            assert len(t.main) == 9 + 8 * ((w + 7) // 8), e.index
-            assert t.main[2:9].tolist() == [0] * 7
-            assert t.main[9 + w:].tolist() == [0] * (len(t.main) - 9 - w)
-            g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
-            assert g == low << 64 * w - e.degree, e.index
+        # zero-padded to whole blocks of eight words: the kernels' shifted loads read the
+        # zeros.  vpclmul's table goes on with B, seven zero words and one more where B is a
+        # multiple of 8, then mu' (B words), zero-padded to whole blocks of eight words
+        b = fastcrc._BLOCK_WORDS
+        lift = b % 8 == 0
+        for kernel in CARRYLESS_PATHS:
+            if fastcrc._kernel is None or getattr(fastcrc._kernel, kernel) is None:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                use_path(mp, kernel)
+                for e in params.registry():
+                    t = build_tables(e)
+                    w = t.words
+                    at = 9 + 8 * ((w + 7) // 8)  # the clmul table's length
+                    mu, low = fastcrc._barrett_constants(e)
+                    assert t.path == kernel and t.main[:2].tolist() == [w, mu]
+                    assert t.main[2:9].tolist() == [0] * 7
+                    assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
+                    g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
+                    assert g == low << 64 * w - e.degree, e.index
+                    if kernel == "clmul":
+                        assert len(t.main) == at, e.index
+                        continue
+                    assert len(t.main) == at + 8 + 8 * ((b + lift + 14) // 8), e.index
+                    assert t.main[at:at + 8 + lift].tolist() == [b] + [0] * (7 + lift)
+                    assert not any(t.main[at + 8 + lift + b:]), e.index
 
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
@@ -210,41 +226,31 @@ class TestTables:
                     assert moved == power, (e.index, j)
                 power = gf2poly.remainder(gf2poly.multiply(power, power), e.generator)
 
-    def test_block_constants_match_gf2poly(self):
-        # the block step: for T of B words, Q = low w words of T ^ (T * mu' >> 64B) and
-        # the low w words of Q * G are T * x^(64w) mod g * x^pad
+    def test_block_constants_match_gf2poly(self, monkeypatch):
+        # mu' in the vpclmul table is the quotient floor(x^(d + 64B) / g) - x^(64B):
+        # (mu' + x^(64B)) * g + x^(d + 64B) mod g == x^(d + 64B).  The block step: for T of
+        # B words, Q = low w words of T ^ (T * mu' >> 64B) and the low w words of Q * G are
+        # T * x^(64w) mod g * x^pad
+        use_path(monkeypatch, "vpclmul")
         poly = gf2poly.BitPolynomial
         rng = random.Random(42)
         for e in params.registry():
-            w = (e.degree + 63) // 64
-            b, pad, low_w = fastcrc._BLOCK_WORDS, 64 * w - e.degree, (1 << 64 * w) - 1
-            mu = fastcrc._reciprocal(e, 64 * b)
+            t = build_tables(e)
+            w = t.words
+            at = 9 + 8 * ((w + 7) // 8)  # B, then mu' after seven zero words and lift
+            b = t.main[at]
+            start = at + 8 + (b % 8 == 0)
+            mu = int.from_bytes(bytes(memoryview(t.main)[start:start + b]), sys.byteorder)
+            pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
+            assert b >= w and b % 9 == 0, e.index
+            power = poly(1 << e.degree + 64 * b)
+            product = gf2poly.multiply(poly(mu ^ 1 << 64 * b), e.generator)
+            assert product ^ gf2poly.remainder(power, e.generator) == power, e.index
             g = fastcrc._barrett_constants(e)[1] << pad
-            assert b >= w and b % 9 == 0 and mu >> 64 * b == 0, e.index
-            for t in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
-                q = (t ^ gf2poly.multiply(poly(t), poly(mu)).value >> 64 * b) & low_w
-                want = gf2poly.remainder(poly(t << 64 * w), poly(e.generator.value << pad))
+            for m in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
+                q = (m ^ gf2poly.multiply(poly(m), poly(mu)).value >> 64 * b) & low_w
+                want = gf2poly.remainder(poly(m << 64 * w), poly(e.generator.value << pad))
                 assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, e.index
-            # the packed form: B, then mu' once, least significant word first, after seven
-            # zero words and one more where B is a multiple of 8, zero-padded to whole blocks
-            # of eight words from word 8
-            words = fastcrc._block_constants(e)
-            lift = b % 8 == 0
-            assert words[0] == b and len(words) == 8 + 8 * ((b + lift + 14) // 8)
-            packed = int.from_bytes(bytes(memoryview(words)[1:]), "little")
-            assert packed == mu << 64 * (7 + lift), e.index
-
-    def test_block_constants_are_built_on_the_first_block_absorb(self, monkeypatch):
-        # short messages (digest-short's are 256 B at most) never build them
-        use_path(monkeypatch, "vpclmul")
-        e = params.entry_for_aligned_bits(1744)
-        tables = build_tables(e)
-        assert tables.blocks == []
-        eng = fastcrc.CrcEngine(e, tables)
-        eng.absorb(bytes(fastcrc._BLOCK_BYTES - 1)).absorb(bytes(256))
-        assert tables.blocks == []
-        eng.absorb(bytes(fastcrc._BLOCK_BYTES))
-        assert len(tables.blocks) == 1 and tables.blocks[0][0] == fastcrc._BLOCK_WORDS
 
     def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
         # a worker that never starts or a guard that is never free falls back to one
@@ -377,8 +383,7 @@ class TestEquivalence:
 class TestPaths:
     def test_matches_reference_with_random_splits(self, path):
         rng = random.Random(35)
-        block = fastcrc._BLOCK_BYTES
-        edges = [block - 1, block, block + 1]
+        edges = [BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1]
         for e in params.registry():
             # 64 B is exactly nine 64-bit words of codewords, no tail bits; from 1 KiB
             # the -split variants and from 16 KiB every carry-less path split a chunk;
@@ -410,7 +415,7 @@ class TestPaths:
         if path != "python":
             kernel_loop = getattr(fastcrc._kernel, loop)
             monkeypatch.setattr(fastcrc._kernel, loop,
-                                lambda *args: received.append(args[4]) or kernel_loop(*args))
+                                lambda *args: received.append(args[3]) or kernel_loop(*args))
         words = array("Q", [0x0102030405060708])
         for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes()),
                          (memoryview(FOX)[::2], FOX[::2])):
@@ -521,7 +526,6 @@ class TestThreads:
         monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", sys.maxsize)  # leave a CPU to the loop
         e = params.entry_for_aligned_bits(1744)
         m = random.Random(46).randbytes(4 << 20)
-        engine_init(e).absorb(m[:fastcrc._BLOCK_BYTES])  # block constants, outside the call
         stamps, done, calls = [], threading.Event(), []
 
         def stamp():
@@ -587,53 +591,60 @@ class TestBinding:
                 assert eng.register == want, case
 
     def test_each_argument_is_checked(self, kernel_path):
-        # direct calls: each wrong argument raises, and the register is not written
+        # direct calls: each wrong argument raises, and neither the register nor the guard
+        # words around it are written
         path = kernel_path.partition("-")[0]
         kernel = fastcrc._kernel
         e = params.entry_for_aligned_bits(1744)
         t = build_tables(e)
         w, cw, loop = t.words, kernel.codewords, getattr(kernel, path)
-        blocks = fastcrc._blocks(e, t)  # None but on vpclmul
-        reg = bytearray(8 * w)
-        loop(reg, t.main, blocks, cw, FOX)
-        want = bytes(reg)
+        guarded = bytearray(8 * (w + 2))
+        reg = memoryview(guarded)[8:8 + 8 * w]
+        loop(reg, t.main, cw, FOX)
+        want = bytes(guarded)
         misaligned = memoryview(bytearray(8 * w + 8))[1:1 + 8 * w]
         claims_more = array("Q", t.main)
         claims_more[0] = w + 8
         calls = [
-            (TypeError, loop, (reg, t.main, blocks, cw)),
-            (TypeError, loop, (reg, t.main, blocks, cw, 5)),
-            (TypeError, loop, (reg, 5, blocks, cw, FOX)),
-            (TypeError, loop, (reg, t.main, blocks, memoryview(cw)[::2], FOX)),
-            (ValueError, loop, (misaligned, t.main, blocks, cw, FOX)),
-            (ValueError, loop, (reg, claims_more, blocks, cw, FOX)),
-            (ValueError, loop, (reg, t.main, blocks, cw[:255], FOX)),
-            (ValueError, loop, (reg, t.main, blocks, cw, reg)),  # reg overlaps the data
-            (ValueError, loop, (reg, t.main, array("Q", [144]), cw, FOX)),
+            (TypeError, loop, (reg, t.main, cw)),
+            (TypeError, loop, (reg, t.main, cw, 5)),
+            (TypeError, loop, (reg, 5, cw, FOX)),
+            (TypeError, loop, (reg, t.main, memoryview(cw)[::2], FOX)),
+            (ValueError, loop, (misaligned, t.main, cw, FOX)),
+            (ValueError, loop, (reg, claims_more, cw, FOX)),
+            (ValueError, loop, (reg, t.main, cw[:255], FOX)),
+            (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
             (ValueError, kernel.digest, (reg, e.degree, e.aligned_bits // 8 - 1)),
             (ValueError, kernel.digest, (reg, 64 * w + 1, 8 * w)),
             (ValueError, kernel.fill, (array("Q", [w]) * (512 * w),)),
             (TypeError, kernel.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
-        if blocks is not None:
-            calls.append((ValueError, loop, (reg, t.main, blocks[:-1], cw, FOX)))
+        bad_tables = []
+        if path == "vpclmul":  # a clmul-length table; block sizes not a multiple of 9, below w
+            at = 9 + 8 * ((w + 7) // 8)
+            bad_tables.append(t.main[:at])
+            for b in (fastcrc._BLOCK_WORDS - 1, 9):
+                bad_tables.append(array("Q", t.main))
+                bad_tables[-1][at] = b
+            calls += [(ValueError, kernel.fill_vpclmul, (bad,)) for bad in bad_tables]
+            calls.append((TypeError, kernel.fill_vpclmul, (t.main.tobytes(),)))
+        calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
         if path in kernel.split:
             split, combine = kernel.split[path], kernel.combine[path]
             k, zero = fastcrc._shift(e, t, 10), bytes(8 * w)
             n = 3 * 1024
             calls += [
-                (ValueError, split, (reg, t.main, blocks, cw, bytes(n), n + 1, k)),
-                (ValueError, split, (reg, t.main, blocks, cw, bytes(n), 1024, k[:-1])),
-                (ValueError, combine, (reg, t.main, blocks, k, zero[:-8])),
-                (ValueError, combine, (reg, t.main, blocks, reg, zero)),  # reg is also k
+                (ValueError, split, (reg, t.main, cw, bytes(n), n + 1, k)),
+                (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k[:-1])),
+                (ValueError, combine, (reg, t.main, k, zero[:-8])),
+                (ValueError, combine, (reg, t.main, reg, zero)),  # reg is also k
             ]
-            if path == "vpclmul":  # its split and combine take the block step
-                calls += [(ValueError, split, (reg, t.main, None, cw, bytes(n), 1024, k)),
-                          (ValueError, combine, (reg, t.main, None, k, zero))]
+            calls += [(ValueError, split, (reg, bad, cw, bytes(n), 1024, k)) for bad in bad_tables]
+            calls += [(ValueError, combine, (reg, bad, k, zero)) for bad in bad_tables]
         for error, function, args in calls:
             with pytest.raises(error):
                 function(*args)
-            assert reg == want, (function.__name__, args[1:])
+            assert guarded == want, (function.__name__, args[1:])
 
 
 class TestKernelBuild:
@@ -712,9 +723,8 @@ class TestKernelBuild:
         cases = []
         for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192),
                             (2784, 30000, 8192), (416, 3000, 1024)):
-            table, k, blocks = kernel_constants(params.entry_for_aligned_bits(bits), n2)
-            cases.append("{%d, %d, %s, %s, %s}" % (n, n2, c_words(table), c_words(k),
-                                                    c_words(blocks)))
+            table, k = kernel_constants(params.entry_for_aligned_bits(bits), n2)
+            cases.append("{%d, %d, %s, %s}" % (n, n2, c_words(table), c_words(k)))
         run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
             "kernel": kernel, "codewords": c_words(fastcrc._kernel.codewords),
             "cases": ",\n    ".join(cases)})
@@ -723,28 +733,26 @@ class TestKernelBuild:
 
     def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
         # the kernels load whole blocks of eight words, up to seven words below each
-        # constant and past its last word; a C program copies each constant, the message
-        # and the register into buffers of exactly their size, so any such load past
-        # what fastcrc builds is a heap-buffer-overflow
+        # constant and past its last word; a C program copies each table, constant, message
+        # and register into buffers of exactly their size, the clmul kernel's table cut to
+        # its own length, so any such load past what fastcrc builds is a heap-buffer-overflow
         first_carryless_path(monkeypatch)
         m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
         cases = []
         for bits in (64, 416, 512, 608, 1744, 2784, 4288):
             e = params.entry_for_aligned_bits(bits)
-            table, k, blocks = kernel_constants(e, ASAN_SPLIT_PART)
+            table, k = kernel_constants(e, ASAN_SPLIT_PART)
             pad = 64 * table[0] - e.degree
             want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad,
                                       table[0]) for n in ASAN_LENGTHS]
-            cases.append("{%d, %d, %s, %s, %s, {%s}}" % (
-                len(table), len(blocks), c_words(table), c_words(k), c_words(blocks),
-                ", ".join(map(c_words, want))))
+            cases.append("{%d, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
+                                                 ", ".join(map(c_words, want))))
         run = sanitized_program(tmp_path, "address", ASAN_PROGRAM % {
             "codewords": c_words(fastcrc._kernel.codewords), "message": c_words(m),
             "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
             "cases": ",\n    ".join(cases)})
         mismatches, runs = map(int, run.stdout.split())
         assert mismatches == 0 and runs == 3 * len(cases) * len(fastcrc._kernel.split)
-
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
@@ -760,9 +768,10 @@ class TestKernelBuild:
         listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
                                  check=True).stdout
         functions = disassembly(listing)
-        for name in ("absorb_vpclmul", "block_step_vpclmul"):
+        for name in ("absorb_vpclmul", "block_step_vpclmul", "fill_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
-        for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul"):
+        for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul",
+                     "py_fill_vpclmul"):
             assert name in functions, name  # the check sees the wrappers
         for name, instructions in functions.items():
             if "vpclmul" not in name or name.startswith("py_"):
@@ -772,10 +781,10 @@ class TestKernelBuild:
 
 
 def kernel_constants(e, n2: int):
-    """e's carry-less table, K_j for a second part of n2 = 2^j bytes and its block
-    constants, as fastcrc builds them for the kernels."""
+    """e's carry-less table and K_j for a second part of n2 = 2^j bytes, as fastcrc builds
+    them for the kernels."""
     t = build_tables(e)
-    return t.main, fastcrc._shift(e, t, n2.bit_length() - 1), fastcrc._block_constants(e)
+    return t.main, fastcrc._shift(e, t, n2.bit_length() - 1)
 
 
 def c_words(words) -> str:
@@ -868,8 +877,9 @@ for i, path in enumerate(paths):
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
+    block = 64 * fastcrc._BLOCK_WORDS // 9
     for e in block_edges:  # one call at one block +-1, where vpclmul takes the block step
-        for n in range(fastcrc._BLOCK_BYTES - 1, fastcrc._BLOCK_BYTES + 2):
+        for n in range(block - 1, block + 2):
             m = rng.randbytes(n)
             eng = fastcrc.engine_init(e).absorb(m)
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
@@ -903,21 +913,21 @@ print(" ".join(paths), checked)
 """
 
 
-# Two threads each run every case 40 times: a plain absorb (the word step, no
-# block constants) and a split one from the same nonzero register, which must
-# agree.  The split is given the block constants, which the clmul kernel
-# ignores.  Prints mismatches, splits taken and plain loops run.
+# Two threads each run every case 40 times: a plain absorb and a split one from
+# the same nonzero register, which must agree.  Prints mismatches, splits taken
+# and plain loops run.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
 
 #define MAX_W 67
-#define MAX_TABLE (9 + 72) /* w, mu, seven zero words, G in whole blocks of eight words */
-#define MAX_BLOCKS (8 + 8 * 19) /* B = 144: B, eight zero words, mu' in 19 blocks */
+/* w, mu, seven zero words, G in whole blocks of eight words; on vpclmul then
+ * B = 144, seven zero words and one more, and mu' in 19 blocks */
+#define MAX_TABLE (9 + 72 + 8 + 8 * 19)
 static const uint16_t codewords[256] = %(codewords)s;
 static const struct {
     size_t n, n2;
-    uint64_t table[MAX_TABLE], k[MAX_W], blocks[MAX_BLOCKS];
+    uint64_t table[MAX_TABLE], k[MAX_W];
 } cases[] = {
     %(cases)s
 };
@@ -930,11 +940,11 @@ static void *run(void *seed)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
             size_t start = (size_t)seed + round;
-            absorb_%(kernel)s(a, cases[c].table, NULL, codewords, data, start);
+            absorb_%(kernel)s(a, cases[c].table, codewords, data, start);
             memcpy(b, a, sizeof a);
-            absorb_%(kernel)s(a, cases[c].table, NULL, codewords, data + start, cases[c].n);
-            int took = absorb_split_%(kernel)s(b, cases[c].table, cases[c].blocks, codewords,
-                                               data + start, cases[c].n, cases[c].n2, cases[c].k);
+            absorb_%(kernel)s(a, cases[c].table, codewords, data + start, cases[c].n);
+            int took = absorb_split_%(kernel)s(b, cases[c].table, codewords, data + start,
+                                               cases[c].n, cases[c].n2, cases[c].k);
             atomic_fetch_add(took ? &split : &plain, 1);
             if (memcmp(a, b, sizeof a))
                 atomic_fetch_add(&mismatches, 1);
@@ -959,28 +969,28 @@ int main(void)
 
 
 # The lengths the AddressSanitizer program absorbs on each carry-less kernel: by the
-# word step alone (no block constants), by the block step (two blocks and a tail) and
+# word step alone (under one block), by the block step (two blocks and a tail) and
 # on two threads, the second part ASAN_SPLIT_PART bytes (two blocks each side).
-ASAN_LENGTHS = (1100, 3000, 5000)
+ASAN_LENGTHS = (1000, 3000, 5000)
 ASAN_SPLIT_PART = 2048
 
-# Each case's table, block constants, K_j, message and register are copied into
-# buffers of exactly their size.  Prints mismatches against the reference and
-# absorbs run.
+# Each case's table, K_j, message and register are copied into buffers of
+# exactly their size; the clmul kernel gets the table's first BLOCKS_AT(w)
+# words, its own table.  Prints mismatches against the reference and absorbs
+# run.
 ASAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
 #include <stdlib.h>
 
 #define MAX_W 67
-#define MAX_TABLE (9 + 72)
-#define MAX_BLOCKS (8 + 8 * 19)
+#define MAX_TABLE (9 + 72 + 8 + 8 * 19)
 static const uint16_t codewords[256] = %(codewords)s;
 static const uint8_t message[] = %(message)s;
 static const size_t lengths[3] = {%(lengths)s};
 static const struct {
-    size_t table_words, block_words;
-    uint64_t table[MAX_TABLE], k[MAX_W], blocks[MAX_BLOCKS], want[3][MAX_W];
+    size_t table_words;
+    uint64_t table[MAX_TABLE], k[MAX_W], want[3][MAX_W];
 } cases[] = {
     %(cases)s
 };
@@ -995,31 +1005,28 @@ static void *exactly(const void *from, size_t bytes)
 int main(void)
 {
     absorb_fn *absorbs[] = {absorb_clmul, absorb_vpclmul};
-    int (*splits[])(uint64_t *, const uint64_t *, const uint64_t *, const uint16_t *,
-                    const uint8_t *, size_t, size_t, const uint64_t *) = {
-        absorb_split_clmul, absorb_split_vpclmul};
+    int (*splits[])(uint64_t *, const uint64_t *, const uint16_t *, const uint8_t *, size_t,
+                    size_t, const uint64_t *) = {absorb_split_clmul, absorb_split_vpclmul};
     int mismatches = 0, runs = 0;
     for (int kernel = 0; kernel < carryless(); kernel++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             size_t w = cases[c].table[0];
-            uint64_t *table = exactly(cases[c].table, cases[c].table_words * 8);
-            uint64_t *blocks = exactly(cases[c].blocks, cases[c].block_words * 8);
+            uint64_t *table = exactly(cases[c].table,
+                                      (kernel ? cases[c].table_words : BLOCKS_AT(w)) * 8);
             uint64_t *k = exactly(cases[c].k, w * 8);
             for (int run = 0; run < 3; run++) {
                 uint8_t *data = exactly(message, lengths[run]);
                 uint64_t *reg = calloc(w, 8);
                 if (run < 2)
-                    absorbs[kernel](reg, table, run ? blocks : NULL, codewords, data,
-                                    lengths[run]);
+                    absorbs[kernel](reg, table, codewords, data, lengths[run]);
                 else
-                    splits[kernel](reg, table, blocks, codewords, data, lengths[run], %(part)d, k);
+                    splits[kernel](reg, table, codewords, data, lengths[run], %(part)d, k);
                 mismatches += memcmp(reg, cases[c].want[run], w * 8) != 0;
                 runs++;
                 free(reg);
                 free(data);
             }
             free(k);
-            free(blocks);
             free(table);
         }
     printf("%%d %%d\\n", mismatches, runs);

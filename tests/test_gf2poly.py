@@ -28,8 +28,14 @@ class TestParseRender:
     def test_parse_rejects_non_hex(self):
         with pytest.raises(ValueError, match="offset 2"):
             parse_hex("ABZ3")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no hex digits"):
             parse_hex("   ")
+        # what int(text, 16) would take: a prefix, an underscore, a sign, Arabic-Indic digits
+        for text, bad, offset in (("0x1F", "x", 1), ("1_F", "_", 1), ("+1", "+", 0),
+                                  ("-1", "-", 0), (" 1 \u0661", "\u0661", 3)):
+            with pytest.raises(ValueError) as raised:
+                parse_hex(text)
+            assert str(raised.value) == f"non-hex character {bad!r} at offset {offset}"
 
     def test_render_grouped(self):
         p = gf2poly.compose_tgfsr(parse_hex("3FC417"), 3, 2)
@@ -73,6 +79,14 @@ class TestMultiply:
             if (p.value >> k) & 1:
                 expected |= 1 << (2 * k)
         assert gf2poly.multiply(p, p).value == expected
+
+    def test_square_matches_multiply(self):
+        rng = random.Random(4)
+        for bits in (0, 1, 31, 1744, 4288):
+            v = rng.getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits long
+            p = BitPolynomial(v)
+            assert v.bit_length() == bits
+            assert gf2poly._square(v) == gf2poly.multiply(p, p).value, bits
 
     def test_ring_laws(self):
         rng = random.Random(2)
