@@ -6,7 +6,7 @@
  * word first, shifted up by pad = 64w - d bits so its top 9 bits are bits
  * 55-63 of word 0.  Every loop leaves it holding prefix * x^d mod g after
  * every call, whatever the number of bytes.  Every table a loop reads starts
- * with w, and vpclmul's block constants with B, so no call passes either.
+ * with w, so no call passes it, and w is at most MAX_WORDS = B / 2.
  *
  * Three loops with one signature, (reg, table, cw, data, n): absorb, a
  * 512-row table walk that any CPU runs, and on x86-64 two table-free
@@ -18,22 +18,22 @@
  * PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU can
  * run.
  *
- * The carry-less kernels read each constant once, in place, least
- * significant word first: their table is w, mu, seven zero words, then
- * G = (g - x^d) * x^pad zero-padded to whole blocks of eight words.  A
- * product eight words at a time reads a constant shifted up s < 8 words by
- * one unaligned load at offset -s, which brings in the zeros around it.
- * vpclmul's table goes on with its block constants: B, seven zero words and
- * lift more, then mu' (B words), zero-padded to whole blocks of eight.
+ * Both carry-less kernels read one table, each constant once, in place,
+ * least significant word first: w, mu, seven zero words, G = (g - x^d) *
+ * x^pad zero-padded to whole blocks of eight words, seven more zero words,
+ * then mu' (B words) one word up, zero-padded to MU_BLOCKS whole blocks of
+ * eight.  A product eight words at a time reads a constant shifted up s < 8
+ * words by one unaligned load at offset -s, which brings in the zeros
+ * around it.
  *
  * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
  * step, and each step's quotient waits on the last one's register.
- * absorb_vpclmul first reduces whole blocks of B words (64B / 9 bytes;
- * B = 144, 1 KiB, for every registry entry) with one Barrett step per
- * block, whose quotient Q = T + (T * mu' >> 64B) uses
+ * absorb_vpclmul first reduces whole blocks of B = 144 words (1 KiB) with
+ * one Barrett step per block, whose quotient Q = T + (T * mu' >> 64B) uses
  * mu' = floor(x^(d + 64B) / g) - x^(64B) (P. Barrett, CRYPTO '86, over
- * GF(2)); the word step takes the rest of the call.  fill_vpclmul computes
- * mu' by the word step when the table is built.
+ * GF(2)); the word step takes the rest of the call.  fill_carryless
+ * computes mu' by the word step when the table is built; absorb_clmul does
+ * not read it.
  *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul.  One persistent worker thread per process absorbs
@@ -80,11 +80,25 @@ void fill(uint64_t *table)
     }
 }
 
+/* B, the words one block step reduces: a multiple of 9, so a block is
+ * BLOCK_BYTES = 64B / 9 = 1024 whole bytes.  Larger blocks spread the step's
+ * fixed work, the w-by-w product and the ends of the mu' product, over more
+ * words: B = 144 ran 5-8% faster than B = 72 at 1744-4288 bits, and B = 216
+ * or 288 no faster again.  No register has more than MAX_WORDS = B / 2
+ * words (the registry's largest has 67), so a product of two registers is
+ * one block. */
+enum { B = 144, BLOCK_BYTES = 64 * B / 9, MAX_WORDS = B / 2 };
+
 /* Offsets in a carry-less table, which the module checks on every platform:
- * G after w, mu and seven zero words; vpclmul's block constants after G's
- * whole blocks of eight words. */
+ * G after w, mu and seven zero words; the tail after G's whole blocks of
+ * eight words, TAIL_WORDS long: seven zero words, then from MU_AT(w) mu' one
+ * word up in MU_BLOCKS blocks, room for its copies shifted up s < 8 words. */
 #define G_AT 9
-#define BLOCKS_AT(w) (G_AT + 8 * (((w) + 7) / 8))
+#define TAIL_AT(w) (G_AT + 8 * (((w) + 7) / 8))
+#define MU_AT(w) (TAIL_AT(w) + 7)
+#define MU_BLOCKS ((B + 15) / 8)
+#define TAIL_WORDS (7 + 8 * MU_BLOCKS)
+#define CARRYLESS_WORDS(w) (TAIL_AT(w) + TAIL_WORDS)
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -177,12 +191,7 @@ typedef void shift_add_fn(uint64_t *r, const uint64_t *G, size_t w, uint64_t q);
  * mod g * x^pad is T * x^(64w) mod g * x^pad: with the Barrett quotient
  * Q = the low w words of T + (T * mu' >> 64B), it is the low w words of
  * Q * G, G = (g - x^d) * x^pad.  Only the product words that reach Q and
- * the new r are formed.
- *
- * The block constants, from table + BLOCKS_AT(w), hold B, then mu' (B words)
- * once: after seven zero words and lift more, lift being 1 where B is a
- * multiple of 8 and 0 elsewhere, and zero-padded to (B + lift + 14) / 8
- * whole blocks of eight words from their word 8. */
+ * the new r are formed. */
 
 /* Blocks o_lo <= o < o_hi of the product a * c into out, eight words each;
  * a has n words, and c is nc blocks with seven zero words below them.  Copy
@@ -226,20 +235,19 @@ VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, siz
     }
 }
 
-/* r = the low w words of T * x^(64w) mod g * x^pad, for T of B words of
- * which words n and up are zero; r has room for whole blocks.  lift keeps
- * word B of T * mu', the lowest that reaches Q, off the short lowest word
- * of a block.  The low w words of Q * G read only G's first (w + 7) / 8
- * blocks. */
+/* r = the low w words of T * x^(64w) mod g * x^pad, for T of n <= B words;
+ * r has room for whole blocks.  mu' is stored one word up: B is a multiple
+ * of 8, and word B of T * mu', the lowest that reaches Q, would otherwise be
+ * the short lowest word of a block.  The low w words of Q * G read only G's
+ * first (w + 7) / 8 blocks. */
 VPCLMUL __attribute__((noinline, noclone)) static void
 block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n)
 {
-    size_t w = table[0], B = table[BLOCKS_AT(w)], lift = B % 8 == 0;
-    size_t o_lo = (B + lift) / 8, o_hi = (B + lift + w - 1) / 8 + 1;
+    size_t w = table[0], o_lo = (B + 1) / 8, o_hi = (B + w) / 8 + 1;
     uint64_t P[8 * (o_hi - o_lo)], Q[w];
-    product_vpclmul(P, T, n, table + BLOCKS_AT(w) + 8, (B + lift + 14) / 8, o_lo, o_hi);
+    product_vpclmul(P, T, n, table + MU_AT(w), MU_BLOCKS, o_lo, o_hi);
     for (size_t k = 0; k < w; k++)
-        Q[k] = T[k] ^ P[B + lift - 8 * o_lo + k];
+        Q[k] = T[k] ^ P[B + 1 - 8 * o_lo + k];
     product_vpclmul(r, Q, w, table + G_AT, (w + 7) / 8, 0, (w + 7) / 8);
 }
 
@@ -264,12 +272,12 @@ VPCLMUL static inline void pack_vpclmul(uint64_t *M, const uint16_t *cw, const u
     M[8] = spill;
 }
 
-/* Absorb one block of 64B / 9 bytes into r, the register least significant
+/* Absorb one block of BLOCK_BYTES into r, the register least significant
  * word first. */
 VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, const uint64_t *table,
                                                  const uint16_t *cw, const uint8_t *data)
 {
-    size_t w = table[0], B = table[BLOCKS_AT(w)];
+    size_t w = table[0];
     uint64_t T[B];
     for (size_t c = 0; c < B / 9; c++)
         pack_vpclmul(T + B - 9 * (c + 1), cw, data + 64 * c); /* first 64 bytes highest */
@@ -284,7 +292,7 @@ typedef void absorb_block_fn(uint64_t *r, const uint64_t *table, const uint16_t 
 /* The carry-less kernels' shared loop, no table of rows.  The table holds
  * w, mu = floor(x^(d+64) / g) - x^64 and, from word G_AT, G; reg is copied
  * into r least significant word first.  With absorb_block (vpclmul only),
- * whole blocks of 64B / 9 bytes go through the block step first.  The rest
+ * whole blocks of BLOCK_BYTES go through the block step first.  The rest
  * of the codewords are packed into 64-bit words c, first codeword highest.  Per
  * word, t = r[w - 1] ^ c and q = floor(t * x^d / g) = t ^ clmul_hi(t, mu)
  * (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
@@ -301,7 +309,7 @@ absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const u
     for (size_t i = 0; i < w; i++)
         r[i] = reg[w - 1 - i];
     if (absorb_block)
-        for (size_t bytes = 64 * table[BLOCKS_AT(w)] / 9; n >= bytes; n -= bytes, data += bytes)
+        for (; n >= BLOCK_BYTES; n -= BLOCK_BYTES, data += BLOCK_BYTES)
             absorb_block(r, table, cw, data);
     uint64_t acc = 0; /* codeword bits not yet in a word, right-aligned */
     unsigned held = 0; /* how many: 0 to 63 */
@@ -348,18 +356,19 @@ VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict tab
     absorb_carryless(reg, table, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
 }
 
-/* mu' into the block constants of a vpclmul table whose B is in place.
+/* mu' into a carry-less table whose tail is zero.
  * x^(d + 64B) = g * x^(64B) + (g - x^d) * x^(64B), so mu' is
  * floor((g - x^d) * x^(64B) / g): the B quotients of the word step from the
- * register r = G through B zero words, the first one highest. */
-VPCLMUL void fill_vpclmul(uint64_t *table)
+ * register r = G through B zero words, the first one highest.  PCLMULQDQ
+ * alone, so every carry-less table is built the same on either kernel. */
+__attribute__((target("pclmul"))) void fill_carryless(uint64_t *table)
 {
-    size_t w = table[0], B = table[BLOCKS_AT(w)], lift = B % 8 == 0;
-    uint64_t r[(w + 7) & ~(size_t)7], *mu = table + BLOCKS_AT(w) + 8 + lift;
-    memcpy(r, table + G_AT, sizeof r); /* G's whole blocks */
+    size_t w = table[0];
+    uint64_t r[w], *mu = table + MU_AT(w) + 1;
+    memcpy(r, table + G_AT, sizeof r);
     for (size_t i = 0; i < B; i++) {
         uint64_t q = quotient(r[w - 1], table[1], 64);
-        shift_add_vpclmul(r, table + G_AT, w, q);
+        shift_add_clmul(r, table + G_AT, w, q);
         mu[B - 1 - i] = q;
     }
 }
@@ -392,30 +401,21 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
 
 /* The same on the block machinery: the product through product_vpclmul with
  * one copy of k, least significant word first after seven zero words and
- * zero-padded to whole blocks, then fed through the block step, B words at
- * a time from the top, the product zero-extended to whole blocks.  The top
- * block holds only the product's top words, the rest of it zero. */
+ * zero-padded to whole blocks, then one block step: w <= B / 2, so the
+ * 2w-word product is one block. */
 VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
                              const uint64_t *s)
 {
-    size_t w = table[0], B = table[BLOCKS_AT(w)];
-    size_t n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8, steps = (2 * w + B - 1) / B;
-    size_t words = steps * B > 8 * n_p ? steps * B : 8 * n_p;
-    uint64_t a[w], k_lsw[7 + 8 * n_k], p[words], r[(w + 7) & ~(size_t)7], T[B];
+    size_t w = table[0], n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8;
+    uint64_t a[w], k_lsw[7 + 8 * n_k], T[8 * n_p], r[(w + 7) & ~(size_t)7];
     memset(k_lsw, 0, sizeof k_lsw);
+    memset(T, 0, sizeof T); /* product_vpclmul fills it, but gcc warns it may not */
     for (size_t i = 0; i < w; i++) {
         a[i] = reg[w - 1 - i];
         k_lsw[7 + i] = k[w - 1 - i];
     }
-    product_vpclmul(p, a, w, k_lsw + 7, n_k, 0, n_p);
-    memset(p + 8 * n_p, 0, (words - 8 * n_p) * sizeof *p);
-    memset(r, 0, sizeof r);
-    for (size_t c = steps; c-- > 0;) {
-        memcpy(T, p + c * B, sizeof T);
-        for (size_t i = 0; i < w; i++)
-            T[B - w + i] ^= r[i];
-        block_step_vpclmul(r, table, T, c + 1 < steps ? B : 2 * w - c * B);
-    }
+    product_vpclmul(T, a, w, k_lsw + 7, n_k, 0, n_p);
+    block_step_vpclmul(r, table, T, 2 * w);
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];
 }

@@ -15,14 +15,17 @@
  *   absorb_split_clmul, absorb_split_vpclmul (reg, table, codewords, data,
  *       n2, k) -> True if the worker thread absorbed its part
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
- *   fill (table), fill_vpclmul (table)
- *   digest (reg, degree, size) -> the register's degree-bit value as size
- *       big-endian bytes
+ *   fill (table), fill_carryless (table)
+ *   digest (reg, degree) -> the register's degree-bit value as
+ *       ceil(degree / 8) big-endian bytes
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
+ *   TAIL_WORDS, the words of a carry-less table after G's whole blocks
  *
- * A vpclmul table is a clmul table followed by its block constants, whose
- * mu' fill_vpclmul computes in place.  The clmul and vpclmul functions
- * exist on x86-64 only.
+ * There are two kinds of table, rows (absorb, fill) and carry-less (the
+ * rest), and one register bound for both and for digest: w <= MAX_WORDS.
+ * Both carry-less kernels read the same table, whose mu' fill_carryless
+ * computes in place.  The clmul, vpclmul and fill_carryless functions exist
+ * on x86-64 only.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -34,9 +37,6 @@
  * the clmul word step at 64-4288 bits; holding the GIL that long delays
  * other threads far less than the interpreter's 5 ms switch interval. */
 #define RELEASE_BYTES 4096
-/* The largest register and block, in words, that the kernels' stack arrays
- * are allowed: 64 Kbit.  The registry's largest register is 67 words. */
-#define MAX_WORDS 1024
 
 typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
                      const uint8_t *data, size_t n);
@@ -45,9 +45,8 @@ typedef int split_fn(uint64_t *reg, const uint64_t *table, const uint16_t *cw, c
 typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
                           const uint64_t *s);
 
-/* The kinds of table: the table walk's, the carry-less word step's, and that
- * followed by the block constants. */
-enum kind { ROWS_TABLE, CLMUL_TABLE, VPCLMUL_TABLE };
+/* The kinds of table: the table walk's and the carry-less kernels'. */
+enum kind { ROWS_TABLE, CARRYLESS_TABLE };
 
 /* One absorb path: its loop and, on the carry-less paths, its two-thread
  * entry and combine step, and the kind of table it reads. */
@@ -61,9 +60,9 @@ struct path {
 static const struct path table_path = {absorb, NULL, NULL, ROWS_TABLE};
 #if defined(__x86_64__)
 static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, combine_clmul,
-                                       CLMUL_TABLE};
+                                       CARRYLESS_TABLE};
 static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, combine_vpclmul,
-                                         VPCLMUL_TABLE};
+                                         CARRYLESS_TABLE};
 #endif
 
 /* The buffers a call holds, released together. */
@@ -108,29 +107,18 @@ static int apart(const Py_buffer *reg, const Py_buffer *read)
     return 0;
 }
 
-/* w, the word count the table starts with, if the table is long enough for
- * it on the given kind of path; 0 with ValueError if not.  The table walk
- * reads 1 + 512w words; the carry-less loops w, mu, seven zero words and G
- * in whole blocks of eight; vpclmul then the block constants, B, a multiple
- * of 9 from w to MAX_WORDS, and mu' after seven zero words and lift more,
- * in whole blocks of eight. */
+/* w, the word count the table starts with, if it is 1 to MAX_WORDS and the
+ * table is long enough for it on the given kind of path; 0 with ValueError
+ * if not.  The table walk reads 1 + 512w words, the carry-less loops
+ * CARRYLESS_WORDS(w). */
 static size_t table_words(const Py_buffer *table, enum kind kind)
 {
     const uint64_t *t = table->buf;
-    size_t n = items(table, 8), w = n ? t[0] : 0, B = 0;
-    size_t need = kind == ROWS_TABLE ? 1 + 512 * w : BLOCKS_AT(w);
-    if (kind == VPCLMUL_TABLE) {
-        B = n > need ? t[need] : 0;
-        need += 8 + 8 * ((B + (B % 8 == 0) + 14) / 8);
-    }
-    if (w < 1 || w > MAX_WORDS || n < need) {
-        PyErr_SetString(PyExc_ValueError, "table is too short for its word count");
-        return 0;
-    }
-    if (kind == VPCLMUL_TABLE && (B < w || B % 9 || B > MAX_WORDS)) {
+    size_t n = items(table, 8), w = n ? t[0] : 0;
+    if (w < 1 || w > MAX_WORDS || n < (kind == ROWS_TABLE ? 1 + 512 * w : CARRYLESS_WORDS(w))) {
         PyErr_Format(PyExc_ValueError,
-                     "table's block size must be a multiple of 9 from its word count to %d",
-                     MAX_WORDS);
+                     "table must start with a word count from 1 to %d and hold the words "
+                     "that count needs", MAX_WORDS);
         return 0;
     }
     return w;
@@ -297,21 +285,22 @@ static PyObject *py_fill(PyObject *module, PyObject *const *args, Py_ssize_t nar
 }
 
 #if defined(__x86_64__)
-/* (table): mu' into a vpclmul table's block constants, whose B is in place. */
-static PyObject *py_fill_vpclmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* (table): mu' into a carry-less table's zero tail. */
+static PyObject *py_fill_carryless(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return fill_call(fill_vpclmul, VPCLMUL_TABLE, args, nargs, "fill_vpclmul");
+    return fill_call(fill_carryless, CARRYLESS_TABLE, args, nargs, "fill_carryless");
 }
 #endif
 
-/* (reg, degree, size): the register moved down pad = 64w - degree bits, as
- * size big-endian bytes, written from the least significant word up; the
- * value has degree bits, so the top 8w - size bytes it drops are zero. */
+/* (reg, degree): the register moved down pad = 64w - degree bits, as
+ * size = ceil(degree / 8) big-endian bytes, written from the least
+ * significant word up; the value has degree bits, so the top 8w - size bytes
+ * it drops are zero. */
 static PyObject *py_digest(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (!arguments(nargs, 3, "digest"))
+    if (!arguments(nargs, 2, "digest"))
         return NULL;
     struct views v = {.held = 0};
     PyObject *result = NULL;
@@ -319,14 +308,16 @@ static PyObject *py_digest(PyObject *module, PyObject *const *args, Py_ssize_t n
     if (!view)
         goto done;
     size_t w = items(view, 8);
-    Py_ssize_t degree = PyLong_AsSsize_t(args[1]), size = PyLong_AsSsize_t(args[2]);
-    if ((degree == -1 || size == -1) && PyErr_Occurred())
+    Py_ssize_t degree = PyLong_AsSsize_t(args[1]);
+    if (degree == -1 && PyErr_Occurred())
         goto done;
     if (w < 1 || w > MAX_WORDS || degree <= 64 * ((Py_ssize_t)w - 1) ||
-        degree > 64 * (Py_ssize_t)w || degree > 8 * size || size > 8 * (Py_ssize_t)w) {
-        PyErr_SetString(PyExc_ValueError, "reg, degree and size do not agree");
+        degree > 64 * (Py_ssize_t)w) {
+        PyErr_Format(PyExc_ValueError, "reg must hold ceil(degree / 64) words, 1 to %d",
+                     MAX_WORDS);
         goto done;
     }
+    Py_ssize_t size = (degree + 7) / 8;
     if (!(result = PyBytes_FromStringAndSize(NULL, size)))
         goto done;
     const uint64_t *reg = view->buf;
@@ -367,7 +358,7 @@ static PyMethodDef methods[] = {
     FASTCALL("absorb_split_vpclmul", py_absorb_split_vpclmul),
     FASTCALL("combine_clmul", py_combine_clmul),
     FASTCALL("combine_vpclmul", py_combine_vpclmul),
-    FASTCALL("fill_vpclmul", py_fill_vpclmul),
+    FASTCALL("fill_carryless", py_fill_carryless),
 #endif
     FASTCALL("fill", py_fill),
     FASTCALL("digest", py_digest),
@@ -375,10 +366,17 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static int add_constants(PyObject *module)
+{
+    return PyModule_AddIntConstant(module, "TAIL_WORDS", TAIL_WORDS);
+}
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, add_constants}, {0, NULL}};
+
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_absorb",
     .m_doc = "The absorb loops of badderlocks.fastcrc over buffers.", .m_size = 0,
-    .m_methods = methods,
+    .m_methods = methods, .m_slots = slots,
 };
 
 PyMODINIT_FUNC PyInit__absorb(void) { return PyModuleDef_Init(&module); }

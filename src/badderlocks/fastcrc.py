@@ -12,26 +12,24 @@ is bit-identical to classifier.classify.
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
 - "vpclmul": C with no table of rows, on AVX-512.  Codewords are packed
-  into 64-bit words.  A call of one block, B = 144 words (1 KiB), or more
-  is reduced a block at a time, by one Barrett step per block whose
-  products, formed with VPCLMULQDQ, do not wait on each other; its constant
-  mu' = floor(x^(degree + 64B) / g) - x^(64B), stored once like every
-  carry-less constant and read shifted up s < 8 words by one load at
-  offset -s, is computed by the kernel when the entry's tables are built.
-  Shorter calls, and what follows a call's last whole block, take the
-  per-word Barrett step, ceil(degree / 64) + 1 carry-less multiplies per
-  word, eight of them per pair of VPCLMULQDQ instructions.
+  into 64-bit words.  A call of one block, 1 KiB, or more is reduced a
+  block at a time, by one Barrett step per block whose products, formed
+  with VPCLMULQDQ, do not wait on each other.  Shorter calls, and what
+  follows a call's last whole block, take the per-word Barrett step,
+  ceil(degree / 64) + 1 carry-less multiplies per word, eight of them per
+  pair of VPCLMULQDQ instructions.
 - "clmul": the per-word step with PCLMULQDQ, one multiply per instruction.
 - "native": the cycle loop above in C, one 512-row table lookup per byte.
 - "python": the same loop in Python.
 
 `_absorb.c` holds the three C loops, which share one signature, (register,
 table, codeword map, data): the table's first word is the register's word
-count, so no call passes it, and vpclmul's table ends with its block
-constants.  `_absorbmodule.c`
-includes it and makes it a CPython extension module whose functions take
-these as buffers, check their sizes before writing a word, and release the
-GIL for chunks of 4 KiB or more.  The first import compiles the module with
+count, at most 72, so no call passes it.  Both carry-less paths read one
+table, whose block-step constant the module computes when the table is
+built; the block size is a constant of the C code.  `_absorbmodule.c`
+includes `_absorb.c` and makes it a CPython extension module whose
+functions take these as buffers, check their sizes before writing a word,
+and release the GIL for chunks of 4 KiB or more.  The first import compiles the module with
 `cc -pthread` and the interpreter's `Python.h` into this package's
 `__pycache__`, named by a hash of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
@@ -81,13 +79,14 @@ _COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
 
 
 class _Kernel:
-    """The extension module's absorb loops, fill and digest, and the codeword maps absorb reads.
+    """The extension module's absorb loops, fills and digest, and the codeword maps absorb reads.
 
     Each absorb loop is the attribute named after its path, and all three
     take (reg, table, codewords, data).  `vpclmul`, `clmul` and
-    `fill_vpclmul`, which computes mu' into a vpclmul table, are None where
-    the CPU cannot run them; `split` and `combine` hold the two-thread
-    entries and combine steps, keyed by path.
+    `fill_carryless`, which computes the block-step constant into a
+    carry-less table, are None where the CPU cannot run them; `split` and
+    `combine` hold the two-thread entries and combine steps, keyed by path.
+    `tail_words` is how many zero words a carry-less table holds after G.
     """
 
     def __init__(self, path: Path):
@@ -104,7 +103,8 @@ class _Kernel:
             # returns True if split, False if the plain loop ran
             self.split[path] = getattr(module, f"absorb_split_{path}")
             self.combine[path] = getattr(module, f"combine_{path}")
-        self.fill_vpclmul = None if self.vpclmul is None else module.fill_vpclmul
+        self.fill_carryless = None if self.clmul is None else module.fill_carryless
+        self.tail_words = module.TAIL_WORDS
         self.filler = array("H", [FILLER]) * 256  # every byte maps to FILLER
 
     @cached_property
@@ -158,11 +158,6 @@ def _split_bytes() -> int:
 
 
 _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
-# B, the words one block step reduces: a multiple of 9, so a block is 64B / 9 = 1024 whole
-# bytes, and at least the register's w words (67 at most).  Larger blocks spread the step's
-# fixed work, the w-by-w product and the ends of the mu' product, over more words: B = 144
-# ran 5-8% faster than B = 72 at 1744-4288 bits, and B = 216 or 288 no faster again.
-_BLOCK_WORDS = 144
 
 
 def _to_words(value: int, w: int) -> array:
@@ -188,13 +183,11 @@ class CrcTables:
 
     - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
     - "native": `main` is `words`, then those 512 rows, packed.
-    - "vpclmul" and "clmul": `main` is `words`, mu (one word), seven zero
-      words, then G = (g - x^degree) * x^pad least significant word first,
-      zero-padded to whole blocks of eight words; see `_barrett_constants`.
-      On "vpclmul" the block constants follow: B, seven zero words and one
-      more where B is a multiple of 8, then mu' = floor(x^(degree + 64B) / g)
-      - x^(64B) least significant word first, zero-padded to whole blocks of
-      eight words, which the kernel's `fill_vpclmul` computes.  `shifts`
+    - "vpclmul" and "clmul": both read one table.  `main` is `words`, mu
+      (one word), seven zero words, then G = (g - x^degree) * x^pad least
+      significant word first, zero-padded to whole blocks of eight words
+      (see `_barrett_constants`), then the kernel's `tail_words`, into which
+      its `fill_carryless` writes the block step's constant.  `shifts`
       caches the packed combine constants by j; see `_shift`.
     """
 
@@ -235,11 +228,9 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
     for path in ("vpclmul", "clmul"):
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
-            consts = _constants([w, mu], low << pad + 64 * 7, 7 + 8 * ((w + 7) // 8))
-            if path == "vpclmul":  # B, then room for mu' after seven zero words and lift
-                lift = _BLOCK_WORDS % 8 == 0
-                consts += _constants([_BLOCK_WORDS], 0, 7 + 8 * ((_BLOCK_WORDS + lift + 14) // 8))
-                _kernel.fill_vpclmul(consts)
+            consts = _constants([w, mu], low << pad + 64 * 7,
+                                7 + 8 * ((w + 7) // 8) + _kernel.tail_words)
+            _kernel.fill_carryless(consts)
             return CrcTables(e.degree, consts, _kernel, path)
     rows = array("Q", bytes(8 * (1 + 512 * w)))
     rows[0] = w
@@ -338,10 +329,9 @@ class CrcEngine:
 
     def _digest(self) -> bytes:
         """The register as the entry's byte-aligned digest, big-endian."""
-        size = self.entry.aligned_bits // 8
         if self.tables.kernel is None:
-            return self._reg.to_bytes(size, "big")
-        return self.tables.kernel.digest(self._reg, self.entry.degree, size)
+            return self._reg.to_bytes(self.entry.aligned_bits // 8, "big")
+        return self.tables.kernel.digest(self._reg, self.entry.degree)
 
     def absorb(self, chunk: bytes) -> "CrcEngine":
         """Run one table cycle per byte of a bytes-like chunk; returns self for chaining."""

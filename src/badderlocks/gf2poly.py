@@ -181,12 +181,15 @@ def _mod_reducer(f: BitPolynomial):
     """Byte-at-a-time reduction closure for repeated work modulo a fixed f.
 
     Rabin's test reduces d squarings modulo the same f, so an 8-bit row
-    table pays for itself there: at degrees 1740 and 4284 the test runs
-    1.3-1.6x faster on this than on _reduce (2-core x86-64, CPython 3.11).
+    table pays for itself there from degree 64 up: at degrees 1740 and 4284
+    the test runs 1.3-1.6x faster on this than on _reduce, and at 414 1.7x.
+    Below that the table's build costs more than it saves: the test on the
+    30 registry phi (degree 14-31) took 2.0 ms on _reduce against 2.5 ms
+    with tables, and at degree 63 the two tie (2-core x86-64, CPython 3.11).
     """
     g = f.value
     d = g.bit_length() - 1
-    if d < 8:
+    if d < 64:
         return lambda a: _reduce(a, g)
 
     table = reduction_rows(f, 8)

@@ -29,8 +29,8 @@ CARRYLESS_PATHS = KERNEL_PATHS[:2]
 # the chunk size from which the "-split" variants absorb on two threads: the smallest
 # split floor any code or test uses
 TEST_SPLIT_BYTES = 1024
-# the bytes of one block step on vpclmul: B words of codewords, 1 KiB
-BLOCK_BYTES = 64 * fastcrc._BLOCK_WORDS // 9
+# the bytes of one block step on vpclmul: B = 144 words of codewords, 1 KiB
+BLOCK_BYTES = 1024
 # how long a test repeats split absorbs until the worker takes a part: a caller takes
 # back a part the worker has not started, as when the scheduler has put the worker on
 # the caller's CPU until it balances the two
@@ -131,7 +131,7 @@ def row_forms(e):
 
 def value(t, words) -> int:
     """The value held in words laid out like t's register: the kernel's digest of them."""
-    return int.from_bytes(t.kernel.digest(words, t.degree, 8 * t.words), "big")
+    return int.from_bytes(t.kernel.digest(words, t.degree), "big")
 
 
 def row(t, v: int) -> int:
@@ -179,31 +179,27 @@ class TestTables:
     def test_clmul_tables_pack_the_constants(self, monkeypatch):
         # w, mu, seven zero words, then G = (g - x^d) * x^pad least significant word first,
         # zero-padded to whole blocks of eight words: the kernels' shifted loads read the
-        # zeros.  vpclmul's table goes on with B, seven zero words and one more where B is a
-        # multiple of 8, then mu' (B words), zero-padded to whole blocks of eight words
-        b = fastcrc._BLOCK_WORDS
-        lift = b % 8 == 0
+        # zeros.  The module's tail follows, which holds mu'.  Where the CPU runs both
+        # carry-less kernels, they read the same table
+        tables = {}
         for kernel in CARRYLESS_PATHS:
             if fastcrc._kernel is None or getattr(fastcrc._kernel, kernel) is None:
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 use_path(mp, kernel)
-                for e in params.registry():
-                    t = build_tables(e)
-                    w = t.words
-                    at = 9 + 8 * ((w + 7) // 8)  # the clmul table's length
-                    mu, low = fastcrc._barrett_constants(e)
-                    assert t.path == kernel and t.main[:2].tolist() == [w, mu]
-                    assert t.main[2:9].tolist() == [0] * 7
-                    assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
-                    g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
-                    assert g == low << 64 * w - e.degree, e.index
-                    if kernel == "clmul":
-                        assert len(t.main) == at, e.index
-                        continue
-                    assert len(t.main) == at + 8 + 8 * ((b + lift + 14) // 8), e.index
-                    assert t.main[at:at + 8 + lift].tolist() == [b] + [0] * (7 + lift)
-                    assert not any(t.main[at + 8 + lift + b:]), e.index
+                tables[kernel] = [build_tables(e) for e in params.registry()]
+            for e, t in zip(params.registry(), tables[kernel]):
+                w = t.words
+                at = 9 + 8 * ((w + 7) // 8)  # the tail
+                mu, low = fastcrc._barrett_constants(e)
+                assert t.path == kernel and t.main[:2].tolist() == [w, mu]
+                assert t.main[2:9].tolist() == [0] * 7
+                assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
+                g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
+                assert g == low << 64 * w - e.degree, e.index
+                assert len(t.main) == at + fastcrc._kernel.tail_words, e.index
+        if len(tables) == 2:
+            assert [t.main for t in tables["clmul"]] == [t.main for t in tables["vpclmul"]]
 
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
@@ -227,30 +223,36 @@ class TestTables:
                 power = gf2poly.remainder(gf2poly.multiply(power, power), e.generator)
 
     def test_block_constants_match_gf2poly(self, monkeypatch):
-        # mu' in the vpclmul table is the quotient floor(x^(d + 64B) / g) - x^(64B):
-        # (mu' + x^(64B)) * g + x^(d + 64B) mod g == x^(d + 64B).  The block step: for T of
-        # B words, Q = low w words of T ^ (T * mu' >> 64B) and the low w words of Q * G are
-        # T * x^(64w) mod g * x^pad
-        use_path(monkeypatch, "vpclmul")
+        # the tail holds seven zero words, then mu' = floor(x^(d + 64B) / g) - x^(64B) one
+        # word up, zeros after it: (mu' + x^(64B)) * g + x^(d + 64B) mod g == x^(d + 64B).
+        # The block step: for T of B words, Q = low w words of T ^ (T * mu' >> 64B) and the
+        # low w words of Q * G are T * x^(64w) mod g * x^pad
+        first_carryless_path(monkeypatch)
         poly = gf2poly.BitPolynomial
-        rng = random.Random(42)
-        for e in params.registry():
-            t = build_tables(e)
-            w = t.words
-            at = 9 + 8 * ((w + 7) // 8)  # B, then mu' after seven zero words and lift
-            b = t.main[at]
-            start = at + 8 + (b % 8 == 0)
-            mu = int.from_bytes(bytes(memoryview(t.main)[start:start + b]), sys.byteorder)
-            pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
-            assert b >= w and b % 9 == 0, e.index
-            power = poly(1 << e.degree + 64 * b)
-            product = gf2poly.multiply(poly(mu ^ 1 << 64 * b), e.generator)
-            assert product ^ gf2poly.remainder(power, e.generator) == power, e.index
-            g = fastcrc._barrett_constants(e)[1] << pad
-            for m in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
-                q = (m ^ gf2poly.multiply(poly(m), poly(mu)).value >> 64 * b) & low_w
-                want = gf2poly.remainder(poly(m << 64 * w), poly(e.generator.value << pad))
-                assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, e.index
+        b = 9 * BLOCK_BYTES // 64
+        for kernel in CARRYLESS_PATHS:
+            if getattr(fastcrc._kernel, kernel) is None:
+                continue
+            rng = random.Random(42)
+            with pytest.MonkeyPatch.context() as mp:
+                use_path(mp, kernel)
+                tables = [build_tables(e) for e in params.registry()]
+            for e, t in zip(params.registry(), tables):
+                w = t.words
+                at = 9 + 8 * ((w + 7) // 8)  # the tail
+                assert not any(t.main[at:at + 8]) and not any(t.main[at + 8 + b:]), e.index
+                mu = int.from_bytes(bytes(memoryview(t.main)[at + 8:at + 8 + b]), sys.byteorder)
+                pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
+                assert 2 * w <= b, e.index
+                power = poly(1 << e.degree + 64 * b)
+                product = gf2poly.multiply(poly(mu ^ 1 << 64 * b), e.generator)
+                assert product ^ gf2poly.remainder(power, e.generator) == power, e.index
+                g = fastcrc._barrett_constants(e)[1] << pad
+                for m in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
+                    q = (m ^ gf2poly.multiply(poly(m), poly(mu)).value >> 64 * b) & low_w
+                    want = gf2poly.remainder(poly(m << 64 * w), poly(e.generator.value << pad))
+                    assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, \
+                        (kernel, e.index)
 
     def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
         # a worker that never starts or a guard that is never free falls back to one
@@ -605,6 +607,14 @@ class TestBinding:
         misaligned = memoryview(bytearray(8 * w + 8))[1:1 + 8 * w]
         claims_more = array("Q", t.main)
         claims_more[0] = w + 8
+        # a 73-word register and a table long enough for it: one word past the bound of
+        # B / 2 = 72 that every call checks
+        wide = 73
+        guarded_wide = bytearray(8 * (wide + 2))
+        wide_reg = memoryview(guarded_wide)[8:8 + 8 * wide]
+        too_wide = array("Q", bytes(8 * (1 + 512 * wide if path == "native" else
+                                         9 + 8 * ((wide + 7) // 8) + kernel.tail_words)))
+        too_wide[0] = wide
         calls = [
             (TypeError, loop, (reg, t.main, cw)),
             (TypeError, loop, (reg, t.main, cw, 5)),
@@ -614,20 +624,19 @@ class TestBinding:
             (ValueError, loop, (reg, claims_more, cw, FOX)),
             (ValueError, loop, (reg, t.main, cw[:255], FOX)),
             (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
-            (ValueError, kernel.digest, (reg, e.degree, e.aligned_bits // 8 - 1)),
-            (ValueError, kernel.digest, (reg, 64 * w + 1, 8 * w)),
+            (ValueError, loop, (wide_reg, too_wide, cw, FOX)),
+            (ValueError, kernel.digest, (reg, 64 * w + 1)),
+            (ValueError, kernel.digest, (wide_reg, 64 * wide)),
             (ValueError, kernel.fill, (array("Q", [w]) * (512 * w),)),
             (TypeError, kernel.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
         bad_tables = []
-        if path == "vpclmul":  # a clmul-length table; block sizes not a multiple of 9, below w
-            at = 9 + 8 * ((w + 7) // 8)
-            bad_tables.append(t.main[:at])
-            for b in (fastcrc._BLOCK_WORDS - 1, 9):
-                bad_tables.append(array("Q", t.main))
-                bad_tables[-1][at] = b
-            calls += [(ValueError, kernel.fill_vpclmul, (bad,)) for bad in bad_tables]
-            calls.append((TypeError, kernel.fill_vpclmul, (t.main.tobytes(),)))
+        if path != "native":  # a table cut after G
+            bad_tables.append(t.main[:9 + 8 * ((w + 7) // 8)])
+            calls += [(ValueError, kernel.fill_carryless, (bad,)) for bad in bad_tables]
+            calls.append((TypeError, kernel.fill_carryless, (t.main.tobytes(),)))
+        fill = kernel.fill if path == "native" else kernel.fill_carryless
+        calls.append((ValueError, fill, (too_wide,)))
         calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
         if path in kernel.split:
             split, combine = kernel.split[path], kernel.combine[path]
@@ -645,6 +654,7 @@ class TestBinding:
             with pytest.raises(error):
                 function(*args)
             assert guarded == want, (function.__name__, args[1:])
+            assert not any(guarded_wide), (function.__name__, args[1:])
 
 
 class TestKernelBuild:
@@ -734,8 +744,8 @@ class TestKernelBuild:
     def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
         # the kernels load whole blocks of eight words, up to seven words below each
         # constant and past its last word; a C program copies each table, constant, message
-        # and register into buffers of exactly their size, the clmul kernel's table cut to
-        # its own length, so any such load past what fastcrc builds is a heap-buffer-overflow
+        # and register into buffers of exactly their size, so any such load past what
+        # fastcrc builds is a heap-buffer-overflow
         first_carryless_path(monkeypatch)
         m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
         cases = []
@@ -768,11 +778,11 @@ class TestKernelBuild:
         listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
                                  check=True).stdout
         functions = disassembly(listing)
-        for name in ("absorb_vpclmul", "block_step_vpclmul", "fill_vpclmul"):
+        for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
         for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul",
-                     "py_fill_vpclmul"):
-            assert name in functions, name  # the check sees the wrappers
+                     "fill_carryless", "py_fill_carryless"):
+            assert name in functions, name  # the check sees them
         for name, instructions in functions.items():
             if "vpclmul" not in name or name.startswith("py_"):
                 assert not [i for i in instructions if avx512(i)], name
@@ -877,7 +887,7 @@ for i, path in enumerate(paths):
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
-    block = 64 * fastcrc._BLOCK_WORDS // 9
+    block = 1024  # B = 144 words of codewords
     for e in block_edges:  # one call at one block +-1, where vpclmul takes the block step
         for n in range(block - 1, block + 2):
             m = rng.randbytes(n)
@@ -921,9 +931,7 @@ TSAN_PROGRAM = """
 #include <stdio.h>
 
 #define MAX_W 67
-/* w, mu, seven zero words, G in whole blocks of eight words; on vpclmul then
- * B = 144, seven zero words and one more, and mu' in 19 blocks */
-#define MAX_TABLE (9 + 72 + 8 + 8 * 19)
+#define MAX_TABLE CARRYLESS_WORDS(MAX_W)
 static const uint16_t codewords[256] = %(codewords)s;
 static const struct {
     size_t n, n2;
@@ -975,16 +983,15 @@ ASAN_LENGTHS = (1000, 3000, 5000)
 ASAN_SPLIT_PART = 2048
 
 # Each case's table, K_j, message and register are copied into buffers of
-# exactly their size; the clmul kernel gets the table's first BLOCKS_AT(w)
-# words, its own table.  Prints mismatches against the reference and absorbs
-# run.
+# exactly their size, one table for both kernels.  Prints mismatches against
+# the reference and absorbs run.
 ASAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
 #include <stdlib.h>
 
 #define MAX_W 67
-#define MAX_TABLE (9 + 72 + 8 + 8 * 19)
+#define MAX_TABLE CARRYLESS_WORDS(MAX_W)
 static const uint16_t codewords[256] = %(codewords)s;
 static const uint8_t message[] = %(message)s;
 static const size_t lengths[3] = {%(lengths)s};
@@ -1011,8 +1018,7 @@ int main(void)
     for (int kernel = 0; kernel < carryless(); kernel++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             size_t w = cases[c].table[0];
-            uint64_t *table = exactly(cases[c].table,
-                                      (kernel ? cases[c].table_words : BLOCKS_AT(w)) * 8);
+            uint64_t *table = exactly(cases[c].table, cases[c].table_words * 8);
             uint64_t *k = exactly(cases[c].k, w * 8);
             for (int run = 0; run < 3; run++) {
                 uint8_t *data = exactly(message, lengths[run]);

@@ -239,6 +239,18 @@ class TestIrreducible:
             assert gf2poly.is_irreducible(BitPolynomial(v)) == \
                 trial_division_irreducible(v), f"disagree on {v:#x}"
 
+    @pytest.mark.parametrize("d", [64, 416, 1744])
+    def test_table_reducer_matches_reduce(self, d):
+        # Rabin's test reduces by an 8-bit row table from degree 64 up, which no registry
+        # phi reaches and only the opt-in full check of the generators runs
+        rng = random.Random(d)
+        f = BitPolynomial(rng.getrandbits(d) | 1 << d | 1)
+        reduce = gf2poly._mod_reducer(f)
+        samples = [0, 1, f.value, f.value ^ 1, (1 << 2 * d) - 1]
+        samples += [rng.getrandbits(rng.randrange(1, 2 * d + 1)) for _ in range(100)]
+        for a in samples:
+            assert reduce(a) == gf2poly._reduce(a, f.value), (d, a)
+
 
 class TestLfsrAndBerlekampMassey:
     def test_hand_stepped_stream(self):
