@@ -5,9 +5,9 @@ is the S-box expansion of the codewords absorbed so far.  One cycle appends
 a 9-bit codeword c: the register's top 9 bits are XORed with c, the rest
 shift up 9 places, and the precomputed reduction row for the XORed value is
 added in (Sarwate 1988; Williams's "direct" table algorithm).  Finishing
-appends the filler codewords for messages shorter than 8 bytes and emits the
-register byte-aligned, so no zero bits need to be flushed through.  Output
-is bit-identical to classifier.classify.
+appends the filler codewords of a message shorter than 8 bytes, in at most
+one loop call, and emits the register byte-aligned, so no zero bits need to
+be flushed through.  Output is bit-identical to classifier.classify.
 
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
@@ -22,14 +22,17 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 - "native": the cycle loop above in C, one 512-row table lookup per byte.
 - "python": the same loop in Python.
 
-`_absorb.c` holds the three C loops, which share one signature, (register,
-table, codeword map, data): the table's first word is the register's word
-count, at most 72, so no call passes it.  Both carry-less paths read one
-table, whose block-step constant the module computes when the table is
-built; the block size is a constant of the C code.  `_absorbmodule.c`
-includes `_absorb.c` and makes it a CPython extension module whose
-functions take these as buffers, check their sizes before writing a word,
-and release the GIL for chunks of 4 KiB or more.  The first import compiles the module with
+The four loops share one signature, (register, table, codeword map, data),
+and one register layout, a bytearray of ceil(degree / 64) native 64-bit
+words.  Each table states its size first, at most 72 words on the C paths,
+so no call passes it, and carries its path's loop and digest (see
+`CrcTables`), so the engine never asks which path it runs.  `_absorb.c`
+holds the three C loops; both carry-less paths read one table, whose
+block-step constant the module computes when the table is built, and the
+block size is a constant of the C code.  `_absorbmodule.c` includes
+`_absorb.c` and makes it a CPython extension module whose functions take
+these as buffers, check their sizes before writing a word, and release the
+GIL for chunks of 4 KiB or more.  The first import compiles the module with
 `cc -pthread` and the interpreter's `Python.h` into this package's
 `__pycache__`, named by a hash of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
@@ -61,8 +64,9 @@ import os
 import sys
 import sysconfig
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .classifier import ClassifierDigest
@@ -79,38 +83,20 @@ _COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
 
 
 class _Kernel:
-    """The extension module's absorb loops, fills and digest, and the codeword maps absorb reads.
-
-    Each absorb loop is the attribute named after its path, and all three
-    take (reg, table, codewords, data).  `vpclmul`, `clmul` and
-    `fill_carryless`, which computes the block-step constant into a
-    carry-less table, are None where the CPU cannot run them; `split` and
-    `combine` hold the two-thread entries and combine steps, keyed by path.
-    `tail_words` is how many zero words a carry-less table holds after G.
-    """
+    """The extension module, and the absorb loops build_tables picks a path from: each is the
+    attribute named after its path, and `vpclmul` and `clmul` are None where the CPU cannot
+    run them."""
 
     def __init__(self, path: Path):
         name = "badderlocks._absorb"
         loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-        module = importlib.util.module_from_spec(
+        self.module = importlib.util.module_from_spec(
             importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(module)
-        self.native, self.fill, self.digest = module.absorb, module.fill, module.digest
+        loader.exec_module(self.module)
+        self.native = self.module.absorb
         self.clmul = self.vpclmul = None
-        self.split, self.combine = {}, {}
-        for path in ("clmul", "vpclmul")[:module.carryless()]:  # each exists from its level
-            setattr(self, path, getattr(module, f"absorb_{path}"))
-            # returns True if split, False if the plain loop ran
-            self.split[path] = getattr(module, f"absorb_split_{path}")
-            self.combine[path] = getattr(module, f"combine_{path}")
-        self.fill_carryless = None if self.clmul is None else module.fill_carryless
-        self.tail_words = module.TAIL_WORDS
-        self.filler = array("H", [FILLER]) * 256  # every byte maps to FILLER
-
-    @cached_property
-    def codewords(self) -> array:
-        # built on first absorb, like the S-box table it copies, so set-up does not pay for it
-        return array("H", codeword_table().entries)
+        for path in ("clmul", "vpclmul")[:self.module.carryless()]:  # each exists from its level
+            setattr(self, path, getattr(self.module, f"absorb_{path}"))
 
 
 def _compile(command: list[str], path: Path) -> bool:
@@ -162,44 +148,65 @@ _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
 
 def _to_words(value: int, w: int) -> array:
     """value as w native 64-bit words, most significant word first: the register's layout."""
-    mask = (1 << 64) - 1
-    return array("Q", [value >> shift & mask for shift in range(64 * (w - 1), -1, -64)])
+    return array("Q", [value >> shift & (1 << 64) - 1 for shift in range(64 * (w - 1), -1, -64)])
 
 
-def _constants(head: list[int], value: int, n: int) -> array:
-    """head, then value in n 64-bit words least significant first, as the carry-less kernels
-    read their constants (they run only on x86-64, which is little-endian)."""
-    return array("Q", head) + array("Q", value.to_bytes(8 * n, "little"))
+def _python_loop(reg: bytearray, table: tuple[int, tuple[int, ...]], codewords, data) -> None:
+    """The cycle loop in Python, with the module's absorb signature; table is (degree, rows).
+    It reads and writes the register once, and data, any contiguous buffer, in place."""
+    degree, rows = table
+    shift = degree - 9
+    low_mask = (1 << shift) - 1
+    r = int.from_bytes(_python_digest(reg, degree), "big")
+    for byte in memoryview(data).cast("B"):
+        r = ((r & low_mask) << 9) ^ rows[(r >> shift) ^ codewords[byte]]
+    reg[:] = _to_words(r << 8 * len(reg) - degree, len(reg) // 8)
+
+
+def _python_digest(reg: bytearray, degree: int) -> bytes:
+    """The module's digest in Python: the register's value as ceil(degree / 8) bytes, big-endian."""
+    value = int.from_bytes(b"".join(w.to_bytes(8, "big") for w in memoryview(reg).cast("Q")), "big")
+    return (value >> 8 * len(reg) - degree).to_bytes((degree + 7) // 8, "big")
 
 
 @dataclass(frozen=True)
 class CrcTables:
-    """Precomputed reduction data for one generator g, in the form its path reads.
+    """Precomputed reduction data for one generator g, and its path's callables.
 
     The packed forms hold each value in `words` 64-bit words, most
-    significant word first and shifted up by 64 * words - degree bits.  On
-    the kernel paths `main` is an array("Q") whose first word is `words`,
-    which the kernel reads in place of an argument.
+    significant word first and shifted up by 64 * words - degree bits, and
+    every path's register is one, in a bytearray.  `main` states its own
+    size first, which the loop reads in place of an argument.  `loop(reg,
+    main, codewords, data)` appends the codeword each byte of data maps to,
+    and `digest(reg, degree)` returns the byte-aligned digest.  On the
+    carry-less paths `split(reg, main, codewords, data, n2, k)`, the
+    two-thread entry, returns whether the worker took its part, and
+    `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
+    `_shift`); elsewhere both are None.
 
-    - "python": `main` is a tuple of 512 ints, row v = (v << degree) mod g.
-    - "native": `main` is `words`, then those 512 rows, packed.
-    - "vpclmul" and "clmul": both read one table.  `main` is `words`, mu
+    - "python": `main` is (degree, rows), rows a tuple of 512 ints,
+      row v = (v << degree) mod g.
+    - "native": `main` is an array("Q"): `words`, then those 512 rows, packed.
+    - "vpclmul" and "clmul": both read one array("Q").  `main` is `words`, mu
       (one word), seven zero words, then G = (g - x^degree) * x^pad least
       significant word first, zero-padded to whole blocks of eight words
-      (see `_barrett_constants`), then the kernel's `tail_words`, into which
+      (see `_barrett_constants`), then the module's `TAIL_WORDS`, into which
       its `fill_carryless` writes the block step's constant.  `shifts`
       caches the packed combine constants by j; see `_shift`.
     """
 
     degree: int
-    main: tuple[int, ...] | array
-    kernel: _Kernel | None = None
-    path: str = "python"
+    main: tuple[int, tuple[int, ...]] | array
+    path: str
+    loop: Callable
+    digest: Callable[[bytearray, int], bytes]
+    split: Callable | None = None
+    combine: Callable | None = None
     shifts: dict[int, array] = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property  # each engine's register is sized by it
     def words(self) -> int:
-        """64-bit words per packed row, and per kernel register: ceil(degree / 64)."""
+        """64-bit words per packed row, and per register: ceil(degree / 64)."""
         return (self.degree + 63) // 64
 
 
@@ -222,22 +229,27 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
 def build_tables(e: GeneratorEntry) -> CrcTables:
     """Build the reduction data for one generator entry, in the form the selected path reads."""
     if _kernel is None:
-        return CrcTables(degree=e.degree, main=reduction_rows(e.generator, 9))
-    w = (e.degree + 63) // 64
+        return CrcTables(e.degree, (e.degree, reduction_rows(e.generator, 9)), "python",
+                         _python_loop, _python_digest)
+    module, w = _kernel.module, (e.degree + 63) // 64
     pad = 64 * w - e.degree
     for path in ("vpclmul", "clmul"):
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
-            consts = _constants([w, mu], low << pad + 64 * 7,
-                                7 + 8 * ((w + 7) // 8) + _kernel.tail_words)
-            _kernel.fill_carryless(consts)
-            return CrcTables(e.degree, consts, _kernel, path)
+            # G, then the tail, least significant word first, as the carry-less kernels read
+            # them (they run only on x86-64, which is little-endian)
+            n = 8 * (7 + 8 * ((w + 7) // 8) + module.TAIL_WORDS)
+            consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
+            module.fill_carryless(consts)
+            return CrcTables(e.degree, consts, path, getattr(_kernel, path), module.digest,
+                             getattr(module, f"absorb_split_{path}"),
+                             getattr(module, f"combine_{path}"))
     rows = array("Q", bytes(8 * (1 + 512 * w)))
     rows[0] = w
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
         rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
-    _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
-    return CrcTables(e.degree, rows, _kernel, "native")
+    module.fill(rows)  # the other 503 rows, from these 9 and the zero row
+    return CrcTables(e.degree, rows, "native", _kernel.native, module.digest)
 
 
 def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
@@ -261,7 +273,7 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
         else:
             half = _shift(e, tables, j - 1)
             k = array("Q", half)
-            tables.kernel.combine[tables.path](k, tables.main, half, array("Q", bytes(8 * w)))
+            tables.combine(k, tables.main, half, array("Q", bytes(8 * w)))
         tables.shifts[j] = k
     return k
 
@@ -276,6 +288,15 @@ def _tables_for(e: GeneratorEntry) -> CrcTables:
     return tables
 
 
+@cache
+def _codewords() -> array:
+    """Each byte value's S-box codeword, built on first absorb so that set-up does not pay."""
+    return array("H", codeword_table().entries)
+
+
+_FILLER = array("H", [FILLER]) * 256  # every byte maps to FILLER
+
+
 class CrcEngine:
     """Single-use streaming state: init, absorb chunks, finish once.
 
@@ -283,17 +304,18 @@ class CrcEngine:
     classifier digest of that message as an integer.
     """
 
+    __slots__ = ("entry", "tables", "consumed", "_finished", "_reg")
+
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
         self.entry = entry
         self.tables = tables
         self.consumed = 0
         self._finished = False
-        # an int for the Python loop; for the kernel, words laid out like a table row
-        self._reg = 0 if tables.kernel is None else bytearray(8 * tables.words)
+        self._reg = bytearray(8 * tables.words)  # laid out like a packed row
 
     @property
     def register(self) -> int:
-        return int.from_bytes(self._digest(), "big")
+        return int.from_bytes(self.tables.digest(self._reg, self.entry.degree), "big")
 
     @property
     def path(self) -> str:
@@ -304,35 +326,6 @@ class CrcEngine:
         return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
                 f"consumed={self.consumed} path={self.path}>")
 
-    def _cycle(self, data, n: int, filler: bool) -> None:
-        """Append one codeword per byte of data's n bytes: its S-box codeword, or FILLER for
-        every byte.  data is bytes, or on the kernel paths any contiguous buffer."""
-        tables = self.tables
-        kernel = tables.kernel
-        if kernel is not None:
-            codewords = kernel.filler if filler else kernel.codewords
-            if n >= _SPLIT_BYTES and tables.path in kernel.split:
-                n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
-                kernel.split[tables.path](self._reg, tables.main, codewords, data, n2,
-                                          _shift(self.entry, tables, n2.bit_length() - 1))
-                return
-            getattr(kernel, tables.path)(self._reg, tables.main, codewords, data)
-            return
-        codewords = (FILLER,) if filler else codeword_table().entries
-        shift = self.entry.degree - 9
-        low_mask = (1 << shift) - 1
-        main = self.tables.main
-        reg = self._reg
-        for byte in data:
-            reg = ((reg & low_mask) << 9) ^ main[(reg >> shift) ^ codewords[byte]]
-        self._reg = reg
-
-    def _digest(self) -> bytes:
-        """The register as the entry's byte-aligned digest, big-endian."""
-        if self.tables.kernel is None:
-            return self._reg.to_bytes(self.entry.aligned_bits // 8, "big")
-        return self.tables.kernel.digest(self._reg, self.entry.degree)
-
     def absorb(self, chunk: bytes) -> "CrcEngine":
         """Run one table cycle per byte of a bytes-like chunk; returns self for chaining."""
         if self._finished:
@@ -340,13 +333,19 @@ class CrcEngine:
         if type(chunk) is bytes:
             n = len(chunk)
         else:
-            # its raw bytes, whatever the item size, read in place by the kernel where they are
-            # contiguous; a non-buffer raises TypeError here, before any state changes
+            # its raw bytes, whatever the item size, read in place where they are contiguous;
+            # a non-buffer raises TypeError here, before any state changes
             view = memoryview(chunk)
             n = view.nbytes
-            if not view.c_contiguous or self.tables.kernel is None:
+            if not view.c_contiguous:
                 chunk = view.tobytes()
-        self._cycle(chunk, n, filler=False)
+        tables = self.tables
+        if n >= _SPLIT_BYTES and tables.split is not None:
+            n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
+            tables.split(self._reg, tables.main, _codewords(), chunk, n2,
+                         _shift(self.entry, tables, n2.bit_length() - 1))
+        else:
+            tables.loop(self._reg, tables.main, _codewords(), chunk)
         self.consumed += n
         return self
 
@@ -355,10 +354,10 @@ class CrcEngine:
         if self._finished:
             raise RuntimeError("engine already finished")
         self._finished = True
-        if self.consumed < 8:
-            # zero bytes, one FILLER cycle each
-            self._cycle(bytes(8 - self.consumed), 8 - self.consumed, filler=True)
-        return ClassifierDigest(self._digest(), self.entry)
+        tables = self.tables
+        if self.consumed < 8:  # one FILLER cycle for each byte short of 8
+            tables.loop(self._reg, tables.main, _FILLER, bytes(8 - self.consumed))
+        return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
 
 
 def engine_init(e: GeneratorEntry) -> CrcEngine:

@@ -83,13 +83,25 @@ def first_carryless_path(monkeypatch) -> str:
     return loaded[0]
 
 
+def spy(monkeypatch, name: str, record) -> None:
+    """Make every engine built from here on call record(real, args) where it would call its
+    tables' `name` callable, real, with args: the engine reaches the spy however its tables
+    were built and cached."""
+    tables_for = fastcrc._tables_for
+
+    def spied(e):
+        tables = tables_for(e)
+        real = getattr(tables, name)
+        return dataclasses.replace(tables, **{name: lambda *args: record(real, args)})
+
+    monkeypatch.setattr(fastcrc, "_tables_for", spied)
+
+
 def record_splits(monkeypatch) -> list[int]:
-    """Wrap each two-thread entry; the list collects what each call returns:
+    """Spy on the two-thread entry; the list collects what each call returns:
     1 if the worker thread absorbed its part, 0 if the calling thread did all."""
     taken: list[int] = []
-    for name, split in fastcrc._kernel.split.items():
-        monkeypatch.setitem(fastcrc._kernel.split, name,
-                            lambda *args, split=split: taken.append(split(*args)))
+    spy(monkeypatch, "split", lambda split, args: taken.append(split(*args)))
     return taken
 
 
@@ -130,17 +142,15 @@ def row_forms(e):
 
 
 def value(t, words) -> int:
-    """The value held in words laid out like t's register: the kernel's digest of them."""
-    return int.from_bytes(t.kernel.digest(words, t.degree), "big")
+    """The value held in words laid out like t's register: t's digest of them."""
+    return int.from_bytes(t.digest(words, t.degree), "big")
 
 
 def row(t, v: int) -> int:
-    """Row v of a "python" or "native" table; on "native" the register one cycle takes from
-    zero with codeword v, which every byte maps to."""
-    if t.kernel is None:
-        return t.main[v]
+    """Row v of a "python" or "native" table: the register one cycle takes from zero with
+    codeword v, which every byte maps to."""
     reg = bytearray(8 * t.words)
-    t.kernel.native(reg, t.main, array("H", [v]) * 256, b"\0")
+    t.loop(reg, t.main, array("H", [v]) * 256, b"\0")
     return value(t, reg)
 
 
@@ -197,7 +207,7 @@ class TestTables:
                 assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
                 g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
                 assert g == low << 64 * w - e.degree, e.index
-                assert len(t.main) == at + fastcrc._kernel.tail_words, e.index
+                assert len(t.main) == at + fastcrc._kernel.module.TAIL_WORDS, e.index
         if len(tables) == 2:
             assert [t.main for t in tables["clmul"]] == [t.main for t in tables["vpclmul"]]
 
@@ -409,24 +419,20 @@ class TestPaths:
 
     def test_accepts_any_bytes_like_chunk(self, path, monkeypatch):
         # a chunk is absorbed as its raw bytes, whatever its item size, and a contiguous one
-        # reaches the kernel as it is, not copied; a non-buffer is refused before the
-        # register or the byte count moves
+        # reaches the path's loop as it is, not copied, on every path; a non-buffer is
+        # refused before the register or the byte count moves
         e = params.entry_for_aligned_bits(64)
         received = []
-        loop = path.partition("-")[0]
-        if path != "python":
-            kernel_loop = getattr(fastcrc._kernel, loop)
-            monkeypatch.setattr(fastcrc._kernel, loop,
-                                lambda *args: received.append(args[3]) or kernel_loop(*args))
-        words = array("Q", [0x0102030405060708])
+        spy(monkeypatch, "loop", lambda loop, args: received.append(args[3]) or loop(*args))
+        words, halves = array("Q", [0x0102030405060708]), array("I", FOX[:40])
         for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes()),
-                         (memoryview(FOX)[::2], FOX[::2])):
+                         (halves, FOX[:40]), (memoryview(FOX)[::2], FOX[::2])):
+            received.clear()
             eng = engine_init(e).absorb(chunk)
             assert eng.consumed == len(m)
             assert eng.finish().data == reference(e, m)
-            if received:
-                contiguous = memoryview(chunk).c_contiguous
-                assert (received[-1] is chunk) == contiguous, (path, type(chunk))
+            contiguous = memoryview(chunk).c_contiguous
+            assert received and (received[0] is chunk) == contiguous, (path, type(chunk))
         eng = engine_init(e).absorb(b"abc")
         with pytest.raises(TypeError):
             eng.absorb(5)
@@ -515,6 +521,10 @@ class TestThreads:
         want = unsplit(monkeypatch, e, m)
         assert engine_init(e).absorb(m).finish().data == want
         assert taken == []
+        # the control: from the two-CPU floor, the same spy sees the split
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
+        assert engine_init(e).absorb(m).finish().data == want
+        assert len(taken) == 1
 
     @pytest.mark.parametrize("kernel", KERNEL_PATHS)
     def test_large_absorb_releases_the_gil(self, monkeypatch, kernel):
@@ -596,10 +606,10 @@ class TestBinding:
         # direct calls: each wrong argument raises, and neither the register nor the guard
         # words around it are written
         path = kernel_path.partition("-")[0]
-        kernel = fastcrc._kernel
+        module = fastcrc._kernel.module
         e = params.entry_for_aligned_bits(1744)
         t = build_tables(e)
-        w, cw, loop = t.words, kernel.codewords, getattr(kernel, path)
+        w, cw, loop = t.words, fastcrc._codewords(), t.loop
         guarded = bytearray(8 * (w + 2))
         reg = memoryview(guarded)[8:8 + 8 * w]
         loop(reg, t.main, cw, FOX)
@@ -613,7 +623,7 @@ class TestBinding:
         guarded_wide = bytearray(8 * (wide + 2))
         wide_reg = memoryview(guarded_wide)[8:8 + 8 * wide]
         too_wide = array("Q", bytes(8 * (1 + 512 * wide if path == "native" else
-                                         9 + 8 * ((wide + 7) // 8) + kernel.tail_words)))
+                                         9 + 8 * ((wide + 7) // 8) + module.TAIL_WORDS)))
         too_wide[0] = wide
         calls = [
             (TypeError, loop, (reg, t.main, cw)),
@@ -625,21 +635,21 @@ class TestBinding:
             (ValueError, loop, (reg, t.main, cw[:255], FOX)),
             (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
             (ValueError, loop, (wide_reg, too_wide, cw, FOX)),
-            (ValueError, kernel.digest, (reg, 64 * w + 1)),
-            (ValueError, kernel.digest, (wide_reg, 64 * wide)),
-            (ValueError, kernel.fill, (array("Q", [w]) * (512 * w),)),
-            (TypeError, kernel.fill, (bytes(8 * (1 + 512 * w)),)),
+            (ValueError, t.digest, (reg, 64 * w + 1)),
+            (ValueError, t.digest, (wide_reg, 64 * wide)),
+            (ValueError, module.fill, (array("Q", [w]) * (512 * w),)),
+            (TypeError, module.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
         bad_tables = []
         if path != "native":  # a table cut after G
             bad_tables.append(t.main[:9 + 8 * ((w + 7) // 8)])
-            calls += [(ValueError, kernel.fill_carryless, (bad,)) for bad in bad_tables]
-            calls.append((TypeError, kernel.fill_carryless, (t.main.tobytes(),)))
-        fill = kernel.fill if path == "native" else kernel.fill_carryless
+            calls += [(ValueError, module.fill_carryless, (bad,)) for bad in bad_tables]
+            calls.append((TypeError, module.fill_carryless, (t.main.tobytes(),)))
+        fill = module.fill if path == "native" else module.fill_carryless
         calls.append((ValueError, fill, (too_wide,)))
         calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
-        if path in kernel.split:
-            split, combine = kernel.split[path], kernel.combine[path]
+        if t.split is not None:
+            split, combine = t.split, t.combine
             k, zero = fastcrc._shift(e, t, 10), bytes(8 * w)
             n = 3 * 1024
             calls += [
@@ -736,7 +746,7 @@ class TestKernelBuild:
             table, k = kernel_constants(params.entry_for_aligned_bits(bits), n2)
             cases.append("{%d, %d, %s, %s}" % (n, n2, c_words(table), c_words(k)))
         run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
-            "kernel": kernel, "codewords": c_words(fastcrc._kernel.codewords),
+            "kernel": kernel, "codewords": c_words(fastcrc._codewords()),
             "cases": ",\n    ".join(cases)})
         mismatches, split, plain = map(int, run.stdout.split())
         assert mismatches == 0 and split > 0 and split + plain == 2 * len(cases) * 40
@@ -758,11 +768,11 @@ class TestKernelBuild:
             cases.append("{%d, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
                                                  ", ".join(map(c_words, want))))
         run = sanitized_program(tmp_path, "address", ASAN_PROGRAM % {
-            "codewords": c_words(fastcrc._kernel.codewords), "message": c_words(m),
+            "codewords": c_words(fastcrc._codewords()), "message": c_words(m),
             "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
             "cases": ",\n    ".join(cases)})
         mismatches, runs = map(int, run.stdout.split())
-        assert mismatches == 0 and runs == 3 * len(cases) * len(fastcrc._kernel.split)
+        assert mismatches == 0 and runs == 3 * len(cases) * fastcrc._kernel.module.carryless()
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
@@ -852,7 +862,7 @@ def avx512(instruction: tuple[bytes, str]) -> bool:
 # Run in a child process against a sanitizer build of the kernel, so that
 # undefined behaviour aborts the child instead of the test run.
 SANITIZED_SWEEP = """
-import random, sys, time
+import dataclasses, random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
 paths = [p for p in ("vpclmul", "clmul", "native") if getattr(fastcrc._kernel, p) is not None]
@@ -894,10 +904,15 @@ for i, path in enumerate(paths):
             eng = fastcrc.engine_init(e).absorb(m)
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
-    if path in fastcrc._kernel.split:  # the two-thread entry and the combine step
-        split, fastcrc._SPLIT_BYTES = fastcrc._kernel.split[path], 1024
+    if path != "native":  # the two-thread entry and the combine step
+        tables_for, fastcrc._SPLIT_BYTES = fastcrc._tables_for, 1024
         taken = []
-        fastcrc._kernel.split[path] = lambda *args: taken.append(split(*args))
+
+        def spied(e):  # what the engine calls, however the tables were cached
+            t = tables_for(e)
+            return dataclasses.replace(t, split=lambda *args: taken.append(t.split(*args)))
+
+        fastcrc._tables_for = spied
         for e in params.registry():
             for n in (1024, 1025, 2048, 3072, 5000):
                 m = rng.randbytes(n)
@@ -918,7 +933,7 @@ for i, path in enumerate(paths):
             assert eng.finish().data == want, path
         assert 1 in taken, path
         checked += 1
-        fastcrc._kernel.split[path], fastcrc._SPLIT_BYTES = split, sys.maxsize
+        fastcrc._tables_for, fastcrc._SPLIT_BYTES = tables_for, sys.maxsize
 print(" ".join(paths), checked)
 """
 
