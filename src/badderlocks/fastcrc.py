@@ -36,10 +36,12 @@ GIL for chunks of 4 KiB or more.  The first import compiles the module with
 `cc -pthread` and the interpreter's `Python.h` into this package's
 `__pycache__`, named by a hash of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
-that file.  The module asks the CPU which carry-less instructions it runs:
-the vpclmul path is taken where it reports AVX-512F and VPCLMULQDQ, else
-the clmul path where it reports PCLMULQDQ, else the native path; the Python
-loop runs where the module cannot be built or imported.
+that file.  The key names the interpreter by its installation prefix, not
+its include directory, so only a build imports sysconfig.  The module
+asks the CPU which carry-less instructions it runs: the vpclmul path is
+taken where it reports AVX-512F and VPCLMULQDQ, else the clmul path where
+it reports PCLMULQDQ, else the native path; the Python loop runs where the
+module cannot be built or imported.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -62,12 +64,11 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import sysconfig
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .classifier import ClassifierDigest
 from .gf2poly import BitPolynomial, reduction_basis, reduction_rows, remainder
@@ -116,18 +117,24 @@ def _compile(command: list[str], path: Path) -> bool:
 
 
 def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
-                 include: str = sysconfig.get_paths()["include"]) -> _Kernel | None:
-    """The compiled module, built into cache_dir against include's Python.h unless already
-    there; None if that fails."""
+                 include: str | None = None) -> _Kernel | None:
+    """The compiled module, built into cache_dir against include's Python.h (by default the
+    interpreter's) unless already there; None if that fails."""
     try:
-        command = [cc, *_COMPILE, "-I", include]
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
+        # the interpreter's prefix stands for its default include directory, so that a load
+        # from the cache need not import sysconfig; the suffix pins the ABI
         key = b"\0".join([*(source.read_bytes() for source in _SOURCES),
-                          " ".join(command).encode(), os.uname().machine.encode(),
-                          suffix.encode()])
+                          " ".join([cc, *_COMPILE, "-I", include or sys.base_prefix]).encode(),
+                          os.uname().machine.encode(), suffix.encode()])
         path = cache_dir / f"_absorb-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
-        if not path.is_file() and not _compile(command, path):
-            return None
+        if not path.is_file():
+            if include is None:
+                import sysconfig  # only a cache miss pays for it
+
+                include = sysconfig.get_paths()["include"]
+            if not _compile([cc, *_COMPILE, "-I", include], path):
+                return None
         return _Kernel(path)
     # no compiler or Python.h, an unwritable directory, or a file that does not import
     except (OSError, ImportError):
@@ -169,8 +176,7 @@ def _python_digest(reg: bytearray, degree: int) -> bytes:
     return (value >> 8 * len(reg) - degree).to_bytes((degree + 7) // 8, "big")
 
 
-@dataclass(frozen=True)
-class CrcTables:
+class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
     The packed forms hold each value in `words` 64-bit words, most
@@ -196,18 +202,14 @@ class CrcTables:
     """
 
     degree: int
+    words: int  # 64-bit words per packed row, and per register: ceil(degree / 64)
     main: tuple[int, tuple[int, ...]] | array
     path: str
     loop: Callable
     digest: Callable[[bytearray, int], bytes]
+    shifts: dict[int, array]  # each build passes its own; a default would be shared
     split: Callable | None = None
     combine: Callable | None = None
-    shifts: dict[int, array] = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property  # each engine's register is sized by it
-    def words(self) -> int:
-        """64-bit words per packed row, and per register: ceil(degree / 64)."""
-        return (self.degree + 63) // 64
 
 
 def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
@@ -228,11 +230,11 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
     """Build the reduction data for one generator entry, in the form the selected path reads."""
+    w = (e.degree + 63) // 64
     if _kernel is None:
-        return CrcTables(e.degree, (e.degree, reduction_rows(e.generator, 9)), "python",
-                         _python_loop, _python_digest)
-    module, w = _kernel.module, (e.degree + 63) // 64
-    pad = 64 * w - e.degree
+        return CrcTables(e.degree, w, (e.degree, reduction_rows(e.generator, 9)), "python",
+                         _python_loop, _python_digest, {})
+    module, pad = _kernel.module, 64 * w - e.degree
     for path in ("vpclmul", "clmul"):
         if getattr(_kernel, path) is not None:
             mu, low = _barrett_constants(e)
@@ -241,15 +243,15 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
             n = 8 * (7 + 8 * ((w + 7) // 8) + module.TAIL_WORDS)
             consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
             module.fill_carryless(consts)
-            return CrcTables(e.degree, consts, path, getattr(_kernel, path), module.digest,
-                             getattr(module, f"absorb_split_{path}"),
+            return CrcTables(e.degree, w, consts, path, getattr(_kernel, path), module.digest,
+                             {}, getattr(module, f"absorb_split_{path}"),
                              getattr(module, f"combine_{path}"))
     rows = array("Q", bytes(8 * (1 + 512 * w)))
     rows[0] = w
     for j, basis in enumerate(reduction_basis(e.generator, 9)):
         rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
     module.fill(rows)  # the other 503 rows, from these 9 and the zero row
-    return CrcTables(e.degree, rows, "native", _kernel.native, module.digest)
+    return CrcTables(e.degree, w, rows, "native", _kernel.native, module.digest, {})
 
 
 def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:

@@ -11,7 +11,6 @@ testing, LFSR sequence generation and Berlekamp-Massey synthesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -30,15 +29,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BitPolynomial:
+class Frozen:
+    """Base of the slotted value types: immutable, and equal, hashed and pickled by value.
+
+    A subclass's __init__ validates its arguments and sets each of its
+    __slots__ once, through object.__setattr__.  A frozen dataclass gives the
+    same contract but imports dataclasses, and with it inspect, in every
+    process that imports the package.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class BitPolynomial(Frozen):
     """Immutable GF(2)[x] polynomial packed into an int (bit k = coeff of x^k)."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("polynomial value must be nonnegative")
+        object.__setattr__(self, "value", value)
 
     @property
     def degree(self) -> int | None:

@@ -10,9 +10,9 @@ byte-alignment law, so a transcription typo cannot load silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import gf2poly
 from .gf2poly import BitPolynomial
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
+class GeneratorEntry(NamedTuple):
     """One registry row: sizes, composition parameters and both polynomials."""
 
     index: int            # 1..30
@@ -43,8 +42,7 @@ class GeneratorEntry:
     generator: BitPolynomial
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of verify_entry: one (name, passed) pair per check."""
 
     index: int

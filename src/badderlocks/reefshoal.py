@@ -8,7 +8,7 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classifier, params
 from .params import GeneratorEntry
@@ -16,8 +16,7 @@ from .params import GeneratorEntry
 __all__ = ["RepresentativeLayout", "plan_layout", "assemble"]
 
 
-@dataclass(frozen=True)
-class RepresentativeLayout:
+class RepresentativeLayout(NamedTuple):
     """Field widths for one modulus: reserve (padding), classifier, hash."""
 
     modulus_bits: int

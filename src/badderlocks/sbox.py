@@ -8,10 +8,9 @@ bytes are completed with the filler codeword 71 up to 72 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import BitPolynomial
+from .gf2poly import BitPolynomial, Frozen
 
 __all__ = ["FILLER", "CodewordTable", "candidates_308", "codeword_table", "expand_message"]
 
@@ -29,33 +28,6 @@ _CODEWORD_RANGES = [
 ]
 
 
-def _max_run(v: int, nbits: int = 9) -> int:
-    bits = [(v >> (nbits - 1 - i)) & 1 for i in range(nbits)]
-    best = run = 1
-    for a, b in zip(bits, bits[1:]):
-        run = run + 1 if a == b else 1
-        best = max(best, run)
-    return best
-
-
-def _leading_run(v: int, nbits: int = 9) -> int:
-    first = (v >> (nbits - 1)) & 1
-    run = 0
-    for i in range(nbits - 1, -1, -1):
-        if (v >> i) & 1 != first:
-            break
-        run += 1
-    return run
-
-
-def _trailing_run(v: int) -> int:
-    first = v & 1
-    run = 0
-    while (v >> run) & 1 == first and run < 9:
-        run += 1
-    return run
-
-
 def candidates_308() -> set[int]:
     """All 9-bit values passing the four codeword rules (exactly 308 of them).
 
@@ -63,36 +35,35 @@ def candidates_308() -> set[int]:
     significant bits, at most 3 identical least significant bits, Hamming
     weight between 3 and 6.
     """
-    out = set()
-    for v in range(512):
-        if not 3 <= v.bit_count() <= 6:
-            continue
-        if _max_run(v) > 5 or _leading_run(v) > 2 or _trailing_run(v) > 3:
-            continue
-        out.add(v)
-    return out
+    return {v for v in range(512)
+            if "000000" not in (bits := format(v, "09b")) and "111111" not in bits
+            and not bits.startswith(("000", "111")) and not bits.endswith(("0000", "1111"))
+            and 3 <= v.bit_count() <= 6}
 
 
-@dataclass(frozen=True)
-class CodewordTable:
+class CodewordTable(Frozen):
     """256 strictly increasing 9-bit codewords indexed by input byte, plus filler."""
 
-    entries: tuple[int, ...]
-    filler: int = FILLER
+    __slots__ = ("entries", "filler")
 
-    def __post_init__(self):
-        if len(self.entries) != 256:
-            raise ValueError(f"expected 256 codewords, got {len(self.entries)}")
-        if any(b <= a for a, b in zip(self.entries, self.entries[1:])):
+    def __init__(self, entries: tuple[int, ...], filler: int = FILLER):
+        if len(entries) != 256:
+            raise ValueError(f"expected 256 codewords, got {len(entries)}")
+        if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ValueError("codewords must be strictly increasing")
         valid = candidates_308()
-        bad = set(self.entries) - valid
+        bad = set(entries) - valid
         if bad:
             raise ValueError(f"codewords outside the candidate set: {sorted(bad)}")
-        if self.filler in self.entries:
+        if filler in entries:
             raise ValueError("filler codeword must not appear in the table")
-        if self.filler not in valid:
+        if filler not in valid:
             raise ValueError("filler codeword fails the candidate rules")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "filler", filler)
+
+    def __repr__(self) -> str:
+        return f"CodewordTable(entries={self.entries!r}, filler={self.filler!r})"
 
 
 @lru_cache(maxsize=1)

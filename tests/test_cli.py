@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -175,7 +174,7 @@ class TestVerifyParams:
             if e.index != 5:
                 return report
             (name, _), *rest = report.checks
-            return dataclasses.replace(report, checks=((name, False), *rest))
+            return report._replace(checks=((name, False), *rest))
 
         monkeypatch.setattr(params, "verify_entry", one_check_fails)
         code, out = run(capsys, monkeypatch, ["verify-params", "--json"])

@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 import os
 import random
@@ -92,7 +91,7 @@ def spy(monkeypatch, name: str, record) -> None:
     def spied(e):
         tables = tables_for(e)
         real = getattr(tables, name)
-        return dataclasses.replace(tables, **{name: lambda *args: record(real, args)})
+        return tables._replace(**{name: lambda *args: record(real, args)})
 
     monkeypatch.setattr(fastcrc, "_tables_for", spied)
 
@@ -593,7 +592,7 @@ class TestBinding:
             elif case == "read-only register":
                 eng._reg, error = bytes(8 * w), TypeError
             elif case == "short table":
-                eng.tables = dataclasses.replace(eng.tables, main=eng.tables.main[:-1])
+                eng.tables = eng.tables._replace(main=eng.tables.main[:-1])
             else:
                 chunk, error = 5, TypeError
             with pytest.raises(error):
@@ -712,6 +711,18 @@ class TestKernelBuild:
         damaged.mkdir()
         (damaged / built.name).write_bytes(b"not a shared object")
         assert fastcrc._load_kernel(damaged) is None
+
+    def test_warm_import_loads_no_dataclasses_or_sysconfig(self):
+        # with the module cached, importing the package builds nothing, so it needs
+        # neither sysconfig (for Python.h) nor dataclasses and the inspect they pull in
+        if fastcrc._kernel is None:
+            pytest.skip("no kernel is cached here, so every import tries a build")
+        probe = ("import sys; before = set(sys.modules); import badderlocks; "
+                 "print(sorted({'dataclasses', 'inspect', 'sysconfig'} & set(sys.modules) - before))")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     def test_sanitized_build_matches_vectors(self, tmp_path):
         # warnings are errors, and any undefined behaviour (a shift by 64, an
@@ -862,7 +873,7 @@ def avx512(instruction: tuple[bytes, str]) -> bool:
 # Run in a child process against a sanitizer build of the kernel, so that
 # undefined behaviour aborts the child instead of the test run.
 SANITIZED_SWEEP = """
-import dataclasses, random, sys, time
+import random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
 paths = [p for p in ("vpclmul", "clmul", "native") if getattr(fastcrc._kernel, p) is not None]
@@ -910,7 +921,7 @@ for i, path in enumerate(paths):
 
         def spied(e):  # what the engine calls, however the tables were cached
             t = tables_for(e)
-            return dataclasses.replace(t, split=lambda *args: taken.append(t.split(*args)))
+            return t._replace(split=lambda *args: taken.append(t.split(*args)))
 
         fastcrc._tables_for = spied
         for e in params.registry():
