@@ -37,11 +37,13 @@ GIL for chunks of 4 KiB or more.  The first import compiles the module with
 `__pycache__`, named by a hash of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
 that file.  The key names the interpreter by its installation prefix, not
-its include directory, so only a build imports sysconfig.  The module
-asks the CPU which carry-less instructions it runs: the vpclmul path is
-taken where it reports AVX-512F and VPCLMULQDQ, else the clmul path where
-it reports PCLMULQDQ, else the native path; the Python loop runs where the
-module cannot be built or imported.
+its include directory, so only a build imports sysconfig.  fastcrc calls
+the module's functions directly.  Its `carryless()` asks the CPU which
+carry-less instructions it runs, and `build_tables` reads that answer each
+time it builds a table: the vpclmul path is taken where the CPU reports
+AVX-512F and VPCLMULQDQ, else the clmul path where it reports PCLMULQDQ,
+else the native path; the Python loop runs where the module cannot be
+built or imported.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -68,6 +70,7 @@ from array import array
 from collections.abc import Callable
 from functools import cache
 from pathlib import Path
+from types import ModuleType
 from typing import NamedTuple
 
 from .classifier import ClassifierDigest
@@ -81,23 +84,6 @@ _PACKAGE = Path(__file__).parent
 _SOURCES = (_PACKAGE / "_absorbmodule.c", _PACKAGE / "_absorb.c")  # the first includes the second
 # no -march=native: the cached file must stay valid if the checkout moves to another host
 _COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
-
-
-class _Kernel:
-    """The extension module, and the absorb loops build_tables picks a path from: each is the
-    attribute named after its path, and `vpclmul` and `clmul` are None where the CPU cannot
-    run them."""
-
-    def __init__(self, path: Path):
-        name = "badderlocks._absorb"
-        loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-        self.module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(name, path, loader=loader))
-        loader.exec_module(self.module)
-        self.native = self.module.absorb
-        self.clmul = self.vpclmul = None
-        for path in ("clmul", "vpclmul")[:self.module.carryless()]:  # each exists from its level
-            setattr(self, path, getattr(self.module, f"absorb_{path}"))
 
 
 def _compile(command: list[str], path: Path) -> bool:
@@ -116,10 +102,21 @@ def _compile(command: list[str], path: Path) -> bool:
         tmp.unlink(missing_ok=True)
 
 
+def _import(path: Path | str) -> ModuleType:
+    """The extension module in the shared object at path."""
+    name = "badderlocks._absorb"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
 def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
-                 include: str | None = None) -> _Kernel | None:
-    """The compiled module, built into cache_dir against include's Python.h (by default the
-    interpreter's) unless already there; None if that fails."""
+                 include: str | None = None) -> ModuleType | None:
+    """The extension module, built into cache_dir against include's Python.h (by default the
+    interpreter's) unless already there; None if that fails.  Which of its loops a table
+    uses is read from its CPU probe, `carryless()`, when the table is built."""
     try:
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
         # the interpreter's prefix stands for its default include directory, so that a load
@@ -135,7 +132,7 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
                 include = sysconfig.get_paths()["include"]
             if not _compile([cc, *_COMPILE, "-I", include], path):
                 return None
-        return _Kernel(path)
+        return _import(path)
     # no compiler or Python.h, an unwritable directory, or a file that does not import
     except (OSError, ImportError):
         return None
@@ -229,29 +226,29 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
 
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
-    """Build the reduction data for one generator entry, in the form the selected path reads."""
+    """Build the reduction data for one generator entry, in the form its path reads: the
+    fastest loop the module's CPU probe allows, or the Python loop without the module."""
     w = (e.degree + 63) // 64
     if _kernel is None:
         return CrcTables(e.degree, w, (e.degree, reduction_rows(e.generator, 9)), "python",
                          _python_loop, _python_digest, {})
-    module, pad = _kernel.module, 64 * w - e.degree
-    for path in ("vpclmul", "clmul"):
-        if getattr(_kernel, path) is not None:
-            mu, low = _barrett_constants(e)
-            # G, then the tail, least significant word first, as the carry-less kernels read
-            # them (they run only on x86-64, which is little-endian)
-            n = 8 * (7 + 8 * ((w + 7) // 8) + module.TAIL_WORDS)
-            consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
-            module.fill_carryless(consts)
-            return CrcTables(e.degree, w, consts, path, getattr(_kernel, path), module.digest,
-                             {}, getattr(module, f"absorb_split_{path}"),
-                             getattr(module, f"combine_{path}"))
-    rows = array("Q", bytes(8 * (1 + 512 * w)))
-    rows[0] = w
-    for j, basis in enumerate(reduction_basis(e.generator, 9)):
-        rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
-    module.fill(rows)  # the other 503 rows, from these 9 and the zero row
-    return CrcTables(e.degree, w, rows, "native", _kernel.native, module.digest, {})
+    path, pad = ("native", "clmul", "vpclmul")[_kernel.carryless()], 64 * w - e.degree
+    if path == "native":
+        rows = array("Q", bytes(8 * (1 + 512 * w)))
+        rows[0] = w
+        for j, basis in enumerate(reduction_basis(e.generator, 9)):
+            rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
+        _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
+        return CrcTables(e.degree, w, rows, path, _kernel.absorb, _kernel.digest, {})
+    mu, low = _barrett_constants(e)
+    # G, then the tail, least significant word first, as the carry-less kernels read them
+    # (they run only on x86-64, which is little-endian)
+    n = 8 * (7 + 8 * ((w + 7) // 8) + _kernel.TAIL_WORDS)
+    consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
+    _kernel.fill_carryless(consts)
+    return CrcTables(e.degree, w, consts, path, getattr(_kernel, f"absorb_{path}"),
+                     _kernel.digest, {}, getattr(_kernel, f"absorb_split_{path}"),
+                     getattr(_kernel, f"combine_{path}"))
 
 
 def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
@@ -280,13 +277,16 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
     return k
 
 
-_table_cache: dict[int, CrcTables] = {}
+_table_cache: dict[int, tuple[GeneratorEntry, CrcTables]] = {}
 
 
 def _tables_for(e: GeneratorEntry) -> CrcTables:
-    tables = _table_cache.get(e.index)
-    if tables is None:
-        tables = _table_cache[e.index] = build_tables(e)
+    """e's tables, built on first use and kept under e's index with the entry they were built
+    for, so that another entry under the same index gets tables of its own."""
+    entry, tables = _table_cache.get(e.index, (None, None))
+    if entry is not e and entry != e:
+        tables = build_tables(e)
+        _table_cache[e.index] = e, tables
     return tables
 
 

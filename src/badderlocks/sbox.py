@@ -42,11 +42,11 @@ def candidates_308() -> set[int]:
 
 
 class CodewordTable(Frozen):
-    """256 strictly increasing 9-bit codewords indexed by input byte, plus filler."""
+    """256 strictly increasing 9-bit codewords indexed by input byte, none of them FILLER."""
 
-    __slots__ = ("entries", "filler")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...], filler: int = FILLER):
+    def __init__(self, entries: tuple[int, ...]):
         if len(entries) != 256:
             raise ValueError(f"expected 256 codewords, got {len(entries)}")
         if any(b <= a for a, b in zip(entries, entries[1:])):
@@ -55,15 +55,14 @@ class CodewordTable(Frozen):
         bad = set(entries) - valid
         if bad:
             raise ValueError(f"codewords outside the candidate set: {sorted(bad)}")
-        if filler in entries:
+        if FILLER in entries:
             raise ValueError("filler codeword must not appear in the table")
-        if filler not in valid:
+        if FILLER not in valid:
             raise ValueError("filler codeword fails the candidate rules")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "filler", filler)
 
     def __repr__(self) -> str:
-        return f"CodewordTable(entries={self.entries!r}, filler={self.filler!r})"
+        return f"CodewordTable(entries={self.entries!r})"
 
 
 @lru_cache(maxsize=1)

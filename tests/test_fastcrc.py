@@ -22,9 +22,13 @@ FOX = b"The quick brown fox jumps over the lazy dog"
 PYTHON_INCLUDE = sysconfig.get_paths()["include"]  # where the module's build finds Python.h
 
 
-# the kernel's absorb loops, in the order build_tables prefers them
-KERNEL_PATHS = ("vpclmul", "clmul", "native")
+# the kernel's absorb loops, fastest first, each with the level of the module's CPU probe,
+# carryless(), at which build_tables picks it
+LEVELS = {"vpclmul": 2, "clmul": 1, "native": 0}
+KERNEL_PATHS = tuple(LEVELS)
 CARRYLESS_PATHS = KERNEL_PATHS[:2]
+# the level this host's CPU reports, read before any test fakes the probe; -1 without the module
+HOST_LEVEL = -1 if fastcrc._kernel is None else fastcrc._kernel.carryless()
 # the chunk size from which the "-split" variants absorb on two threads: the smallest
 # split floor any code or test uses
 TEST_SPLIT_BYTES = 1024
@@ -38,16 +42,21 @@ WORKER_PATIENCE_S = 10
 _path_tables: dict[str, dict] = {}
 
 
+def host_runs(path: str) -> bool:
+    """Whether this host runs the given kernel path."""
+    return LEVELS[path] <= HOST_LEVEL
+
+
 def use_path(monkeypatch, path):
     """Make engines built from here on run the given path.
 
-    A kernel path is forced by clearing the loops build_tables would pick
-    first, as on a CPU the CPU check finds without them: "clmul" clears
-    vpclmul, "native" also clmul.  "python" unloads the kernel, as on a host
-    without a compiler.  "vpclmul-split" and "clmul-split" are those paths
-    with the two-thread floor lowered to TEST_SPLIT_BYTES.  Each path keeps
-    one table cache for the whole test run, so the combine constants of an
-    entry are built once.
+    A kernel path is forced by faking the module's CPU probe, carryless(),
+    to report that path's level, as on a CPU without the faster
+    instructions; a path above what this CPU runs skips.  "python" unloads
+    the kernel, as on a host without a compiler.  "vpclmul-split" and
+    "clmul-split" are those paths with the two-thread floor lowered to
+    TEST_SPLIT_BYTES.  Each path keeps one table cache for the whole test
+    run, so the combine constants of an entry are built once.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
@@ -57,10 +66,9 @@ def use_path(monkeypatch, path):
         if path.endswith("-split"):
             path = path.removesuffix("-split")
             monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
-        if getattr(fastcrc._kernel, path) is None:
+        if not host_runs(path):
             pytest.skip(f"this CPU cannot run the {path} kernel")
-        for faster in KERNEL_PATHS[:KERNEL_PATHS.index(path)]:
-            monkeypatch.setattr(fastcrc._kernel, faster, None)
+        monkeypatch.setattr(fastcrc._kernel, "carryless", lambda: LEVELS[path])
     monkeypatch.setattr(fastcrc, "_table_cache", _path_tables.setdefault(path, {}))
 
 
@@ -74,8 +82,7 @@ def path(request, monkeypatch):
 
 def first_carryless_path(monkeypatch) -> str:
     """Force the fastest carry-less path this host runs, or skip."""
-    loaded = [p for p in CARRYLESS_PATHS
-              if fastcrc._kernel is not None and getattr(fastcrc._kernel, p) is not None]
+    loaded = [p for p in CARRYLESS_PATHS if host_runs(p)]
     if not loaded:
         pytest.skip("no carry-less kernel is loaded here")
     use_path(monkeypatch, loaded[0])
@@ -133,7 +140,7 @@ def reference(e, m: bytes) -> bytes:
 def row_forms(e):
     """e's tables as the table kernel builds them, then as the Python loop builds them."""
     forms = []
-    for path in ("python",) if fastcrc._kernel is None else ("native", "python"):
+    for path in ("native", "python") if host_runs("native") else ("python",):
         with pytest.MonkeyPatch.context() as mp:
             use_path(mp, path)
             forms.append(build_tables(e))
@@ -192,7 +199,7 @@ class TestTables:
         # carry-less kernels, they read the same table
         tables = {}
         for kernel in CARRYLESS_PATHS:
-            if fastcrc._kernel is None or getattr(fastcrc._kernel, kernel) is None:
+            if not host_runs(kernel):
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 use_path(mp, kernel)
@@ -206,7 +213,7 @@ class TestTables:
                 assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
                 g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
                 assert g == low << 64 * w - e.degree, e.index
-                assert len(t.main) == at + fastcrc._kernel.module.TAIL_WORDS, e.index
+                assert len(t.main) == at + fastcrc._kernel.TAIL_WORDS, e.index
         if len(tables) == 2:
             assert [t.main for t in tables["clmul"]] == [t.main for t in tables["vpclmul"]]
 
@@ -240,7 +247,7 @@ class TestTables:
         poly = gf2poly.BitPolynomial
         b = 9 * BLOCK_BYTES // 64
         for kernel in CARRYLESS_PATHS:
-            if getattr(fastcrc._kernel, kernel) is None:
+            if not host_runs(kernel):
                 continue
             rng = random.Random(42)
             with pytest.MonkeyPatch.context() as mp:
@@ -274,7 +281,7 @@ class TestTables:
         m = random.Random(38).randbytes(64 * 1024)
         entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 4288)]
         for kernel in CARRYLESS_PATHS:
-            if getattr(fastcrc._kernel, kernel) is None:
+            if not host_runs(kernel):
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 use_path(mp, kernel)
@@ -286,14 +293,15 @@ class TestTables:
                 assert 1 in taken, kernel
 
     def test_kernel_loads_where_a_compiler_runs(self):
+        # an engine runs the path of the level the module's CPU probe reports, and that
+        # path is the one the CPU's flags allow
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         assert fastcrc._kernel is not None
         path = engine_init(params.entry_for_aligned_bits(64)).path
+        assert LEVELS[path] == fastcrc._kernel.carryless()
         cpuinfo = Path("/proc/cpuinfo")
-        if not cpuinfo.is_file():
-            assert path in KERNEL_PATHS
-        else:
+        if cpuinfo.is_file():
             flags = set(cpuinfo.read_text().split())
             assert path == ("vpclmul" if {"avx512f", "vpclmulqdq"} <= flags
                             else "clmul" if "pclmulqdq" in flags else "native")
@@ -436,6 +444,17 @@ class TestPaths:
         with pytest.raises(TypeError):
             eng.absorb(5)
         assert (eng.register, eng.consumed) == (engine_init(e).absorb(b"abc").register, 3)
+
+    def test_entry_sharing_an_index_gets_its_own_tables(self, path):
+        # the table cache is keyed by index: an entry with a registry index but another
+        # generator must not run on the registry entry's tables, nor leave its own to it
+        e = params.registry()[0]
+        custom = e._replace(generator=gf2poly.BitPolynomial(e.generator.value ^ 0b10))
+        m = random.Random(47).randbytes(2 * 1024)
+        for entry in (e, custom, e):
+            for message in (b"abc", m):
+                assert engine_init(entry).absorb(message).finish().data == \
+                    classifier.classify(message, entry).data, (entry.generator, len(message))
 
     def test_repr_names_entry_bytes_and_path(self, path):
         eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
@@ -605,7 +624,7 @@ class TestBinding:
         # direct calls: each wrong argument raises, and neither the register nor the guard
         # words around it are written
         path = kernel_path.partition("-")[0]
-        module = fastcrc._kernel.module
+        module = fastcrc._kernel
         e = params.entry_for_aligned_bits(1744)
         t = build_tables(e)
         w, cw, loop = t.words, fastcrc._codewords(), t.loop
@@ -739,7 +758,7 @@ class TestKernelBuild:
                              capture_output=True, text=True, timeout=600,
                              env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
         assert run.returncode == 0, run.stderr
-        paths = [p for p in KERNEL_PATHS if getattr(fastcrc._kernel, p) is not None]
+        paths = [p for p in KERNEL_PATHS if host_runs(p)]
         # the three c2 suites, the sweep, then the register-width and the one-block edges
         per_path = 52 + 30 * 26 + 7 * 81 + 7 * 3
         splits = (30 * 5 + 1) * len([p for p in paths if p in CARRYLESS_PATHS])
@@ -783,7 +802,7 @@ class TestKernelBuild:
             "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
             "cases": ",\n    ".join(cases)})
         mismatches, runs = map(int, run.stdout.split())
-        assert mismatches == 0 and runs == 3 * len(cases) * fastcrc._kernel.module.carryless()
+        assert mismatches == 0 and runs == 3 * len(cases) * HOST_LEVEL
 
     def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
@@ -875,16 +894,16 @@ def avx512(instruction: tuple[bytes, str]) -> bool:
 SANITIZED_SWEEP = """
 import random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
-fastcrc._kernel = fastcrc._Kernel(sys.argv[1])
-paths = [p for p in ("vpclmul", "clmul", "native") if getattr(fastcrc._kernel, p) is not None]
+fastcrc._kernel = fastcrc._import(sys.argv[1])
+levels = range(fastcrc._kernel.carryless(), -1, -1)  # the paths this CPU runs, fastest first
+paths = [("native", "clmul", "vpclmul")[level] for level in levels]
 # entries whose register ends at or just past a whole block of eight 64-bit words, or
 # fills less than one (w = 1, 7, 8, 10, 28, 44, 67; no entry has w = 9)
 block_edges = [params.entry_for_aligned_bits(b) for b in (64, 416, 512, 608, 1744, 2784, 4288)]
 rng = random.Random(37)
 checked = 0
-for i, path in enumerate(paths):
-    if i:
-        setattr(fastcrc._kernel, paths[i - 1], None)  # so build_tables picks the next path
+for level, path in zip(levels, paths):
+    fastcrc._kernel.carryless = lambda: level  # the probe build_tables reads picks this path
     fastcrc._table_cache.clear()
     for suite in ("c2-fox", "c2-small", "c2-mixed"):
         for bits, m, want in cli._load_suite(suite):

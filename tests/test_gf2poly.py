@@ -239,10 +239,11 @@ class TestIrreducible:
             assert gf2poly.is_irreducible(BitPolynomial(v)) == \
                 trial_division_irreducible(v), f"disagree on {v:#x}"
 
-    @pytest.mark.parametrize("d", [64, 416, 1744])
+    @pytest.mark.parametrize("d", [64, 65, 67, 71, 416, 1744])
     def test_table_reducer_matches_reduce(self, d):
         # Rabin's test reduces by an 8-bit row table from degree 64 up, which no registry
-        # phi reaches and only the opt-in full check of the generators runs
+        # phi reaches and only the opt-in full check of the generators runs; 65, 67 and 71
+        # leave 1, 3 and 7 bits of the register above its leading whole bytes
         rng = random.Random(d)
         f = BitPolynomial(rng.getrandbits(d) | 1 << d | 1)
         reduce = gf2poly._mod_reducer(f)
@@ -264,6 +265,13 @@ class TestLfsrAndBerlekampMassey:
     def test_seed_length_mismatch(self):
         with pytest.raises(ValueError):
             gf2poly.lfsr_stream(BitPolynomial(0b111), [1, 0, 1], 6)
+
+    def test_negative_count_rejected(self):
+        # a count under the degree truncates the seed, but a negative one is an error
+        assert gf2poly.lfsr_stream(BitPolynomial(0b1011), [1, 0, 1], 2) == [1, 0]
+        assert gf2poly.lfsr_stream(BitPolynomial(0b1011), [1, 0, 1], 0) == []
+        with pytest.raises(ValueError):
+            gf2poly.lfsr_stream(BitPolynomial(0b1011), [1, 0, 1], -1)
 
     def test_bm_all_zero(self):
         length, _ = gf2poly.berlekamp_massey([0] * 16)
