@@ -20,6 +20,8 @@
  *       ceil(degree / 8) big-endian bytes
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
  *   TAIL_WORDS, the words of a carry-less table after G's whole blocks
+ *   CrcEngine (entry, tables), fastcrc's engine over those functions, and
+ *   bind (namespace) -> CrcEngine, once it reads fastcrc's names there
  *
  * There are two kinds of table, rows (absorb, fill) and carry-less (the
  * rest), and one register bound for both and for digest: w <= MAX_WORDS.
@@ -29,6 +31,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include "_absorb.c"
 
@@ -346,6 +349,417 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
     return arguments(nargs, 0, "carryless") ? PyLong_FromLong(carryless()) : NULL;
 }
 
+/* The engine type: fastcrc's CrcEngine class line for line, without the
+ * interpreter's frames and attribute lookups on the engine itself.  It
+ * calls its tables' loop, split and digest by vectorcall, never the C
+ * loops directly, so each call passes the checks above.  It reads fastcrc's
+ * _SPLIT_BYTES, _shift, _FILLER and ClassifierDigest from the namespace
+ * bind() hands it, at each call, so what is patched there reaches it; the
+ * codeword map fastcrc._codewords() builds on the first absorb is kept.
+ * The type is mutable, as a class is: attributes set on it (a tracer's
+ * wrappers) take the place of its methods until restored. */
+
+/* The names the engine looks up: attributes of its tables and entry, then
+ * globals of fastcrc; interned once per module. */
+enum name {
+    WORDS, MAIN, LOOP, SPLIT, DIGEST, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG,
+    SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, NAMES
+};
+static const char *const name_text[NAMES] = {
+    "words", "main", "loop", "split", "digest", "path", "degree", "index", "aligned_bits",
+    "from_bytes", "big", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER", "ClassifierDigest",
+};
+
+typedef struct {
+    PyObject *engine_type;
+    PyObject *namespace; /* fastcrc's globals, from bind(); NULL until then */
+    PyObject *codewords; /* what fastcrc._codewords() returned on the first absorb */
+    PyObject *names[NAMES];
+} module_state;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *entry, *tables, *reg;
+    Py_ssize_t consumed;
+    char finished;
+} Engine;
+
+static module_state *state_of(Engine *self) { return PyType_GetModuleState(Py_TYPE(self)); }
+
+static PyObject *attr(module_state *st, PyObject *obj, enum name name)
+{
+    return PyObject_GetAttr(obj, st->names[name]);
+}
+
+/* A new reference to fastcrc's global of that name; NameError if it has
+ * none, RuntimeError before bind(). */
+static PyObject *global(module_state *st, enum name name)
+{
+    if (!st->namespace) {
+        PyErr_SetString(PyExc_RuntimeError, "CrcEngine is not bound: call bind() first");
+        return NULL;
+    }
+    PyObject *value = PyDict_GetItemWithError(st->namespace, st->names[name]);
+    if (!value && !PyErr_Occurred())
+        PyErr_Format(PyExc_NameError, "name '%U' is not defined", st->names[name]);
+    return Py_XNewRef(value);
+}
+
+/* fn(*args), for fn owner's attribute of that name, or fastcrc's global of
+ * that name where owner is NULL. */
+static PyObject *call(module_state *st, PyObject *owner, enum name name, PyObject *const *args,
+                      size_t nargs)
+{
+    PyObject *fn = owner ? attr(st, owner, name) : global(st, name);
+    PyObject *result = fn ? PyObject_Vectorcall(fn, args, nargs, NULL) : NULL;
+    Py_XDECREF(fn);
+    return result;
+}
+
+/* tables.digest(reg, entry.degree). */
+static PyObject *digest_of(module_state *st, PyObject *entry, PyObject *tables, PyObject *reg)
+{
+    PyObject *degree = attr(st, entry, DEGREE);
+    PyObject *result = degree ? call(st, tables, DIGEST, (PyObject *[]){reg, degree}, 2) : NULL;
+    Py_XDECREF(degree);
+    return result;
+}
+
+/* chunk where its raw bytes are contiguous, whatever the item size, else a
+ * copy of them; their count in *n.  A non-buffer raises TypeError. */
+static PyObject *raw_bytes(PyObject *chunk, Py_ssize_t *n)
+{
+    Py_buffer view;
+    if (PyObject_GetBuffer(chunk, &view, PyBUF_FULL_RO) < 0)
+        return NULL;
+    *n = view.len;
+    PyObject *data = PyBuffer_IsContiguous(&view, 'C') ? Py_NewRef(chunk)
+                                                       : PyBytes_FromStringAndSize(NULL, view.len);
+    if (data && data != chunk &&
+        PyBuffer_ToContiguous(PyBytes_AS_STRING(data), &view, view.len, 'C') < 0)
+        Py_CLEAR(data);
+    PyBuffer_Release(&view);
+    return data;
+}
+
+/* A new engine over entry and tables, its register zeroed. */
+static PyObject *new_engine(PyTypeObject *type, PyObject *entry, PyObject *tables)
+{
+    PyObject *words = attr(PyType_GetModuleState(type), tables, WORDS);
+    Py_ssize_t w = words ? PyLong_AsSsize_t(words) : -1;
+    Py_XDECREF(words);
+    if (w == -1 && PyErr_Occurred())
+        return NULL;
+    if (w < 0 || w > PY_SSIZE_T_MAX / 8) {
+        PyErr_SetString(PyExc_ValueError, "tables.words must fit a register");
+        return NULL;
+    }
+    PyObject *reg = PyByteArray_FromStringAndSize(NULL, 8 * w); /* laid out like a packed row */
+    Engine *self = reg ? (Engine *)type->tp_alloc(type, 0) : NULL;
+    if (!self) {
+        Py_XDECREF(reg);
+        return NULL;
+    }
+    memset(PyByteArray_AS_STRING(reg), 0, (size_t)(8 * w));
+    self->entry = Py_NewRef(entry);
+    self->tables = Py_NewRef(tables);
+    self->reg = reg;
+    return (PyObject *)self;
+}
+
+static const char *const engine_keywords[] = {"entry", "tables", NULL};
+
+static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *entry, *tables;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:CrcEngine", (char **)engine_keywords, &entry,
+                                     &tables))
+        return NULL;
+    return new_engine(type, entry, tables);
+}
+
+/* CrcEngine(entry, tables) with no argument tuple: the type's vectorcall,
+ * which the interpreter calls in place of engine_new. */
+static PyObject *engine_vectorcall(PyObject *type, PyObject *const *args, size_t nargsf,
+                                   PyObject *kwnames)
+{
+    PyObject *given[2] = {NULL, NULL};
+    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf), nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t i = 0; i < nargs && i < 2; i++)
+        given[i] = args[i];
+    for (Py_ssize_t i = 0; i < nkw && nargs <= 2; i++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
+        int at = PyUnicode_CompareWithASCIIString(key, engine_keywords[0]) ? 1 : 0;
+        if (given[at] || PyUnicode_CompareWithASCIIString(key, engine_keywords[at])) {
+            given[0] = NULL;
+            break;
+        }
+        given[at] = args[nargs + i];
+    }
+    if (nargs + nkw != 2 || !given[0] || !given[1]) {
+        PyErr_SetString(PyExc_TypeError, "CrcEngine() takes two arguments: entry and tables");
+        return NULL;
+    }
+    return new_engine((PyTypeObject *)type, given[0], given[1]);
+}
+
+static int engine_traverse(Engine *self, visitproc visit, void *arg)
+{
+    Py_VISIT(Py_TYPE(self));
+    Py_VISIT(self->entry);
+    Py_VISIT(self->tables);
+    Py_VISIT(self->reg);
+    return 0;
+}
+
+static int engine_clear(Engine *self)
+{
+    Py_CLEAR(self->entry);
+    Py_CLEAR(self->tables);
+    Py_CLEAR(self->reg);
+    return 0;
+}
+
+static void engine_dealloc(Engine *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    PyObject_GC_UnTrack(self);
+    engine_clear(self);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+/* The engine's entry, tables and register as new references, which a
+ * call they make may reassign; 0 with AttributeError if one was deleted. */
+static int hold(Engine *self, PyObject **entry, PyObject **tables, PyObject **reg)
+{
+    *entry = Py_XNewRef(self->entry);
+    *tables = Py_XNewRef(self->tables);
+    *reg = Py_XNewRef(self->reg);
+    if (*entry && *tables && *reg)
+        return 1;
+    PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'",
+                 !*entry ? "entry" : !*tables ? "tables" : "_reg");
+    return 0;
+}
+
+static int unfinished(Engine *self)
+{
+    if (!self->finished)
+        return 1;
+    PyErr_SetString(PyExc_RuntimeError, "engine already finished");
+    return 0;
+}
+
+PyDoc_STRVAR(absorb_doc, "Run one table cycle per byte of a bytes-like chunk; returns self for "
+                         "chaining.");
+
+static PyObject *engine_absorb(Engine *self, PyObject *chunk)
+{
+    module_state *st = state_of(self);
+    if (!unfinished(self))
+        return NULL;
+    Py_ssize_t n;
+    PyObject *data;
+    if (PyBytes_CheckExact(chunk)) {
+        n = PyBytes_GET_SIZE(chunk);
+        data = Py_NewRef(chunk);
+    } else if (!(data = raw_bytes(chunk, &n))) /* before any state changes */
+        return NULL;
+    PyObject *entry, *tables, *reg, *floor = NULL, *split = NULL, *main = NULL,
+             *codewords = NULL, *n2 = NULL, *k = NULL, *result = NULL;
+    if (!hold(self, &entry, &tables, &reg) || !(floor = global(st, SPLIT_BYTES)))
+        goto done;
+    Py_ssize_t split_bytes = PyLong_AsSsize_t(floor);
+    if (split_bytes == -1 && PyErr_Occurred())
+        goto done;
+    if (n >= split_bytes) {
+        if (!(split = attr(st, tables, SPLIT)))
+            goto done;
+        if (split == Py_None)
+            Py_CLEAR(split);
+    }
+    if (!st->codewords) { /* another thread may fill it while _codewords() runs */
+        PyObject *built = call(st, NULL, CODEWORDS, NULL, 0);
+        if (!built)
+            goto done;
+        Py_XSETREF(st->codewords, built);
+    }
+    codewords = Py_NewRef(st->codewords);
+    if (!(main = attr(st, tables, MAIN)))
+        goto done;
+    PyObject *looped;
+    if (split) {
+        size_t half = (size_t)n / 2, j = 0; /* n2 = 2^j, the largest power of two <= n / 2 */
+        while (half >> j > 1)
+            j++;
+        PyObject *bits = PyLong_FromSize_t(j);
+        k = bits ? call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3) : NULL;
+        Py_XDECREF(bits);
+        if (!k || !(n2 = PyLong_FromSize_t((size_t)1 << j)))
+            goto done;
+        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, n2, k}, 6,
+                                     NULL);
+    } else
+        looped = call(st, tables, LOOP, (PyObject *[]){reg, main, codewords, data}, 4);
+    if (looped) {
+        Py_DECREF(looped);
+        self->consumed += n;
+        result = Py_NewRef(self);
+    }
+done:
+    Py_XDECREF(k);
+    Py_XDECREF(n2);
+    Py_XDECREF(codewords);
+    Py_XDECREF(main);
+    Py_XDECREF(split);
+    Py_XDECREF(floor);
+    Py_XDECREF(reg);
+    Py_XDECREF(tables);
+    Py_XDECREF(entry);
+    Py_DECREF(data);
+    return result;
+}
+
+PyDoc_STRVAR(finish_doc, "Apply the filler rule and emit the byte-aligned digest.");
+
+static PyObject *engine_finish(Engine *self, PyObject *unused)
+{
+    (void)unused;
+    module_state *st = state_of(self);
+    if (!unfinished(self))
+        return NULL;
+    self->finished = 1;
+    PyObject *entry, *tables, *reg, *main = NULL, *filler = NULL, *zeros = NULL, *data = NULL,
+             *result = NULL;
+    if (!hold(self, &entry, &tables, &reg))
+        goto done;
+    if (self->consumed < 8) { /* one FILLER cycle for each byte short of 8 */
+        Py_ssize_t short_by = 8 - self->consumed;
+        if (!(main = attr(st, tables, MAIN)) || !(filler = global(st, FILLER_MAP)) ||
+            !(zeros = PyBytes_FromStringAndSize(NULL, short_by)))
+            goto done;
+        memset(PyBytes_AS_STRING(zeros), 0, (size_t)short_by);
+        PyObject *looped = call(st, tables, LOOP, (PyObject *[]){reg, main, filler, zeros}, 4);
+        if (!looped)
+            goto done;
+        Py_DECREF(looped);
+    }
+    if ((data = digest_of(st, entry, tables, reg)))
+        result = call(st, NULL, CLASSIFIER_DIGEST, (PyObject *[]){data, entry}, 2);
+done:
+    Py_XDECREF(data);
+    Py_XDECREF(zeros);
+    Py_XDECREF(filler);
+    Py_XDECREF(main);
+    Py_XDECREF(reg);
+    Py_XDECREF(tables);
+    Py_XDECREF(entry);
+    return result;
+}
+
+static PyObject *engine_register(Engine *self, void *closure)
+{
+    (void)closure;
+    module_state *st = state_of(self);
+    PyObject *entry, *tables, *reg, *data = NULL, *result = NULL;
+    if (hold(self, &entry, &tables, &reg) && (data = digest_of(st, entry, tables, reg)))
+        result = PyObject_CallMethodObjArgs((PyObject *)&PyLong_Type, st->names[FROM_BYTES], data,
+                                            st->names[BIG], NULL);
+    Py_XDECREF(data);
+    Py_XDECREF(reg);
+    Py_XDECREF(tables);
+    Py_XDECREF(entry);
+    return result;
+}
+
+static PyObject *engine_path(Engine *self, void *closure)
+{
+    (void)closure;
+    PyObject *tables = Py_XNewRef(self->tables);
+    if (!tables)
+        return PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute 'tables'");
+    PyObject *path = attr(state_of(self), tables, PATH);
+    Py_DECREF(tables);
+    return path;
+}
+
+static PyObject *engine_repr(Engine *self)
+{
+    module_state *st = state_of(self);
+    PyObject *entry, *tables, *reg, *index = NULL, *bits = NULL, *path = NULL, *result = NULL;
+    if (hold(self, &entry, &tables, &reg) && (index = attr(st, entry, INDEX)) &&
+        (bits = attr(st, entry, ALIGNED_BITS)) && (path = attr(st, tables, PATH)))
+        result = PyUnicode_FromFormat("<CrcEngine entry=%S bits=%S consumed=%zd path=%S>", index,
+                                      bits, self->consumed, path);
+    Py_XDECREF(path);
+    Py_XDECREF(bits);
+    Py_XDECREF(index);
+    Py_XDECREF(reg);
+    Py_XDECREF(tables);
+    Py_XDECREF(entry);
+    return result;
+}
+
+static PyMethodDef engine_methods[] = {
+    {"absorb", (PyCFunction)engine_absorb, METH_O, absorb_doc},
+    {"finish", (PyCFunction)engine_finish, METH_NOARGS, finish_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef engine_members[] = {
+    {"entry", T_OBJECT_EX, offsetof(Engine, entry), 0, NULL},
+    {"tables", T_OBJECT_EX, offsetof(Engine, tables), 0, NULL},
+    {"_reg", T_OBJECT_EX, offsetof(Engine, reg), 0, NULL},
+    {"consumed", T_PYSSIZET, offsetof(Engine, consumed), 0, NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef engine_getset[] = {
+    {"register", (getter)engine_register, NULL, NULL, NULL},
+    {"path", (getter)engine_path, NULL,
+     "Which absorb loop this engine runs: \"vpclmul\", \"clmul\", \"native\" or \"python\".", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+PyDoc_STRVAR(engine_doc,
+             "CrcEngine(entry, tables)\n--\n\n"
+             "Single-use streaming state: init, absorb chunks, finish once.\n\n"
+             "After absorbing a message of 8 or more bytes, `register` equals the\n"
+             "classifier digest of that message as an integer.");
+
+static PyType_Slot engine_slots[] = {
+    {Py_tp_doc, (void *)engine_doc},
+    {Py_tp_new, engine_new},
+    {Py_tp_dealloc, engine_dealloc},
+    {Py_tp_traverse, engine_traverse},
+    {Py_tp_clear, engine_clear},
+    {Py_tp_repr, engine_repr},
+    {Py_tp_methods, engine_methods},
+    {Py_tp_members, engine_members},
+    {Py_tp_getset, engine_getset},
+    {0, NULL},
+};
+
+/* Mutable (no Py_TPFLAGS_IMMUTABLETYPE), and not a base class, so that
+ * every instance's type is this one and holds the module state. */
+static PyType_Spec engine_spec = {
+    .name = "badderlocks.fastcrc.CrcEngine", .basicsize = sizeof(Engine),
+    .flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, .slots = engine_slots,
+};
+
+/* (namespace) -> the engine type, which reads fastcrc's globals from the
+ * namespace dict from now on. */
+static PyObject *py_bind(PyObject *module, PyObject *namespace)
+{
+    if (!PyDict_Check(namespace))
+        return PyErr_Format(PyExc_TypeError, "namespace must be a dict, not %.100s",
+                            Py_TYPE(namespace)->tp_name);
+    module_state *st = PyModule_GetState(module);
+    Py_XSETREF(st->namespace, Py_NewRef(namespace));
+    return Py_NewRef(st->engine_type);
+}
+
 #define FASTCALL(name, function) \
     {name, (PyCFunction)(void (*)(void))function, METH_FASTCALL, NULL}
 
@@ -363,20 +777,54 @@ static PyMethodDef methods[] = {
     FASTCALL("fill", py_fill),
     FASTCALL("digest", py_digest),
     FASTCALL("carryless", py_carryless),
+    {"bind", py_bind, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 
-static int add_constants(PyObject *module)
+/* TAIL_WORDS, the interned names and the engine type. */
+static int exec_module(PyObject *module)
 {
+    module_state *st = PyModule_GetState(module);
+    for (int i = 0; i < NAMES; i++)
+        if (!(st->names[i] = PyUnicode_InternFromString(name_text[i])))
+            return -1;
+    if (!(st->engine_type = PyType_FromModuleAndSpec(module, &engine_spec, NULL)) ||
+        PyModule_AddObjectRef(module, "CrcEngine", st->engine_type) < 0)
+        return -1;
+    /* no type slot sets it before Python 3.14 */
+    ((PyTypeObject *)st->engine_type)->tp_vectorcall = engine_vectorcall;
     return PyModule_AddIntConstant(module, "TAIL_WORDS", TAIL_WORDS);
 }
 
-static PyModuleDef_Slot slots[] = {{Py_mod_exec, add_constants}, {0, NULL}};
+static int traverse_module(PyObject *module, visitproc visit, void *arg)
+{
+    module_state *st = PyModule_GetState(module);
+    Py_VISIT(st->engine_type);
+    Py_VISIT(st->namespace);
+    Py_VISIT(st->codewords);
+    return 0;
+}
+
+static int clear_module(PyObject *module)
+{
+    module_state *st = PyModule_GetState(module);
+    Py_CLEAR(st->engine_type);
+    Py_CLEAR(st->namespace);
+    Py_CLEAR(st->codewords);
+    for (int i = 0; i < NAMES; i++)
+        Py_CLEAR(st->names[i]);
+    return 0;
+}
+
+static void free_module(void *module) { clear_module(module); }
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "_absorb",
-    .m_doc = "The absorb loops of badderlocks.fastcrc over buffers.", .m_size = 0,
-    .m_methods = methods, .m_slots = slots,
+    .m_doc = "The absorb loops of badderlocks.fastcrc over buffers, and its engine type.",
+    .m_size = sizeof(module_state), .m_methods = methods, .m_slots = slots,
+    .m_traverse = traverse_module, .m_clear = clear_module, .m_free = free_module,
 };
 
 PyMODINIT_FUNC PyInit__absorb(void) { return PyModuleDef_Init(&module); }

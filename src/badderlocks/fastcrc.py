@@ -36,14 +36,25 @@ GIL for chunks of 4 KiB or more.  The first import compiles the module with
 `cc -pthread` and the interpreter's `Python.h` into this package's
 `__pycache__`, named by a hash of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
-that file.  The key names the interpreter by its installation prefix, not
-its include directory, so only a build imports sysconfig.  fastcrc calls
-the module's functions directly.  Its `carryless()` asks the CPU which
+that file; a build deletes this interpreter's builds of earlier sources
+there.  The key names the interpreter by its installation prefix, not its
+include directory, so only a build imports sysconfig.  fastcrc calls the
+module's functions directly.  Its `carryless()` asks the CPU which
 carry-less instructions it runs, and `build_tables` reads that answer each
 time it builds a table: the vpclmul path is taken where the CPU reports
 AVX-512F and VPCLMULQDQ, else the clmul path where it reports PCLMULQDQ,
 else the native path; the Python loop runs where the module cannot be
 built or imported.
+
+Where the module loads, `CrcEngine` is the module's engine type, which
+follows the Python class below line for line, as hashlib's objects wrap
+update and digest.  It calls its tables' loop, split and digest by
+vectorcall, so each call passes the module's buffer checks, and it reads
+`_SPLIT_BYTES`, `_shift`, `_FILLER` and `ClassifierDigest` from this
+module at each call, through `bind`; the codeword map is still built on
+the first absorb.  The class stays as the type's pure-Python twin,
+`_PyCrcEngine`, which runs where the module does not; both are held to
+one set of tests.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -112,6 +123,18 @@ def _import(path: Path | str) -> ModuleType:
     return module
 
 
+def _prune(built: Path, suffix: str) -> None:
+    """Delete the other builds with this interpreter's suffix, or an older bare .so, in built's
+    directory: each edit of the sources leaves one.  Another interpreter's builds stay, so
+    that two sharing a checkout do not rebuild in turn."""
+    import re  # only a build pays for it
+
+    for other in built.parent.glob("_absorb-*.so"):
+        if other != built and re.fullmatch(rf"_absorb-[0-9a-f]{{16}}({re.escape(suffix)}|\.so)",
+                                           other.name):
+            other.unlink(missing_ok=True)
+
+
 def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
                  include: str | None = None) -> ModuleType | None:
     """The extension module, built into cache_dir against include's Python.h (by default the
@@ -132,6 +155,7 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
                 include = sysconfig.get_paths()["include"]
             if not _compile([cc, *_COMPILE, "-I", include], path):
                 return None
+            _prune(path, suffix)
         return _import(path)
     # no compiler or Python.h, an unwritable directory, or a file that does not import
     except (OSError, ImportError):
@@ -176,9 +200,11 @@ def _python_digest(reg: bytearray, degree: int) -> bytes:
 class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
-    The packed forms hold each value in `words` 64-bit words, most
-    significant word first and shifted up by 64 * words - degree bits, and
-    every path's register is one, in a bytearray.  `main` states its own
+    The engine, the module's type or its Python twin alike, calls `loop`,
+    `split` and `digest`; `_shift` calls `combine`.  The packed forms hold
+    each value in `words` 64-bit words, most significant word first and
+    shifted up by 64 * words - degree bits, and every path's register is
+    one, in a bytearray.  `main` states its own
     size first, which the loop reads in place of an argument.  `loop(reg,
     main, codewords, data)` appends the codeword each byte of data maps to,
     and `digest(reg, degree)` returns the byte-aligned digest.  On the
@@ -303,7 +329,9 @@ class CrcEngine:
     """Single-use streaming state: init, absorb chunks, finish once.
 
     After absorbing a message of 8 or more bytes, `register` equals the
-    classifier digest of that message as an integer.
+    classifier digest of that message as an integer.  This class is the
+    pure-Python twin of the extension module's `CrcEngine` type, which
+    takes its name where the module loads.
     """
 
     __slots__ = ("entry", "tables", "consumed", "_finished", "_reg")
@@ -360,6 +388,11 @@ class CrcEngine:
         if self.consumed < 8:  # one FILLER cycle for each byte short of 8
             tables.loop(self._reg, tables.main, _FILLER, bytes(8 - self.consumed))
         return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
+
+
+_PyCrcEngine = CrcEngine
+if _kernel is not None:
+    CrcEngine = _kernel.bind(globals())  # the module's type, reading this module's names
 
 
 def engine_init(e: GeneratorEntry) -> CrcEngine:

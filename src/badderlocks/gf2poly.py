@@ -210,20 +210,21 @@ def _mod_reducer(f: BitPolynomial):
     """Byte-at-a-time reduction closure for repeated work modulo a fixed f.
 
     Rabin's test reduces d squarings modulo the same f, so an 8-bit row
-    table pays for itself there from degree 64 up.  A call takes the top
+    table pays for itself there from degree 37 up.  A call takes the top
     d // 8 bytes of its argument as they are, which lie below degree d, and
     folds in the rest a byte per step.  On the registry generators of degree
     414, 1740 and 4284 the test took 5.8, 146 and 1,610 ms on this against
-    16.9, 409 and 4,145 ms on _reduce (best of 7, 5 and 3 runs).  Below 64
-    _reduce stays: on the 30 registry phi (degree 14-31) the table's build
-    costs more than it saves, and the test took a median of 3.55 ms on
-    _reduce against 3.94 ms with tables over 41 alternating rounds; on the
-    one generator of degree 63 the table would save 0.1 ms (0.43 against
-    0.53 ms) (2-core x86-64 KVM guest, CPython 3.11).
+    16.9, 409 and 4,145 ms on _reduce (best of 7, 5 and 3 runs).  On four
+    irreducible polynomials of each degree from 32 to 52 (median of 21
+    alternating rounds) the table's build and loop tied with _reduce up to
+    degree 36 (0.99-1.04 of its time) and won at every degree from 37
+    (0.74-0.97), so _reduce stays below 37; that covers the 30 registry phi
+    (degree 14-31), where it won at a median of 3.55 against 3.94 ms over
+    41 rounds (2-core x86-64 KVM guest, CPython 3.11).
     """
     g = f.value
     d = g.bit_length() - 1
-    if d < 64:
+    if d < 37:
         return lambda a: _reduce(a, g)
 
     rows = reduction_rows(f, 8)

@@ -1,3 +1,4 @@
+import importlib.machinery
 import multiprocessing
 import os
 import random
@@ -53,15 +54,17 @@ def use_path(monkeypatch, path):
     A kernel path is forced by faking the module's CPU probe, carryless(),
     to report that path's level, as on a CPU without the faster
     instructions; a path above what this CPU runs skips.  "python" unloads
-    the kernel, as on a host without a compiler.  "vpclmul-split" and
-    "clmul-split" are those paths with the two-thread floor lowered to
-    TEST_SPLIT_BYTES.  Each path keeps one table cache for the whole test
+    the kernel and runs the engine's pure-Python twin, as on a host without
+    a compiler; the other paths run the module's engine type.
+    "vpclmul-split" and "clmul-split" are those paths with the two-thread
+    floor lowered to TEST_SPLIT_BYTES.  Each path keeps one table cache for the whole test
     run, so the combine constants of an entry are built once.
     """
     if path != "python" and fastcrc._kernel is None:
         pytest.skip("the C kernel is not loaded here (no working C compiler)")
     if path == "python":
         monkeypatch.setattr(fastcrc, "_kernel", None)
+        monkeypatch.setattr(fastcrc, "CrcEngine", fastcrc._PyCrcEngine)
     else:
         if path.endswith("-split"):
             path = path.removesuffix("-split")
@@ -364,6 +367,74 @@ class TestEngine:
             eng.absorb(b"x")
         with pytest.raises(RuntimeError):
             eng.finish()
+
+
+@pytest.fixture(params=["module", "python"])
+def engine_class(request):
+    """The module's engine type and its pure-Python twin, which hosts without the module run."""
+    if request.param == "module":
+        if fastcrc._kernel is None:
+            pytest.skip("the C kernel is not loaded here (no working C compiler)")
+        assert fastcrc.CrcEngine is fastcrc._kernel.CrcEngine
+        return fastcrc.CrcEngine
+    return fastcrc._PyCrcEngine
+
+
+class TestEngineClasses:
+    """One contract for both engine classes, on the tables of this host's path."""
+
+    def test_initial_state_and_chaining(self, engine_class):
+        e = params.entry_for_aligned_bits(1744)
+        tables = fastcrc._tables_for(e)
+        eng = engine_class(e, tables)
+        assert type(eng) is engine_class
+        assert engine_class(tables=tables, entry=e).entry is e
+        with pytest.raises(TypeError):
+            engine_class(e)
+        assert eng.entry is e and eng.tables is tables and eng.consumed == 0
+        assert type(eng._reg) is bytearray and eng._reg == bytes(8 * tables.words)
+        assert eng.register == 0 and eng.path == tables.path
+        assert eng.absorb(FOX[:6]) is eng and eng.absorb(FOX[6:]).consumed == len(FOX)
+        assert eng.register == int.from_bytes(reference(e, FOX), "big")
+        assert repr(eng) == f"<CrcEngine entry=17 bits=1744 consumed=43 path={tables.path}>"
+
+    def test_finish_once(self, engine_class):
+        e = params.entry_for_aligned_bits(64)
+        eng = engine_class(e, fastcrc._tables_for(e))
+        digest = eng.finish()
+        assert type(digest) is classifier.ClassifierDigest and digest.entry is e
+        for call in (lambda: eng.absorb(b"x"), eng.finish):
+            with pytest.raises(RuntimeError, match="already finished"):
+                call()
+        assert eng.consumed == 0
+
+    def test_non_buffer_raises_before_any_change(self, engine_class):
+        e = params.entry_for_aligned_bits(416)
+        eng = engine_class(e, fastcrc._tables_for(e)).absorb(b"abc")
+        before = (eng.register, bytes(eng._reg))
+        for chunk in (5, "abc", None):
+            with pytest.raises(TypeError):
+                eng.absorb(chunk)
+            assert eng.consumed == 3 and (eng.register, bytes(eng._reg)) == before
+        assert eng.finish().data == reference(e, b"abc")
+
+    def test_chunks_are_their_raw_bytes(self, engine_class):
+        e = params.entry_for_aligned_bits(1744)
+        words, halves = array("Q", [0x0102030405060708]), array("I", FOX[:40])
+        for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX)[::2], FOX[::2]),
+                         (words, words.tobytes()), (halves, FOX[:40]),
+                         (memoryview(halves)[::3], halves[::3].tobytes())):
+            eng = engine_class(e, fastcrc._tables_for(e)).absorb(chunk)
+            assert eng.consumed == len(m), type(chunk)
+            assert eng.finish().data == reference(e, m), type(chunk)
+
+    @pytest.mark.parametrize("bits", [64, 1744, 4288])
+    def test_filler_edges_match_classify(self, engine_class, bits):
+        e = params.entry_for_aligned_bits(bits)
+        for n in (0, 7, 8, 9):
+            m = FOX[:n]
+            digest = engine_class(e, fastcrc._tables_for(e)).absorb(m).finish()
+            assert digest == classifier.classify(m, e), (bits, n)
 
 
 class TestEquivalence:
@@ -731,6 +802,44 @@ class TestKernelBuild:
         (damaged / built.name).write_bytes(b"not a shared object")
         assert fastcrc._load_kernel(damaged) is None
 
+    def test_build_prunes_stale_builds(self, tmp_path):
+        # each edit of the sources leaves a build under another hash; a new build deletes
+        # the others for this interpreter and under the older bare .so name, and leaves
+        # another interpreter's build, a build in progress and other files
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        stale = {f"_absorb-0123456789abcdef{suffix}", "_absorb-fedcba9876543210.so"}
+        kept = {"notes.txt", "_absorb-ubsan.so", f"_absorb-0123456789abcdef{suffix}.77.tmp",
+                "_absorb-0123456789abcdef.cpython-399-x86_64-linux-gnu.so"}
+        for name in stale | kept:
+            (cache / name).write_bytes(b"not a shared object")
+        kernel = fastcrc._load_kernel(cache)
+        assert kernel is not None and kernel.carryless() == HOST_LEVEL
+        (built,) = {f.name for f in cache.iterdir()} - kept
+        assert built.startswith("_absorb-") and built.endswith(suffix) and built not in stale
+
+    def test_no_compiler_runs_the_python_twin(self, tmp_path):
+        # a fresh interpreter over a copy of the package with no build cached and no cc on
+        # PATH: the engine is the pure-Python class, and it reproduces the c2 vectors
+        shutil.copytree(fastcrc._PACKAGE, tmp_path / "badderlocks",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / "bin").mkdir()
+        probe = ("from badderlocks import cli, fastcrc\n"
+                 "assert fastcrc._kernel is None\n"
+                 "assert fastcrc.CrcEngine is fastcrc._PyCrcEngine\n"
+                 "raise SystemExit(max(cli.dispatch(['vectors', '--suite', s, '--check'])\n"
+                 "                     for s in ('c2-fox', 'c2-small', 'c2-mixed')))\n")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             cwd=tmp_path, timeout=300,
+                             env={**os.environ, "PATH": str(tmp_path / "bin"),
+                                  "PYTHONPATH": str(tmp_path)})
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout.split("\n")[:-1] == ["30/30 vectors match", "20/20 vectors match",
+                                               "2/2 vectors match"]
+
     def test_warm_import_loads_no_dataclasses_or_sysconfig(self):
         # with the module cached, importing the package builds nothing, so it needs
         # neither sysconfig (for Python.h) nor dataclasses and the inspect they pull in
@@ -895,6 +1004,17 @@ SANITIZED_SWEEP = """
 import random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._import(sys.argv[1])
+engine_type = fastcrc._kernel.bind(vars(fastcrc))
+assert engine_type is not fastcrc.CrcEngine  # the type the normal build bound at import
+fastcrc.CrcEngine = engine_type
+
+
+def engine(e):  # a fresh engine for e, of the sanitizer build's type
+    eng = fastcrc.engine_init(e)
+    assert type(eng) is engine_type, type(eng)
+    return eng
+
+
 levels = range(fastcrc._kernel.carryless(), -1, -1)  # the paths this CPU runs, fastest first
 paths = [("native", "clmul", "vpclmul")[level] for level in levels]
 # entries whose register ends at or just past a whole block of eight 64-bit words, or
@@ -907,13 +1027,13 @@ for level, path in zip(levels, paths):
     fastcrc._table_cache.clear()
     for suite in ("c2-fox", "c2-small", "c2-mixed"):
         for bits, m, want in cli._load_suite(suite):
-            eng = fastcrc.engine_init(params.entry_for_aligned_bits(bits))
+            eng = engine(params.entry_for_aligned_bits(bits))
             assert eng.path == path and eng.absorb(m).finish().hex() == want, (suite, bits, m)
             checked += 1
     for e in params.registry():
         for n in [*range(18), 63, 64, 65, 71, 72, 73, 128, 1000]:
             m = rng.randbytes(n)
-            eng, pos = fastcrc.engine_init(e), 0
+            eng, pos = engine(e), 0
             while pos < n:
                 step = rng.randrange(1, n - pos + 1)
                 eng.absorb(m[pos:pos + step])
@@ -923,7 +1043,7 @@ for level, path in zip(levels, paths):
     for e in block_edges:
         for n in range(81):
             m = rng.randbytes(n)
-            eng = fastcrc.engine_init(e)
+            eng = engine(e)
             eng.absorb(m[:n // 3]).absorb(m[n // 3:])
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
@@ -931,7 +1051,7 @@ for level, path in zip(levels, paths):
     for e in block_edges:  # one call at one block +-1, where vpclmul takes the block step
         for n in range(block - 1, block + 2):
             m = rng.randbytes(n)
-            eng = fastcrc.engine_init(e).absorb(m)
+            eng = engine(e).absorb(m)
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
     if path != "native":  # the two-thread entry and the combine step
@@ -947,7 +1067,7 @@ for level, path in zip(levels, paths):
             for n in (1024, 1025, 2048, 3072, 5000):
                 m = rng.randbytes(n)
                 cut = rng.randrange(n - 1023)
-                eng = fastcrc.engine_init(e).absorb(m[:cut]).absorb(m[cut:])
+                eng = engine(e).absorb(m[:cut]).absorb(m[cut:])
                 assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
                 checked += 1
         # above, a caller done first with its short part takes back the worker's; a
@@ -957,7 +1077,7 @@ for level, path in zip(levels, paths):
         want, deadline = classifier.classify(m, e).data, time.monotonic() + 10
         taken.clear()
         while 1 not in taken and time.monotonic() < deadline:
-            eng = fastcrc.engine_init(e)
+            eng = engine(e)
             for i in range(0, len(m), 65536):
                 eng.absorb(m[i:i + 65536])
             assert eng.finish().data == want, path

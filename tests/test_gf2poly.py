@@ -239,11 +239,11 @@ class TestIrreducible:
             assert gf2poly.is_irreducible(BitPolynomial(v)) == \
                 trial_division_irreducible(v), f"disagree on {v:#x}"
 
-    @pytest.mark.parametrize("d", [64, 65, 67, 71, 416, 1744])
+    @pytest.mark.parametrize("d", [32, 36, 37, 38, 64, 65, 67, 71, 416, 1744])
     def test_table_reducer_matches_reduce(self, d):
-        # Rabin's test reduces by an 8-bit row table from degree 64 up, which no registry
-        # phi reaches and only the opt-in full check of the generators runs; 65, 67 and 71
-        # leave 1, 3 and 7 bits of the register above its leading whole bytes
+        # Rabin's test reduces by an 8-bit row table from degree 37 up, which no registry
+        # phi reaches; 32 and 36 stay on _reduce, 37 and 38 are the table's first degrees
+        # (5 and 6 bits above the leading whole bytes); 65, 67 and 71 leave 1, 3 and 7 bits
         rng = random.Random(d)
         f = BitPolynomial(rng.getrandbits(d) | 1 << d | 1)
         reduce = gf2poly._mod_reducer(f)
