@@ -20,8 +20,11 @@
  *       ceil(degree / 8) big-endian bytes
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
  *   TAIL_WORDS, the words of a carry-less table after G's whole blocks
- *   CrcEngine (entry, tables), fastcrc's engine over those functions, and
- *   bind (namespace) -> CrcEngine, once it reads fastcrc's names there
+ *   CrcEngine (entry, tables), fastcrc's engine over those functions
+ *   tables_for (e) -> e's tables, from fastcrc's cache or build_tables
+ *   engine_init (e) -> CrcEngine(e, _tables_for(e)), by fastcrc's names
+ *   bind (namespace) -> (CrcEngine, engine_init, tables_for), once the
+ *       three read fastcrc's names there
  *
  * There are two kinds of table, rows (absorb, fill) and carry-less (the
  * rest), and one register bound for both and for digest: w <= MAX_WORDS.
@@ -350,24 +353,28 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
 }
 
 /* The engine type: fastcrc's CrcEngine class line for line, without the
- * interpreter's frames and attribute lookups on the engine itself.  It
- * calls its tables' loop, split and digest by vectorcall, never the C
- * loops directly, so each call passes the checks above.  It reads fastcrc's
- * _SPLIT_BYTES, _shift, _FILLER and ClassifierDigest from the namespace
- * bind() hands it, at each call, so what is patched there reaches it; the
- * codeword map fastcrc._codewords() builds on the first absorb is kept.
- * The type is mutable, as a class is: attributes set on it (a tracer's
- * wrappers) take the place of its methods until restored. */
+ * interpreter's frames and attribute lookups on the engine itself, and
+ * fastcrc's engine_init and _tables_for, likewise.  The engine calls its
+ * tables' loop, split and digest by vectorcall, never the C loops directly,
+ * so each call passes the checks above.  All three read fastcrc's
+ * _SPLIT_BYTES, _shift, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
+ * _table_cache and build_tables from the namespace bind() hands them, at
+ * each call, so what is patched there reaches them; the codeword map
+ * fastcrc._codewords() builds on the first absorb is kept.  The type is
+ * mutable, as a class is: attributes set on it (a tracer's wrappers) take
+ * the place of its methods until restored. */
 
-/* The names the engine looks up: attributes of its tables and entry, then
- * globals of fastcrc; interned once per module. */
+/* The names looked up: attributes of an engine's tables and entry and of a
+ * digest, then globals of fastcrc; interned once per module. */
 enum name {
-    WORDS, MAIN, LOOP, SPLIT, DIGEST, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG,
-    SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, NAMES
+    WORDS, MAIN, LOOP, SPLIT, DIGEST, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG, DATA,
+    ENTRY, SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, CRC_ENGINE, TABLES_FOR,
+    TABLE_CACHE, BUILD_TABLES, NAMES
 };
 static const char *const name_text[NAMES] = {
     "words", "main", "loop", "split", "digest", "path", "degree", "index", "aligned_bits",
-    "from_bytes", "big", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER", "ClassifierDigest",
+    "from_bytes", "big", "data", "entry", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER",
+    "ClassifierDigest", "CrcEngine", "_tables_for", "_table_cache", "build_tables",
 };
 
 typedef struct {
@@ -396,7 +403,7 @@ static PyObject *attr(module_state *st, PyObject *obj, enum name name)
 static PyObject *global(module_state *st, enum name name)
 {
     if (!st->namespace) {
-        PyErr_SetString(PyExc_RuntimeError, "CrcEngine is not bound: call bind() first");
+        PyErr_SetString(PyExc_RuntimeError, "the module is not bound: call bind() first");
         return NULL;
     }
     PyObject *value = PyDict_GetItemWithError(st->namespace, st->names[name]);
@@ -423,6 +430,39 @@ static PyObject *digest_of(module_state *st, PyObject *entry, PyObject *tables, 
     PyObject *result = degree ? call(st, tables, DIGEST, (PyObject *[]){reg, degree}, 2) : NULL;
     Py_XDECREF(degree);
     return result;
+}
+
+/* fastcrc's ClassifierDigest(data, entry) without the frame of its
+ * __init__: that __init__'s length check, then the class's __new__ and its
+ * two slots set. */
+static PyObject *new_digest(module_state *st, PyObject *data, PyObject *entry)
+{
+    PyObject *cls = global(st, CLASSIFIER_DIGEST), *bits = NULL, *digest = NULL;
+    if (!cls || !(bits = attr(st, entry, ALIGNED_BITS)))
+        goto done;
+    Py_ssize_t n = PyObject_Size(data), aligned = PyLong_AsSsize_t(bits);
+    if ((n == -1 || aligned == -1) && PyErr_Occurred())
+        goto done;
+    if (n != aligned / 8 - (aligned % 8 < 0)) { /* len(data) != entry.aligned_bits // 8 */
+        PyErr_SetString(PyExc_ValueError, "digest length does not match the entry's aligned size");
+        goto done;
+    }
+    PyTypeObject *type = PyType_Check(cls) ? (PyTypeObject *)cls : NULL;
+    if (!type || !type->tp_new) {
+        PyErr_Format(PyExc_TypeError, "ClassifierDigest must be a class, not %.100s",
+                     Py_TYPE(cls)->tp_name);
+        goto done;
+    }
+    PyObject *no_args = PyTuple_New(0);
+    digest = no_args ? type->tp_new(type, no_args, NULL) : NULL;
+    Py_XDECREF(no_args);
+    if (digest && (PyObject_SetAttr(digest, st->names[DATA], data) < 0 ||
+                   PyObject_SetAttr(digest, st->names[ENTRY], entry) < 0))
+        Py_CLEAR(digest);
+done:
+    Py_XDECREF(bits);
+    Py_XDECREF(cls);
+    return digest;
 }
 
 /* chunk where its raw bytes are contiguous, whatever the item size, else a
@@ -646,7 +686,7 @@ static PyObject *engine_finish(Engine *self, PyObject *unused)
         Py_DECREF(looped);
     }
     if ((data = digest_of(st, entry, tables, reg)))
-        result = call(st, NULL, CLASSIFIER_DIGEST, (PyObject *[]){data, entry}, 2);
+        result = new_digest(st, data, entry);
 done:
     Py_XDECREF(data);
     Py_XDECREF(zeros);
@@ -748,8 +788,68 @@ static PyType_Spec engine_spec = {
     .flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, .slots = engine_slots,
 };
 
-/* (namespace) -> the engine type, which reads fastcrc's globals from the
- * namespace dict from now on. */
+PyDoc_STRVAR(tables_for_doc,
+             "tables_for(e, /)\n--\n\n"
+             "e's tables, built on first use and kept under e's index with the entry they were "
+             "built for,\nso that another entry under the same index gets tables of its own.");
+
+/* (e): fastcrc's _table_cache holds (entry, tables) under e.index; an entry
+ * there that is not e and compares unequal to it, or none, has
+ * fastcrc.build_tables(e) built and cached in its place. */
+static PyObject *py_tables_for(PyObject *module, PyObject *e)
+{
+    module_state *st = PyModule_GetState(module);
+    PyObject *cache = global(st, TABLE_CACHE), *index = NULL, *built = NULL, *pair = NULL,
+             *tables = NULL;
+    if (!cache || !(index = attr(st, e, INDEX)))
+        goto done;
+    if (!PyDict_Check(cache)) {
+        PyErr_Format(PyExc_TypeError, "_table_cache must be a dict, not %.100s",
+                     Py_TYPE(cache)->tp_name);
+        goto done;
+    }
+    PyObject *held = PyDict_GetItemWithError(cache, index);
+    if (held) {
+        if (!PyTuple_Check(held) || PyTuple_GET_SIZE(held) != 2) {
+            PyErr_SetString(PyExc_TypeError, "_table_cache must hold (entry, tables) pairs");
+            goto done;
+        }
+        pair = Py_NewRef(held); /* the comparison may run code that changes the cache */
+        int other = PyObject_RichCompareBool(PyTuple_GET_ITEM(pair, 0), e, Py_NE);
+        if (other)
+            Py_CLEAR(pair);
+        if (other == -1)
+            goto done;
+    } else if (PyErr_Occurred())
+        goto done;
+    if (!pair && (!(built = call(st, NULL, BUILD_TABLES, &e, 1)) ||
+                  !(pair = PyTuple_Pack(2, e, built)) || PyDict_SetItem(cache, index, pair) < 0))
+        goto done;
+    tables = Py_NewRef(PyTuple_GET_ITEM(pair, 1));
+done:
+    Py_XDECREF(pair);
+    Py_XDECREF(built);
+    Py_XDECREF(index);
+    Py_XDECREF(cache);
+    return tables;
+}
+
+PyDoc_STRVAR(engine_init_doc,
+             "engine_init(e, /)\n--\n\n"
+             "Fresh zeroed engine for entry e; tables are built lazily and shared.");
+
+/* (e): fastcrc.CrcEngine(e, fastcrc._tables_for(e)). */
+static PyObject *py_engine_init(PyObject *module, PyObject *e)
+{
+    module_state *st = PyModule_GetState(module);
+    PyObject *tables = call(st, NULL, TABLES_FOR, &e, 1);
+    PyObject *engine = tables ? call(st, NULL, CRC_ENGINE, (PyObject *[]){e, tables}, 2) : NULL;
+    Py_XDECREF(tables);
+    return engine;
+}
+
+/* (namespace) -> (CrcEngine, engine_init, tables_for), which read fastcrc's
+ * globals from the namespace dict from now on. */
 static PyObject *py_bind(PyObject *module, PyObject *namespace)
 {
     if (!PyDict_Check(namespace))
@@ -757,7 +857,13 @@ static PyObject *py_bind(PyObject *module, PyObject *namespace)
                             Py_TYPE(namespace)->tp_name);
     module_state *st = PyModule_GetState(module);
     Py_XSETREF(st->namespace, Py_NewRef(namespace));
-    return Py_NewRef(st->engine_type);
+    PyObject *engine_init = PyObject_GetAttrString(module, "engine_init");
+    PyObject *tables_for = engine_init ? PyObject_GetAttrString(module, "tables_for") : NULL;
+    PyObject *bound = tables_for ? PyTuple_Pack(3, st->engine_type, engine_init, tables_for)
+                                 : NULL;
+    Py_XDECREF(tables_for);
+    Py_XDECREF(engine_init);
+    return bound;
 }
 
 #define FASTCALL(name, function) \
@@ -777,6 +883,8 @@ static PyMethodDef methods[] = {
     FASTCALL("fill", py_fill),
     FASTCALL("digest", py_digest),
     FASTCALL("carryless", py_carryless),
+    {"tables_for", py_tables_for, METH_O, tables_for_doc},
+    {"engine_init", py_engine_init, METH_O, engine_init_doc},
     {"bind", py_bind, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };

@@ -48,13 +48,19 @@ built or imported.
 
 Where the module loads, `CrcEngine` is the module's engine type, which
 follows the Python class below line for line, as hashlib's objects wrap
-update and digest.  It calls its tables' loop, split and digest by
-vectorcall, so each call passes the module's buffer checks, and it reads
-`_SPLIT_BYTES`, `_shift`, `_FILLER` and `ClassifierDigest` from this
-module at each call, through `bind`; the codeword map is still built on
-the first absorb.  The class stays as the type's pure-Python twin,
-`_PyCrcEngine`, which runs where the module does not; both are held to
-one set of tests.
+update and digest, and `engine_init` and `_tables_for` are the module's
+functions, so a short digest runs no Python frame of this library.  The
+engine calls its tables' loop, split and digest by vectorcall, so each
+call passes the module's buffer checks, and its `finish` builds the
+`ClassifierDigest` with that class's length check but without the frame
+of its `__init__`.  All three read `_SPLIT_BYTES`, `_shift`, `_FILLER`,
+`ClassifierDigest`, `CrcEngine`, `_tables_for`, `_table_cache` and
+`build_tables` from this module at each call, through `bind`, so a patch
+or a tracer's wrapper there reaches them; the codeword map is still built
+on the first absorb.  The Python class and functions stay as their
+pure-Python twins, `_PyCrcEngine`, `_py_engine_init` and
+`_py_tables_for`, which run where the module does not; each pair is held
+to one set of tests.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more: a persistent C
@@ -306,7 +312,7 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
 _table_cache: dict[int, tuple[GeneratorEntry, CrcTables]] = {}
 
 
-def _tables_for(e: GeneratorEntry) -> CrcTables:
+def _tables_for(e: GeneratorEntry, /) -> CrcTables:
     """e's tables, built on first use and kept under e's index with the entry they were built
     for, so that another entry under the same index gets tables of its own."""
     entry, tables = _table_cache.get(e.index, (None, None))
@@ -390,11 +396,11 @@ class CrcEngine:
         return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
 
 
-_PyCrcEngine = CrcEngine
-if _kernel is not None:
-    CrcEngine = _kernel.bind(globals())  # the module's type, reading this module's names
-
-
-def engine_init(e: GeneratorEntry) -> CrcEngine:
+def engine_init(e: GeneratorEntry, /) -> CrcEngine:
     """Fresh zeroed engine for entry e; tables are built lazily and shared."""
     return CrcEngine(e, _tables_for(e))
+
+
+_PyCrcEngine, _py_engine_init, _py_tables_for = CrcEngine, engine_init, _tables_for
+if _kernel is not None:  # the module's type and functions, reading this module's names
+    CrcEngine, engine_init, _tables_for = _kernel.bind(globals())

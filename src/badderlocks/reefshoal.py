@@ -8,6 +8,7 @@ scope.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import classifier, params
@@ -33,8 +34,17 @@ def plan_layout(modulus_bits: int, hash_bits: int, reserve_bits: int = 16,
 
     The default padding field is 0x00 0x01: the leading zero byte keeps the
     representative below any modulus of the stated bit length, the 0x01
-    marks the format.  Both the width and the content may be overridden.
+    marks the format.  Both the width and the content may be overridden;
+    padding may be any bytes-like object, and the layout holds its bytes.
+    Equal arguments return the same layout, which is immutable.
     """
+    return _plan_layout(modulus_bits, hash_bits, reserve_bits,
+                        None if padding is None else bytes(memoryview(padding)))
+
+
+@lru_cache(maxsize=64, typed=True)  # a call that raises is not cached, so it raises each time
+def _plan_layout(modulus_bits: int, hash_bits: int, reserve_bits: int,
+                 padding: bytes | None) -> RepresentativeLayout:
     for name, v in (("modulus_bits", modulus_bits), ("hash_bits", hash_bits),
                     ("reserve_bits", reserve_bits)):
         if v < 0 or v % 8:

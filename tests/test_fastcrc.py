@@ -436,6 +436,99 @@ class TestEngineClasses:
             digest = engine_class(e, fastcrc._tables_for(e)).absorb(m).finish()
             assert digest == classifier.classify(m, e), (bits, n)
 
+    def test_finish_builds_an_exact_digest(self, engine_class):
+        e = params.entry_for_aligned_bits(416)
+        for m in (b"", FOX):
+            digest = engine_class(e, fastcrc._tables_for(e)).absorb(m).finish()
+            want = classifier.classify(m, e)
+            assert type(digest) is classifier.ClassifierDigest and digest.entry is e
+            assert digest == want and hash(digest) == hash(want) and repr(digest) == repr(want)
+            with pytest.raises(AttributeError):  # slots only, as __init__ would leave it
+                digest.extra = 1
+
+    def test_finish_checks_the_digest_length(self, engine_class):
+        # an entry whose aligned size does not match its degree: ClassifierDigest's check
+        e = params.entry_for_aligned_bits(1744)
+        eng = engine_class(e._replace(aligned_bits=e.aligned_bits + 8), fastcrc._tables_for(e))
+        with pytest.raises(ValueError, match="^digest length does not match the entry's "
+                                             "aligned size$"):
+            eng.finish()
+        with pytest.raises(RuntimeError, match="already finished"):
+            eng.finish()
+
+    def test_finish_reads_the_digest_class_at_each_call(self, engine_class, monkeypatch):
+        class Tagged(classifier.ClassifierDigest):
+            __slots__ = ()
+
+        e = params.entry_for_aligned_bits(64)
+        monkeypatch.setattr(fastcrc, "ClassifierDigest", Tagged)
+        digest = engine_class(e, fastcrc._tables_for(e)).absorb(FOX).finish()
+        assert type(digest) is Tagged and digest.data == reference(e, FOX)
+
+
+@pytest.fixture(params=["module", "python"])
+def init_twin(request, monkeypatch):
+    """The module's engine_init and tables_for, or their pure-Python twins with the
+    Python engine class, as hosts without the module run them; over an empty table
+    cache, with the entries that build_tables builds for recorded in `built`."""
+    if request.param == "module":
+        if fastcrc._kernel is None:
+            pytest.skip("the C kernel is not loaded here (no working C compiler)")
+        assert fastcrc.engine_init.__self__ is fastcrc._tables_for.__self__ is fastcrc._kernel
+    else:
+        monkeypatch.setattr(fastcrc, "CrcEngine", fastcrc._PyCrcEngine)
+        monkeypatch.setattr(fastcrc, "engine_init", fastcrc._py_engine_init)
+        monkeypatch.setattr(fastcrc, "_tables_for", fastcrc._py_tables_for)
+    built: list = []
+    build_tables = fastcrc.build_tables
+    monkeypatch.setattr(fastcrc, "build_tables", lambda e: built.append(e) or build_tables(e))
+    monkeypatch.setattr(fastcrc, "_table_cache", {})
+    return fastcrc.engine_init, fastcrc._tables_for, built
+
+
+class TestInitTwins:
+    """One contract for the module's engine_init and tables_for and their Python twins."""
+
+    def test_repeat_call_returns_the_cached_tables(self, init_twin):
+        engine_init, tables_for, built = init_twin
+        e = params.entry_for_aligned_bits(1744)
+        tables = tables_for(e)
+        assert tables_for(e) is tables and built == [e]
+        eng = engine_init(e)
+        assert type(eng) is fastcrc.CrcEngine and eng.entry is e and eng.tables is tables
+        assert eng.consumed == 0 and eng.register == 0 and built == [e]
+
+    def test_equal_entry_gets_the_cached_tables(self, init_twin):
+        engine_init, tables_for, built = init_twin
+        e = params.entry_for_aligned_bits(416)
+        twin = e._replace()
+        assert twin is not e and twin == e
+        tables = tables_for(e)
+        assert tables_for(twin) is tables and engine_init(twin).tables is tables
+        assert built == [e] and fastcrc._table_cache[e.index][0] is e
+
+    def test_entry_sharing_an_index_gets_its_own_tables(self, init_twin):
+        engine_init, tables_for, built = init_twin
+        e = params.registry()[0]
+        custom = e._replace(generator=gf2poly.BitPolynomial(e.generator.value ^ 0b10))
+        tables = tables_for(e)
+        assert tables_for(custom) is not tables and built == [e, custom]
+        assert fastcrc._table_cache[e.index][0] is custom
+        for entry in (e, custom):
+            assert engine_init(entry).absorb(FOX).finish() == classifier.classify(FOX, entry)
+        assert built == [e, custom, e, custom]
+
+    def test_names_are_read_at_each_call(self, init_twin, monkeypatch):
+        engine_init, tables_for, built = init_twin
+        e = params.entry_for_aligned_bits(64)
+        tables = tables_for(e)
+        made = []
+        monkeypatch.setattr(fastcrc, "_tables_for", lambda entry: made.append(entry) or tables)
+        monkeypatch.setattr(fastcrc, "CrcEngine", lambda entry, t: (entry, t))
+        assert engine_init(e) == (e, tables) and made == [e]
+        monkeypatch.setattr(fastcrc, "_table_cache", {})
+        assert tables_for(e) is not tables and built == [e, e]
+
 
 class TestEquivalence:
     def test_matches_reference_across_entries(self):
@@ -823,13 +916,16 @@ class TestKernelBuild:
 
     def test_no_compiler_runs_the_python_twin(self, tmp_path):
         # a fresh interpreter over a copy of the package with no build cached and no cc on
-        # PATH: the engine is the pure-Python class, and it reproduces the c2 vectors
+        # PATH: the engine, engine_init and _tables_for are the pure-Python twins, and they
+        # reproduce the c2 vectors
         shutil.copytree(fastcrc._PACKAGE, tmp_path / "badderlocks",
                         ignore=shutil.ignore_patterns("__pycache__"))
         (tmp_path / "bin").mkdir()
         probe = ("from badderlocks import cli, fastcrc\n"
                  "assert fastcrc._kernel is None\n"
                  "assert fastcrc.CrcEngine is fastcrc._PyCrcEngine\n"
+                 "assert fastcrc.engine_init is fastcrc._py_engine_init\n"
+                 "assert fastcrc._tables_for is fastcrc._py_tables_for\n"
                  "raise SystemExit(max(cli.dispatch(['vectors', '--suite', s, '--check'])\n"
                  "                     for s in ('c2-fox', 'c2-small', 'c2-mixed')))\n")
         run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -1004,13 +1100,20 @@ SANITIZED_SWEEP = """
 import random, sys, time
 from badderlocks import classifier, cli, fastcrc, params
 fastcrc._kernel = fastcrc._import(sys.argv[1])
-engine_type = fastcrc._kernel.bind(vars(fastcrc))
-assert engine_type is not fastcrc.CrcEngine  # the type the normal build bound at import
-fastcrc.CrcEngine = engine_type
+bound = fastcrc._kernel.bind(vars(fastcrc))
+engine_type, engine_init, tables_for = bound
+# the type and functions the normal build bound at import
+assert engine_type is not fastcrc.CrcEngine and engine_init is not fastcrc.engine_init
+assert engine_init.__self__ is tables_for.__self__ is fastcrc._kernel
+fastcrc.CrcEngine, fastcrc.engine_init, fastcrc._tables_for = bound
+built = []  # the entries the sanitizer build's tables_for built tables for
+build_tables = fastcrc.build_tables
+fastcrc.build_tables = lambda e: built.append(e) or build_tables(e)
 
 
-def engine(e):  # a fresh engine for e, of the sanitizer build's type
-    eng = fastcrc.engine_init(e)
+def engine(e):  # a fresh engine for e, from the sanitizer build's engine_init and type
+    assert fastcrc.engine_init is engine_init and fastcrc.CrcEngine is engine_type
+    eng = engine_init(e)
     assert type(eng) is engine_type, type(eng)
     return eng
 
@@ -1025,11 +1128,16 @@ checked = 0
 for level, path in zip(levels, paths):
     fastcrc._kernel.carryless = lambda: level  # the probe build_tables reads picks this path
     fastcrc._table_cache.clear()
+    built.clear()
+    assert fastcrc._tables_for is tables_for
     for suite in ("c2-fox", "c2-small", "c2-mixed"):
         for bits, m, want in cli._load_suite(suite):
             eng = engine(params.entry_for_aligned_bits(bits))
             assert eng.path == path and eng.absorb(m).finish().hex() == want, (suite, bits, m)
+            assert eng.tables is fastcrc._table_cache[eng.entry.index][1]
             checked += 1
+    # tables_for built each entry's tables once, through the namespace's build_tables
+    assert built and len(built) == len(set(built)), [e.index for e in built]
     for e in params.registry():
         for n in [*range(18), 63, 64, 65, 71, 72, 73, 128, 1000]:
             m = rng.randbytes(n)
@@ -1055,7 +1163,7 @@ for level, path in zip(levels, paths):
             assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
             checked += 1
     if path != "native":  # the two-thread entry and the combine step
-        tables_for, fastcrc._SPLIT_BYTES = fastcrc._tables_for, 1024
+        fastcrc._SPLIT_BYTES = 1024
         taken = []
 
         def spied(e):  # what the engine calls, however the tables were cached

@@ -29,8 +29,9 @@ RECORDS = {
     "GeneratorEntry": lambda: (*twin_entry(), "generator"),
     "VerificationReport": lambda: (VerificationReport(3, (("a", True), ("b", False))),
                                    VerificationReport(3, (("a", True), ("b", False))), "checks"),
+    # plan_layout returns one layout for equal arguments, so the second is a copy
     "RepresentativeLayout": lambda: (reefshoal.plan_layout(2048, 256),
-                                     reefshoal.plan_layout(2048, 256), "entry"),
+                                     reefshoal.plan_layout(2048, 256)._replace(), "entry"),
     "CrcTables": lambda: (fastcrc.build_tables(params.registry()[16]),
                           fastcrc.build_tables(params.registry()[16]), "degree"),
 }

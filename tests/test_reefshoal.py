@@ -34,6 +34,29 @@ class TestPlanLayout:
         with pytest.raises(ValueError):
             plan_layout(2048, 256, reserve_bits=32, padding=b"\x01")
 
+    def test_equal_arguments_share_one_layout(self):
+        layout = plan_layout(2048, 256)
+        assert plan_layout(2048, 256) is layout
+        assert plan_layout(2048, 256, 16, b"\x00\x01") is plan_layout(2048, 256, 16, b"\x00\x01")
+        assert plan_layout(2048, 256, 16, b"\x00\x01") == layout
+        assert plan_layout(1024, 256) is not layout
+
+    def test_bytes_like_padding_is_kept_as_bytes(self):
+        padding = bytearray(b"\x00\x00\xBE\xEF")
+        layout = plan_layout(2048, 256, reserve_bits=32, padding=padding)
+        padding[3] = 0  # the layout holds a copy
+        assert type(layout.padding_bytes) is bytes and layout.padding_bytes == b"\x00\x00\xBE\xEF"
+        assert plan_layout(2048, 256, 32, memoryview(b"\x00\x00\xBE\xEF")) is layout
+        with pytest.raises(TypeError):  # not bytes-like: no count of zero bytes either
+            plan_layout(2048, 256, padding=2)
+
+    def test_a_failing_call_fails_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="minimum feasible modulus"):
+                plan_layout(256, 256)
+            with pytest.raises(ValueError, match="padding length"):
+                plan_layout(2048, 256, padding=b"\x01")
+
 
 class TestAssemble:
     def test_fox_segments(self):
