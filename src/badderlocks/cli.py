@@ -208,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assemble", help="print the signature representative")
     p.add_argument("--modulus-bits", type=_positive_byte_multiple, required=True)
-    p.add_argument("--hash", choices=("sha256",), default="sha256")
     p.add_argument("--reserve-bits", type=_positive_byte_multiple, default=16)
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.set_defaults(func=_cmd_assemble)

@@ -24,12 +24,14 @@ Absorb runs on one of four paths, which `CrcEngine.path` names:
 
 The four loops share one signature, (register, table, codeword map, data),
 and one register layout, a bytearray of ceil(degree / 64) native 64-bit
-words.  Each table states its size first, at most 72 words on the C paths,
-so no call passes it, and carries its path's loop and digest (see
-`CrcTables`), so the engine never asks which path it runs.  `_absorb.c`
-holds the three C loops; both carry-less paths read one table, whose
-block-step constant the module computes when the table is built, and the
-block size is a constant of the C code.  `_absorbmodule.c` includes
+words.  `build_tables` admits the same entries on every path and host:
+those whose generator has their degree, from 9 to 4544, so at most 71
+words.  Each table states its size first, which the C paths check is at
+most 72 words, so no call passes it, and carries its path's loop and
+digest (see `CrcTables`), so the engine never asks which path it runs.
+`_absorb.c` holds the three C loops; both carry-less paths read one table,
+whose block-step constant the module computes when the table is built, and
+the block size is a constant of the C code.  `_absorbmodule.c` includes
 `_absorb.c` and makes it a CPython extension module whose functions take
 these as buffers, check their sizes before writing a word, and release the
 GIL for chunks of 4 KiB or more.  The first import compiles the module with
@@ -259,7 +261,17 @@ def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
 
 def build_tables(e: GeneratorEntry) -> CrcTables:
     """Build the reduction data for one generator entry, in the form its path reads: the
-    fastest loop the module's CPU probe allows, or the Python loop without the module."""
+    fastest loop the module's CPU probe allows, or the Python loop without the module.
+
+    This is where every path decides which entries an engine takes: one whose generator
+    has degree `e.degree`, from the codeword width, 9, to 4544, the largest degree that
+    keeps every `_shift` exponent nonnegative.  Any other entry raises ValueError here,
+    before a table or a cache entry is made.
+    """
+    if e.generator.degree != e.degree or not 9 <= e.degree <= 4544:
+        raise ValueError(f"an engine takes an entry of degree 9..4544 whose generator has "
+                         f"that degree; got degree {e.degree} and a generator of degree "
+                         f"{e.generator.degree}")
     w = (e.degree + 63) // 64
     if _kernel is None:
         return CrcTables(e.degree, w, (e.degree, reduction_rows(e.generator, 9)), "python",
@@ -289,8 +301,10 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
     The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
     r moved past 2^j bytes.  The exponent is nonnegative for every split of
     a chunk of 1 KiB or more: its second part is 2^j >= 512 bytes, and
-    9 * 512 > 2 * pad + d for every registry entry.  The smallest j with a
-    nonnegative exponent is reduced once here; each later K_j is the
+    9 * 512 >= 2 * pad + d = 128 * w - d for every entry `build_tables`
+    admits: its largest value there is 4607, at degree 4481 (71 words, pad
+    63), where degree 4545 (72 words) would give 4671.  The smallest j with
+    a nonnegative exponent is reduced once here; each later K_j is the
     combine step squaring K_(j-1).
     """
     k = tables.shifts.get(j)

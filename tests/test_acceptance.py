@@ -1,9 +1,8 @@
 """Acceptance gate: nine numbered criteria, one verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
-as they are produced.  Criterion 5 (full registry verification, takes
-minutes) is skipped unless the environment variable BADDERLOCKS_FULL_VERIFY
-is set to a non-empty value.
+as they are produced.  Every criterion runs on every run; criterion 5, full
+registry verification, takes a few seconds.
 """
 
 import os
@@ -11,8 +10,6 @@ import random
 import re
 import time
 from operator import add
-
-import pytest
 
 from badderlocks import classifier, fastcrc, gf2poly, params, sbox
 from badderlocks.cli import _load_suite
@@ -86,10 +83,6 @@ def test_criterion_4_registry_quick():
                     f"failures: {failures or 'none'}")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("BADDERLOCKS_FULL_VERIFY"),
-    reason="long test: set BADDERLOCKS_FULL_VERIFY=1 to enable",
-)
 def test_criterion_5_registry_full():
     t0 = time.perf_counter()
     failures = []

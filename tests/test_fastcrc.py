@@ -129,15 +129,37 @@ def stream(e, m: bytes, chunk: int | None = None) -> bytes:
     return eng.finish().data
 
 
-_references: dict[tuple[int, bytes], bytes] = {}
+_references: dict[tuple, bytes] = {}
 
 
 def reference(e, m: bytes) -> bytes:
     """classifier.classify(m, e).data, once per session: the path variants share their messages."""
-    key = (e.index, m)
+    key = (e, m)
     if key not in _references:
         _references[key] = classifier.classify(m, e).data
     return _references[key]
+
+
+def custom_entry(degree: int, generator_degree: int | None = None):
+    """Registry entry 1 under index 0, which no registry entry has, with another degree, the
+    aligned size that degree rounds up to, and the generator x^generator_degree + x^6 + x^4 +
+    x^3 + x + 1 (generator_degree defaults to degree)."""
+    top = degree if generator_degree is None else generator_degree
+    return params.registry()[0]._replace(index=0, degree=degree,
+                                         aligned_bits=8 * ((degree + 7) // 8),
+                                         generator=gf2poly.BitPolynomial(1 << top | 0b1011011))
+
+
+# entries outside the contract build_tables enforces: too small, one word too many, and a
+# degree that is not the generator's
+REFUSED = {"degree-8": lambda: custom_entry(8), "degree-4545": lambda: custom_entry(4545),
+           "degree-below-generator": lambda: custom_entry(62, 63)}
+
+
+def refusal(e) -> str:
+    """The ValueError message build_tables raises for an entry outside its contract."""
+    return (f"an engine takes an entry of degree 9..4544 whose generator has that degree; "
+            f"got degree {e.degree} and a generator of degree {e.generator.degree}")
 
 
 def row_forms(e):
@@ -518,6 +540,16 @@ class TestInitTwins:
             assert engine_init(entry).absorb(FOX).finish() == classifier.classify(FOX, entry)
         assert built == [e, custom, e, custom]
 
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refused_entry_is_not_cached(self, init_twin, case):
+        engine_init, tables_for, built = init_twin
+        e = REFUSED[case]()
+        for call in (engine_init, tables_for):
+            with pytest.raises(ValueError) as exc:
+                call(e)
+            assert str(exc.value) == refusal(e), call
+        assert built == [e, e] and fastcrc._table_cache == {}
+
     def test_names_are_read_at_each_call(self, init_twin, monkeypatch):
         engine_init, tables_for, built = init_twin
         e = params.entry_for_aligned_bits(64)
@@ -624,6 +656,31 @@ class TestPaths:
         eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
         assert repr(eng) == \
             f"<CrcEngine entry=17 bits=1744 consumed=43 path={path.partition('-')[0]}>"
+
+
+class TestEntryContract:
+    """Every path takes the same entries: those whose generator has the entry's degree,
+    from 9 to 4544; build_tables refuses the others with one ValueError."""
+
+    @pytest.mark.parametrize("degree", [9, 4481, 4544])  # 4481: 71 words, the largest pad
+    def test_edge_degrees_match_classify(self, path, monkeypatch, degree):
+        e = custom_entry(degree)
+        splits = record_splits(monkeypatch)
+        m = random.Random(degree).randbytes(1536)
+        for n in (0, 7, 8, 9, 1536):
+            assert engine_init(e).absorb(m[:n]).finish().data == reference(e, m[:n]), n
+        assert bool(splits) == path.endswith("-split")  # 1,536 B splits from the 1 KiB floor
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_other_entries_are_refused_and_not_cached(self, path, case):
+        e = REFUSED[case]()
+        before = list(fastcrc._table_cache.items())
+        for call in (engine_init, fastcrc._tables_for, build_tables):
+            with pytest.raises(ValueError) as exc:
+                call(e)
+            assert str(exc.value) == refusal(e), call
+        assert list(fastcrc._table_cache.items()) == before
+        assert e not in [entry for entry, _ in fastcrc._table_cache.values()]
 
 
 class TestThreads:
@@ -1009,19 +1066,19 @@ class TestKernelBuild:
         mismatches, runs = map(int, run.stdout.split())
         assert mismatches == 0 and runs == 3 * len(cases) * HOST_LEVEL
 
-    def test_avx512_stays_in_the_vpclmul_kernel(self, tmp_path):
+    def test_avx512_stays_in_the_vpclmul_kernel(self):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
         # kernels, the module's wrappers included, so no AVX-512 instruction may reach
         # them, even through a helper the compiler inlined or cloned; and the table loops
-        # run on any x86-64 CPU.  The module is built as the loader builds it.
+        # run on any x86-64 CPU.  The check reads the build the loader made and loaded.
         if os.uname().machine != "x86_64":
             pytest.skip("the carry-less kernels are compiled on x86-64 only")
-        if shutil.which("cc") is None or shutil.which("objdump") is None:
-            pytest.skip("needs cc and objdump on PATH")
-        lib = tmp_path / "_absorb.so"
-        assert fastcrc._compile(["cc", *fastcrc._COMPILE, "-I", PYTHON_INCLUDE], lib)
-        listing = subprocess.run(["objdump", "-d", str(lib)], capture_output=True, text=True,
-                                 check=True).stdout
+        if fastcrc._kernel is None:
+            pytest.skip("the C kernel is not loaded here (no working C compiler)")
+        if shutil.which("objdump") is None:
+            pytest.skip("needs objdump on PATH")
+        listing = subprocess.run(["objdump", "-d", fastcrc._kernel.__file__], capture_output=True,
+                                 text=True, check=True).stdout
         functions = disassembly(listing)
         for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
