@@ -13,7 +13,8 @@
  *
  *   absorb, absorb_clmul, absorb_vpclmul (reg, table, codewords, data)
  *   absorb_split_clmul, absorb_split_vpclmul (reg, table, codewords, data,
- *       n2, k) -> True if the worker thread absorbed its part
+ *       q, k) -> a Split, whose join() writes reg and returns how many
+ *       parts of the chunk the worker thread absorbed: 0, 1 or 2
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
  *   digest (reg, degree) -> the register's degree-bit value as
@@ -46,8 +47,9 @@
 
 typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
                      const uint8_t *data, size_t n);
-typedef int split_fn(uint64_t *reg, const uint64_t *table, const uint16_t *cw, const uint8_t *data,
-                     size_t n, size_t n2, const uint64_t *k);
+struct split; /* _absorb.c's, on x86-64 */
+typedef int split_fn(struct split *sp, uint64_t *reg, const uint64_t *table, const uint16_t *cw,
+                     const uint8_t *data, size_t n, size_t q, const uint64_t *k);
 typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
                           const uint64_t *s);
 
@@ -147,53 +149,165 @@ static int arguments(Py_ssize_t given, Py_ssize_t wanted, const char *name)
     return 0;
 }
 
-/* (reg, table, codewords, data), and with split (..., n2, k). */
-static PyObject *absorb_call(const struct path *p, int split, PyObject *const *args,
+#if defined(__x86_64__)
+/* A split chunk from its post to its join: the job, and the buffers it
+ * reads and writes, which it holds until the join so that they stay in
+ * place.  parts is PENDING until the join, JOINING while it runs, then what
+ * it gave; a split that found the worker owned is 0 from the start. */
+typedef struct {
+    PyObject_HEAD
+    struct views v;
+    int parts;
+    struct split sp;
+} Split;
+
+enum { PENDING = -1, JOINING = -2 };
+
+/* The split whose job a join left to the worker, kept with its buffers
+ * until the worker is done with it: at most one, since the worker stays
+ * owned until then.  Per process, as the worker is. */
+static PyObject *abandoned;
+
+/* Drop the kept split once the worker is done with it. */
+static void drop_abandoned(void)
+{
+    if (abandoned && !split_busy(&((Split *)abandoned)->sp))
+        Py_CLEAR(abandoned);
+}
+
+PyDoc_STRVAR(split_join_doc,
+             "join($self, /)\n--\n\n"
+             "Finish the chunk into the register, from any thread, once; returns how many of "
+             "its\nfirst two parts the worker thread absorbed: 0, 1 or 2.  Repeat calls return "
+             "the same.");
+
+static PyObject *split_join_method(Split *self, PyObject *unused)
+{
+    (void)unused;
+    if (self->parts == JOINING) {
+        PyErr_SetString(PyExc_RuntimeError, "the split is being joined on another thread");
+        return NULL;
+    }
+    if (self->parts == PENDING) {
+        self->parts = JOINING;
+        int parts;
+        Py_BEGIN_ALLOW_THREADS
+        parts = split_join(&self->sp);
+        Py_END_ALLOW_THREADS
+        self->parts = parts;
+        if (self->sp.abandoned)
+            Py_XSETREF(abandoned, Py_NewRef(self)); /* the last one's worker is done */
+        else
+            release(&self->v);
+    }
+    return PyLong_FromLong(self->parts);
+}
+
+/* A split dropped before its join is joined here, and waited for if the
+ * join leaves the job to the worker, with the GIL held, which the worker
+ * does not need: it may still be reading the buffers and writing the
+ * object. */
+static void split_dealloc(Split *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    if (self->parts == PENDING)
+        split_join(&self->sp);
+    while (split_busy(&self->sp))
+        sched_yield();
+    release(&self->v);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+static PyMethodDef split_methods[] = {
+    {"join", (PyCFunction)split_join_method, METH_NOARGS, split_join_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot split_slots[] = {
+    {Py_tp_doc, "A chunk absorbed on two threads, until its join."},
+    {Py_tp_dealloc, split_dealloc},
+    {Py_tp_methods, split_methods},
+    {0, NULL},
+};
+
+static PyType_Spec split_spec = {
+    .name = "badderlocks._absorb.Split", .basicsize = sizeof(Split),
+    .flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .slots = split_slots,
+};
+#else
+typedef struct {
+    PyObject_HEAD
+    struct views v;
+} Split;
+#endif
+
+/* (reg, table, codewords, data), and with a split type (..., q, k), which
+ * returns a Split of that type holding the buffers until its join. */
+static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyObject *const *args,
                              Py_ssize_t nargs, const char *name)
 {
-    if (!arguments(nargs, split ? 6 : 4, name))
+    if (!arguments(nargs, split_type ? 6 : 4, name))
         return NULL;
-    struct views v = {.held = 0};
+    struct views local = {.held = 0}, *v = &local;
+    Split *job = NULL;
+    if (split_type) { /* zeroed: no buffers held, nothing to join */
+        if (!(job = (Split *)split_type->tp_alloc(split_type, 0)))
+            return NULL;
+        v = &job->v;
+#if defined(__x86_64__)
+        drop_abandoned();
+#endif
+    }
     PyObject *result = NULL;
     Py_buffer *reg, *table, *cw, *data, *k = NULL;
-    if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
+    int posted = 0;
+    if (!(reg = take(v, args[0], "reg", 1, 8)) || !(table = take(v, args[1], "table", 0, 8)))
         goto done;
     size_t w = table_words(table, p->kind);
-    if (!w || !holds_words(reg, w, "reg") || !(cw = take(&v, args[2], "codewords", 0, 2)) ||
-        !(data = take(&v, args[3], "data", 0, 1)))
+    if (!w || !holds_words(reg, w, "reg") || !(cw = take(v, args[2], "codewords", 0, 2)) ||
+        !(data = take(v, args[3], "data", 0, 1)))
         goto done;
     if (items(cw, 2) < 256) {
         PyErr_SetString(PyExc_ValueError, "codewords must map all 256 byte values");
         goto done;
     }
-    size_t n = (size_t)data->len, n2 = 0;
-    if (split) {
+    size_t n = (size_t)data->len, q = 0;
+    if (split_type) {
         Py_ssize_t given = PyLong_AsSsize_t(args[4]);
         if (given == -1 && PyErr_Occurred())
             goto done;
-        if (given < 0 || (size_t)given > n) {
-            PyErr_SetString(PyExc_ValueError, "n2 must be from 0 to the data's length");
+        if (given < 0 || (size_t)given > n / 2) {
+            PyErr_SetString(PyExc_ValueError, "q must be from 0 to half the data's length");
             goto done;
         }
-        n2 = (size_t)given;
-        if (!(k = take(&v, args[5], "k", 0, 8)) || !holds_words(k, w, "k"))
+        q = (size_t)given;
+        if (!(k = take(v, args[5], "k", 0, 8)) || !holds_words(k, w, "k"))
             goto done;
     }
-    for (int i = 1; i < v.held; i++)
-        if (!apart(reg, &v.view[i]))
+    for (int i = 1; i < v->held; i++)
+        if (!apart(reg, &v->view[i]))
             goto done;
     /* what Py_BEGIN_ALLOW_THREADS and Py_END_ALLOW_THREADS do, from RELEASE_BYTES up */
     PyThreadState *released = n >= RELEASE_BYTES ? PyEval_SaveThread() : NULL;
-    int took = 0;
-    if (split)
-        took = p->split(reg->buf, table->buf, cw->buf, data->buf, n, n2, k->buf);
+#if defined(__x86_64__)
+    if (job)
+        posted = p->split(&job->sp, reg->buf, table->buf, cw->buf, data->buf, n, q, k->buf);
     else
+#endif
         p->loop(reg->buf, table->buf, cw->buf, data->buf, n);
     if (released)
         PyEval_RestoreThread(released);
-    result = split ? PyBool_FromLong(took) : Py_NewRef(Py_None);
+#if defined(__x86_64__)
+    if (posted)
+        job->parts = PENDING;
+#endif
+    result = job ? Py_NewRef(job) : Py_NewRef(Py_None);
 done:
-    release(&v);
+    if (!posted)
+        release(v);
+    Py_XDECREF(job);
     return result;
 }
 
@@ -226,33 +340,34 @@ done:
 static PyObject *py_absorb(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return absorb_call(&table_path, 0, args, nargs, "absorb");
+    return absorb_call(&table_path, NULL, args, nargs, "absorb");
 }
 
 #if defined(__x86_64__)
+static PyTypeObject *split_type_of(PyObject *module);
+
 static PyObject *py_absorb_clmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return absorb_call(&clmul_path, 0, args, nargs, "absorb_clmul");
+    return absorb_call(&clmul_path, NULL, args, nargs, "absorb_clmul");
 }
 
 static PyObject *py_absorb_vpclmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return absorb_call(&vpclmul_path, 0, args, nargs, "absorb_vpclmul");
+    return absorb_call(&vpclmul_path, NULL, args, nargs, "absorb_vpclmul");
 }
 
 static PyObject *py_absorb_split_clmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    (void)module;
-    return absorb_call(&clmul_path, 1, args, nargs, "absorb_split_clmul");
+    return absorb_call(&clmul_path, split_type_of(module), args, nargs, "absorb_split_clmul");
 }
 
 static PyObject *py_absorb_split_vpclmul(PyObject *module, PyObject *const *args,
                                          Py_ssize_t nargs)
 {
-    (void)module;
-    return absorb_call(&vpclmul_path, 1, args, nargs, "absorb_split_vpclmul");
+    return absorb_call(&vpclmul_path, split_type_of(module), args, nargs,
+                       "absorb_split_vpclmul");
 }
 
 static PyObject *py_combine_clmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -356,7 +471,8 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
  * interpreter's frames and attribute lookups on the engine itself, and
  * fastcrc's engine_init and _tables_for, likewise.  The engine calls its
  * tables' loop, split and digest by vectorcall, never the C loops directly,
- * so each call passes the checks above.  All three read fastcrc's
+ * so each call passes the checks above, and joins a pending split by its
+ * join method, as the Python class does.  All three read fastcrc's
  * _SPLIT_BYTES, _shift, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
  * _table_cache and build_tables from the namespace bind() hands them, at
  * each call, so what is patched there reaches them; the codeword map
@@ -368,17 +484,18 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
  * digest, then globals of fastcrc; interned once per module. */
 enum name {
     WORDS, MAIN, LOOP, SPLIT, DIGEST, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG, DATA,
-    ENTRY, SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, CRC_ENGINE, TABLES_FOR,
-    TABLE_CACHE, BUILD_TABLES, NAMES
+    ENTRY, JOIN, SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, CRC_ENGINE,
+    TABLES_FOR, TABLE_CACHE, BUILD_TABLES, NAMES
 };
 static const char *const name_text[NAMES] = {
     "words", "main", "loop", "split", "digest", "path", "degree", "index", "aligned_bits",
-    "from_bytes", "big", "data", "entry", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER",
+    "from_bytes", "big", "data", "entry", "join", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER",
     "ClassifierDigest", "CrcEngine", "_tables_for", "_table_cache", "build_tables",
 };
 
 typedef struct {
     PyObject *engine_type;
+    PyObject *split_type; /* NULL where the split entries are not compiled */
     PyObject *namespace; /* fastcrc's globals, from bind(); NULL until then */
     PyObject *codewords; /* what fastcrc._codewords() returned on the first absorb */
     PyObject *names[NAMES];
@@ -387,11 +504,19 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     PyObject *entry, *tables, *reg;
-    Py_ssize_t consumed;
+    PyObject *pending; /* the split of the last chunk until its join, or NULL */
+    Py_ssize_t consumed, splits, splits_taken;
     char finished;
 } Engine;
 
 static module_state *state_of(Engine *self) { return PyType_GetModuleState(Py_TYPE(self)); }
+
+#if defined(__x86_64__)
+static PyTypeObject *split_type_of(PyObject *module)
+{
+    return (PyTypeObject *)((module_state *)PyModule_GetState(module))->split_type;
+}
+#endif
 
 static PyObject *attr(module_state *st, PyObject *obj, enum name name)
 {
@@ -549,11 +674,14 @@ static int engine_traverse(Engine *self, visitproc visit, void *arg)
     Py_VISIT(self->entry);
     Py_VISIT(self->tables);
     Py_VISIT(self->reg);
+    Py_VISIT(self->pending);
     return 0;
 }
 
+/* A pending split is dropped here, and its own dealloc joins it. */
 static int engine_clear(Engine *self)
 {
+    Py_CLEAR(self->pending);
     Py_CLEAR(self->entry);
     Py_CLEAR(self->tables);
     Py_CLEAR(self->reg);
@@ -591,6 +719,26 @@ static int unfinished(Engine *self)
     return 0;
 }
 
+/* Join the split the last chunk left pending, if any, and count it: the
+ * engine's entry points call this before they read or replace the register
+ * or its tables.  -1 with the join's error. */
+static int join(Engine *self)
+{
+    PyObject *pending = self->pending;
+    if (!pending)
+        return 0;
+    self->pending = NULL;
+    PyObject *parts = PyObject_CallMethodNoArgs(pending, state_of(self)->names[JOIN]);
+    Py_DECREF(pending);
+    int taken = parts ? PyObject_IsTrue(parts) : -1;
+    Py_XDECREF(parts);
+    if (taken < 0)
+        return -1;
+    self->splits++;
+    self->splits_taken += taken;
+    return 0;
+}
+
 PyDoc_STRVAR(absorb_doc, "Run one table cycle per byte of a bytes-like chunk; returns self for "
                          "chaining.");
 
@@ -606,9 +754,10 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         data = Py_NewRef(chunk);
     } else if (!(data = raw_bytes(chunk, &n))) /* before any state changes */
         return NULL;
-    PyObject *entry, *tables, *reg, *floor = NULL, *split = NULL, *main = NULL,
-             *codewords = NULL, *n2 = NULL, *k = NULL, *result = NULL;
-    if (!hold(self, &entry, &tables, &reg) || !(floor = global(st, SPLIT_BYTES)))
+    PyObject *entry = NULL, *tables = NULL, *reg = NULL, *floor = NULL, *split = NULL,
+             *main = NULL, *codewords = NULL, *q = NULL, *k = NULL, *result = NULL;
+    if (join(self) < 0 || !hold(self, &entry, &tables, &reg) ||
+        !(floor = global(st, SPLIT_BYTES)))
         goto done;
     Py_ssize_t split_bytes = PyLong_AsSsize_t(floor);
     if (split_bytes == -1 && PyErr_Occurred())
@@ -630,26 +779,34 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         goto done;
     PyObject *looped;
     if (split) {
-        size_t half = (size_t)n / 2, j = 0; /* n2 = 2^j, the largest power of two <= n / 2 */
-        while (half >> j > 1)
+        /* H2 = T = q = 2^j, the largest power of two <= n / 4, from 512 */
+        size_t quarter = (size_t)n / 4, j = 9;
+        while (quarter >> j > 1)
             j++;
         PyObject *bits = PyLong_FromSize_t(j);
         k = bits ? call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3) : NULL;
         Py_XDECREF(bits);
-        if (!k || !(n2 = PyLong_FromSize_t((size_t)1 << j)))
+        if (!k || !(q = PyLong_FromSize_t((size_t)1 << j)))
             goto done;
-        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, n2, k}, 6,
+        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, q, k}, 6,
                                      NULL);
+        if (looped) {
+            Py_XSETREF(self->pending, looped);
+            looped = Py_NewRef(Py_None);
+        }
     } else
         looped = call(st, tables, LOOP, (PyObject *[]){reg, main, codewords, data}, 4);
     if (looped) {
         Py_DECREF(looped);
         self->consumed += n;
+        /* only bytes cannot change once this returns: join any other chunk now */
+        if (!PyBytes_CheckExact(data) && join(self) < 0)
+            goto done;
         result = Py_NewRef(self);
     }
 done:
     Py_XDECREF(k);
-    Py_XDECREF(n2);
+    Py_XDECREF(q);
     Py_XDECREF(codewords);
     Py_XDECREF(main);
     Py_XDECREF(split);
@@ -667,7 +824,7 @@ static PyObject *engine_finish(Engine *self, PyObject *unused)
 {
     (void)unused;
     module_state *st = state_of(self);
-    if (!unfinished(self))
+    if (!unfinished(self) || join(self) < 0)
         return NULL;
     self->finished = 1;
     PyObject *entry, *tables, *reg, *main = NULL, *filler = NULL, *zeros = NULL, *data = NULL,
@@ -702,8 +859,9 @@ static PyObject *engine_register(Engine *self, void *closure)
 {
     (void)closure;
     module_state *st = state_of(self);
-    PyObject *entry, *tables, *reg, *data = NULL, *result = NULL;
-    if (hold(self, &entry, &tables, &reg) && (data = digest_of(st, entry, tables, reg)))
+    PyObject *entry = NULL, *tables = NULL, *reg = NULL, *data = NULL, *result = NULL;
+    if (join(self) == 0 && hold(self, &entry, &tables, &reg) &&
+        (data = digest_of(st, entry, tables, reg)))
         result = PyObject_CallMethodObjArgs((PyObject *)&PyLong_Type, st->names[FROM_BYTES], data,
                                             st->names[BIG], NULL);
     Py_XDECREF(data);
@@ -711,6 +869,53 @@ static PyObject *engine_register(Engine *self, void *closure)
     Py_XDECREF(tables);
     Py_XDECREF(entry);
     return result;
+}
+
+/* _reg and tables as members give and set them, but joined first where a
+ * pending split would write the register under the caller: _reg's get and
+ * set, and tables' set. */
+static PyObject *member(PyObject *value, const char *name)
+{
+    if (!value)
+        return PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'",
+                            name);
+    return Py_NewRef(value);
+}
+
+static int set_joined(Engine *self, PyObject **slot, PyObject *value, const char *name)
+{
+    if (join(self) < 0)
+        return -1;
+    if (!value && !*slot) {
+        PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'", name);
+        return -1;
+    }
+    Py_XSETREF(*slot, Py_XNewRef(value));
+    return 0;
+}
+
+static PyObject *engine_get_reg(Engine *self, void *closure)
+{
+    (void)closure;
+    return join(self) < 0 ? NULL : member(self->reg, "_reg");
+}
+
+static int engine_set_reg(Engine *self, PyObject *value, void *closure)
+{
+    (void)closure;
+    return set_joined(self, &self->reg, value, "_reg");
+}
+
+static PyObject *engine_get_tables(Engine *self, void *closure)
+{
+    (void)closure;
+    return member(self->tables, "tables");
+}
+
+static int engine_set_tables(Engine *self, PyObject *value, void *closure)
+{
+    (void)closure;
+    return set_joined(self, &self->tables, value, "tables");
 }
 
 static PyObject *engine_path(Engine *self, void *closure)
@@ -749,14 +954,18 @@ static PyMethodDef engine_methods[] = {
 
 static PyMemberDef engine_members[] = {
     {"entry", T_OBJECT_EX, offsetof(Engine, entry), 0, NULL},
-    {"tables", T_OBJECT_EX, offsetof(Engine, tables), 0, NULL},
-    {"_reg", T_OBJECT_EX, offsetof(Engine, reg), 0, NULL},
     {"consumed", T_PYSSIZET, offsetof(Engine, consumed), 0, NULL},
+    {"splits", T_PYSSIZET, offsetof(Engine, splits), 0,
+     "Chunks absorbed on two threads, counted at their join."},
+    {"splits_taken", T_PYSSIZET, offsetof(Engine, splits_taken), 0,
+     "Of those, the chunks of which the worker thread absorbed a part."},
     {NULL, 0, 0, 0, NULL},
 };
 
 static PyGetSetDef engine_getset[] = {
     {"register", (getter)engine_register, NULL, NULL, NULL},
+    {"tables", (getter)engine_get_tables, (setter)engine_set_tables, NULL, NULL},
+    {"_reg", (getter)engine_get_reg, (setter)engine_set_reg, NULL, NULL},
     {"path", (getter)engine_path, NULL,
      "Which absorb loop this engine runs: \"vpclmul\", \"clmul\", \"native\" or \"python\".", NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -889,7 +1098,7 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-/* TAIL_WORDS, the interned names and the engine type. */
+/* TAIL_WORDS, the interned names, the engine type and the split type. */
 static int exec_module(PyObject *module)
 {
     module_state *st = PyModule_GetState(module);
@@ -901,6 +1110,10 @@ static int exec_module(PyObject *module)
         return -1;
     /* no type slot sets it before Python 3.14 */
     ((PyTypeObject *)st->engine_type)->tp_vectorcall = engine_vectorcall;
+#if defined(__x86_64__)
+    if (!(st->split_type = PyType_FromModuleAndSpec(module, &split_spec, NULL)))
+        return -1;
+#endif
     return PyModule_AddIntConstant(module, "TAIL_WORDS", TAIL_WORDS);
 }
 
@@ -908,6 +1121,7 @@ static int traverse_module(PyObject *module, visitproc visit, void *arg)
 {
     module_state *st = PyModule_GetState(module);
     Py_VISIT(st->engine_type);
+    Py_VISIT(st->split_type);
     Py_VISIT(st->namespace);
     Py_VISIT(st->codewords);
     return 0;
@@ -917,6 +1131,7 @@ static int clear_module(PyObject *module)
 {
     module_state *st = PyModule_GetState(module);
     Py_CLEAR(st->engine_type);
+    Py_CLEAR(st->split_type);
     Py_CLEAR(st->namespace);
     Py_CLEAR(st->codewords);
     for (int i = 0; i < NAMES; i++)

@@ -91,7 +91,8 @@ def _cmd_classify(args) -> int:
     if args.stats:
         print(f"entry={entry.index} bits={entry.aligned_bits} degree={entry.degree} "
               f"path={engine.path} bytes={engine.consumed} elapsed_s={elapsed:.6f} "
-              f"mib_per_s={engine.consumed / elapsed / 2**20:.3f}", file=sys.stderr)
+              f"mib_per_s={engine.consumed / elapsed / 2**20:.3f} "
+              f"splits={engine.splits_taken}/{engine.splits}", file=sys.stderr)
     return 0
 
 
@@ -185,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--stats", action="store_true",
                    help="also write one key=value line to stderr: entry, bits, degree, "
-                        "engine path, bytes, and the time and rate of reading and absorbing")
+                        "engine path, bytes, the time and rate of reading and absorbing, and "
+                        "the two-thread splits the worker took part in of those asked")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("expand", help="print the S-box expanded message polynomial")

@@ -65,16 +65,25 @@ pure-Python twins, `_PyCrcEngine`, `_py_engine_init` and
 to one set of tests.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
-threads where this process may run on two CPUs or more: a persistent C
-worker thread absorbs the first n - n2 bytes into the register while the
-calling thread absorbs the last n2 into a zeroed one, n2 being the largest
-power of two <= n / 2, and the C code joins the two by
-reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g.  The constant that moves a
-register past 2^j bytes is cached per generator on first use.  On vpclmul
-both parts and the combine take the block step.  A second thread calling
-absorb while the worker is busy, or a worker that has not started its part
-by the time the caller's is done, leaves the work to the calling thread.
-Smaller chunks, the other paths and a one-CPU affinity mask run one
+threads where this process may run on two CPUs or more.  The chunk is cut
+into [H1 | H2 | T], H2 and T q bytes each, q being the largest power of two
+<= n / 4 and at least 512.  A persistent C worker thread continues the
+register through H1, then H2, while the calling thread absorbs T into a
+zeroed one and returns, so the caller's next work, such as hashing the same
+chunk, overlaps the worker's.  The engine keeps the split pending and joins
+it at its next entry point: absorb, finish, `register`, `_reg`, the `tables`
+setter, or when the engine is dropped.  A join takes H2 itself if the
+worker is not yet at it, then H1 too if the worker has not started, and
+otherwise waits, but no longer than running the worker's parts itself
+would take; then the C code joins the registers by
+reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g.  A chunk that is not an
+exact `bytes` object may change once absorb returns, so it is joined before
+absorb returns.  The constant that moves a register past 2^j bytes is
+cached per generator on first use.  On vpclmul every part and the combine
+take the block step.  A split asked while another engine owns the worker
+runs on the calling thread.  `splits` and `splits_taken` count, at each
+join, the splits an engine asked for and those of which the worker ran a
+part.  Smaller chunks, the other paths and a one-CPU affinity mask run one
 thread, and every path gives the same digest.
 """
 
@@ -216,8 +225,9 @@ class CrcTables(NamedTuple):
     size first, which the loop reads in place of an argument.  `loop(reg,
     main, codewords, data)` appends the codeword each byte of data maps to,
     and `digest(reg, degree)` returns the byte-aligned digest.  On the
-    carry-less paths `split(reg, main, codewords, data, n2, k)`, the
-    two-thread entry, returns whether the worker took its part, and
+    carry-less paths `split(reg, main, codewords, data, q, k)`, the
+    two-thread entry, returns a pending split whose `join()` writes reg
+    and returns how many parts the worker ran (0, 1 or 2), and
     `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
     `_shift`); elsewhere both are None.
 
@@ -265,13 +275,16 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
 
     This is where every path decides which entries an engine takes: one whose generator
     has degree `e.degree`, from the codeword width, 9, to 4544, the largest degree that
-    keeps every `_shift` exponent nonnegative.  Any other entry raises ValueError here,
+    keeps every `_shift` exponent nonnegative, and whose `aligned_bits` is that degree
+    rounded up to whole bytes, the digest's size.  Any other entry raises ValueError here,
     before a table or a cache entry is made.
     """
-    if e.generator.degree != e.degree or not 9 <= e.degree <= 4544:
+    if (e.generator.degree != e.degree or not 9 <= e.degree <= 4544
+            or e.aligned_bits != 8 * ((e.degree + 7) // 8)):
         raise ValueError(f"an engine takes an entry of degree 9..4544 whose generator has "
-                         f"that degree; got degree {e.degree} and a generator of degree "
-                         f"{e.generator.degree}")
+                         f"that degree and whose aligned_bits is 8 * ceil(degree / 8); got "
+                         f"degree {e.degree}, a generator of degree {e.generator.degree} and "
+                         f"aligned_bits {e.aligned_bits}")
     w = (e.degree + 63) // 64
     if _kernel is None:
         return CrcTables(e.degree, w, (e.degree, reduction_rows(e.generator, 9)), "python",
@@ -299,13 +312,13 @@ def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
     """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path.
 
     The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
-    r moved past 2^j bytes.  The exponent is nonnegative for every split of
-    a chunk of 1 KiB or more: its second part is 2^j >= 512 bytes, and
-    9 * 512 >= 2 * pad + d = 128 * w - d for every entry `build_tables`
-    admits: its largest value there is 4607, at degree 4481 (71 words, pad
-    63), where degree 4545 (72 words) would give 4671.  The smallest j with
-    a nonnegative exponent is reduced once here; each later K_j is the
-    combine step squaring K_(j-1).
+    r moved past 2^j bytes.  The exponent is nonnegative for every split: its
+    parts H2 and T are q = 2^j >= 512 bytes, and 9 * 512 >= 2 * pad + d =
+    128 * w - d for every entry `build_tables` admits: its largest value
+    there is 4607, at degree 4481 (71 words, pad 63), where degree 4545
+    (72 words) would give 4671.  The smallest j with a nonnegative exponent
+    is reduced once here; each later K_j is the combine step squaring
+    K_(j-1).
     """
     k = tables.shifts.get(j)
     if k is None:
@@ -354,23 +367,57 @@ class CrcEngine:
     takes its name where the module loads.
     """
 
-    __slots__ = ("entry", "tables", "consumed", "_finished", "_reg")
+    __slots__ = ("entry", "_tables", "consumed", "splits", "splits_taken", "_finished",
+                 "_words", "_pending")
 
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
         self.entry = entry
-        self.tables = tables
+        self._tables = tables
         self.consumed = 0
+        self.splits = 0  # chunks absorbed on two threads, counted at their join
+        self.splits_taken = 0  # of those, the chunks of which the worker ran a part
         self._finished = False
-        self._reg = bytearray(8 * tables.words)  # laid out like a packed row
+        self._words = bytearray(8 * tables.words)  # the register, laid out like a packed row
+        self._pending = None  # the split of the last chunk until its join
+
+    def _join(self) -> None:
+        """Join the split the last chunk left pending, if any, and count it: the entry
+        points call this before they read or replace the register or its tables."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            taken = bool(pending.join())
+            self.splits += 1
+            self.splits_taken += taken
+
+    @property
+    def tables(self) -> CrcTables:
+        return self._tables
+
+    @tables.setter
+    def tables(self, tables: CrcTables) -> None:
+        self._join()
+        self._tables = tables
+
+    @property
+    def _reg(self) -> bytearray:
+        self._join()
+        return self._words
+
+    @_reg.setter
+    def _reg(self, reg) -> None:
+        self._join()
+        self._words = reg
 
     @property
     def register(self) -> int:
-        return int.from_bytes(self.tables.digest(self._reg, self.entry.degree), "big")
+        self._join()
+        return int.from_bytes(self._tables.digest(self._words, self.entry.degree), "big")
 
     @property
     def path(self) -> str:
         """Which absorb loop this engine runs: "vpclmul", "clmul", "native" or "python"."""
-        return self.tables.path
+        return self._tables.path
 
     def __repr__(self) -> str:
         return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
@@ -389,25 +436,29 @@ class CrcEngine:
             n = view.nbytes
             if not view.c_contiguous:
                 chunk = view.tobytes()
-        tables = self.tables
+        self._join()
+        tables = self._tables
         if n >= _SPLIT_BYTES and tables.split is not None:
-            n2 = 1 << (n // 2).bit_length() - 1  # n - n2 < 3 * n2
-            tables.split(self._reg, tables.main, _codewords(), chunk, n2,
-                         _shift(self.entry, tables, n2.bit_length() - 1))
+            j = max(9, (n // 4).bit_length() - 1)  # H2 = T = q = 2^j, the largest <= n / 4
+            self._pending = tables.split(self._words, tables.main, _codewords(), chunk, 1 << j,
+                                         _shift(self.entry, tables, j))
         else:
-            tables.loop(self._reg, tables.main, _codewords(), chunk)
+            tables.loop(self._words, tables.main, _codewords(), chunk)
         self.consumed += n
+        if type(chunk) is not bytes:  # only bytes cannot change once this returns
+            self._join()
         return self
 
     def finish(self) -> ClassifierDigest:
         """Apply the filler rule and emit the byte-aligned digest."""
         if self._finished:
             raise RuntimeError("engine already finished")
+        self._join()
         self._finished = True
-        tables = self.tables
+        tables = self._tables
         if self.consumed < 8:  # one FILLER cycle for each byte short of 8
-            tables.loop(self._reg, tables.main, _FILLER, bytes(8 - self.consumed))
-        return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
+            tables.loop(self._words, tables.main, _FILLER, bytes(8 - self.consumed))
+        return ClassifierDigest(tables.digest(self._words, self.entry.degree), self.entry)
 
 
 def engine_init(e: GeneratorEntry, /) -> CrcEngine:

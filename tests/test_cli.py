@@ -81,16 +81,39 @@ class TestClassify:
         assert dispatch([*argv, "--stats"]) == 0
         captured = capsys.readouterr()
         assert captured.out == plain
-        (line,) = captured.err.splitlines()
-        fields = dict(token.split("=") for token in line.split())
+        fields = stats_fields(captured.err)
+        # the keys before splits are the line's from before it counted splits
         assert list(fields) == ["entry", "bits", "degree", "path", "bytes", "elapsed_s",
-                                "mib_per_s"]
+                                "mib_per_s", "splits"]
         e = params.entry_for_aligned_bits(1744)
         assert fields["entry"] == str(e.index) and fields["bits"] == "1744"
         assert fields["degree"] == str(e.degree)
         assert fields["path"] == fastcrc.engine_init(e).path
         assert fields["bytes"] == str(len(FOX))
         assert float(fields["elapsed_s"]) > 0 and float(fields["mib_per_s"]) > 0
+        assert fields["splits"] == "0/0"  # 43 bytes do not split
+
+    def test_stats_count_splits(self, capsys, monkeypatch, tmp_path):
+        # splits=<taken>/<asked>: where two CPUs run a carry-less path each 64 KiB chunk
+        # asks for a split, and a one-CPU affinity mask asks for none
+        f = tmp_path / "m.bin"
+        f.write_bytes(random.Random(3).randbytes(3 * 65536 + 5))
+        argv = ["classify", "--bits", "1744", "--in", str(f), "--stats"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", fastcrc._split_bytes())
+        assert dispatch(argv) == 0
+        assert stats_fields(capsys.readouterr().err)["splits"] == "0/0"
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
+        assert dispatch(argv) == 0
+        taken, asked = map(int, stats_fields(capsys.readouterr().err)["splits"].split("/"))
+        path = fastcrc.engine_init(params.entry_for_aligned_bits(1744)).path
+        assert asked == (3 if path in ("vpclmul", "clmul") else 0) and 0 <= taken <= asked
+
+
+def stats_fields(err: str) -> dict[str, str]:
+    """The key=value fields of the one line `classify --stats` writes to standard error."""
+    (line,) = err.splitlines()
+    return dict(token.split("=") for token in line.split())
 
 
 class TestExpand:

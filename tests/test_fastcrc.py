@@ -1,3 +1,4 @@
+import gc
 import importlib.machinery
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from badderlocks import classifier, fastcrc, gf2poly, params, sbox
-from badderlocks.fastcrc import build_tables, engine_init
+from badderlocks.fastcrc import build_tables
 
 FOX = b"The quick brown fox jumps over the lazy dog"
 PYTHON_INCLUDE = sysconfig.get_paths()["include"]  # where the module's build finds Python.h
@@ -54,8 +55,9 @@ def use_path(monkeypatch, path):
     A kernel path is forced by faking the module's CPU probe, carryless(),
     to report that path's level, as on a CPU without the faster
     instructions; a path above what this CPU runs skips.  "python" unloads
-    the kernel and runs the engine's pure-Python twin, as on a host without
-    a compiler; the other paths run the module's engine type.
+    the kernel and runs the pure-Python twins of the engine, engine_init and
+    _tables_for, as on a host without a compiler; the other paths run the
+    module's.
     "vpclmul-split" and "clmul-split" are those paths with the two-thread
     floor lowered to TEST_SPLIT_BYTES.  Each path keeps one table cache for the whole test
     run, so the combine constants of an entry are built once.
@@ -65,6 +67,8 @@ def use_path(monkeypatch, path):
     if path == "python":
         monkeypatch.setattr(fastcrc, "_kernel", None)
         monkeypatch.setattr(fastcrc, "CrcEngine", fastcrc._PyCrcEngine)
+        monkeypatch.setattr(fastcrc, "engine_init", fastcrc._py_engine_init)
+        monkeypatch.setattr(fastcrc, "_tables_for", fastcrc._py_tables_for)
     else:
         if path.endswith("-split"):
             path = path.removesuffix("-split")
@@ -106,12 +110,26 @@ def spy(monkeypatch, name: str, record) -> None:
     monkeypatch.setattr(fastcrc, "_tables_for", spied)
 
 
-def record_splits(monkeypatch) -> list[int]:
-    """Spy on the two-thread entry; the list collects what each call returns:
-    1 if the worker thread absorbed its part, 0 if the calling thread did all."""
-    taken: list[int] = []
-    spy(monkeypatch, "split", lambda split, args: taken.append(split(*args)))
-    return taken
+class Recorded:
+    """A pending split whose join appends what it returns to a list: how many of the
+    chunk's first two parts the worker thread absorbed, 0, 1 or 2."""
+
+    def __init__(self, pending, joins: list[int]):
+        self.pending, self.joins = pending, joins
+
+    def join(self) -> int:
+        parts = self.pending.join()
+        self.joins.append(parts)
+        return parts
+
+
+def record_splits(monkeypatch, split=None) -> list[int]:
+    """Spy on the two-thread entry, called as split(real, args) if given; the list collects
+    what each split's join returns, so any(list) shows that the worker ran a part."""
+    joins: list[int] = []
+    call = split or (lambda real, args: real(*args))
+    spy(monkeypatch, "split", lambda real, args: Recorded(call(real, args), joins))
+    return joins
 
 
 def unsplit(monkeypatch, e, m: bytes, chunk: int | None = None) -> bytes:
@@ -122,7 +140,7 @@ def unsplit(monkeypatch, e, m: bytes, chunk: int | None = None) -> bytes:
 
 
 def stream(e, m: bytes, chunk: int | None = None) -> bytes:
-    eng = engine_init(e)
+    eng = fastcrc.engine_init(e)
     step = chunk or max(len(m), 1)
     for i in range(0, len(m), step):
         eng.absorb(m[i:i + step])
@@ -150,16 +168,19 @@ def custom_entry(degree: int, generator_degree: int | None = None):
                                          generator=gf2poly.BitPolynomial(1 << top | 0b1011011))
 
 
-# entries outside the contract build_tables enforces: too small, one word too many, and a
-# degree that is not the generator's
+# entries outside the contract build_tables enforces: too small, one word too many, a
+# degree that is not the generator's, and an aligned size that is not the degree's in
+# whole bytes, which would absorb a whole message before finish refused its digest
 REFUSED = {"degree-8": lambda: custom_entry(8), "degree-4545": lambda: custom_entry(4545),
-           "degree-below-generator": lambda: custom_entry(62, 63)}
+           "degree-below-generator": lambda: custom_entry(62, 63),
+           "aligned-bits-byte-over": lambda: custom_entry(62)._replace(aligned_bits=72)}
 
 
 def refusal(e) -> str:
     """The ValueError message build_tables raises for an entry outside its contract."""
-    return (f"an engine takes an entry of degree 9..4544 whose generator has that degree; "
-            f"got degree {e.degree} and a generator of degree {e.generator.degree}")
+    return (f"an engine takes an entry of degree 9..4544 whose generator has that degree "
+            f"and whose aligned_bits is 8 * ceil(degree / 8); got degree {e.degree}, a "
+            f"generator of degree {e.generator.degree} and aligned_bits {e.aligned_bits}")
 
 
 def row_forms(e):
@@ -313,9 +334,9 @@ class TestTables:
                 want = [unsplit(mp, e, m) for e in entries]
                 taken = record_splits(mp)
                 deadline = time.monotonic() + WORKER_PATIENCE_S
-                while 1 not in taken and time.monotonic() < deadline:
-                    assert [engine_init(e).absorb(m).finish().data for e in entries] == want
-                assert 1 in taken, kernel
+                while not any(taken) and time.monotonic() < deadline:
+                    assert [fastcrc.engine_init(e).absorb(m).finish().data for e in entries] == want
+                assert any(taken), kernel
 
     def test_kernel_loads_where_a_compiler_runs(self):
         # an engine runs the path of the level the module's CPU probe reports, and that
@@ -323,7 +344,7 @@ class TestTables:
         if shutil.which("cc") is None:
             pytest.skip("no cc on PATH")
         assert fastcrc._kernel is not None
-        path = engine_init(params.entry_for_aligned_bits(64)).path
+        path = fastcrc.engine_init(params.entry_for_aligned_bits(64)).path
         assert LEVELS[path] == fastcrc._kernel.carryless()
         cpuinfo = Path("/proc/cpuinfo")
         if cpuinfo.is_file():
@@ -335,39 +356,39 @@ class TestTables:
 class TestEngine:
     def test_init_state(self):
         e = params.entry_for_aligned_bits(64)
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         assert eng.register == 0
         assert eng.consumed == 0
 
     def test_shared_tables(self):
         e = params.entry_for_aligned_bits(128)
-        assert engine_init(e).tables is engine_init(e).tables
+        assert fastcrc.engine_init(e).tables is fastcrc.engine_init(e).tables
 
     def test_init_all_entries(self):
         for e in params.registry():
-            assert engine_init(e).register == 0
+            assert fastcrc.engine_init(e).register == 0
 
     def test_empty_input_equals_reference(self):
         for e in params.registry()[:4]:
-            assert engine_init(e).finish().data == classifier.classify(b"", e).data
+            assert fastcrc.engine_init(e).finish().data == classifier.classify(b"", e).data
 
     def test_fox_chunked(self):
         e = params.entry_for_aligned_bits(64)
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         eng.absorb(b"The qu").absorb(b"ick brown fox jumps over the lazy dog")
         assert eng.finish().hex() == "4A0B6AAA2BA80913"
 
     def test_small_message_vectors(self):
-        assert engine_init(params.entry_for_aligned_bits(64)) \
+        assert fastcrc.engine_init(params.entry_for_aligned_bits(64)) \
             .absorb(b"A").finish().hex() == "177EB92F319B46C1"
-        got = engine_init(params.entry_for_aligned_bits(320)) \
+        got = fastcrc.engine_init(params.entry_for_aligned_bits(320)) \
             .absorb(b"ABCDEFGH").finish().hex()
         assert got.startswith("6ADD0F97")
         assert got.endswith("30B75303")
 
     def test_empty_chunk_identity(self):
         e = params.entry_for_aligned_bits(64)
-        eng = engine_init(e).absorb(b"abc")
+        eng = fastcrc.engine_init(e).absorb(b"abc")
         reg = eng.register
         eng.absorb(b"")
         assert eng.register == reg
@@ -376,14 +397,14 @@ class TestEngine:
         e = params.entry_for_aligned_bits(256)
         rng = random.Random(31)
         m = bytes(rng.randrange(256) for _ in range(50))
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         for b in m:
             eng.absorb(bytes([b]))
-        assert eng.finish().data == engine_init(e).absorb(m).finish().data
+        assert eng.finish().data == fastcrc.engine_init(e).absorb(m).finish().data
 
     def test_single_use(self):
         e = params.entry_for_aligned_bits(64)
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         eng.finish()
         with pytest.raises(RuntimeError):
             eng.absorb(b"x")
@@ -469,7 +490,9 @@ class TestEngineClasses:
                 digest.extra = 1
 
     def test_finish_checks_the_digest_length(self, engine_class):
-        # an entry whose aligned size does not match its degree: ClassifierDigest's check
+        # an entry whose aligned size does not match its degree: ClassifierDigest's check.
+        # build_tables refuses such an entry, so the engine is built directly over the
+        # tables of the entry it was made from
         e = params.entry_for_aligned_bits(1744)
         eng = engine_class(e._replace(aligned_bits=e.aligned_bits + 8), fastcrc._tables_for(e))
         with pytest.raises(ValueError, match="^digest length does not match the entry's "
@@ -568,7 +591,7 @@ class TestEquivalence:
         for e in params.registry():
             for n in (0, 1, 7, 8, 9, 40):
                 m = bytes(rng.randrange(256) for _ in range(n))
-                assert engine_init(e).absorb(m).finish().data == \
+                assert fastcrc.engine_init(e).absorb(m).finish().data == \
                     classifier.classify(m, e).data, (e.index, n)
 
     def test_register_is_digest_before_finish(self):
@@ -578,7 +601,7 @@ class TestEquivalence:
         for e in params.registry():
             for n in (8, 9, 40):
                 m = bytes(rng.randrange(256) for _ in range(n))
-                assert engine_init(e).absorb(m).register == int.from_bytes(
+                assert fastcrc.engine_init(e).absorb(m).register == int.from_bytes(
                     classifier.classify(m, e).data, "big"), (e.index, n)
 
     def test_chunking_invariance(self):
@@ -586,13 +609,13 @@ class TestEquivalence:
         e = params.entry_for_aligned_bits(416)
         for _ in range(20):
             m = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
-            eng = engine_init(e)
+            eng = fastcrc.engine_init(e)
             pos = 0
             while pos < len(m):
                 step = rng.randrange(1, len(m) - pos + 1)
                 eng.absorb(m[pos:pos + step])
                 pos += step
-            assert eng.finish().data == engine_init(e).absorb(m).finish().data
+            assert eng.finish().data == fastcrc.engine_init(e).absorb(m).finish().data
 
 
 class TestPaths:
@@ -607,7 +630,7 @@ class TestPaths:
                                     2047, 2048, 3072, 16383, 16384, 16385, 65536]):
                 m = rng.randbytes(n)
                 want = reference(e, m)
-                eng = engine_init(e)
+                eng = fastcrc.engine_init(e)
                 assert eng.path == path.partition("-")[0]
                 pos = 0
                 while pos < n:
@@ -618,7 +641,7 @@ class TestPaths:
                     assert eng.register == int.from_bytes(want, "big"), (e.index, n)
                 assert eng.finish().data == want, (e.index, n)
                 if n in edges:  # and in one call, at the block edges
-                    assert engine_init(e).absorb(m).finish().data == want, (e.index, n)
+                    assert fastcrc.engine_init(e).absorb(m).finish().data == want, (e.index, n)
 
     def test_accepts_any_bytes_like_chunk(self, path, monkeypatch):
         # a chunk is absorbed as its raw bytes, whatever its item size, and a contiguous one
@@ -631,15 +654,15 @@ class TestPaths:
         for chunk, m in ((bytearray(FOX), FOX), (memoryview(FOX), FOX), (words, words.tobytes()),
                          (halves, FOX[:40]), (memoryview(FOX)[::2], FOX[::2])):
             received.clear()
-            eng = engine_init(e).absorb(chunk)
+            eng = fastcrc.engine_init(e).absorb(chunk)
             assert eng.consumed == len(m)
             assert eng.finish().data == reference(e, m)
             contiguous = memoryview(chunk).c_contiguous
             assert received and (received[0] is chunk) == contiguous, (path, type(chunk))
-        eng = engine_init(e).absorb(b"abc")
+        eng = fastcrc.engine_init(e).absorb(b"abc")
         with pytest.raises(TypeError):
             eng.absorb(5)
-        assert (eng.register, eng.consumed) == (engine_init(e).absorb(b"abc").register, 3)
+        assert (eng.register, eng.consumed) == (fastcrc.engine_init(e).absorb(b"abc").register, 3)
 
     def test_entry_sharing_an_index_gets_its_own_tables(self, path):
         # the table cache is keyed by index: an entry with a registry index but another
@@ -649,18 +672,19 @@ class TestPaths:
         m = random.Random(47).randbytes(2 * 1024)
         for entry in (e, custom, e):
             for message in (b"abc", m):
-                assert engine_init(entry).absorb(message).finish().data == \
+                assert fastcrc.engine_init(entry).absorb(message).finish().data == \
                     classifier.classify(message, entry).data, (entry.generator, len(message))
 
     def test_repr_names_entry_bytes_and_path(self, path):
-        eng = engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
+        eng = fastcrc.engine_init(params.entry_for_aligned_bits(1744)).absorb(FOX)
         assert repr(eng) == \
             f"<CrcEngine entry=17 bits=1744 consumed=43 path={path.partition('-')[0]}>"
 
 
 class TestEntryContract:
     """Every path takes the same entries: those whose generator has the entry's degree,
-    from 9 to 4544; build_tables refuses the others with one ValueError."""
+    from 9 to 4544, and whose aligned size is that degree in whole bytes; build_tables
+    refuses the others with one ValueError."""
 
     @pytest.mark.parametrize("degree", [9, 4481, 4544])  # 4481: 71 words, the largest pad
     def test_edge_degrees_match_classify(self, path, monkeypatch, degree):
@@ -668,14 +692,14 @@ class TestEntryContract:
         splits = record_splits(monkeypatch)
         m = random.Random(degree).randbytes(1536)
         for n in (0, 7, 8, 9, 1536):
-            assert engine_init(e).absorb(m[:n]).finish().data == reference(e, m[:n]), n
+            assert fastcrc.engine_init(e).absorb(m[:n]).finish().data == reference(e, m[:n]), n
         assert bool(splits) == path.endswith("-split")  # 1,536 B splits from the 1 KiB floor
 
     @pytest.mark.parametrize("case", REFUSED)
     def test_other_entries_are_refused_and_not_cached(self, path, case):
         e = REFUSED[case]()
         before = list(fastcrc._table_cache.items())
-        for call in (engine_init, fastcrc._tables_for, build_tables):
+        for call in (fastcrc.engine_init, fastcrc._tables_for, build_tables):
             with pytest.raises(ValueError) as exc:
                 call(e)
             assert str(exc.value) == refusal(e), call
@@ -712,7 +736,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == want
-        assert len(taken) == 16 * len(entries) and set(taken) <= {0, 1} and 1 in taken
+        assert len(taken) == 16 * len(entries) and set(taken) <= {0, 1, 2} and any(taken)
 
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
         first_carryless_path(monkeypatch)
@@ -724,12 +748,12 @@ class TestThreads:
 
         def until_the_worker_splits():
             digests, deadline = [], time.monotonic() + WORKER_PATIENCE_S
-            while 1 not in taken and time.monotonic() < deadline:
-                digests.append(engine_init(e).absorb(m).finish().data)
+            while not any(taken) and time.monotonic() < deadline:
+                digests.append(fastcrc.engine_init(e).absorb(m).finish().data)
             return digests
 
         assert set(until_the_worker_splits()) == {want}
-        assert 1 in taken  # the worker runs in this process now
+        assert any(taken)  # the worker runs in this process now
         context = multiprocessing.get_context("fork")
         reader, writer = context.Pipe(duplex=False)
 
@@ -748,7 +772,7 @@ class TestThreads:
                 process.kill()
         assert not process.is_alive() and process.exitcode == 0
         assert set(digests) == {want}
-        assert 1 in child_taken  # the child's own worker ran
+        assert any(child_taken)  # the child's own worker ran
 
     def test_one_cpu_takes_no_split(self, monkeypatch):
         first_carryless_path(monkeypatch)
@@ -758,11 +782,11 @@ class TestThreads:
         e = params.entry_for_aligned_bits(1744)
         m = random.Random(41).randbytes(64 * 1024)
         want = unsplit(monkeypatch, e, m)
-        assert engine_init(e).absorb(m).finish().data == want
+        assert fastcrc.engine_init(e).absorb(m).finish().data == want
         assert taken == []
         # the control: from the two-CPU floor, the same spy sees the split
         monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
-        assert engine_init(e).absorb(m).finish().data == want
+        assert fastcrc.engine_init(e).absorb(m).finish().data == want
         assert len(taken) == 1
 
     @pytest.mark.parametrize("kernel", KERNEL_PATHS)
@@ -795,7 +819,7 @@ class TestThreads:
             deadline = time.monotonic() + WORKER_PATIENCE_S
             while inside() < 2 and time.monotonic() < deadline:
                 start = time.monotonic()
-                engine_init(e).absorb(m)
+                fastcrc.engine_init(e).absorb(m)
                 calls.append((start, time.monotonic()))
         finally:
             done.set()
@@ -803,6 +827,191 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
         assert inside() >= 2, kernel
+
+
+@pytest.fixture(params=[(variant, twin) for variant in ("vpclmul-split", "clmul-split")
+                        for twin in ("module", "python")], ids="-".join)
+def split_twin(request, monkeypatch):
+    """A "-split" variant with the module's engine type or its Python twin, which
+    splits over the same tables; returns the engine class."""
+    variant, twin = request.param
+    use_path(monkeypatch, variant)
+    if twin == "python":
+        monkeypatch.setattr(fastcrc, "CrcEngine", fastcrc._PyCrcEngine)
+    return fastcrc.CrcEngine
+
+
+def forked(child) -> object:
+    """What child() returns, run in a forked child process."""
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    process = context.Process(target=lambda: writer.send(child()))
+    process.start()
+    try:
+        assert reader.poll(60), "no answer from the child: a deadlock"
+        answer = reader.recv()
+    finally:
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+    assert not process.is_alive() and process.exitcode == 0
+    return answer
+
+
+class TestDeferredJoin:
+    """A split absorb returns after the caller's part; the engine's next entry point joins
+    the worker's.  Each way a join can go gives classify's digest on both engine twins."""
+
+    E_BITS = 1744
+    M = random.Random(50).randbytes(64 * 1024)  # H1 32 KiB, H2 and T 16 KiB each
+
+    def entry_and_digest(self):
+        e = params.entry_for_aligned_bits(self.E_BITS)
+        return e, reference(e, self.M)
+
+    def until(self, done, op):
+        """Run op() until done(), for at most WORKER_PATIENCE_S."""
+        deadline = time.monotonic() + WORKER_PATIENCE_S
+        while not done() and time.monotonic() < deadline:
+            op()
+        return done()
+
+    def once(self, e, want) -> bytes:
+        """One engine over M, finished right after its absorb: the join comes at once."""
+        digest = fastcrc.engine_init(e).absorb(self.M).finish().data
+        assert digest == want
+        return digest
+
+    def test_worker_runs_both_parts(self, split_twin, monkeypatch):
+        # a caller busy elsewhere comes back to a worker done with H1 and H2
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+
+        def op():
+            eng = fastcrc.engine_init(e).absorb(self.M)
+            assert type(eng) is split_twin
+            time.sleep(0.005)
+            assert eng.finish().data == want
+
+        assert self.until(lambda: 2 in joins, op), joins
+
+    def test_caller_takes_the_second_part(self, split_twin, monkeypatch):
+        # a spy delays the worker: it is handed all but the last 1 KiB as H1, so a
+        # caller that joins at once finds it still on H1 and takes H2
+        e, want = self.entry_and_digest()
+        k = fastcrc._shift(e, fastcrc._tables_for(e), 9)
+        joins = record_splits(monkeypatch, lambda real, args: real(*args[:4], 512, k))
+        assert self.until(lambda: 1 in joins, lambda: self.once(e, want)), joins
+
+    def test_caller_takes_everything_back(self, split_twin, monkeypatch):
+        # in a forked child pinned to one CPU the child's worker, started there, shares
+        # the caller's CPU, so a caller that joins at once mostly finds it not started,
+        # and one that sleeps first mostly finds it started and off the CPU once the
+        # caller wakes, and leaves it the job; then a caller that sleeps long enough
+        # finds the worker free again and done with both parts
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity masks here")
+        e, want = self.entry_and_digest()
+        joins, digests = record_splits(monkeypatch), set()
+
+        def op(pause):
+            eng = fastcrc.engine_init(e).absorb(self.M)
+            time.sleep(pause)
+            digests.add(eng.finish().data)
+
+        def child():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            self.until(lambda: 0 in joins, lambda: op(0))
+            for _ in range(20):
+                op(0.0002)
+            self.until(lambda: 2 in joins, lambda: op(0.01))
+            return digests, joins
+
+        digests, joins = forked(child)
+        assert digests == {want} and 0 in joins and 2 in joins
+
+    def test_non_bytes_chunk_is_joined_before_absorb_returns(self, split_twin, monkeypatch):
+        # a bytearray may change once absorb returns, so its split is joined first; a
+        # bytes chunk's stays pending until the next entry point
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+        chunk = bytearray(self.M)
+        eng = fastcrc.engine_init(e).absorb(chunk)
+        assert len(joins) == 1
+        chunk[:] = bytes(len(chunk))
+        assert eng.finish().data == want and len(joins) == 1
+        eng = fastcrc.engine_init(e).absorb(self.M)
+        assert len(joins) == 1 and eng.consumed == len(self.M)
+        assert eng.register == int.from_bytes(want, "big") and len(joins) == 2
+        assert (eng.splits, eng.finish().data) == (1, want)
+
+    def test_entry_points_join(self, split_twin, monkeypatch):
+        # _reg and the tables setter join a pending split, as absorb, finish and
+        # register do, so the register they hand over or keep is the whole chunk's
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+        w = fastcrc._tables_for(e).words
+        words = fastcrc._to_words(int.from_bytes(want, "big") << 64 * w - e.degree, w)
+        eng = fastcrc.engine_init(e).absorb(self.M)
+        assert bytes(eng._reg) == words.tobytes() and len(joins) == 1
+        eng.absorb(self.M)
+        eng.tables = eng.tables
+        assert len(joins) == 2 and eng.splits == 2
+        eng.absorb(self.M)
+        eng._reg = bytearray(8 * w)  # the pending split writes the register it replaces
+        assert len(joins) == 3 and bytes(eng._reg) == bytes(8 * w)
+        assert eng.absorb(self.M).finish().data == want and eng.splits == 4
+
+    def test_dropped_engine_frees_the_worker(self, split_twin, monkeypatch):
+        # the pending split is joined when the engine goes, and the worker serves the
+        # next engine
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+        eng = fastcrc.engine_init(e).absorb(self.M)
+        del eng
+        gc.collect()
+        assert joins == []  # joined by the split's own dealloc, not the engine
+        assert self.until(lambda: any(joins), lambda: self.once(e, want)), joins
+
+    def test_fork_while_a_split_is_pending(self, split_twin, monkeypatch):
+        # the child's copy of the job has no worker: its join takes it all back, frees
+        # the worker flag, and the child's own worker serves its later splits
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+        eng = fastcrc.engine_init(e).absorb(self.M)
+
+        def child():
+            digests = {eng.finish().data}
+            joined = list(joins)
+            joins.clear()
+            self.until(lambda: any(joins), lambda: digests.add(self.once(e, want)))
+            return digests, joined, joins
+
+        digests, joined, later = forked(child)
+        assert digests == {want} and joined == [0] and any(later)
+        assert eng.finish().data == want and len(joins) == 1
+
+    def test_engine_on_another_thread_while_one_owns_the_worker(self, split_twin,
+                                                                monkeypatch):
+        # a's pending split owns the worker, so b's runs on b's thread; a is joined on
+        # b's thread, which frees the worker for the splits after
+        e, want = self.entry_and_digest()
+        joins = record_splits(monkeypatch)
+        engines = {}
+
+        def run(name, op):
+            thread = threading.Thread(target=lambda: engines.__setitem__(name, op()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        run("a", lambda: fastcrc.engine_init(e).absorb(self.M))
+        run("b", lambda: (fastcrc.engine_init(e).absorb(self.M).finish().data,
+                          engines["a"].finish().data))
+        a = engines["a"]
+        assert engines["b"] == (want, want) and (a.splits, a.consumed) == (1, len(self.M))
+        assert joins[0] == 0 and len(joins) == 2  # b's, on its own thread, then a's
+        assert self.until(lambda: any(joins), lambda: self.once(e, want)), joins
 
 
 @pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native"])
@@ -822,7 +1031,7 @@ class TestBinding:
         e = params.entry_for_aligned_bits(1744)
         w = (e.degree + 63) // 64
         for chunk in (FOX, random.Random(45).randbytes(5000)):
-            eng = engine_init(e).absorb(b"abc")
+            eng = fastcrc.engine_init(e).absorb(b"abc")
             want = eng.register
             guarded, error = bytearray(8 * (w + 3)), ValueError
             if case == "short register":
@@ -892,7 +1101,7 @@ class TestBinding:
             k, zero = fastcrc._shift(e, t, 10), bytes(8 * w)
             n = 3 * 1024
             calls += [
-                (ValueError, split, (reg, t.main, cw, bytes(n), n + 1, k)),
+                (ValueError, split, (reg, t.main, cw, bytes(n), n // 2 + 1, k)),
                 (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k[:-1])),
                 (ValueError, combine, (reg, t.main, k, zero[:-8])),
                 (ValueError, combine, (reg, t.main, reg, zero)),  # reg is also k
@@ -924,11 +1133,11 @@ class TestKernelBuild:
         assert kernel is None
         assert not cache.is_dir() or not any(cache.iterdir())  # no temporary file left
         entries = [params.entry_for_aligned_bits(b) for b in (64, 1744, 4288)]
-        loaded = [engine_init(e).absorb(FOX).finish().data for e in entries]
+        loaded = [fastcrc.engine_init(e).absorb(FOX).finish().data for e in entries]
         monkeypatch.setattr(fastcrc, "_kernel", kernel)
         monkeypatch.setattr(fastcrc, "_table_cache", {})
         for e, want in zip(entries, loaded):
-            eng = engine_init(e)
+            eng = fastcrc.engine_init(e)
             assert eng.path == "python"
             assert eng.absorb(FOX).finish().data == want
 
@@ -1028,20 +1237,36 @@ class TestKernelBuild:
 
     def test_thread_sanitizer_finds_no_race(self, monkeypatch, tmp_path):
         # CPython does not run under an LD_PRELOADed libtsan, so a C program
-        # includes the kernel source and calls the split entry from two threads
+        # includes the kernel source, posts splits from two threads and joins them on
+        # the posting thread or another one
         kernel = first_carryless_path(monkeypatch)
         # every part of 1 KiB (one block) or more takes the block step on vpclmul; in the
-        # last case the worker's part is under one block
+        # last case H2 and T are under one block; q is the engine's, n / 4 down to a
+        # power of two, from 512
         cases = []
-        for bits, n, n2 in ((64, 20000, 8192), (1744, 40000, 16384), (4288, 16384, 8192),
-                            (2784, 30000, 8192), (416, 3000, 1024)):
-            table, k = kernel_constants(params.entry_for_aligned_bits(bits), n2)
-            cases.append("{%d, %d, %s, %s}" % (n, n2, c_words(table), c_words(k)))
+        for bits, n, q in ((64, 20000, 4096), (1744, 40000, 8192), (4288, 16384, 4096),
+                           (2784, 30000, 4096), (416, 3000, 512)):
+            table, k = kernel_constants(params.entry_for_aligned_bits(bits), q)
+            cases.append("{%d, %d, %s, %s}" % (n, q, c_words(table), c_words(k)))
         run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
             "kernel": kernel, "codewords": c_words(fastcrc._codewords()),
-            "cases": ",\n    ".join(cases)})
-        mismatches, split, plain = map(int, run.stdout.split())
-        assert mismatches == 0 and split > 0 and split + plain == 2 * len(cases) * 40
+            "cases": ",\n    ".join(cases)}, "h2")
+        mismatches, *joins, plain, abandoned, extra = map(int, run.stdout.split())
+        # joins counts the posted splits by how many parts the worker ran: 0, 1 (the
+        # caller took H2) or 2; the joins made at once took H2
+        assert mismatches == 0 and joins[1] > 0
+        assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
+        # on one CPU a worker that has started is mostly off the CPU while the caller
+        # waits, so joins leave it their jobs, which it finishes for nothing
+        if hasattr(os, "sched_setaffinity"):
+            one_cpu = {min(os.sched_getaffinity(0))}
+            again = subprocess.run([run.args[0], "abandon"], capture_output=True, text=True,
+                                   timeout=600, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+            assert "Sanitizer" not in again.stderr, again.stderr
+            assert again.returncode == 0, again.stdout + again.stderr
+            mismatches, *joins, plain, abandoned, extra = map(int, again.stdout.split())
+            assert mismatches == 0 and abandoned > 0
+            assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
 
     def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
         # the kernels load whole blocks of eight words, up to seven words below each
@@ -1104,9 +1329,10 @@ def c_words(words) -> str:
     return "{%s}" % ", ".join(map(hex, words))
 
 
-def sanitized_program(tmp_path, sanitizer: str, source: str) -> subprocess.CompletedProcess:
+def sanitized_program(tmp_path, sanitizer: str, source: str,
+                      *args: str) -> subprocess.CompletedProcess:
     """Build a C program that includes the kernel source under -fsanitize=sanitizer and
-    run it; skip where that sanitizer does not build or run here."""
+    run it with args; skip where that sanitizer does not build or run here."""
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     built = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-o", str(tmp_path / "probe"),
@@ -1120,7 +1346,7 @@ def sanitized_program(tmp_path, sanitizer: str, source: str) -> subprocess.Compl
          "-I", str(fastcrc._PACKAGE), "-o", str(program), str(tmp_path / "program.c")],
         capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
-    run = subprocess.run([str(program)], capture_output=True, text=True, timeout=600)
+    run = subprocess.run([str(program), *args], capture_output=True, text=True, timeout=600)
     assert "Sanitizer" not in run.stderr, run.stderr
     assert run.returncode == 0, run.stdout + run.stderr
     return run
@@ -1221,11 +1447,11 @@ for level, path in zip(levels, paths):
             checked += 1
     if path != "native":  # the two-thread entry and the combine step
         fastcrc._SPLIT_BYTES = 1024
-        taken = []
+        splits = []  # each split the engine asked for; join() gives the same again
 
         def spied(e):  # what the engine calls, however the tables were cached
             t = tables_for(e)
-            return t._replace(split=lambda *args: taken.append(t.split(*args)))
+            return t._replace(split=lambda *args: splits.append(t.split(*args)) or splits[-1])
 
         fastcrc._tables_for = spied
         for e in params.registry():
@@ -1235,18 +1461,18 @@ for level, path in zip(levels, paths):
                 eng = engine(e).absorb(m[:cut]).absorb(m[cut:])
                 assert eng.finish().data == classifier.classify(m, e).data, (path, e.index, n)
                 checked += 1
-        # above, a caller done first with its short part takes back the worker's; a
+        # above, a caller that joins at once often takes the worker's parts back; a
         # stream of 64 KiB chunks keeps the worker awake, and it takes parts once the
         # scheduler has it on the other CPU
         e, m = params.entry_for_aligned_bits(1744), rng.randbytes(4 * 65536)
         want, deadline = classifier.classify(m, e).data, time.monotonic() + 10
-        taken.clear()
-        while 1 not in taken and time.monotonic() < deadline:
+        splits.clear()
+        while not any(split.join() for split in splits) and time.monotonic() < deadline:
             eng = engine(e)
             for i in range(0, len(m), 65536):
                 eng.absorb(m[i:i + 65536])
             assert eng.finish().data == want, path
-        assert 1 in taken, path
+        assert any(split.join() for split in splits), path
         checked += 1
         fastcrc._tables_for, fastcrc._SPLIT_BYTES = tables_for, sys.maxsize
 print(" ".join(paths), checked)
@@ -1254,44 +1480,81 @@ print(" ".join(paths), checked)
 
 
 # Two threads each run every case 40 times: a plain absorb and a split one from
-# the same nonzero register, which must agree.  Prints mismatches, splits taken
-# and plain loops run.
+# the same nonzero register, which must agree.  On even rounds the split is joined
+# at once, as by an absorb-only stream, whose joins take H2 while the worker is on
+# H1; on odd rounds after the plain absorb, as by a caller that hashes between
+# absorbs.  Then the main thread posts each case once and another thread joins it.
+# A round that finds the worker owned runs the plain loop.  A split whose join left
+# the job to the worker is kept until the worker is done with it.  Until a join has
+# taken H2 (argument "h2") or left the worker its job ("abandon", where the caller
+# sleeps between the post and the join), more joins go on, for at most 10 s.  Prints mismatches, the posted splits by the parts the
+# worker ran (0, 1, 2), the splits that ran the plain loop, the joins that left the
+# worker its job, and the immediate joins added.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
+#include <time.h>
 
 #define MAX_W 67
 #define MAX_TABLE CARRYLESS_WORDS(MAX_W)
+#define CASES (sizeof cases / sizeof cases[0])
 static const uint16_t codewords[256] = %(codewords)s;
 static const struct {
-    size_t n, n2;
+    size_t n, q;
     uint64_t table[MAX_TABLE], k[MAX_W];
 } cases[] = {
     %(cases)s
 };
 static uint8_t data[40000 + 100];
-static atomic_int mismatches, split, plain;
+static atomic_int mismatches, joins[3], plain, abandoned;
+
+/* Count a joined split, and wait until the worker is done with it. */
+static void count(struct split *sp, int posted, int parts, int mismatch)
+{
+    atomic_fetch_add(posted ? &joins[parts] : &plain, 1);
+    if (sp->abandoned)
+        atomic_fetch_add(&abandoned, 1);
+    if (mismatch)
+        atomic_fetch_add(&mismatches, 1);
+    while (split_busy(sp))
+        sched_yield();
+}
+
+/* A plain absorb of case c from start into a, and a split one into b, from the
+ * same register; the split joined at once if early, else after the plain one.
+ * A caller that sleeps after the post (early 2) gives its CPU to the worker and
+ * takes it back on waking, so on one CPU it mostly finds the worker started. */
+static void check(size_t c, size_t start, int early)
+{
+    uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
+    struct split sp;
+    absorb_%(kernel)s(a, cases[c].table, codewords, data, start);
+    memcpy(b, a, sizeof a);
+    int posted = absorb_split_%(kernel)s(&sp, b, cases[c].table, codewords, data + start,
+                                         cases[c].n, cases[c].q, cases[c].k);
+    if (early == 2)
+        usleep(200);
+    int parts = early ? split_join(&sp) : 0;
+    absorb_%(kernel)s(a, cases[c].table, codewords, data + start, cases[c].n);
+    if (!early)
+        parts = split_join(&sp);
+    count(&sp, posted, parts, memcmp(a, b, sizeof a));
+}
 
 static void *run(void *seed)
 {
     for (int round = 0; round < 40; round++)
-        for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
-            uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
-            size_t start = (size_t)seed + round;
-            absorb_%(kernel)s(a, cases[c].table, codewords, data, start);
-            memcpy(b, a, sizeof a);
-            absorb_%(kernel)s(a, cases[c].table, codewords, data + start, cases[c].n);
-            int took = absorb_split_%(kernel)s(b, cases[c].table, codewords, data + start,
-                                               cases[c].n, cases[c].n2, cases[c].k);
-            atomic_fetch_add(took ? &split : &plain, 1);
-            if (memcmp(a, b, sizeof a))
-                atomic_fetch_add(&mismatches, 1);
-        }
+        for (size_t c = 0; c < CASES; c++)
+            check(c, (size_t)seed + round, round %% 2 == 0);
     return NULL;
 }
 
-int main(void)
+static void *join(void *sp) { return (void *)(intptr_t)split_join(sp); }
+
+int main(int argc, char **argv)
 {
+    int abandon = argc > 1 && !strcmp(argv[1], "abandon");
+    atomic_int *until = abandon ? &abandoned : &joins[1];
     uint32_t x = 12345;
     for (size_t i = 0; i < sizeof data; i++)
         data[i] = (uint8_t)((x = x * 1103515245 + 12345) >> 16);
@@ -1300,7 +1563,23 @@ int main(void)
         pthread_create(&threads[i], NULL, run, (void *)(i * 7 + 1));
     for (size_t i = 0; i < 2; i++)
         pthread_join(threads[i], NULL);
-    printf("%%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&split), atomic_load(&plain));
+    for (size_t c = 0; c < CASES; c++) {
+        uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
+        struct split sp;
+        void *parts;
+        absorb_%(kernel)s(a, cases[c].table, codewords, data, cases[c].n);
+        int posted = absorb_split_%(kernel)s(&sp, b, cases[c].table, codewords, data,
+                                             cases[c].n, cases[c].q, cases[c].k);
+        pthread_create(&threads[0], NULL, join, &sp);
+        pthread_join(threads[0], &parts);
+        count(&sp, posted, (int)(intptr_t)parts, memcmp(a, b, sizeof a));
+    }
+    int extra = 0;
+    for (time_t deadline = time(NULL) + 10; !atomic_load(until) && time(NULL) < deadline;)
+        check(extra++ %% CASES, 1, abandon ? 2 : 1);
+    printf("%%d %%d %%d %%d %%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&joins[0]),
+           atomic_load(&joins[1]), atomic_load(&joins[2]), atomic_load(&plain),
+           atomic_load(&abandoned), extra);
     return atomic_load(&mismatches) != 0;
 }
 """
@@ -1308,7 +1587,7 @@ int main(void)
 
 # The lengths the AddressSanitizer program absorbs on each carry-less kernel: by the
 # word step alone (under one block), by the block step (two blocks and a tail) and
-# on two threads, the second part ASAN_SPLIT_PART bytes (two blocks each side).
+# on two threads, H2 and T ASAN_SPLIT_PART bytes each (two blocks), H1 the rest.
 ASAN_LENGTHS = (1000, 3000, 5000)
 ASAN_SPLIT_PART = 2048
 
@@ -1342,8 +1621,9 @@ static void *exactly(const void *from, size_t bytes)
 int main(void)
 {
     absorb_fn *absorbs[] = {absorb_clmul, absorb_vpclmul};
-    int (*splits[])(uint64_t *, const uint64_t *, const uint16_t *, const uint8_t *, size_t,
-                    size_t, const uint64_t *) = {absorb_split_clmul, absorb_split_vpclmul};
+    int (*splits[])(struct split *, uint64_t *, const uint64_t *, const uint16_t *,
+                    const uint8_t *, size_t, size_t, const uint64_t *) = {absorb_split_clmul,
+                                                                          absorb_split_vpclmul};
     int mismatches = 0, runs = 0;
     for (int kernel = 0; kernel < carryless(); kernel++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
@@ -1353,10 +1633,12 @@ int main(void)
             for (int run = 0; run < 3; run++) {
                 uint8_t *data = exactly(message, lengths[run]);
                 uint64_t *reg = calloc(w, 8);
+                struct split sp;
                 if (run < 2)
                     absorbs[kernel](reg, table, codewords, data, lengths[run]);
-                else
-                    splits[kernel](reg, table, codewords, data, lengths[run], %(part)d, k);
+                else if (splits[kernel](&sp, reg, table, codewords, data, lengths[run], %(part)d, k))
+                    for (split_join(&sp); split_busy(&sp);)
+                        sched_yield();
                 mismatches += memcmp(reg, cases[c].want[run], w * 8) != 0;
                 runs++;
                 free(reg);
@@ -1398,7 +1680,7 @@ class TestProperties:
     @given(e=entries, data=st.data(), cuts=st.lists(st.integers(0, 300), max_size=6))
     def test_engine_equals_reference(self, path, e, data, cuts):
         m = data.draw(messages(path))
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         for chunk in split(m, cuts):
             eng.absorb(chunk)
         assert eng.finish().data == classifier.classify(m, e).data
@@ -1407,11 +1689,11 @@ class TestProperties:
     @given(e=entries, data=st.data(), cuts=st.lists(st.integers(0, 300), max_size=12))
     def test_chunking_invariance(self, path, e, data, cuts):
         m = data.draw(messages(path))
-        eng = engine_init(e)
+        eng = fastcrc.engine_init(e)
         for chunk in split(m, cuts):
             eng.absorb(chunk)
         assert eng.consumed == len(m)
-        assert eng.finish().data == engine_init(e).absorb(m).finish().data
+        assert eng.finish().data == fastcrc.engine_init(e).absorb(m).finish().data
 
     @PROPERTY_SETTINGS
     @given(e=entries, data=st.data())
@@ -1422,7 +1704,7 @@ class TestProperties:
         a, b = data.draw(messages(path, 200)), data.draw(messages(path, 200))
 
         def register(m):
-            return engine_init(e).absorb(m).register
+            return fastcrc.engine_init(e).absorb(m).register
 
         moved = gf2poly.remainder(gf2poly.multiply(poly(register(a)), poly(1 << 9 * len(b))),
                                   e.generator)
@@ -1437,7 +1719,7 @@ class TestProperties:
         b = data.draw(st.binary(min_size=len(a), max_size=len(a)))
 
         def digest(m):
-            return int.from_bytes(engine_init(e).absorb(m).finish().data, "big")
+            return int.from_bytes(fastcrc.engine_init(e).absorb(m).finish().data, "big")
 
         both = sbox.expand_message(a) ^ sbox.expand_message(b)
         want = gf2poly.remainder(gf2poly.shift_left(both, e.degree), e.generator)
