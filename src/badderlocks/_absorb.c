@@ -42,10 +42,10 @@
  * last q bytes into a zeroed one, s, and returns; the join, which the caller
  * makes once it has done other work, joins them by
  * reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g (zlib's crc32_combine, in
- * the Barrett algebra of the carry-less kernels), with a constant
- * K_j = x^(9 * 2^j - 2pad - d) mod g, q = 2^j, that the caller supplies in
- * the register layout.  On vpclmul every part and the combine take the
- * block step.  The threads are POSIX threads: build with -pthread.
+ * the Barrett algebra of the carry-less kernels), with constants
+ * K_j = x^(9 * 2^j - 2pad - d) mod g, q = 2^j, and K_(j+1), that the caller
+ * supplies in the register layout.  On vpclmul every part and the combine
+ * take the block step.  The threads are POSIX threads: build with -pthread.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -108,7 +108,6 @@ enum { B = 144, BLOCK_BYTES = 64 * B / 9, MAX_WORDS = B / 2 };
 #include <sched.h>
 #include <signal.h>
 #include <stdatomic.h>
-#include <time.h>
 #include <unistd.h>
 
 #define VPCLMUL __attribute__((target("pclmul,avx512f,vpclmulqdq")))
@@ -436,39 +435,31 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, cons
  * Whichever side comes to H2 first claims it, by the atomic flag second: a
  * caller that joins before the worker is done with H1 takes H2 into a
  * zeroed register of its own, as a thief takes the unstarted tail of a
- * victim's work (Blumofe & Leiserson, JACM 1999), and the worker, done with
- * H1, moves its register past H2 by a combine with a zero register.  If
- * the worker has not started H1 by the time the caller is done with H2,
- * the caller takes H1 back too, so a worker that another process keeps off
- * the CPU costs no more than one thread would.  The join then adds in the
- * caller's H2 and joins the registers by one combine with K_j, q = 2^j.
- * Claiming H2 before looking for the worker gives it T and H2, half the
- * chunk as in the old even split, to start in.  Taking the job back first
- * cost an absorb-only stream 3-6% at 4288 bits, and with four streams on
- * two CPUs the worker then took no part in 1 of 40 runs; it saved one
- * combine per take-back, which made bulk-stream beside a busy process ~2%
- * faster.
+ * victim's work (Blumofe & Leiserson, JACM 1999), and moves it past T with
+ * s added, one combine with K_j, while the worker finishes H1.  If the
+ * worker has not started H1 by then, the caller takes H1 back too, so a
+ * worker that another process keeps off the CPU costs no more than one
+ * thread would.  Claiming H2 before looking for the worker gives it T and
+ * H2, half the chunk as in an even split, to start in.  The worker, done
+ * with its parts, moves its register past the rest of the chunk by one
+ * combine with a zero register, with K_j after H2 or K_(j+1) after H1
+ * alone, so a join that finds it done only adds the two registers: each
+ * side makes one combine, and neither waits on the other's.  In a forked
+ * child no worker has the job: the child's flags are reset at the fork and
+ * its join takes the job all back.  The engine's register is written at
+ * the join only.
  *
- * A worker that has started is waited for by spinning, not by yielding the
- * CPU: with a busy process on the other CPU, a yield gave the CPU to it
- * for a whole time slice, and joins took ~4 ms.  The caller spins at most
- * as long as absorbing the worker's parts itself would take, at its own
- * rate on T; a worker that another process keeps off the CPU longer than
- * that is left the job, which it finishes for nothing, and the caller runs
- * the worker's parts itself.  Such a split stays busy, its buffers held,
- * until the worker is done with it (split_busy), and the worker stays
- * owned until then.  In a forked child no worker has the job: the child's
- * flags are reset at the fork and its join takes the job all back.  The
- * engine's register is written at the join only.
- *
- * The job is written before a release store of state and read after the
+ * A join waits for a started worker by spinning on pause a while, then by
+ * sleeping on wake: with a busy process on the other CPU, yielding the CPU
+ * there gave it to that process for a whole time slice, ~4 ms a join.  The
+ * job is written before a release store of state and read after the
  * worker's acquire exchange from POSTED to RUNNING; its register, after the
- * worker's release exchange of RUNNING for IDLE and the caller's acquire
- * load of it.  The worker waits for a job by yielding the CPU a while, then
- * sleeping on wake: pause in place of sched_yield there ran 3x slower than
- * one thread when another busy process shared the two CPUs.  This code is
- * compiled for the baseline instruction set: it reaches the kernels only
- * through pointers. */
+ * worker's release store of IDLE and the caller's acquire load of it.  The
+ * worker waits for a job by yielding the CPU a while, then sleeping on
+ * wake: pause in place of sched_yield there ran 3x slower than one thread
+ * when another busy process shared the two CPUs.  This code is compiled
+ * for the baseline instruction set: it reaches the kernels only through
+ * pointers. */
 typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
                        const uint8_t *data, size_t n);
 typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
@@ -476,47 +467,37 @@ typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uin
 
 /* One split chunk, [H1 | H2 | T], from its post to its join: work is the
  * register the worker continues through H1 (n1 bytes) and H2, s the
- * caller's from T, which took it t_ns; pid is the process whose worker has
- * the job, 0 once it is joined or if the caller absorbed the whole chunk
- * at the post.  working is 1 from the post until the worker's last access
- * to the split; abandoned says the join left the job to the worker. */
+ * caller's from T; k is K_j and k2 K_(j+1); pid is the process whose worker
+ * has the job, 0 once it is joined or if the caller absorbed the whole
+ * chunk at the post. */
 struct split {
     absorb_fn *absorb;
     combine_fn *combine;
     uint64_t *reg;
-    const uint64_t *table, *k;
+    const uint64_t *table, *k, *k2;
     const uint16_t *cw;
     const uint8_t *data;
     size_t n1, q;
     pid_t pid;
-    double t_ns;
-    atomic_int working;
-    int abandoned;
     uint64_t work[MAX_WORDS], s[MAX_WORDS];
 };
 
 /* IDLE, POSTED by the caller, then RUNNING once the worker takes the job,
- * or IDLE again if the caller takes it back; ABANDONED if the caller left
- * the running job to the worker, until it is done. */
-enum { IDLE, POSTED, RUNNING, ABANDONED };
+ * or IDLE again if the caller takes it back. */
+enum { IDLE, POSTED, RUNNING };
 /* about 400 us of sched_yield: long enough to catch the next chunk of a stream */
 #define SPINS 1000
+/* the join's spin: 4096 pauses, 60-200 us, before it sleeps */
+#define PAUSES 4096
 
 static atomic_int owned; /* whether a caller owns the worker */
 static atomic_int second; /* whether a side has claimed the posted job's H2 */
-static pthread_mutex_t lock; /* with wake, for a worker that has stopped spinning */
+static pthread_mutex_t lock; /* with wake, for a side that has stopped spinning */
 static pthread_cond_t wake;
 static atomic_int state;
 static pid_t worker_pid; /* the process the worker runs in; 0 before the first split */
 static struct split *job;
 static const uint64_t zero[MAX_WORDS];
-
-static double now_ns(void)
-{
-    struct timespec t;
-    clock_gettime(CLOCK_MONOTONIC, &t);
-    return 1e9 * (double)t.tv_sec + (double)t.tv_nsec;
-}
 
 static void set_state(int value)
 {
@@ -526,6 +507,16 @@ static void set_state(int value)
     pthread_cond_broadcast(&wake);
 }
 
+/* Sleep on wake until state is value. */
+static void sleep_for(int value)
+{
+    pthread_mutex_lock(&lock);
+    while (atomic_load_explicit(&state, memory_order_acquire) != value)
+        pthread_cond_wait(&wake, &lock);
+    pthread_mutex_unlock(&lock);
+}
+
+/* The worker's wait for a job. */
 static void wait_for(int value)
 {
     for (int i = 0; i < SPINS; i++) {
@@ -533,10 +524,18 @@ static void wait_for(int value)
             return;
         sched_yield();
     }
-    pthread_mutex_lock(&lock);
-    while (atomic_load_explicit(&state, memory_order_acquire) != value)
-        pthread_cond_wait(&wake, &lock);
-    pthread_mutex_unlock(&lock);
+    sleep_for(value);
+}
+
+/* The join's wait for the worker to finish its job. */
+static void wait_idle(void)
+{
+    for (int i = 0; i < PAUSES; i++) {
+        if (atomic_load_explicit(&state, memory_order_acquire) == IDLE)
+            return;
+        __builtin_ia32_pause();
+    }
+    sleep_for(IDLE);
 }
 
 /* Whether this side is the first to claim the posted job's H2. */
@@ -556,13 +555,12 @@ static void *work(void *unused)
             continue; /* the caller took the job back */
         struct split *sp = job;
         sp->absorb(sp->work, sp->table, sp->cw, sp->data, sp->n1);
-        if (claim_second())
+        if (claim_second()) { /* H2, then past T */
             sp->absorb(sp->work, sp->table, sp->cw, sp->data + sp->n1, sp->q);
-        else /* the caller took H2: move past it */
             sp->combine(sp->work, sp->table, sp->k, zero);
-        atomic_store_explicit(&sp->working, 0, memory_order_release); /* the last access */
-        if (atomic_exchange_explicit(&state, IDLE, memory_order_acq_rel) == ABANDONED)
-            atomic_store_explicit(&owned, 0, memory_order_release); /* the caller went on */
+        } else /* the caller took H2: past H2 and T */
+            sp->combine(sp->work, sp->table, sp->k2, zero);
+        set_state(IDLE);
     }
     return NULL;
 }
@@ -600,13 +598,13 @@ static int start_worker(void)
 }
 
 /* Absorb n bytes of data into reg as a split with H2 and T q bytes each,
- * 2q <= n; k is K_j for q = 2^j.  Returns 1 with the job pending until
- * split_join, which writes reg; 0 if this thread absorbed all n bytes into
- * reg, the worker being owned or unable to start.  The buffers stay in
- * place until the join. */
+ * 2q <= n; k is K_j for q = 2^j, and k2 K_(j+1).  Returns 1 with the job
+ * pending until split_join, which writes reg; 0 if this thread absorbed all
+ * n bytes into reg, the worker being owned or unable to start.  The buffers
+ * stay in place until the join. */
 static int split_post(struct split *sp, absorb_fn *absorb, combine_fn *combine, uint64_t *reg,
                       const uint64_t *table, const uint16_t *cw, const uint8_t *data, size_t n,
-                      size_t q, const uint64_t *k)
+                      size_t q, const uint64_t *k, const uint64_t *k2)
 {
     size_t w = table[0];
     sp->absorb = absorb;
@@ -614,24 +612,21 @@ static int split_post(struct split *sp, absorb_fn *absorb, combine_fn *combine, 
     sp->reg = reg;
     sp->table = table;
     sp->k = k;
+    sp->k2 = k2;
     sp->cw = cw;
     sp->data = data;
     sp->n1 = n - 2 * q;
     sp->q = q;
     sp->pid = 0;
-    sp->abandoned = 0;
     if (!atomic_exchange_explicit(&owned, 1, memory_order_acquire)) {
         if (start_worker()) {
             memcpy(sp->work, reg, 8 * w);
             sp->pid = worker_pid;
-            atomic_store_explicit(&sp->working, 1, memory_order_relaxed);
             job = sp;
             atomic_store_explicit(&second, 0, memory_order_relaxed);
             set_state(POSTED);
             memset(sp->s, 0, 8 * w);
-            double start = now_ns();
             absorb(sp->s, table, cw, data + n - q, q);
-            sp->t_ns = now_ns() - start;
             return 1;
         }
         atomic_store_explicit(&owned, 0, memory_order_release);
@@ -643,66 +638,51 @@ static int split_post(struct split *sp, absorb_fn *absorb, combine_fn *combine, 
 /* Finish a posted split into its reg, from any thread.  Returns how many of
  * H1 and H2 the worker absorbed for it: 2, 1 (this thread took H2) or 0
  * (this thread ran both); a split already joined, or never posted, is left
- * as it is and gives 0.  A split whose job this thread left to the worker
- * stays busy until the worker is done with it. */
+ * as it is and gives 0. */
 int split_join(struct split *sp)
 {
     if (!sp->pid)
         return 0;
     size_t w = sp->table[0];
-    uint64_t h2[w]; /* H2 from zero, if this thread takes it */
-    memset(h2, 0, sizeof h2);
+    uint64_t rest[w]; /* the register of what follows the worker's parts: H2 and T, or T */
     int forked = sp->pid != getpid(), took = forked || claim_second(), parts = 0, seen = POSTED;
-    if (took)
-        sp->absorb(h2, sp->table, sp->cw, sp->data + sp->n1, sp->q);
-    if (!forked && !atomic_compare_exchange_strong_explicit(&state, &seen, IDLE,
-                                                            memory_order_relaxed,
-                                                            memory_order_relaxed)) {
-        /* the worker has started: wait no longer than running its parts here would take */
-        double start = now_ns(), patience = sp->t_ns * (double)(sp->n1 + (took ? 0 : sp->q)) /
-                                            (double)sp->q;
-        while (atomic_load_explicit(&state, memory_order_acquire) != IDLE &&
-               now_ns() - start < patience)
-            __builtin_ia32_pause();
-        seen = RUNNING;
-        sp->abandoned = atomic_compare_exchange_strong_explicit(&state, &seen, ABANDONED,
-                                                                memory_order_acquire,
-                                                                memory_order_acquire);
-        parts = sp->abandoned ? 0 : took ? 1 : 2;
+    if (took) {
+        memset(rest, 0, sizeof rest);
+        sp->absorb(rest, sp->table, sp->cw, sp->data + sp->n1, sp->q);
+        sp->combine(rest, sp->table, sp->k, sp->s);
+    } else
+        memcpy(rest, sp->s, sizeof rest);
+    if (!forked) {
+        if (!atomic_compare_exchange_strong_explicit(&state, &seen, IDLE, memory_order_relaxed,
+                                                     memory_order_relaxed)) {
+            wait_idle(); /* the worker has started */
+            parts = took ? 1 : 2;
+        }
+        atomic_store_explicit(&owned, 0, memory_order_release);
     }
     sp->pid = 0;
-    if (!forked && !sp->abandoned) /* the worker frees itself once done with a job left to it */
-        atomic_store_explicit(&owned, 0, memory_order_release);
     if (parts) {
         for (size_t i = 0; i < w; i++)
-            sp->reg[i] = sp->work[i] ^ h2[i];
-    } else { /* this thread runs the worker's parts: H1, then H2 unless it took H2 */
-        sp->absorb(sp->reg, sp->table, sp->cw, sp->data, sp->n1 + (took ? 0 : sp->q));
-        if (took)
-            sp->combine(sp->reg, sp->table, sp->k, h2);
+            sp->reg[i] = sp->work[i] ^ rest[i];
+    } else { /* this thread runs H1 too, and took H2 */
+        sp->absorb(sp->reg, sp->table, sp->cw, sp->data, sp->n1);
+        sp->combine(sp->reg, sp->table, sp->k2, rest);
     }
-    sp->combine(sp->reg, sp->table, sp->k, sp->s);
     return parts;
 }
 
-/* Whether the worker may still read sp's buffers or write sp: after a join
- * that left it the job, until it is done. */
-int split_busy(struct split *sp)
-{
-    return sp->abandoned && atomic_load_explicit(&sp->working, memory_order_acquire);
-}
-
 int absorb_split_clmul(struct split *sp, uint64_t *reg, const uint64_t *table, const uint16_t *cw,
-                       const uint8_t *data, size_t n, size_t q, const uint64_t *k)
+                       const uint8_t *data, size_t n, size_t q, const uint64_t *k,
+                       const uint64_t *k2)
 {
-    return split_post(sp, absorb_clmul, combine_clmul, reg, table, cw, data, n, q, k);
+    return split_post(sp, absorb_clmul, combine_clmul, reg, table, cw, data, n, q, k, k2);
 }
 
 int absorb_split_vpclmul(struct split *sp, uint64_t *reg, const uint64_t *table,
                          const uint16_t *cw, const uint8_t *data, size_t n, size_t q,
-                         const uint64_t *k)
+                         const uint64_t *k, const uint64_t *k2)
 {
-    return split_post(sp, absorb_vpclmul, combine_vpclmul, reg, table, cw, data, n, q, k);
+    return split_post(sp, absorb_vpclmul, combine_vpclmul, reg, table, cw, data, n, q, k, k2);
 }
 #endif
 

@@ -13,7 +13,7 @@
  *
  *   absorb, absorb_clmul, absorb_vpclmul (reg, table, codewords, data)
  *   absorb_split_clmul, absorb_split_vpclmul (reg, table, codewords, data,
- *       q, k) -> a Split, whose join() writes reg and returns how many
+ *       q, k, k2) -> a Split, whose join() writes reg and returns how many
  *       parts of the chunk the worker thread absorbed: 0, 1 or 2
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
@@ -49,7 +49,8 @@ typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table, con
                      const uint8_t *data, size_t n);
 struct split; /* _absorb.c's, on x86-64 */
 typedef int split_fn(struct split *sp, uint64_t *reg, const uint64_t *table, const uint16_t *cw,
-                     const uint8_t *data, size_t n, size_t q, const uint64_t *k);
+                     const uint8_t *data, size_t n, size_t q, const uint64_t *k,
+                     const uint64_t *k2);
 typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
                           const uint64_t *s);
 
@@ -163,18 +164,6 @@ typedef struct {
 
 enum { PENDING = -1, JOINING = -2 };
 
-/* The split whose job a join left to the worker, kept with its buffers
- * until the worker is done with it: at most one, since the worker stays
- * owned until then.  Per process, as the worker is. */
-static PyObject *abandoned;
-
-/* Drop the kept split once the worker is done with it. */
-static void drop_abandoned(void)
-{
-    if (abandoned && !split_busy(&((Split *)abandoned)->sp))
-        Py_CLEAR(abandoned);
-}
-
 PyDoc_STRVAR(split_join_doc,
              "join($self, /)\n--\n\n"
              "Finish the chunk into the register, from any thread, once; returns how many of "
@@ -195,25 +184,18 @@ static PyObject *split_join_method(Split *self, PyObject *unused)
         parts = split_join(&self->sp);
         Py_END_ALLOW_THREADS
         self->parts = parts;
-        if (self->sp.abandoned)
-            Py_XSETREF(abandoned, Py_NewRef(self)); /* the last one's worker is done */
-        else
-            release(&self->v);
+        release(&self->v);
     }
     return PyLong_FromLong(self->parts);
 }
 
-/* A split dropped before its join is joined here, and waited for if the
- * join leaves the job to the worker, with the GIL held, which the worker
- * does not need: it may still be reading the buffers and writing the
- * object. */
+/* A split dropped before its join is joined here, with the GIL held, which
+ * the worker does not need. */
 static void split_dealloc(Split *self)
 {
     PyTypeObject *type = Py_TYPE(self);
     if (self->parts == PENDING)
         split_join(&self->sp);
-    while (split_busy(&self->sp))
-        sched_yield();
     release(&self->v);
     type->tp_free(self);
     Py_DECREF(type);
@@ -243,12 +225,12 @@ typedef struct {
 } Split;
 #endif
 
-/* (reg, table, codewords, data), and with a split type (..., q, k), which
+/* (reg, table, codewords, data), and with a split type (..., q, k, k2), which
  * returns a Split of that type holding the buffers until its join. */
 static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyObject *const *args,
                              Py_ssize_t nargs, const char *name)
 {
-    if (!arguments(nargs, split_type ? 6 : 4, name))
+    if (!arguments(nargs, split_type ? 7 : 4, name))
         return NULL;
     struct views local = {.held = 0}, *v = &local;
     Split *job = NULL;
@@ -256,12 +238,9 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
         if (!(job = (Split *)split_type->tp_alloc(split_type, 0)))
             return NULL;
         v = &job->v;
-#if defined(__x86_64__)
-        drop_abandoned();
-#endif
     }
     PyObject *result = NULL;
-    Py_buffer *reg, *table, *cw, *data, *k = NULL;
+    Py_buffer *reg, *table, *cw, *data, *k = NULL, *k2 = NULL;
     int posted = 0;
     if (!(reg = take(v, args[0], "reg", 1, 8)) || !(table = take(v, args[1], "table", 0, 8)))
         goto done;
@@ -283,7 +262,8 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
             goto done;
         }
         q = (size_t)given;
-        if (!(k = take(v, args[5], "k", 0, 8)) || !holds_words(k, w, "k"))
+        if (!(k = take(v, args[5], "k", 0, 8)) || !holds_words(k, w, "k") ||
+            !(k2 = take(v, args[6], "k2", 0, 8)) || !holds_words(k2, w, "k2"))
             goto done;
     }
     for (int i = 1; i < v->held; i++)
@@ -293,7 +273,8 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
     PyThreadState *released = n >= RELEASE_BYTES ? PyEval_SaveThread() : NULL;
 #if defined(__x86_64__)
     if (job)
-        posted = p->split(&job->sp, reg->buf, table->buf, cw->buf, data->buf, n, q, k->buf);
+        posted = p->split(&job->sp, reg->buf, table->buf, cw->buf, data->buf, n, q, k->buf,
+                          k2->buf);
     else
 #endif
         p->loop(reg->buf, table->buf, cw->buf, data->buf, n);
@@ -755,7 +736,7 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
     } else if (!(data = raw_bytes(chunk, &n))) /* before any state changes */
         return NULL;
     PyObject *entry = NULL, *tables = NULL, *reg = NULL, *floor = NULL, *split = NULL,
-             *main = NULL, *codewords = NULL, *q = NULL, *k = NULL, *result = NULL;
+             *main = NULL, *codewords = NULL, *q = NULL, *k = NULL, *k2 = NULL, *result = NULL;
     if (join(self) < 0 || !hold(self, &entry, &tables, &reg) ||
         !(floor = global(st, SPLIT_BYTES)))
         goto done;
@@ -783,13 +764,15 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         size_t quarter = (size_t)n / 4, j = 9;
         while (quarter >> j > 1)
             j++;
-        PyObject *bits = PyLong_FromSize_t(j);
-        k = bits ? call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3) : NULL;
+        PyObject *bits = PyLong_FromSize_t(j), *bits2 = PyLong_FromSize_t(j + 1);
+        if (bits && bits2 && (k = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3)))
+            k2 = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits2}, 3);
         Py_XDECREF(bits);
-        if (!k || !(q = PyLong_FromSize_t((size_t)1 << j)))
+        Py_XDECREF(bits2);
+        if (!k2 || !(q = PyLong_FromSize_t((size_t)1 << j)))
             goto done;
-        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, q, k}, 6,
-                                     NULL);
+        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, q, k, k2},
+                                     7, NULL);
         if (looped) {
             Py_XSETREF(self->pending, looped);
             looped = Py_NewRef(Py_None);
@@ -805,6 +788,7 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         result = Py_NewRef(self);
     }
 done:
+    Py_XDECREF(k2);
     Py_XDECREF(k);
     Py_XDECREF(q);
     Py_XDECREF(codewords);

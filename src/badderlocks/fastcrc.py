@@ -74,12 +74,12 @@ chunk, overlaps the worker's.  The engine keeps the split pending and joins
 it at its next entry point: absorb, finish, `register`, `_reg`, the `tables`
 setter, or when the engine is dropped.  A join takes H2 itself if the
 worker is not yet at it, then H1 too if the worker has not started, and
-otherwise waits, but no longer than running the worker's parts itself
-would take; then the C code joins the registers by
-reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g.  A chunk that is not an
-exact `bytes` object may change once absorb returns, so it is joined before
-absorb returns.  The constant that moves a register past 2^j bytes is
-cached per generator on first use.  On vpclmul every part and the combine
+otherwise waits for the worker; the C code joins the registers by
+reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, one combine on each side,
+so a join that finds the worker done only adds two registers.  A chunk
+that is not an exact `bytes` object may change once absorb returns, so it
+is joined before absorb returns.  The constants that move a register past
+2^j bytes are cached per generator on first use.  On vpclmul every part and the combine
 take the block step.  A split asked while another engine owns the worker
 runs on the calling thread.  `splits` and `splits_taken` count, at each
 join, the splits an engine asked for and those of which the worker ran a
@@ -225,7 +225,7 @@ class CrcTables(NamedTuple):
     size first, which the loop reads in place of an argument.  `loop(reg,
     main, codewords, data)` appends the codeword each byte of data maps to,
     and `digest(reg, degree)` returns the byte-aligned digest.  On the
-    carry-less paths `split(reg, main, codewords, data, q, k)`, the
+    carry-less paths `split(reg, main, codewords, data, q, k, k2)`, the
     two-thread entry, returns a pending split whose `join()` writes reg
     and returns how many parts the worker ran (0, 1 or 2), and
     `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
@@ -441,7 +441,8 @@ class CrcEngine:
         if n >= _SPLIT_BYTES and tables.split is not None:
             j = max(9, (n // 4).bit_length() - 1)  # H2 = T = q = 2^j, the largest <= n / 4
             self._pending = tables.split(self._words, tables.main, _codewords(), chunk, 1 << j,
-                                         _shift(self.entry, tables, j))
+                                         _shift(self.entry, tables, j),
+                                         _shift(self.entry, tables, j + 1))
         else:
             tables.loop(self._words, tables.main, _codewords(), chunk)
         self.consumed += n

@@ -899,16 +899,16 @@ class TestDeferredJoin:
         # a spy delays the worker: it is handed all but the last 1 KiB as H1, so a
         # caller that joins at once finds it still on H1 and takes H2
         e, want = self.entry_and_digest()
-        k = fastcrc._shift(e, fastcrc._tables_for(e), 9)
-        joins = record_splits(monkeypatch, lambda real, args: real(*args[:4], 512, k))
+        t = fastcrc._tables_for(e)
+        k, k2 = fastcrc._shift(e, t, 9), fastcrc._shift(e, t, 10)
+        joins = record_splits(monkeypatch, lambda real, args: real(*args[:4], 512, k, k2))
         assert self.until(lambda: 1 in joins, lambda: self.once(e, want)), joins
 
     def test_caller_takes_everything_back(self, split_twin, monkeypatch):
         # in a forked child pinned to one CPU the child's worker, started there, shares
-        # the caller's CPU, so a caller that joins at once mostly finds it not started,
-        # and one that sleeps first mostly finds it started and off the CPU once the
-        # caller wakes, and leaves it the job; then a caller that sleeps long enough
-        # finds the worker free again and done with both parts
+        # the caller's CPU, so a caller that joins at once mostly finds it not started;
+        # one that sleeps a little first may find it started and off the CPU once the
+        # caller wakes, and waits for it; one that sleeps long enough finds it done
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no affinity masks here")
         e, want = self.entry_and_digest()
@@ -985,6 +985,36 @@ class TestDeferredJoin:
             joined = list(joins)
             joins.clear()
             self.until(lambda: any(joins), lambda: digests.add(self.once(e, want)))
+            return digests, joined, joins
+
+        digests, joined, later = forked(child)
+        assert digests == {want} and joined == [0] and any(later)
+        assert eng.finish().data == want and len(joins) == 1
+
+    def test_fork_while_the_worker_runs(self, split_twin, monkeypatch):
+        # the worker is on a long H1 at the fork; the child, pinned to one CPU, takes
+        # its copy of the job all back, then its own worker serves splits whose callers
+        # sleep after absorb, so their joins find it started and wait for it
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity masks here")
+        e, want = self.entry_and_digest()
+        t = fastcrc._tables_for(e)
+        k, k2 = fastcrc._shift(e, t, 9), fastcrc._shift(e, t, 10)
+        joins = record_splits(monkeypatch, lambda real, args: real(*args[:4], 512, k, k2))
+        eng = fastcrc.engine_init(e).absorb(self.M)
+
+        def child():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            digests = {eng.finish().data}
+            joined = list(joins)
+            joins.clear()
+
+            def op():
+                later = fastcrc.engine_init(e).absorb(self.M)
+                time.sleep(0.0002)
+                digests.add(later.finish().data)
+
+            self.until(lambda: any(joins), op)
             return digests, joined, joins
 
         digests, joined, later = forked(child)
@@ -1098,15 +1128,19 @@ class TestBinding:
         calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
         if t.split is not None:
             split, combine = t.split, t.combine
-            k, zero = fastcrc._shift(e, t, 10), bytes(8 * w)
+            k, k2, zero = fastcrc._shift(e, t, 10), fastcrc._shift(e, t, 11), bytes(8 * w)
             n = 3 * 1024
             calls += [
-                (ValueError, split, (reg, t.main, cw, bytes(n), n // 2 + 1, k)),
-                (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k[:-1])),
+                (ValueError, split, (reg, t.main, cw, bytes(n), n // 2 + 1, k, k2)),
+                (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k[:-1], k2)),
+                (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k, k2[:-1])),
+                (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k, reg)),  # reg is also k2
+                (TypeError, split, (reg, t.main, cw, bytes(n), 1024, k)),
                 (ValueError, combine, (reg, t.main, k, zero[:-8])),
                 (ValueError, combine, (reg, t.main, reg, zero)),  # reg is also k
             ]
-            calls += [(ValueError, split, (reg, bad, cw, bytes(n), 1024, k)) for bad in bad_tables]
+            calls += [(ValueError, split, (reg, bad, cw, bytes(n), 1024, k, k2))
+                      for bad in bad_tables]
             calls += [(ValueError, combine, (reg, bad, k, zero)) for bad in bad_tables]
         for error, function, args in calls:
             with pytest.raises(error):
@@ -1246,26 +1280,27 @@ class TestKernelBuild:
         cases = []
         for bits, n, q in ((64, 20000, 4096), (1744, 40000, 8192), (4288, 16384, 4096),
                            (2784, 30000, 4096), (416, 3000, 512)):
-            table, k = kernel_constants(params.entry_for_aligned_bits(bits), q)
-            cases.append("{%d, %d, %s, %s}" % (n, q, c_words(table), c_words(k)))
+            table, k, k2 = kernel_constants(params.entry_for_aligned_bits(bits), q)
+            cases.append("{%d, %d, %s, %s, %s}" % (n, q, c_words(table), c_words(k),
+                                                   c_words(k2)))
         run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
             "kernel": kernel, "codewords": c_words(fastcrc._codewords()),
             "cases": ",\n    ".join(cases)}, "h2")
-        mismatches, *joins, plain, abandoned, extra = map(int, run.stdout.split())
+        mismatches, *joins, plain, extra = map(int, run.stdout.split())
         # joins counts the posted splits by how many parts the worker ran: 0, 1 (the
         # caller took H2) or 2; the joins made at once took H2
         assert mismatches == 0 and joins[1] > 0
         assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
         # on one CPU a worker that has started is mostly off the CPU while the caller
-        # waits, so joins leave it their jobs, which it finishes for nothing
+        # joins, so the join spins, then sleeps until the worker is done
         if hasattr(os, "sched_setaffinity"):
             one_cpu = {min(os.sched_getaffinity(0))}
-            again = subprocess.run([run.args[0], "abandon"], capture_output=True, text=True,
+            again = subprocess.run([run.args[0], "late"], capture_output=True, text=True,
                                    timeout=600, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
             assert "Sanitizer" not in again.stderr, again.stderr
             assert again.returncode == 0, again.stdout + again.stderr
-            mismatches, *joins, plain, abandoned, extra = map(int, again.stdout.split())
-            assert mismatches == 0 and abandoned > 0
+            mismatches, *joins, plain, extra = map(int, again.stdout.split())
+            assert mismatches == 0 and joins[1] + joins[2] > 0
             assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
 
     def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
@@ -1278,12 +1313,12 @@ class TestKernelBuild:
         cases = []
         for bits in (64, 416, 512, 608, 1744, 2784, 4288):
             e = params.entry_for_aligned_bits(bits)
-            table, k = kernel_constants(e, ASAN_SPLIT_PART)
+            table, k, k2 = kernel_constants(e, ASAN_SPLIT_PART)
             pad = 64 * table[0] - e.degree
             want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad,
                                       table[0]) for n in ASAN_LENGTHS]
-            cases.append("{%d, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
-                                                 ", ".join(map(c_words, want))))
+            cases.append("{%d, %s, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
+                                                     c_words(k2), ", ".join(map(c_words, want))))
         run = sanitized_program(tmp_path, "address", ASAN_PROGRAM % {
             "codewords": c_words(fastcrc._codewords()), "message": c_words(m),
             "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
@@ -1318,10 +1353,10 @@ class TestKernelBuild:
 
 
 def kernel_constants(e, n2: int):
-    """e's carry-less table and K_j for a second part of n2 = 2^j bytes, as fastcrc builds
-    them for the kernels."""
-    t = build_tables(e)
-    return t.main, fastcrc._shift(e, t, n2.bit_length() - 1)
+    """e's carry-less table, K_j and K_(j+1) for a second part of n2 = 2^j bytes, as fastcrc
+    builds them for the kernels."""
+    t, j = build_tables(e), n2.bit_length() - 1
+    return t.main, fastcrc._shift(e, t, j), fastcrc._shift(e, t, j + 1)
 
 
 def c_words(words) -> str:
@@ -1484,12 +1519,11 @@ print(" ".join(paths), checked)
 # at once, as by an absorb-only stream, whose joins take H2 while the worker is on
 # H1; on odd rounds after the plain absorb, as by a caller that hashes between
 # absorbs.  Then the main thread posts each case once and another thread joins it.
-# A round that finds the worker owned runs the plain loop.  A split whose join left
-# the job to the worker is kept until the worker is done with it.  Until a join has
-# taken H2 (argument "h2") or left the worker its job ("abandon", where the caller
-# sleeps between the post and the join), more joins go on, for at most 10 s.  Prints mismatches, the posted splits by the parts the
-# worker ran (0, 1, 2), the splits that ran the plain loop, the joins that left the
-# worker its job, and the immediate joins added.
+# A round that finds the worker owned runs the plain loop.  Until a join has taken
+# H2 (argument "h2") or found the worker started ("late", where the caller sleeps
+# between the post and the join), more joins go on, for at most 10 s.  Prints
+# mismatches, the posted splits by the parts the worker ran (0, 1, 2), the splits
+# that ran the plain loop, and the joins added.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
@@ -1501,23 +1535,19 @@ TSAN_PROGRAM = """
 static const uint16_t codewords[256] = %(codewords)s;
 static const struct {
     size_t n, q;
-    uint64_t table[MAX_TABLE], k[MAX_W];
+    uint64_t table[MAX_TABLE], k[MAX_W], k2[MAX_W];
 } cases[] = {
     %(cases)s
 };
 static uint8_t data[40000 + 100];
-static atomic_int mismatches, joins[3], plain, abandoned;
+static atomic_int mismatches, joins[3], plain;
 
-/* Count a joined split, and wait until the worker is done with it. */
-static void count(struct split *sp, int posted, int parts, int mismatch)
+/* Count a joined split. */
+static void count(int posted, int parts, int mismatch)
 {
     atomic_fetch_add(posted ? &joins[parts] : &plain, 1);
-    if (sp->abandoned)
-        atomic_fetch_add(&abandoned, 1);
     if (mismatch)
         atomic_fetch_add(&mismatches, 1);
-    while (split_busy(sp))
-        sched_yield();
 }
 
 /* A plain absorb of case c from start into a, and a split one into b, from the
@@ -1531,14 +1561,14 @@ static void check(size_t c, size_t start, int early)
     absorb_%(kernel)s(a, cases[c].table, codewords, data, start);
     memcpy(b, a, sizeof a);
     int posted = absorb_split_%(kernel)s(&sp, b, cases[c].table, codewords, data + start,
-                                         cases[c].n, cases[c].q, cases[c].k);
+                                         cases[c].n, cases[c].q, cases[c].k, cases[c].k2);
     if (early == 2)
         usleep(200);
     int parts = early ? split_join(&sp) : 0;
     absorb_%(kernel)s(a, cases[c].table, codewords, data + start, cases[c].n);
     if (!early)
         parts = split_join(&sp);
-    count(&sp, posted, parts, memcmp(a, b, sizeof a));
+    count(posted, parts, memcmp(a, b, sizeof a));
 }
 
 static void *run(void *seed)
@@ -1553,8 +1583,7 @@ static void *join(void *sp) { return (void *)(intptr_t)split_join(sp); }
 
 int main(int argc, char **argv)
 {
-    int abandon = argc > 1 && !strcmp(argv[1], "abandon");
-    atomic_int *until = abandon ? &abandoned : &joins[1];
+    int late = argc > 1 && !strcmp(argv[1], "late");
     uint32_t x = 12345;
     for (size_t i = 0; i < sizeof data; i++)
         data[i] = (uint8_t)((x = x * 1103515245 + 12345) >> 16);
@@ -1569,17 +1598,19 @@ int main(int argc, char **argv)
         void *parts;
         absorb_%(kernel)s(a, cases[c].table, codewords, data, cases[c].n);
         int posted = absorb_split_%(kernel)s(&sp, b, cases[c].table, codewords, data,
-                                             cases[c].n, cases[c].q, cases[c].k);
+                                             cases[c].n, cases[c].q, cases[c].k, cases[c].k2);
         pthread_create(&threads[0], NULL, join, &sp);
         pthread_join(threads[0], &parts);
-        count(&sp, posted, (int)(intptr_t)parts, memcmp(a, b, sizeof a));
+        count(posted, (int)(intptr_t)parts, memcmp(a, b, sizeof a));
     }
     int extra = 0;
-    for (time_t deadline = time(NULL) + 10; !atomic_load(until) && time(NULL) < deadline;)
-        check(extra++ %% CASES, 1, abandon ? 2 : 1);
-    printf("%%d %%d %%d %%d %%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&joins[0]),
-           atomic_load(&joins[1]), atomic_load(&joins[2]), atomic_load(&plain),
-           atomic_load(&abandoned), extra);
+    for (time_t deadline = time(NULL) + 10; time(NULL) < deadline;) {
+        if (late ? atomic_load(&joins[1]) + atomic_load(&joins[2]) : atomic_load(&joins[1]))
+            break;
+        check(extra++ %% CASES, 1, late ? 2 : 1);
+    }
+    printf("%%d %%d %%d %%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&joins[0]),
+           atomic_load(&joins[1]), atomic_load(&joins[2]), atomic_load(&plain), extra);
     return atomic_load(&mismatches) != 0;
 }
 """
@@ -1606,7 +1637,7 @@ static const uint8_t message[] = %(message)s;
 static const size_t lengths[3] = {%(lengths)s};
 static const struct {
     size_t table_words;
-    uint64_t table[MAX_TABLE], k[MAX_W], want[3][MAX_W];
+    uint64_t table[MAX_TABLE], k[MAX_W], k2[MAX_W], want[3][MAX_W];
 } cases[] = {
     %(cases)s
 };
@@ -1622,28 +1653,29 @@ int main(void)
 {
     absorb_fn *absorbs[] = {absorb_clmul, absorb_vpclmul};
     int (*splits[])(struct split *, uint64_t *, const uint64_t *, const uint16_t *,
-                    const uint8_t *, size_t, size_t, const uint64_t *) = {absorb_split_clmul,
-                                                                          absorb_split_vpclmul};
+                    const uint8_t *, size_t, size_t, const uint64_t *,
+                    const uint64_t *) = {absorb_split_clmul, absorb_split_vpclmul};
     int mismatches = 0, runs = 0;
     for (int kernel = 0; kernel < carryless(); kernel++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             size_t w = cases[c].table[0];
             uint64_t *table = exactly(cases[c].table, cases[c].table_words * 8);
-            uint64_t *k = exactly(cases[c].k, w * 8);
+            uint64_t *k = exactly(cases[c].k, w * 8), *k2 = exactly(cases[c].k2, w * 8);
             for (int run = 0; run < 3; run++) {
                 uint8_t *data = exactly(message, lengths[run]);
                 uint64_t *reg = calloc(w, 8);
                 struct split sp;
                 if (run < 2)
                     absorbs[kernel](reg, table, codewords, data, lengths[run]);
-                else if (splits[kernel](&sp, reg, table, codewords, data, lengths[run], %(part)d, k))
-                    for (split_join(&sp); split_busy(&sp);)
-                        sched_yield();
+                else if (splits[kernel](&sp, reg, table, codewords, data, lengths[run], %(part)d, k,
+                                        k2))
+                    split_join(&sp);
                 mismatches += memcmp(reg, cases[c].want[run], w * 8) != 0;
                 runs++;
                 free(reg);
                 free(data);
             }
+            free(k2);
             free(k);
             free(table);
         }
