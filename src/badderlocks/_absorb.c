@@ -438,8 +438,8 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, cons
  * victim's work (Blumofe & Leiserson, JACM 1999), and moves it past T with
  * s added, one combine with K_j, while the worker finishes H1.  If the
  * worker has not started H1 by then, the caller takes H1 back too, so a
- * worker that another process keeps off the CPU costs no more than one
- * thread would.  Claiming H2 before looking for the worker gives it T and
+ * worker that another process keeps off the CPU costs one thread and two
+ * combines.  Claiming H2 before looking for the worker gives it T and
  * H2, half the chunk as in an even split, to start in.  The worker, done
  * with its parts, moves its register past the rest of the chunk by one
  * combine with a zero register, with K_j after H2 or K_(j+1) after H1
