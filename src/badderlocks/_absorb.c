@@ -47,6 +47,9 @@
  * supplies in the register layout.  On vpclmul every part and the combine
  * take the block step.  The threads are POSIX threads: build with -pthread.
  */
+#ifndef _GNU_SOURCE
+#define _GNU_SOURCE /* sched_getcpu and the thread affinity calls; Python.h defines it first */
+#endif
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -93,14 +96,42 @@ enum { B = 144, BLOCK_BYTES = 64 * B / 9, MAX_WORDS = B / 2 };
 
 /* Offsets in a carry-less table, which the module checks on every platform:
  * G after w, mu and seven zero words; the tail after G's whole blocks of
- * eight words, TAIL_WORDS long: seven zero words, then from MU_AT(w) mu' one
- * word up in MU_BLOCKS blocks, room for its copies shifted up s < 8 words. */
+ * eight words, TAIL_WORDS long.  The tail holds two families of SUMS
+ * sequences, one slot each: first mu' one word up in MU_BLOCKS blocks, then
+ * G in G_BLOCKS, each followed by the sums Karatsuba reads (see fill_sums).
+ * A slot is eight words below the sequence's origin, room for a load
+ * shifted down s < 8 words, then its whole blocks. */
 #define G_AT 9
 #define TAIL_AT(w) (G_AT + 8 * (((w) + 7) / 8))
-#define MU_AT(w) (TAIL_AT(w) + 7)
+enum { LEVELS = 3, SUMS = 1 << LEVELS };
 #define MU_BLOCKS ((B + 15) / 8)
-#define TAIL_WORDS (7 + 8 * MU_BLOCKS)
+#define G_BLOCKS (MAX_WORDS / 8)
+#define SLOT(blocks) (8 + 8 * (blocks))
+#define MU_AT(w) (TAIL_AT(w) + 8)
+#define G_SUMS_AT(w) (MU_AT(w) + SUMS * SLOT(MU_BLOCKS))
+#define TAIL_WORDS (SUMS * (SLOT(MU_BLOCKS) + SLOT(G_BLOCKS)))
 #define CARRYLESS_WORDS(w) (TAIL_AT(w) + TAIL_WORDS)
+
+/* Sequences 1 to SUMS - 1 of a family from its sequence 0, c, a blocks
+ * long, each slot stride words after the last.  Bit b of s moves a copy
+ * 2^b blocks down: sequence s is the sum of c moved down 8k words over the
+ * sums k of the moves in s, from seven words below its origin, so its
+ * block at diagonal j, read as c's is, is the sum of c's blocks at j + k.
+ * Each is its lower sequence s - h, h the top bit of s, plus that sequence
+ * moved down h blocks; c is zero below its origin and past its blocks. */
+static void fill_sums(uint64_t *c, size_t stride, size_t blocks)
+{
+    size_t words = 8 * blocks + 7;
+    for (size_t s = 1; s < SUMS; s++) {
+        size_t h = 1;
+        while (2 * h <= s)
+            h *= 2;
+        const uint64_t *from = c + (s - h) * stride - 7;
+        uint64_t *to = c + s * stride - 7;
+        for (size_t r = 0; r < words; r++)
+            to[r] = from[r] ^ (r + 8 * h < words ? from[r + 8 * h] : 0);
+    }
+}
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -110,7 +141,9 @@ enum { B = 144, BLOCK_BYTES = 64 * B / 9, MAX_WORDS = B / 2 };
 #include <stdatomic.h>
 #include <unistd.h>
 
-#define VPCLMUL __attribute__((target("pclmul,avx512f,vpclmulqdq")))
+#define VPCLMUL __attribute__((target("pclmul,avx512f,avx512bw,avx512vbmi,vpclmulqdq")))
+/* the hot kernels start on a cache line, so an edit elsewhere does not move their loops */
+#define HOT __attribute__((aligned(64)))
 
 __attribute__((target("pclmul"))) static inline __m128i clmul(uint64_t a, uint64_t b)
 {
@@ -193,99 +226,319 @@ typedef void shift_add_fn(uint64_t *r, const uint64_t *G, size_t w, uint64_t q);
  * mod g * x^pad is T * x^(64w) mod g * x^pad: with the Barrett quotient
  * Q = the low w words of T + (T * mu' >> 64B), it is the low w words of
  * Q * G, G = (g - x^d) * x^pad.  Only the product words that reach Q and
- * the new r are formed. */
+ * the new r are formed.
+ *
+ * A product a * c in blocks of eight words is a block Toeplitz matrix times
+ * a: row o, column i holds c's block at diagonal j = o - i.  Word a[8i + s]
+ * times the block at j of copy s of c, c shifted up s words, lands
+ * lane-aligned in row o: copy s's block j is at c + 8j - s, one unaligned
+ * load.  The even words of each block go through VPCLMULQDQ 0x00 into one
+ * sum per row, the odd ones through 0x10 into another, which lands one word
+ * low, and one valignq per row moves it up.  That 8-by-8 block product is
+ * the base case.  Square tiles of 2^L rows, L <= LEVELS, whose entries all
+ * lie inside the product take Karatsuba's 3^L block products in place of
+ * 4^L (for middle products, Hanrot, Quercia & Zimmermann, AAECC 2004): they
+ * read c's family of sums (fill_sums), whose sequence s, bit b of s set,
+ * holds c plus c moved down 2^b blocks.  Counted per 1 KiB block step,
+ * VPCLMULQDQ fell from 290, 1,208 and 2,726 to 290, 808 and 1,782 at 64,
+ * 1744 and 4288 bits. */
 
-/* Blocks o_lo <= o < o_hi of the product a * c into out, eight words each;
- * a has n words, and c is nc blocks with seven zero words below them.  Copy
- * s of c, c shifted up s words, has its block j at c + 8j - s, one unaligned
- * load.  Word a[8i + s] times block j of copy s lands lane-aligned in block
- * i + j: the even words of each block through VPCLMULQDQ 0x00, the odd ones
- * through 0x10 and one word further up, which one valignq per block
- * applies.  Block o_lo takes no odd words from the block below it, so its
- * lowest word is short unless o_lo is 0.  Two products at a time go into
- * each sum by one three-way XOR. */
-VPCLMUL static inline void product_vpclmul(uint64_t *out, const uint64_t *a, size_t n,
-                                           const uint64_t *c, size_t nc, size_t o_lo,
-                                           size_t o_hi)
+/* acc[0] and acc[1], one row's even and odd sums, += the words of x, n of
+ * them nonzero, times the block of copies that starts at block.  Two
+ * products at a time go into each sum by one three-way XOR. */
+VPCLMUL static inline __attribute__((always_inline)) void
+block_product(__m512i *acc, const uint64_t *x, size_t n, const uint64_t *block)
 {
-    __m512i below = _mm512_setzero_si512();
-    for (size_t o = o_lo; o < o_hi; o++) {
-        __m512i even = _mm512_setzero_si512(), odd = _mm512_setzero_si512();
-        for (size_t i = o < nc ? 0 : o - nc + 1; i <= o && 8 * i < n; i++) {
-            const uint64_t *block = c + 8 * (o - i), *word = a + 8 * i;
-            size_t words = n - 8 * i < 8 ? n - 8 * i : 8, s = 0;
-            for (; s + 2 <= words; s += 2) {
-                __m512i t0 = _mm512_set1_epi64((long long)word[s]);
-                __m512i t1 = _mm512_set1_epi64((long long)word[s + 1]);
-                __m512i c0 = _mm512_loadu_si512(block - s);
-                __m512i c1 = _mm512_loadu_si512(block - s - 1);
-                even = _mm512_ternarylogic_epi64(even, _mm512_clmulepi64_epi128(t0, c0, 0x00),
-                                                 _mm512_clmulepi64_epi128(t1, c1, 0x00), 0x96);
-                odd = _mm512_ternarylogic_epi64(odd, _mm512_clmulepi64_epi128(t0, c0, 0x10),
-                                                _mm512_clmulepi64_epi128(t1, c1, 0x10), 0x96);
-            }
-            if (s < words) {
-                __m512i t = _mm512_set1_epi64((long long)word[s]);
-                __m512i copy = _mm512_loadu_si512(block - s);
-                even = _mm512_xor_si512(even, _mm512_clmulepi64_epi128(t, copy, 0x00));
-                odd = _mm512_xor_si512(odd, _mm512_clmulepi64_epi128(t, copy, 0x10));
-            }
+    __m512i even = acc[0], odd = acc[1];
+    size_t words = n < 8 ? n : 8, s = 0;
+#pragma GCC unroll 4
+    for (; s + 2 <= words; s += 2) {
+        __m512i t0 = _mm512_set1_epi64((long long)x[s]);
+        __m512i t1 = _mm512_set1_epi64((long long)x[s + 1]);
+        __m512i c0 = _mm512_loadu_si512(block - s);
+        __m512i c1 = _mm512_loadu_si512(block - s - 1);
+        even = _mm512_ternarylogic_epi64(even, _mm512_clmulepi64_epi128(t0, c0, 0x00),
+                                         _mm512_clmulepi64_epi128(t1, c1, 0x00), 0x96);
+        odd = _mm512_ternarylogic_epi64(odd, _mm512_clmulepi64_epi128(t0, c0, 0x10),
+                                        _mm512_clmulepi64_epi128(t1, c1, 0x10), 0x96);
+    }
+    if (s < words) {
+        __m512i t = _mm512_set1_epi64((long long)x[s]);
+        __m512i copy = _mm512_loadu_si512(block - s);
+        even = _mm512_xor_si512(even, _mm512_clmulepi64_epi128(t, copy, 0x00));
+        odd = _mm512_xor_si512(odd, _mm512_clmulepi64_epi128(t, copy, 0x10));
+    }
+    acc[0] = even;
+    acc[1] = odd;
+}
+
+/* The sums of a tile's rows, two per row in acc, += the tile, whose
+ * top-left entry is block j of sequence s of the family c, slots stride
+ * words apart, times its blocks of x. */
+typedef void kara_fn(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s,
+                     size_t j);
+
+VPCLMUL static inline __attribute__((always_inline)) void
+kara0(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s, size_t j)
+{
+    block_product(acc, x, 8, c + s * stride + 8 * j);
+}
+
+/* A tile of 2h rows by Karatsuba over tiles of h, lower.  In half tiles
+ * the tile is [[S0, S-1], [S1, S0]] and x is (X0, X1): (S-1 + S0) X1 goes
+ * into the top half of the rows and (S0 + S1) X0 into the bottom, both half
+ * tiles of sequence s + h, at j - h and j, then P = S0 (X0 + X1) into both.
+ * P comes last: X0 + X1 is a vector load of x, which may wait for the
+ * scalar stores that wrote x, while the other two read x a word at a time. */
+VPCLMUL static inline __attribute__((always_inline)) void
+karatsuba(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s, size_t j,
+          size_t h, kara_fn *lower)
+{
+    uint64_t sum[8 * h] __attribute__((aligned(64)));
+    __m512i p[2 * h];
+    for (size_t b = 0; b < h; b++)
+        _mm512_store_si512(sum + 8 * b, _mm512_xor_si512(_mm512_loadu_si512(x + 8 * b),
+                                                         _mm512_loadu_si512(x + 8 * (h + b))));
+    lower(acc, x + 8 * h, c, stride, s + h, j - h);
+    lower(acc + 2 * h, x, c, stride, s + h, j);
+    for (size_t k = 0; k < 2 * h; k++)
+        p[k] = _mm512_setzero_si512();
+    lower(p, sum, c, stride, s, j);
+    for (size_t k = 0; k < 2 * h; k++) {
+        acc[k] = _mm512_xor_si512(acc[k], p[k]);
+        acc[2 * h + k] = _mm512_xor_si512(acc[2 * h + k], p[k]);
+    }
+}
+
+VPCLMUL static inline __attribute__((always_inline)) void
+kara1(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s, size_t j)
+{
+    karatsuba(acc, x, c, stride, s, j, 1, kara0);
+}
+
+VPCLMUL static inline __attribute__((always_inline)) void
+kara2(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s, size_t j)
+{
+    karatsuba(acc, x, c, stride, s, j, 2, kara1);
+}
+
+VPCLMUL static inline __attribute__((always_inline)) void
+kara3(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t s, size_t j)
+{
+    karatsuba(acc, x, c, stride, s, j, 4, kara2);
+}
+
+/* A tile of 2h rows, sequence 0, inlined whole into one function per size,
+ * its rows' sums copied into locals that the compiler keeps in registers. */
+typedef void tile_fn(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t j);
+
+VPCLMUL static inline __attribute__((always_inline)) void
+tile(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t j, size_t h,
+     kara_fn *kara)
+{
+    __m512i rows[4 * h];
+    for (size_t k = 0; k < 4 * h; k++)
+        rows[k] = acc[k];
+    kara(rows, x, c, stride, 0, j);
+    for (size_t k = 0; k < 4 * h; k++)
+        acc[k] = rows[k];
+}
+
+VPCLMUL static void tile1_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
+                          size_t j)
+{
+    tile(acc, x, c, stride, j, 1, kara1);
+}
+
+VPCLMUL static void tile2_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
+                          size_t j)
+{
+    tile(acc, x, c, stride, j, 2, kara2);
+}
+
+VPCLMUL static void tile3_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
+                          size_t j)
+{
+    tile(acc, x, c, stride, j, 4, kara3);
+}
+
+static tile_fn *const tiles[LEVELS + 1] = {NULL, tile1_vpclmul, tile2_vpclmul, tile3_vpclmul};
+
+/* A product's plan: in order, whole tiles of 2^level rows from row o,
+ * relative to the first row formed, and column i, and with level 0 the
+ * columns i <= col < end of row o, one block product each. */
+enum { PLAN_STEPS = 32 };
+struct step {
+    uint8_t level, o, i, end;
+};
+struct plan {
+    size_t steps;
+    struct step step[PLAN_STEPS];
+};
+
+/* The plan of rows o_lo <= o < o_hi of a * c, a of na blocks and c of nc:
+ * row o, column i holds c's block at o - i, so 0 <= o - i < nc, or nothing.
+ * The rows go in bands of up to 2^LEVELS; each band cuts its columns to
+ * those some row of it reaches, takes the whole tiles, all of whose entries
+ * lie inside, from the right, then from the left, and leaves the columns
+ * between to its two halves. */
+static void make_plan(struct plan *pl, size_t na, size_t nc, size_t o_lo, size_t o_hi)
+{
+    struct band {
+        size_t o, lo, hi, level;
+    } todo[2 * LEVELS + MAX_WORDS / 4];
+    size_t top = 0;
+    pl->steps = 0;
+    for (size_t o = o_lo, level; o < o_hi; o += (size_t)1 << level) {
+        for (level = LEVELS; (size_t)1 << level > o_hi - o;)
+            level--;
+        todo[top++] = (struct band){o, 0, na, level};
+    }
+    while (top) {
+        struct band bd = todo[--top];
+        size_t o = bd.o, lo = bd.lo, hi = bd.hi, size = (size_t)1 << bd.level;
+        if (o + 1 > nc && lo < o + 1 - nc)
+            lo = o + 1 - nc;
+        if (hi > o + size)
+            hi = o + size;
+        if (lo >= hi)
+            continue;
+        uint8_t row = (uint8_t)(o - o_lo);
+        if (!bd.level) {
+            pl->step[pl->steps++] = (struct step){0, row, (uint8_t)lo, (uint8_t)hi};
+            continue;
         }
-        _mm512_storeu_si512(out + 8 * (o - o_lo),
-                            _mm512_xor_si512(even, _mm512_alignr_epi64(odd, below, 7)));
-        below = odd;
+        /* a tile at column i is whole where its top-right diagonal, o - i - size + 1, is
+         * at least 0 and its bottom-left one, o - i + size - 1, below nc */
+        for (; hi - lo >= size && hi <= o + 1 && o + size - 1 - (hi - size) < nc; hi -= size)
+            pl->step[pl->steps++] = (struct step){(uint8_t)bd.level, row, (uint8_t)(hi - size), 0};
+        for (; hi - lo >= size && lo + size <= o + 1 && o + size - 1 - lo < nc; lo += size)
+            pl->step[pl->steps++] = (struct step){(uint8_t)bd.level, row, (uint8_t)lo, 0};
+        todo[top++] = (struct band){o + size / 2, lo, hi, bd.level - 1};
+        todo[top++] = (struct band){o, lo, hi, bd.level - 1};
     }
 }
 
-/* r = the low w words of T * x^(64w) mod g * x^pad, for T of n <= B words;
- * r has room for whole blocks.  mu' is stored one word up: B is a multiple
- * of 8, and word B of T * mu', the lowest that reaches Q, would otherwise be
- * the short lowest word of a block.  The low w words of Q * G read only G's
- * first (w + 7) / 8 blocks. */
-VPCLMUL __attribute__((noinline, noclone)) static void
-block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n)
+/* The rows of a product by its plan into out, eight words each: a has n
+ * words in whole blocks, zero past n, and c is sequence 0 of its family,
+ * slots stride words apart; row 0 is product block o_lo.  Each row's odd
+ * sum moves up a word into it: row 0 takes no odd words from the block
+ * below it, so its lowest word is short unless o_lo is 0. */
+VPCLMUL static inline __attribute__((always_inline)) void
+product_vpclmul(uint64_t *out, const struct plan *pl, const uint64_t *a, size_t n,
+                const uint64_t *c, size_t stride, size_t o_lo, size_t rows)
 {
-    size_t w = table[0], o_lo = (B + 1) / 8, o_hi = (B + w) / 8 + 1;
-    uint64_t P[8 * (o_hi - o_lo)], Q[w];
-    product_vpclmul(P, T, n, table + MU_AT(w), MU_BLOCKS, o_lo, o_hi);
-    for (size_t k = 0; k < w; k++)
-        Q[k] = T[k] ^ P[B + 1 - 8 * o_lo + k];
-    product_vpclmul(r, Q, w, table + G_AT, (w + 7) / 8, 0, (w + 7) / 8);
+    __m512i acc[2 * rows], below = _mm512_setzero_si512();
+    for (size_t k = 0; k < 2 * rows; k++)
+        acc[k] = below;
+    for (size_t k = 0; k < pl->steps; k++) {
+        size_t level = pl->step[k].level, r = pl->step[k].o, i = pl->step[k].i, o = o_lo + r;
+        if (level)
+            tiles[level](acc + 2 * r, a + 8 * i, c, stride, o - i);
+        else {
+            __m512i row[2] = {acc[2 * r], acc[2 * r + 1]};
+            for (; i < pl->step[k].end; i++)
+                block_product(row, a + 8 * i, n - 8 * i, c + 8 * (o - i));
+            acc[2 * r] = row[0];
+            acc[2 * r + 1] = row[1];
+        }
+    }
+    for (size_t r = 0; r < rows; r++) {
+        _mm512_storeu_si512(out + 8 * r, _mm512_xor_si512(acc[2 * r], _mm512_alignr_epi64(
+                                                                          acc[2 * r + 1], below, 7)));
+        below = acc[2 * r + 1];
+    }
 }
 
-/* M = the codewords of 64 bytes as nine words, least significant first, the
- * first codeword highest.  Each 8 bytes give 72 bits from eight independent
- * loads; group 7 - j lands in word j, shifted up 8j bits, and its top bits
- * spill into word j + 1. */
-VPCLMUL static inline void pack_vpclmul(uint64_t *M, const uint16_t *cw, const uint8_t *data)
+/* The block step's plans for T of B words, by w: T * mu' and Q * G.  They
+ * depend on w alone, so they are made once, when the library loads. */
+static struct plan mu_plans[MAX_WORDS + 1], g_plans[MAX_WORDS + 1];
+
+__attribute__((constructor)) static void make_block_plans(void)
 {
-    uint64_t spill = 0;
-#pragma GCC unroll 8
-    for (unsigned j = 0; j < 8; j++) {
-        const uint8_t *b = data + 8 * (7 - j);
-        uint64_t lo = (uint64_t)cw[b[0]] << 63 | (uint64_t)cw[b[1]] << 54 |
-                      (uint64_t)cw[b[2]] << 45 | (uint64_t)cw[b[3]] << 36 |
-                      (uint64_t)cw[b[4]] << 27 | (uint64_t)cw[b[5]] << 18 |
-                      (uint64_t)cw[b[6]] << 9 | cw[b[7]];
-        unsigned __int128 group = ((unsigned __int128)(cw[b[0]] >> 1) << 64 | lo) << 8 * j;
-        M[j] = spill | (uint64_t)group;
-        spill = (uint64_t)(group >> 64);
+    for (size_t w = 1; w <= MAX_WORDS; w++) {
+        make_plan(&mu_plans[w], B / 8, MU_BLOCKS, (B + 1) / 8, (B + w) / 8 + 1);
+        make_plan(&g_plans[w], (w + 7) / 8, (w + 7) / 8, 0, (w + 7) / 8);
     }
-    M[8] = spill;
+}
+
+/* r = the low w words of T * x^(64w) mod g * x^pad, for T of n <= B words
+ * in whole blocks, zero past n, with mu_plan the plan of T * mu'; r has room
+ * for whole blocks.  mu' is stored one word up: B is a multiple of 8, and
+ * word B of T * mu', the lowest that reaches Q, would otherwise be the short
+ * lowest word of a block.  The low w words of Q * G read only G's first
+ * (w + 7) / 8 blocks. */
+VPCLMUL HOT __attribute__((noinline, noclone)) static void
+block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n,
+                   const struct plan *mu_plan)
+{
+    size_t w = table[0], o_lo = (B + 1) / 8, rows = (B + w) / 8 + 1 - o_lo, nb = (w + 7) / 8;
+    uint64_t P[8 * rows], Q[8 * nb];
+    product_vpclmul(P, mu_plan, T, n, table + MU_AT(w), SLOT(MU_BLOCKS), o_lo, rows);
+    for (size_t k = 0; k < 8 * nb; k++)
+        Q[k] = k < w ? T[k] ^ P[B + 1 - 8 * o_lo + k] : 0;
+    product_vpclmul(r, &g_plans[w], Q, w, table + G_SUMS_AT(w), SLOT(G_BLOCKS), 0, nb);
 }
 
 /* Absorb one block of BLOCK_BYTES into r, the register least significant
- * word first. */
+ * word first.  Its codewords are packed 64 bytes at a time into nine words
+ * of T, first codeword highest, the first 64 bytes highest.  The bytes
+ * look their codewords up in byte tables, low 8 bits and top bit apart,
+ * four vectors each (VPERMI2B, two per 128 entries); each 8 bytes are a
+ * 72-bit group, their 9-bit codewords joined in pairs by one VPMADDWD, the
+ * pairs in fours by shifts, the fours into 64 bits and 8 above; one byte
+ * permutation puts the eight groups in place. */
+static const uint8_t group_bytes[128] __attribute__((aligned(64))) = {
+    120, 121, 122, 123, 124, 125, 126, 127, 112, 56, 57, 58, 59, 60, 61, 62, 63, 48,
+    104, 105, 106, 107, 108, 109, 110, 111, 96,  40, 41, 42, 43, 44, 45, 46, 47, 32,
+    88,  89,  90,  91,  92,  93,  94,  95,  80,  24, 25, 26, 27, 28, 29, 30, 31, 16,
+    72,  73,  74,  75,  76,  77,  78,  79,  64,  8,  9,  10, 11, 12, 13, 14, 15, 0};
+
+/* Four codewords, 16 bits each in a 64-bit lane, first highest, as the 72-bit
+ * groups of two lanes: the low 64 bits in the odd lane, the top 8 in the even. */
+VPCLMUL static inline __m512i groups(__m512i codewords)
+{
+    __m512i pairs = _mm512_madd_epi16(codewords, _mm512_set1_epi32(1 << 16 | 512));
+    __m512i fours = _mm512_ternarylogic_epi64(_mm512_slli_epi64(pairs, 18),
+                                              _mm512_srli_epi64(pairs, 32),
+                                              _mm512_set1_epi64((1LL << 36) - 1), 0xEC);
+    __m512i low = _mm512_or_si512(
+        fours, _mm512_slli_epi64(_mm512_shuffle_epi32(fours, _MM_PERM_BADC), 36));
+    return _mm512_mask_blend_epi64(0xAA, _mm512_srli_epi64(fours, 28), low);
+}
+
 VPCLMUL static inline void pack_and_step_vpclmul(uint64_t *r, const uint64_t *table,
                                                  const uint16_t *cw, const uint8_t *data)
 {
     size_t w = table[0];
     uint64_t T[B];
-    for (size_t c = 0; c < B / 9; c++)
-        pack_vpclmul(T + B - 9 * (c + 1), cw, data + 64 * c); /* first 64 bytes highest */
+    __m512i low[4], top[4];
+    for (int t = 0; t < 4; t++) {
+        __m512i a = _mm512_loadu_si512(cw + 64 * t), b = _mm512_loadu_si512(cw + 64 * t + 32);
+        low[t] = _mm512_inserti64x4(_mm512_castsi256_si512(_mm512_cvtepi16_epi8(a)),
+                                    _mm512_cvtepi16_epi8(b), 1);
+        top[t] = _mm512_inserti64x4(
+            _mm512_castsi256_si512(_mm512_cvtepi16_epi8(_mm512_srli_epi16(a, 8))),
+            _mm512_cvtepi16_epi8(_mm512_srli_epi16(b, 8)), 1);
+    }
+    __m512i place = _mm512_load_si512(group_bytes), place_top = _mm512_load_si512(group_bytes + 64);
+    for (size_t c = 0; c < B / 9; c++) {
+        __m512i d = _mm512_loadu_si512(data + 64 * c);
+        __mmask64 high = _mm512_movepi8_mask(d); /* bytes 128-255 */
+        __m512i l = _mm512_mask_blend_epi8(high, _mm512_permutex2var_epi8(low[0], d, low[1]),
+                                           _mm512_permutex2var_epi8(low[2], d, low[3]));
+        __m512i h = _mm512_mask_blend_epi8(high, _mm512_permutex2var_epi8(top[0], d, top[1]),
+                                           _mm512_permutex2var_epi8(top[2], d, top[3]));
+        /* bytes 0-7 of each 128-bit lane, groups 0, 2, 4 and 6, then 8-15 */
+        __m512i even = groups(_mm512_unpacklo_epi8(l, h)), odd = groups(_mm512_unpackhi_epi8(l, h));
+        uint64_t *M = T + B - 9 * (c + 1);
+        _mm512_storeu_si512(M, _mm512_permutex2var_epi8(even, place, odd));
+        _mm_storel_epi64((__m128i *)(M + 8),
+                         _mm512_castsi512_si128(_mm512_permutex2var_epi8(even, place_top, odd)));
+    }
     for (size_t k = 0; k < w; k++)
         T[B - w + k] ^= r[k];
-    block_step_vpclmul(r, table, T, B);
+    block_step_vpclmul(r, table, T, B, &mu_plans[w]);
 }
 
 typedef void absorb_block_fn(uint64_t *r, const uint64_t *table, const uint16_t *cw,
@@ -338,7 +591,7 @@ absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const u
         reg[i] = r[w - 1 - i];
 }
 
-__attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
+__attribute__((target("pclmul"))) HOT void absorb_clmul(uint64_t *restrict reg,
                                                     const uint64_t *restrict table,
                                                     const uint16_t *cw, const uint8_t *data,
                                                     size_t n)
@@ -348,7 +601,7 @@ __attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
 }
 
 /* Whole blocks first, then the word step. */
-VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
+VPCLMUL HOT void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
                             const uint16_t *cw, const uint8_t *data, size_t n)
 {
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
@@ -358,11 +611,12 @@ VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict tab
     absorb_carryless(reg, table, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
 }
 
-/* mu' into a carry-less table whose tail is zero.
+/* mu' and the sums into a carry-less table whose tail is zero.
  * x^(d + 64B) = g * x^(64B) + (g - x^d) * x^(64B), so mu' is
  * floor((g - x^d) * x^(64B) / g): the B quotients of the word step from the
  * register r = G through B zero words, the first one highest.  PCLMULQDQ
- * alone, so every carry-less table is built the same on either kernel. */
+ * alone, so every carry-less table is built the same on either kernel.
+ * Then G is copied into its family, and both families take their sums. */
 __attribute__((target("pclmul"))) void fill_carryless(uint64_t *table)
 {
     size_t w = table[0];
@@ -373,6 +627,9 @@ __attribute__((target("pclmul"))) void fill_carryless(uint64_t *table)
         shift_add_clmul(r, table + G_AT, w, q);
         mu[B - 1 - i] = q;
     }
+    memcpy(table + G_SUMS_AT(w), table + G_AT, sizeof r);
+    fill_sums(table + MU_AT(w), SLOT(MU_BLOCKS), MU_BLOCKS);
+    fill_sums(table + G_SUMS_AT(w), SLOT(G_BLOCKS), G_BLOCKS);
 }
 
 /* reg = reg * k * x^d + s mod g, all three laid out like the register.  With
@@ -402,22 +659,26 @@ __attribute__((target("pclmul"))) void combine_clmul(uint64_t *reg,
 }
 
 /* The same on the block machinery: the product through product_vpclmul with
- * one copy of k, least significant word first after seven zero words and
- * zero-padded to whole blocks, then one block step: w <= B / 2, so the
- * 2w-word product is one block. */
+ * k's family of sums, k least significant word first in n_k blocks, the
+ * diagonals that reach it, then one block step: w <= B / 2, so the 2w-word
+ * product is one block.  Their plans are made here. */
 VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
                              const uint64_t *s)
 {
     size_t w = table[0], n_k = (w + 14) / 8, n_p = (2 * w + 7) / 8;
-    uint64_t a[w], k_lsw[7 + 8 * n_k], T[8 * n_p], r[(w + 7) & ~(size_t)7];
-    memset(k_lsw, 0, sizeof k_lsw);
-    memset(T, 0, sizeof T); /* product_vpclmul fills it, but gcc warns it may not */
+    uint64_t a[(w + 7) & ~(size_t)7], sums[SUMS * SLOT(n_k)], T[8 * n_p], r[(w + 7) & ~(size_t)7];
+    struct plan k_plan, mu_plan;
+    memset(a, 0, sizeof a);
+    memset(sums, 0, sizeof sums);
     for (size_t i = 0; i < w; i++) {
         a[i] = reg[w - 1 - i];
-        k_lsw[7 + i] = k[w - 1 - i];
+        sums[8 + i] = k[w - 1 - i];
     }
-    product_vpclmul(T, a, w, k_lsw + 7, n_k, 0, n_p);
-    block_step_vpclmul(r, table, T, 2 * w);
+    fill_sums(sums + 8, SLOT(n_k), n_k);
+    make_plan(&k_plan, (w + 7) / 8, n_k, 0, n_p);
+    product_vpclmul(T, &k_plan, a, w, sums + 8, SLOT(n_k), 0, n_p);
+    make_plan(&mu_plan, n_p, MU_BLOCKS, (B + 1) / 8, (B + w) / 8 + 1);
+    block_step_vpclmul(r, table, T, 2 * w, &mu_plan);
     for (size_t i = 0; i < w; i++)
         reg[i] = r[w - 1 - i] ^ s[i];
 }
@@ -496,6 +757,8 @@ static pthread_mutex_t lock; /* with wake, for a side that has stopped spinning 
 static pthread_cond_t wake;
 static atomic_int state;
 static pid_t worker_pid; /* the process the worker runs in; 0 before the first split */
+static pthread_t worker; /* that thread, once worker_pid is set */
+static atomic_int worker_cpu; /* the CPU the worker last looked for a job on */
 static struct split *job;
 static const uint64_t zero[MAX_WORDS];
 
@@ -516,15 +779,17 @@ static void sleep_for(int value)
     pthread_mutex_unlock(&lock);
 }
 
-/* The worker's wait for a job. */
+/* The worker's wait for a job, noting its CPU each time it looks. */
 static void wait_for(int value)
 {
     for (int i = 0; i < SPINS; i++) {
+        atomic_store_explicit(&worker_cpu, sched_getcpu(), memory_order_relaxed);
         if (atomic_load_explicit(&state, memory_order_acquire) == value)
             return;
         sched_yield();
     }
     sleep_for(value);
+    atomic_store_explicit(&worker_cpu, sched_getcpu(), memory_order_relaxed);
 }
 
 /* The join's wait for the worker to finish its job. */
@@ -593,8 +858,28 @@ static int start_worker(void)
     if (failed)
         return 0;
     pthread_detach(thread);
+    worker = thread;
     worker_pid = pid;
     return 1;
+}
+
+/* A worker that last looked for a job on cpu, this thread's, while this
+ * thread held that CPU, never started the job it was posted: the scheduler
+ * may keep both on it while another CPU idles, for it does not always
+ * balance them.  Its affinity mask is narrowed to the other CPUs, which
+ * moves it, then given back as it was: never widened, and left alone if it
+ * holds one CPU. */
+static void move_worker_off(int cpu)
+{
+    cpu_set_t mask, others;
+    if (cpu < 0 || atomic_load_explicit(&worker_cpu, memory_order_relaxed) != cpu ||
+        pthread_getaffinity_np(worker, sizeof mask, &mask) || !CPU_ISSET(cpu, &mask) ||
+        CPU_COUNT(&mask) < 2)
+        return;
+    others = mask;
+    CPU_CLR(cpu, &others);
+    if (!pthread_setaffinity_np(worker, sizeof others, &others))
+        pthread_setaffinity_np(worker, sizeof mask, &mask);
 }
 
 /* Absorb n bytes of data into reg as a split with H2 and T q bytes each,
@@ -635,17 +920,23 @@ static int split_post(struct split *sp, absorb_fn *absorb, combine_fn *combine, 
     return 0;
 }
 
-/* Finish a posted split into its reg, from any thread.  Returns how many of
- * H1 and H2 the worker absorbed for it: 2, 1 (this thread took H2) or 0
- * (this thread ran both); a split already joined, or never posted, is left
- * as it is and gives 0. */
+/* How a join went: this thread absorbed H1 and H2 (TOOK_ALL), or H2 while
+ * the worker ran H1 (TOOK_H2), or the worker ran both, and the join waited
+ * for it (WAITED) or found it done (DONE).  A split never posted, or joined
+ * already, gives TOOK_ALL. */
+enum { TOOK_ALL, TOOK_H2, WAITED, DONE };
+
+/* Finish a posted split into its reg, from any thread; returns how it went.
+ * A join that takes the job back moves the worker off this CPU if it is
+ * stranded there (move_worker_off). */
 int split_join(struct split *sp)
 {
     if (!sp->pid)
-        return 0;
+        return TOOK_ALL;
     size_t w = sp->table[0];
     uint64_t rest[w]; /* the register of what follows the worker's parts: H2 and T, or T */
-    int forked = sp->pid != getpid(), took = forked || claim_second(), parts = 0, seen = POSTED;
+    int forked = sp->pid != getpid(), took = forked || claim_second(), outcome = TOOK_ALL,
+        seen = POSTED;
     if (took) {
         memset(rest, 0, sizeof rest);
         sp->absorb(rest, sp->table, sp->cw, sp->data + sp->n1, sp->q);
@@ -653,22 +944,26 @@ int split_join(struct split *sp)
     } else
         memcpy(rest, sp->s, sizeof rest);
     if (!forked) {
-        if (!atomic_compare_exchange_strong_explicit(&state, &seen, IDLE, memory_order_relaxed,
-                                                     memory_order_relaxed)) {
+        if (atomic_compare_exchange_strong_explicit(&state, &seen, IDLE, memory_order_relaxed,
+                                                    memory_order_relaxed))
+            move_worker_off(sched_getcpu());
+        else if (took)
+            outcome = TOOK_H2;
+        else
+            outcome = seen == IDLE ? DONE : WAITED;
+        if (outcome != TOOK_ALL)
             wait_idle(); /* the worker has started */
-            parts = took ? 1 : 2;
-        }
         atomic_store_explicit(&owned, 0, memory_order_release);
     }
     sp->pid = 0;
-    if (parts) {
+    if (outcome != TOOK_ALL) {
         for (size_t i = 0; i < w; i++)
             sp->reg[i] = sp->work[i] ^ rest[i];
     } else { /* this thread runs H1 too, and took H2 */
         sp->absorb(sp->reg, sp->table, sp->cw, sp->data, sp->n1);
         sp->combine(sp->reg, sp->table, sp->k2, rest);
     }
-    return parts;
+    return outcome;
 }
 
 int absorb_split_clmul(struct split *sp, uint64_t *reg, const uint64_t *table, const uint16_t *cw,
@@ -694,7 +989,10 @@ int carryless(void)
     __builtin_cpu_init();
     if (!__builtin_cpu_supports("pclmul"))
         return 0;
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("vpclmulqdq") ? 2 : 1;
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+                   __builtin_cpu_supports("avx512vbmi") && __builtin_cpu_supports("vpclmulqdq")
+               ? 2
+               : 1;
 #else
     return 0;
 #endif

@@ -13,8 +13,10 @@
  *
  *   absorb, absorb_clmul, absorb_vpclmul (reg, table, codewords, data)
  *   absorb_split_clmul, absorb_split_vpclmul (reg, table, codewords, data,
- *       q, k, k2) -> a Split, whose join() writes reg and returns how many
- *       parts of the chunk the worker thread absorbed: 0, 1 or 2
+ *       q, k, k2) -> a Split, whose join() writes reg and returns how it
+ *       went: 0 this thread absorbed the whole chunk, 1 it took the second
+ *       part, 2 it waited for the worker thread to finish both parts, 3 the
+ *       worker had finished them
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
  *   digest (reg, degree) -> the register's degree-bit value as
@@ -153,12 +155,13 @@ static int arguments(Py_ssize_t given, Py_ssize_t wanted, const char *name)
 #if defined(__x86_64__)
 /* A split chunk from its post to its join: the job, and the buffers it
  * reads and writes, which it holds until the join so that they stay in
- * place.  parts is PENDING until the join, JOINING while it runs, then what
- * it gave; a split that found the worker owned is 0 from the start. */
+ * place.  outcome is PENDING until the join, JOINING while it runs, then
+ * what it gave; a split that found the worker owned is TOOK_ALL from the
+ * start. */
 typedef struct {
     PyObject_HEAD
     struct views v;
-    int parts;
+    int outcome;
     struct split sp;
 } Split;
 
@@ -166,27 +169,28 @@ enum { PENDING = -1, JOINING = -2 };
 
 PyDoc_STRVAR(split_join_doc,
              "join($self, /)\n--\n\n"
-             "Finish the chunk into the register, from any thread, once; returns how many of "
-             "its\nfirst two parts the worker thread absorbed: 0, 1 or 2.  Repeat calls return "
-             "the same.");
+             "Finish the chunk into the register, from any thread, once; returns how it went: "
+             "0 this\nthread absorbed the whole chunk, 1 it took the second part while the worker "
+             "thread\nran the first, 2 it waited for the worker to finish both, 3 the worker had "
+             "finished\nthem.  Repeat calls return the same.");
 
 static PyObject *split_join_method(Split *self, PyObject *unused)
 {
     (void)unused;
-    if (self->parts == JOINING) {
+    if (self->outcome == JOINING) {
         PyErr_SetString(PyExc_RuntimeError, "the split is being joined on another thread");
         return NULL;
     }
-    if (self->parts == PENDING) {
-        self->parts = JOINING;
-        int parts;
+    if (self->outcome == PENDING) {
+        self->outcome = JOINING;
+        int outcome;
         Py_BEGIN_ALLOW_THREADS
-        parts = split_join(&self->sp);
+        outcome = split_join(&self->sp);
         Py_END_ALLOW_THREADS
-        self->parts = parts;
+        self->outcome = outcome;
         release(&self->v);
     }
-    return PyLong_FromLong(self->parts);
+    return PyLong_FromLong(self->outcome);
 }
 
 /* A split dropped before its join is joined here, with the GIL held, which
@@ -194,7 +198,7 @@ static PyObject *split_join_method(Split *self, PyObject *unused)
 static void split_dealloc(Split *self)
 {
     PyTypeObject *type = Py_TYPE(self);
-    if (self->parts == PENDING)
+    if (self->outcome == PENDING)
         split_join(&self->sp);
     release(&self->v);
     type->tp_free(self);
@@ -282,7 +286,7 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
         PyEval_RestoreThread(released);
 #if defined(__x86_64__)
     if (posted)
-        job->parts = PENDING;
+        job->outcome = PENDING;
 #endif
     result = job ? Py_NewRef(job) : Py_NewRef(Py_None);
 done:
@@ -487,8 +491,14 @@ typedef struct {
     PyObject *entry, *tables, *reg;
     PyObject *pending; /* the split of the last chunk until its join, or NULL */
     Py_ssize_t consumed, splits, splits_taken;
+    size_t share; /* j of the last split's q = 2^j, moved by its join; SHARE_TOP before one */
     char finished;
 } Engine;
+
+/* The share rule: a split's q is 2^j, from 512 up to the largest power of two
+ * <= n / 4, j = the engine's share cut to that range.  A join that found the
+ * worker done lowers the share by one, any other raises it by one. */
+enum { SHARE_FLOOR = 9, SHARE_TOP = 8 * sizeof(size_t) - 1, DONE_AT_JOIN = 3 };
 
 static module_state *state_of(Engine *self) { return PyType_GetModuleState(Py_TYPE(self)); }
 
@@ -607,6 +617,7 @@ static PyObject *new_engine(PyTypeObject *type, PyObject *entry, PyObject *table
         return NULL;
     }
     memset(PyByteArray_AS_STRING(reg), 0, (size_t)(8 * w));
+    self->share = SHARE_TOP;
     self->entry = Py_NewRef(entry);
     self->tables = Py_NewRef(tables);
     self->reg = reg;
@@ -700,23 +711,27 @@ static int unfinished(Engine *self)
     return 0;
 }
 
-/* Join the split the last chunk left pending, if any, and count it: the
- * engine's entry points call this before they read or replace the register
- * or its tables.  -1 with the join's error. */
+/* Join the split the last chunk left pending, if any, count it and move
+ * the share: the engine's entry points call this before they read or
+ * replace the register or its tables.  -1 with the join's error. */
 static int join(Engine *self)
 {
     PyObject *pending = self->pending;
     if (!pending)
         return 0;
     self->pending = NULL;
-    PyObject *parts = PyObject_CallMethodNoArgs(pending, state_of(self)->names[JOIN]);
+    PyObject *result = PyObject_CallMethodNoArgs(pending, state_of(self)->names[JOIN]);
     Py_DECREF(pending);
-    int taken = parts ? PyObject_IsTrue(parts) : -1;
-    Py_XDECREF(parts);
-    if (taken < 0)
+    long outcome = result ? PyLong_AsLong(result) : -1;
+    Py_XDECREF(result);
+    if (outcome == -1 && PyErr_Occurred())
         return -1;
     self->splits++;
-    self->splits_taken += taken;
+    self->splits_taken += outcome != 0;
+    if (outcome != DONE_AT_JOIN)
+        self->share++;
+    else if (self->share > SHARE_FLOOR)
+        self->share--;
     return 0;
 }
 
@@ -760,10 +775,11 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         goto done;
     PyObject *looped;
     if (split) {
-        /* H2 = T = q = 2^j, the largest power of two <= n / 4, from 512 */
-        size_t quarter = (size_t)n / 4, j = 9;
-        while (quarter >> j > 1)
+        /* H2 = T = q = 2^j, by the share rule */
+        size_t quarter = (size_t)n / 4, j = SHARE_FLOOR;
+        while (quarter >> j > 1 && j < self->share)
             j++;
+        self->share = j;
         PyObject *bits = PyLong_FromSize_t(j), *bits2 = PyLong_FromSize_t(j + 1);
         if (bits && bits2 && (k = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3)))
             k2 = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits2}, 3);

@@ -189,6 +189,10 @@ def _split_bytes() -> int:
 
 
 _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
+# the share rule: a split's q is 2^j, from 512 up to the largest power of two <= n / 4, j the
+# engine's share cut to that range; a join that found the worker done (3) lowers the share by
+# one, any other join raises it by one
+_SHARE_FLOOR, _SHARE_TOP, _DONE_AT_JOIN = 9, 63, 3
 
 
 def _to_words(value: int, w: int) -> array:
@@ -367,7 +371,7 @@ class CrcEngine:
     takes its name where the module loads.
     """
 
-    __slots__ = ("entry", "_tables", "consumed", "splits", "splits_taken", "_finished",
+    __slots__ = ("entry", "_tables", "consumed", "splits", "splits_taken", "_share", "_finished",
                  "_words", "_pending")
 
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
@@ -376,19 +380,24 @@ class CrcEngine:
         self.consumed = 0
         self.splits = 0  # chunks absorbed on two threads, counted at their join
         self.splits_taken = 0  # of those, the chunks of which the worker ran a part
+        self._share = _SHARE_TOP  # j of the last split's q = 2^j, moved by its join
         self._finished = False
         self._words = bytearray(8 * tables.words)  # the register, laid out like a packed row
         self._pending = None  # the split of the last chunk until its join
 
     def _join(self) -> None:
-        """Join the split the last chunk left pending, if any, and count it: the entry
-        points call this before they read or replace the register or its tables."""
+        """Join the split the last chunk left pending, if any, count it and move the share:
+        the entry points call this before they read or replace the register or its tables."""
         pending = self._pending
         if pending is not None:
             self._pending = None
-            taken = bool(pending.join())
+            outcome = pending.join()
             self.splits += 1
-            self.splits_taken += taken
+            self.splits_taken += outcome != 0
+            if outcome != _DONE_AT_JOIN:
+                self._share += 1
+            elif self._share > _SHARE_FLOOR:
+                self._share -= 1
 
     @property
     def tables(self) -> CrcTables:
@@ -439,7 +448,8 @@ class CrcEngine:
         self._join()
         tables = self._tables
         if n >= _SPLIT_BYTES and tables.split is not None:
-            j = max(9, (n // 4).bit_length() - 1)  # H2 = T = q = 2^j, the largest <= n / 4
+            # H2 = T = q = 2^j by the share rule
+            j = self._share = max(_SHARE_FLOOR, min(self._share, (n // 4).bit_length() - 1))
             self._pending = tables.split(self._words, tables.main, _codewords(), chunk, 1 << j,
                                          _shift(self.entry, tables, j),
                                          _shift(self.entry, tables, j + 1))

@@ -36,6 +36,10 @@ HOST_LEVEL = -1 if fastcrc._kernel is None else fastcrc._kernel.carryless()
 TEST_SPLIT_BYTES = 1024
 # the bytes of one block step on vpclmul: B = 144 words of codewords, 1 KiB
 BLOCK_BYTES = 1024
+# a carry-less table's tail: two families of SUMS sequences, one slot each, eight words
+# below each sequence's origin, then its blocks: mu' one word up, then G
+SUMS, MU_BLOCKS, G_BLOCKS = 8, 19, 9
+MU_SLOT, G_SLOT = 8 + 8 * MU_BLOCKS, 8 + 8 * G_BLOCKS
 # how long a test repeats split absorbs until the worker takes a part: a caller takes
 # back a part the worker has not started, as when the scheduler has put the worker on
 # the caller's CPU until it balances the two
@@ -111,16 +115,17 @@ def spy(monkeypatch, name: str, record) -> None:
 
 
 class Recorded:
-    """A pending split whose join appends what it returns to a list: how many of the
-    chunk's first two parts the worker thread absorbed, 0, 1 or 2."""
+    """A pending split whose join appends what it returns to a list: how the join went,
+    0 (the caller absorbed the whole chunk), 1 (it took H2), 2 (it waited for the worker
+    thread to finish H1 and H2) or 3 (the worker had finished them)."""
 
     def __init__(self, pending, joins: list[int]):
         self.pending, self.joins = pending, joins
 
     def join(self) -> int:
-        parts = self.pending.join()
-        self.joins.append(parts)
-        return parts
+        outcome = self.pending.join()
+        self.joins.append(outcome)
+        return outcome
 
 
 def record_splits(monkeypatch, split=None) -> list[int]:
@@ -191,6 +196,19 @@ def row_forms(e):
             use_path(mp, path)
             forms.append(build_tables(e))
     return forms
+
+
+def family_sums(c: list[int]) -> list[list[int]]:
+    """The SUMS sequences Karatsuba reads, from c, a constant's words from seven below its
+    origin: bit b of s moves a copy 2^b blocks down, so sequence s is the sum of c moved
+    down 8k words over every k whose bits are among those of s; c is zero past its end."""
+    sums = []
+    for s in range(SUMS):
+        sums.append([0] * len(c))
+        for k in (k for k in range(SUMS) if k & s == k):
+            for r in range(len(c) - 8 * k):
+                sums[s][r] ^= c[r + 8 * k]
+    return sums
 
 
 def value(t, words) -> int:
@@ -285,10 +303,11 @@ class TestTables:
                 power = gf2poly.remainder(gf2poly.multiply(power, power), e.generator)
 
     def test_block_constants_match_gf2poly(self, monkeypatch):
-        # the tail holds seven zero words, then mu' = floor(x^(d + 64B) / g) - x^(64B) one
-        # word up, zeros after it: (mu' + x^(64B)) * g + x^(d + 64B) mod g == x^(d + 64B).
-        # The block step: for T of B words, Q = low w words of T ^ (T * mu' >> 64B) and the
-        # low w words of Q * G are T * x^(64w) mod g * x^pad
+        # the tail holds eight zero words, then mu' = floor(x^(d + 64B) / g) - x^(64B) one
+        # word up, zeros after it to the end of its slot: (mu' + x^(64B)) * g + x^(d + 64B)
+        # mod g == x^(d + 64B).  The block step: for T of B words, Q = low w words of
+        # T ^ (T * mu' >> 64B) and the low w words of Q * G are T * x^(64w) mod g * x^pad.
+        # Both families of sums follow (see family_sums)
         first_carryless_path(monkeypatch)
         poly = gf2poly.BitPolynomial
         b = 9 * BLOCK_BYTES // 64
@@ -302,8 +321,18 @@ class TestTables:
             for e, t in zip(params.registry(), tables):
                 w = t.words
                 at = 9 + 8 * ((w + 7) // 8)  # the tail
-                assert not any(t.main[at:at + 8]) and not any(t.main[at + 8 + b:]), e.index
-                mu = int.from_bytes(bytes(memoryview(t.main)[at + 8:at + 8 + b]), sys.byteorder)
+                mu_at, g_at = at + 8, at + 8 + SUMS * MU_SLOT  # the two families
+                assert not any(t.main[at:at + 9]), e.index
+                assert not any(t.main[mu_at + 1 + b:at + MU_SLOT]), e.index
+                mu = int.from_bytes(bytes(memoryview(t.main)[at + 9:at + 9 + b]), sys.byteorder)
+                assert t.main[g_at - 8:g_at + 8 * G_BLOCKS].tolist() == \
+                    [0] * 8 + t.main[9:9 + w].tolist() + [0] * (8 * G_BLOCKS - w), e.index
+                assert len(t.main) == g_at - 8 + SUMS * G_SLOT, e.index
+                for origin, slot, blocks in ((mu_at, MU_SLOT, MU_BLOCKS),
+                                             (g_at, G_SLOT, G_BLOCKS)):
+                    got = [t.main[origin + s * slot - 7:origin + s * slot + 8 * blocks].tolist()
+                           for s in range(SUMS)]
+                    assert got == family_sums(got[0]), (kernel, e.index, origin)
                 pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
                 assert 2 * w <= b, e.index
                 power = poly(1 << e.degree + 64 * b)
@@ -736,7 +765,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == want
-        assert len(taken) == 16 * len(entries) and set(taken) <= {0, 1, 2} and any(taken)
+        assert len(taken) == 16 * len(entries) and set(taken) <= {0, 1, 2, 3} and any(taken)
 
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
         first_carryless_path(monkeypatch)
@@ -893,7 +922,7 @@ class TestDeferredJoin:
             time.sleep(0.005)
             assert eng.finish().data == want
 
-        assert self.until(lambda: 2 in joins, op), joins
+        assert self.until(lambda: 3 in joins, op), joins
 
     def test_caller_takes_the_second_part(self, split_twin, monkeypatch):
         # a spy delays the worker: it is handed all but the last 1 KiB as H1, so a
@@ -924,11 +953,11 @@ class TestDeferredJoin:
             self.until(lambda: 0 in joins, lambda: op(0))
             for _ in range(20):
                 op(0.0002)
-            self.until(lambda: 2 in joins, lambda: op(0.01))
+            self.until(lambda: 3 in joins, lambda: op(0.01))
             return digests, joins
 
         digests, joins = forked(child)
-        assert digests == {want} and 0 in joins and 2 in joins
+        assert digests == {want} and 0 in joins and 3 in joins
 
     def test_non_bytes_chunk_is_joined_before_absorb_returns(self, split_twin, monkeypatch):
         # a bytearray may change once absorb returns, so its split is joined first; a
@@ -1275,11 +1304,11 @@ class TestKernelBuild:
         # the posting thread or another one
         kernel = first_carryless_path(monkeypatch)
         # every part of 1 KiB (one block) or more takes the block step on vpclmul; in the
-        # last case H2 and T are under one block; q is the engine's, n / 4 down to a
-        # power of two, from 512
+        # last two cases H2 and T are under one block; q is one the share rule may pick,
+        # a power of two from 512 up to n / 4, the last case's the floor of 512
         cases = []
         for bits, n, q in ((64, 20000, 4096), (1744, 40000, 8192), (4288, 16384, 4096),
-                           (2784, 30000, 4096), (416, 3000, 512)):
+                           (2784, 30000, 4096), (416, 3000, 512), (1744, 40000, 512)):
             table, k, k2 = kernel_constants(params.entry_for_aligned_bits(bits), q)
             cases.append("{%d, %d, %s, %s, %s}" % (n, q, c_words(table), c_words(k),
                                                    c_words(k2)))
@@ -1287,8 +1316,9 @@ class TestKernelBuild:
             "kernel": kernel, "codewords": c_words(fastcrc._codewords()),
             "cases": ",\n    ".join(cases)}, "h2")
         mismatches, *joins, plain, extra = map(int, run.stdout.split())
-        # joins counts the posted splits by how many parts the worker ran: 0, 1 (the
-        # caller took H2) or 2; the joins made at once took H2
+        # joins counts the posted splits by how the join went: 0 (the caller took it all
+        # back), 1 (it took H2), 2 (it waited for the worker) or 3 (the worker was done);
+        # the joins made at once took H2
         assert mismatches == 0 and joins[1] > 0
         assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
         # on one CPU a worker that has started is mostly off the CPU while the caller
@@ -1300,7 +1330,7 @@ class TestKernelBuild:
             assert "Sanitizer" not in again.stderr, again.stderr
             assert again.returncode == 0, again.stdout + again.stderr
             mismatches, *joins, plain, extra = map(int, again.stdout.split())
-            assert mismatches == 0 and joins[1] + joins[2] > 0
+            assert mismatches == 0 and joins[1] + joins[2] + joins[3] > 0
             assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
 
     def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
@@ -1522,8 +1552,8 @@ print(" ".join(paths), checked)
 # A round that finds the worker owned runs the plain loop.  Until a join has taken
 # H2 (argument "h2") or found the worker started ("late", where the caller sleeps
 # between the post and the join), more joins go on, for at most 10 s.  Prints
-# mismatches, the posted splits by the parts the worker ran (0, 1, 2), the splits
-# that ran the plain loop, and the joins added.
+# mismatches, the posted splits by how the join went (0 to 3), the splits that ran
+# the plain loop, and the joins added.
 TSAN_PROGRAM = """
 #include "_absorb.c"
 #include <stdio.h>
@@ -1540,12 +1570,12 @@ static const struct {
     %(cases)s
 };
 static uint8_t data[40000 + 100];
-static atomic_int mismatches, joins[3], plain;
+static atomic_int mismatches, joins[4], plain;
 
 /* Count a joined split. */
-static void count(int posted, int parts, int mismatch)
+static void count(int posted, int outcome, int mismatch)
 {
-    atomic_fetch_add(posted ? &joins[parts] : &plain, 1);
+    atomic_fetch_add(posted ? &joins[outcome] : &plain, 1);
     if (mismatch)
         atomic_fetch_add(&mismatches, 1);
 }
@@ -1564,11 +1594,11 @@ static void check(size_t c, size_t start, int early)
                                          cases[c].n, cases[c].q, cases[c].k, cases[c].k2);
     if (early == 2)
         usleep(200);
-    int parts = early ? split_join(&sp) : 0;
+    int outcome = early ? split_join(&sp) : 0;
     absorb_%(kernel)s(a, cases[c].table, codewords, data + start, cases[c].n);
     if (!early)
-        parts = split_join(&sp);
-    count(posted, parts, memcmp(a, b, sizeof a));
+        outcome = split_join(&sp);
+    count(posted, outcome, memcmp(a, b, sizeof a));
 }
 
 static void *run(void *seed)
@@ -1595,22 +1625,24 @@ int main(int argc, char **argv)
     for (size_t c = 0; c < CASES; c++) {
         uint64_t a[MAX_W] = {0}, b[MAX_W] = {0};
         struct split sp;
-        void *parts;
+        void *outcome;
         absorb_%(kernel)s(a, cases[c].table, codewords, data, cases[c].n);
         int posted = absorb_split_%(kernel)s(&sp, b, cases[c].table, codewords, data,
                                              cases[c].n, cases[c].q, cases[c].k, cases[c].k2);
         pthread_create(&threads[0], NULL, join, &sp);
-        pthread_join(threads[0], &parts);
-        count(posted, (int)(intptr_t)parts, memcmp(a, b, sizeof a));
+        pthread_join(threads[0], &outcome);
+        count(posted, (int)(intptr_t)outcome, memcmp(a, b, sizeof a));
     }
     int extra = 0;
     for (time_t deadline = time(NULL) + 10; time(NULL) < deadline;) {
-        if (late ? atomic_load(&joins[1]) + atomic_load(&joins[2]) : atomic_load(&joins[1]))
+        if (late ? atomic_load(&joins[1]) + atomic_load(&joins[2]) + atomic_load(&joins[3])
+                 : atomic_load(&joins[1]))
             break;
         check(extra++ %% CASES, 1, late ? 2 : 1);
     }
-    printf("%%d %%d %%d %%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&joins[0]),
-           atomic_load(&joins[1]), atomic_load(&joins[2]), atomic_load(&plain), extra);
+    printf("%%d %%d %%d %%d %%d %%d %%d\\n", atomic_load(&mismatches), atomic_load(&joins[0]),
+           atomic_load(&joins[1]), atomic_load(&joins[2]), atomic_load(&joins[3]),
+           atomic_load(&plain), extra);
     return atomic_load(&mismatches) != 0;
 }
 """
