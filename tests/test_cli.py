@@ -167,20 +167,20 @@ class TestVectors:
 
 class TestVerifyParams:
     def test_closed_pipe_is_not_an_error(self):
-        # `verify-params | head -1`: the reader leaves after one line; -u writes each
-        # line at once, and the 30 entries take well over a millisecond each
+        # `verify-params | head -1` once head has left: the child's standard output is a
+        # pipe whose reader is closed before the child starts, so its first line, which -u
+        # writes at once, meets a closed pipe however fast the entries verify
         src = Path(fastcrc.__file__).parents[1]
-        child = subprocess.Popen([sys.executable, "-u", "-m", "badderlocks", "verify-params"],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                 env={**os.environ, "PYTHONPATH": str(src)})
+        reader, writer = os.pipe()
+        os.close(reader)
         try:
-            assert child.stdout.readline().startswith(b"entry  1 ")
-            child.stdout.close()
-            assert child.wait(timeout=120) == 141
-            assert child.stderr.read() == b""
+            child = subprocess.run([sys.executable, "-u", "-m", "badderlocks", "verify-params"],
+                                   stdout=writer, stderr=subprocess.PIPE, timeout=120,
+                                   env={**os.environ, "PYTHONPATH": str(src)})
         finally:
-            child.kill()
-            child.stderr.close()
+            os.close(writer)
+        assert child.returncode == 141
+        assert child.stderr == b""
 
     def test_quick(self, capsys, monkeypatch):
         code, out = run(capsys, monkeypatch, ["verify-params"])

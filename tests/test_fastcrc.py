@@ -378,7 +378,7 @@ class TestTables:
         cpuinfo = Path("/proc/cpuinfo")
         if cpuinfo.is_file():
             flags = set(cpuinfo.read_text().split())
-            assert path == ("vpclmul" if {"avx512f", "vpclmulqdq"} <= flags
+            assert path == ("vpclmul" if {"avx512f", "avx512bw", "avx512vbmi", "vpclmulqdq"} <= flags
                             else "clmul" if "pclmulqdq" in flags else "native")
 
 
@@ -736,6 +736,35 @@ class TestEntryContract:
         assert e not in [entry for entry, _ in fastcrc._table_cache.values()]
 
 
+# register widths where the block step's products change shape: one word, one word
+# either side of one and two blocks of eight, and the largest two
+EDGE_WORDS = (1, 7, 8, 9, 15, 16, 17, 67, 71)
+
+
+class TestBlockStep:
+    def test_matches_gf2poly_from_random_registers(self, path):
+        # at every register width: from a random register, 2 KiB and 100 bytes (two block
+        # steps on vpclmul, then the word step, and on the -split variants a split with
+        # q = 512) leave reg * x^(9n) + expand(m) * x^d mod g, by gf2poly.multiply; from a
+        # zero register, classify's digest.  Widths no registry entry has take custom entries
+        poly = gf2poly.BitPolynomial
+        rng = random.Random(47)
+        m = rng.randbytes(2 * BLOCK_BYTES + 100)
+        by_width = {(e.degree + 63) // 64: e for e in params.registry()}
+        for w in EDGE_WORDS:
+            by_width.setdefault(w, custom_entry(64 * w - 5))
+        expanded = sbox.expand_message(m)
+        for w, e in sorted(by_width.items()):
+            start = rng.getrandbits(e.degree)
+            eng = fastcrc.engine_init(e)
+            eng._reg = bytearray(fastcrc._to_words(start << 64 * w - e.degree, w).tobytes())
+            moved = gf2poly.multiply(poly(start), poly(1 << 9 * len(m)))
+            want = gf2poly.remainder(moved ^ gf2poly.shift_left(expanded, e.degree),
+                                     e.generator)
+            assert eng.absorb(m).register == want.value, (path, w)
+            assert fastcrc.engine_init(e).absorb(m).finish().data == reference(e, m), (path, w)
+
+
 class TestThreads:
     def test_concurrent_streams_match_sequential(self, monkeypatch):
         # four streams on a 2-CPU host: callers that find the worker busy run the plain loop
@@ -817,6 +846,43 @@ class TestThreads:
         monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
         assert fastcrc.engine_init(e).absorb(m).finish().data == want
         assert len(taken) == 1
+
+    def test_stranded_worker_moves_off_the_callers_cpu(self, monkeypatch):
+        # in a forked child the caller and its worker are pinned to one CPU for a split,
+        # then given their masks back, which leaves both there: a scheduler that does not
+        # balance them would keep them so, and each join would take its job back.  A
+        # join that does moves the worker off the caller's CPU within a few splits
+        if not hasattr(os, "sched_setaffinity") or not Path("/proc/self/task").is_dir():
+            pytest.skip("no thread affinity masks here")
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("this process may run on one CPU only")
+        first_carryless_path(monkeypatch)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(48).randbytes(64 * 1024)
+        want = reference(e, m)
+        cpu = min(allowed)
+
+        def child():
+            digests = {fastcrc.engine_init(e).absorb(m).finish().data}  # starts the worker
+            main = threading.get_native_id()
+            worker, = [int(tid) for tid in os.listdir("/proc/self/task") if int(tid) != main]
+            stat = Path(f"/proc/self/task/{worker}/stat")
+            for mask in ({cpu}, allowed):  # a split while pinned wakes the worker there
+                for tid in (main, worker):
+                    os.sched_setaffinity(tid, mask)
+                digests.add(fastcrc.engine_init(e).absorb(m).finish().data)
+            where = [int(stat.read_text().rsplit(")", 1)[1].split()[36])]  # the CPU it ran on
+            for _ in range(20):
+                digests.add(fastcrc.engine_init(e).absorb(m).finish().data)
+                where.append(int(stat.read_text().rsplit(")", 1)[1].split()[36]))
+            return digests, where, os.sched_getaffinity(worker)
+
+        digests, where, mask = forked(child)
+        assert digests == {want}
+        assert any(c != cpu for c in where[:6]), where  # unless the scheduler moved it first
+        assert mask == allowed  # given back as it was
 
     @pytest.mark.parametrize("kernel", KERNEL_PATHS)
     def test_large_absorb_releases_the_gil(self, monkeypatch, kernel):
@@ -1050,6 +1116,43 @@ class TestDeferredJoin:
         assert digests == {want} and joined == [0] and any(later)
         assert eng.finish().data == want and len(joins) == 1
 
+    @pytest.mark.parametrize("q", [512 << j for j in range(6)])
+    def test_every_share_gives_the_same_digest(self, split_twin, monkeypatch, q):
+        # the share rule picks q from 512 up to n / 4, 16 KiB here
+        e, want = self.entry_and_digest()
+        t = fastcrc._tables_for(e)
+        j = q.bit_length() - 1
+        k, k2 = fastcrc._shift(e, t, j), fastcrc._shift(e, t, j + 1)
+        joins = record_splits(monkeypatch, lambda real, args: real(*args[:4], q, k, k2))
+        digests = {self.once(e, want) for _ in range(4)}
+        eng = fastcrc.engine_init(e).absorb(self.M)
+        time.sleep(0.005)
+        assert digests | {eng.finish().data} == {want} and len(joins) == 5
+
+    def test_the_share_follows_the_joins(self, split_twin, monkeypatch):
+        # a stream that hashes or sleeps between absorbs finds the worker done at each
+        # join, and its q falls by half a chunk to 512; an absorb-only stream joins while
+        # the worker still runs, and its q stays at n / 4
+        e, want = self.entry_and_digest()
+        shares = []
+        record_splits(monkeypatch, lambda real, args: shares.append(args[4]) or real(*args))
+
+        def sleepy():
+            eng = fastcrc.engine_init(e)
+            for _ in range(8):
+                eng.absorb(self.M)
+                time.sleep(0.005)
+            return eng
+
+        assert self.until(lambda: 512 in shares, sleepy), shares
+        shares.clear()
+        eng = fastcrc.engine_init(e)
+        for _ in range(16):
+            eng.absorb(self.M)
+        eng.finish()
+        assert shares[0] == len(self.M) // 4
+        assert sorted(shares)[len(shares) // 2] == len(self.M) // 4, shares
+
     def test_engine_on_another_thread_while_one_owns_the_worker(self, split_twin,
                                                                 monkeypatch):
         # a's pending split owns the worker, so b's runs on b's thread; a is joined on
@@ -1148,8 +1251,10 @@ class TestBinding:
             (TypeError, module.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
         bad_tables = []
-        if path != "native":  # a table cut after G
-            bad_tables.append(t.main[:9 + 8 * ((w + 7) // 8)])
+        if path != "native":  # a table cut after G, then inside mu''s sums and G's
+            tail = 9 + 8 * ((w + 7) // 8)
+            bad_tables += [t.main[:tail], t.main[:tail + 8 + 3 * MU_SLOT + 5],
+                           t.main[:tail + 8 + SUMS * MU_SLOT + 6 * G_SLOT]]
             calls += [(ValueError, module.fill_carryless, (bad,)) for bad in bad_tables]
             calls.append((TypeError, module.fill_carryless, (t.main.tobytes(),)))
         fill = module.fill if path == "native" else module.fill_carryless
@@ -1372,6 +1477,9 @@ class TestKernelBuild:
         functions = disassembly(listing)
         for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
+            # the hot kernels start on a cache line, wherever an edit elsewhere puts them
+            start, = re.findall(rf"^([0-9a-f]+) <{name}>:$", listing, re.M)
+            assert int(start, 16) % 64 == 0, name
         for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul",
                      "fill_carryless", "py_fill_carryless"):
             assert name in functions, name  # the check sees them
