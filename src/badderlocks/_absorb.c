@@ -12,28 +12,31 @@
  * 512-row table walk that any CPU runs, and on x86-64 two table-free
  * carry-less kernels with one shared loop, absorb_clmul (PCLMULQDQ, two
  * words of each product per instruction pair) and absorb_vpclmul
- * (VPCLMULQDQ on AVX-512F, eight words per pair).  Each carry-less kernel
- * is compiled for its own instruction set through target attributes, never
- * -march=native, so no AVX-512 instruction reaches code that a
- * PCLMULQDQ-only CPU runs; carryless() reports which kernels this CPU can
- * run.
+ * (VPCLMULQDQ on AVX-512F, BW and VBMI, eight words per pair).  Each
+ * carry-less kernel is compiled for its own instruction set through target
+ * attributes, never -march=native, so no AVX-512 instruction reaches code
+ * that a PCLMULQDQ-only CPU runs; carryless() reports which kernels this
+ * CPU can run.
  *
- * Both carry-less kernels read one table, each constant once, in place,
- * least significant word first: w, mu, seven zero words, G = (g - x^d) *
- * x^pad zero-padded to whole blocks of eight words, seven more zero words,
- * then mu' (B words) one word up, zero-padded to MU_BLOCKS whole blocks of
- * eight.  A product eight words at a time reads a constant shifted up s < 8
- * words by one unaligned load at offset -s, which brings in the zeros
- * around it.
+ * Both carry-less kernels read one table, least significant word first: w,
+ * mu, seven zero words, G = (g - x^d) * x^pad zero-padded to whole blocks
+ * of eight words, then the block step's tail: mu' (B words) one word up and
+ * G again, each with the family of sums its Karatsuba tiles read (see
+ * fill_sums and the block step).  A product eight words at a time reads a
+ * constant shifted up s < 8 words by one unaligned load at offset -s, which
+ * brings in the zeros or sums around it.
  *
  * Both carry-less kernels reduce one 64-bit word of codewords per Barrett
  * step, and each step's quotient waits on the last one's register.
  * absorb_vpclmul first reduces whole blocks of B = 144 words (1 KiB) with
  * one Barrett step per block, whose quotient Q = T + (T * mu' >> 64B) uses
  * mu' = floor(x^(d + 64B) / g) - x^(64B) (P. Barrett, CRYPTO '86, over
- * GF(2)); the word step takes the rest of the call.  fill_carryless
- * computes mu' by the word step when the table is built; absorb_clmul does
- * not read it.
+ * GF(2)); the word step takes the rest of the call.  The block step's
+ * products T * mu' and Q * G take Karatsuba on square tiles of 2, 4 and 8
+ * blocks, by plans that depend on w alone, made when the library loads;
+ * its codewords are packed 64 bytes at a time by AVX-512 byte permutations.
+ * fill_carryless computes mu' by the word step and both families of sums
+ * when the table is built; absorb_clmul reads neither.
  *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul, and split_join finishes what they start.  One
@@ -44,8 +47,10 @@
  * reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g (zlib's crc32_combine, in
  * the Barrett algebra of the carry-less kernels), with constants
  * K_j = x^(9 * 2^j - 2pad - d) mod g, q = 2^j, and K_(j+1), that the caller
- * supplies in the register layout.  On vpclmul every part and the combine
- * take the block step.  The threads are POSIX threads: build with -pthread.
+ * supplies in the register layout.  The join tells the caller how it went,
+ * so that the caller can size its next q.  On vpclmul every part and the
+ * combine take the block step.  The threads are POSIX threads: build with
+ * -pthread.
  */
 #ifndef _GNU_SOURCE
 #define _GNU_SOURCE /* sched_getcpu and the thread affinity calls; Python.h defines it first */
@@ -112,13 +117,27 @@ enum { LEVELS = 3, SUMS = 1 << LEVELS };
 #define TAIL_WORDS (SUMS * (SLOT(MU_BLOCKS) + SLOT(G_BLOCKS)))
 #define CARRYLESS_WORDS(w) (TAIL_AT(w) + TAIL_WORDS)
 
-/* Sequences 1 to SUMS - 1 of a family from its sequence 0, c, a blocks
- * long, each slot stride words after the last.  Bit b of s moves a copy
+/* How a split's join went: the joining thread absorbed H1 and H2 (TOOK_ALL),
+ * or H2 while the worker ran H1 (TOOK_H2), or the worker ran both, and the
+ * join waited for it (WAITED) or found it done (DONE).  A split never
+ * posted, or joined already, gives TOOK_ALL. */
+enum { TOOK_ALL, TOOK_H2, WAITED, DONE };
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
+#include <unistd.h>
+
+/* Sequences 1 to SUMS - 1 of a family from its sequence 0, c, of `blocks`
+ * blocks, each slot stride words after the last.  Bit b of s moves a copy
  * 2^b blocks down: sequence s is the sum of c moved down 8k words over the
- * sums k of the moves in s, from seven words below its origin, so its
- * block at diagonal j, read as c's is, is the sum of c's blocks at j + k.
- * Each is its lower sequence s - h, h the top bit of s, plus that sequence
- * moved down h blocks; c is zero below its origin and past its blocks. */
+ * sums k of the moves in s, from seven words below its origin, so its block
+ * at diagonal j, read as c's is, is the sum of c's blocks at j + k.  Each
+ * is its lower sequence s - h, h the top bit of s, plus that sequence moved
+ * down h blocks; c is zero below its origin and past its blocks. */
 static void fill_sums(uint64_t *c, size_t stride, size_t blocks)
 {
     size_t words = 8 * blocks + 7;
@@ -132,14 +151,6 @@ static void fill_sums(uint64_t *c, size_t stride, size_t blocks)
             to[r] = from[r] ^ (r + 8 * h < words ? from[r + 8 * h] : 0);
     }
 }
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#include <pthread.h>
-#include <sched.h>
-#include <signal.h>
-#include <stdatomic.h>
-#include <unistd.h>
 
 #define VPCLMUL __attribute__((target("pclmul,avx512f,avx512bw,avx512vbmi,vpclmulqdq")))
 /* the hot kernels start on a cache line, so an edit elsewhere does not move their loops */
@@ -344,20 +355,20 @@ tile(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t j
         acc[k] = rows[k];
 }
 
-VPCLMUL static void tile1_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
-                          size_t j)
+VPCLMUL HOT static void tile1_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                      size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 1, kara1);
 }
 
-VPCLMUL static void tile2_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
-                          size_t j)
+VPCLMUL HOT static void tile2_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                      size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 2, kara2);
 }
 
-VPCLMUL static void tile3_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride,
-                          size_t j)
+VPCLMUL HOT static void tile3_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                      size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 4, kara3);
 }
@@ -376,46 +387,45 @@ struct plan {
     struct step step[PLAN_STEPS];
 };
 
-/* The plan of rows o_lo <= o < o_hi of a * c, a of na blocks and c of nc:
- * row o, column i holds c's block at o - i, so 0 <= o - i < nc, or nothing.
- * The rows go in bands of up to 2^LEVELS; each band cuts its columns to
- * those some row of it reaches, takes the whole tiles, all of whose entries
- * lie inside, from the right, then from the left, and leaves the columns
- * between to its two halves. */
+/* The steps of a band of 2^level rows from row o of a * c over columns
+ * lo <= i < hi, a of na blocks and c of nc: row o, column i holds c's block
+ * at o - i, so 0 <= o - i < nc, or nothing.  The band cuts its columns to
+ * those some row of it reaches, takes the whole tiles, all of whose
+ * entries lie inside, from the right, then from the left, and leaves the
+ * columns between to its two halves; row o_lo of the product is row 0. */
+static void plan_band(struct plan *pl, size_t nc, size_t o_lo, size_t o, size_t level, size_t lo,
+                      size_t hi)
+{
+    size_t size = (size_t)1 << level;
+    uint8_t row = (uint8_t)(o - o_lo);
+    if (o + 1 > nc && lo < o + 1 - nc)
+        lo = o + 1 - nc;
+    if (hi > o + size)
+        hi = o + size;
+    if (lo >= hi)
+        return;
+    if (!level) {
+        pl->step[pl->steps++] = (struct step){0, row, (uint8_t)lo, (uint8_t)hi};
+        return;
+    }
+    /* a tile at column i is whole where its top-right diagonal, o - i - size + 1, is at
+     * least 0 and its bottom-left one, o - i + size - 1, below nc */
+    for (; hi - lo >= size && hi <= o + 1 && o + size - 1 - (hi - size) < nc; hi -= size)
+        pl->step[pl->steps++] = (struct step){(uint8_t)level, row, (uint8_t)(hi - size), 0};
+    for (; hi - lo >= size && lo + size <= o + 1 && o + size - 1 - lo < nc; lo += size)
+        pl->step[pl->steps++] = (struct step){(uint8_t)level, row, (uint8_t)lo, 0};
+    plan_band(pl, nc, o_lo, o, level - 1, lo, hi);
+    plan_band(pl, nc, o_lo, o + size / 2, level - 1, lo, hi);
+}
+
+/* The plan of rows o_lo <= o < o_hi of a * c: bands of up to 2^LEVELS rows. */
 static void make_plan(struct plan *pl, size_t na, size_t nc, size_t o_lo, size_t o_hi)
 {
-    struct band {
-        size_t o, lo, hi, level;
-    } todo[2 * LEVELS + MAX_WORDS / 4];
-    size_t top = 0;
     pl->steps = 0;
     for (size_t o = o_lo, level; o < o_hi; o += (size_t)1 << level) {
         for (level = LEVELS; (size_t)1 << level > o_hi - o;)
             level--;
-        todo[top++] = (struct band){o, 0, na, level};
-    }
-    while (top) {
-        struct band bd = todo[--top];
-        size_t o = bd.o, lo = bd.lo, hi = bd.hi, size = (size_t)1 << bd.level;
-        if (o + 1 > nc && lo < o + 1 - nc)
-            lo = o + 1 - nc;
-        if (hi > o + size)
-            hi = o + size;
-        if (lo >= hi)
-            continue;
-        uint8_t row = (uint8_t)(o - o_lo);
-        if (!bd.level) {
-            pl->step[pl->steps++] = (struct step){0, row, (uint8_t)lo, (uint8_t)hi};
-            continue;
-        }
-        /* a tile at column i is whole where its top-right diagonal, o - i - size + 1, is
-         * at least 0 and its bottom-left one, o - i + size - 1, below nc */
-        for (; hi - lo >= size && hi <= o + 1 && o + size - 1 - (hi - size) < nc; hi -= size)
-            pl->step[pl->steps++] = (struct step){(uint8_t)bd.level, row, (uint8_t)(hi - size), 0};
-        for (; hi - lo >= size && lo + size <= o + 1 && o + size - 1 - lo < nc; lo += size)
-            pl->step[pl->steps++] = (struct step){(uint8_t)bd.level, row, (uint8_t)lo, 0};
-        todo[top++] = (struct band){o + size / 2, lo, hi, bd.level - 1};
-        todo[top++] = (struct band){o, lo, hi, bd.level - 1};
+        plan_band(pl, nc, o_lo, o, level, 0, na);
     }
 }
 
@@ -444,8 +454,8 @@ product_vpclmul(uint64_t *out, const struct plan *pl, const uint64_t *a, size_t 
         }
     }
     for (size_t r = 0; r < rows; r++) {
-        _mm512_storeu_si512(out + 8 * r, _mm512_xor_si512(acc[2 * r], _mm512_alignr_epi64(
-                                                                          acc[2 * r + 1], below, 7)));
+        __m512i up = _mm512_alignr_epi64(acc[2 * r + 1], below, 7);
+        _mm512_storeu_si512(out + 8 * r, _mm512_xor_si512(acc[2 * r], up));
         below = acc[2 * r + 1];
     }
 }
@@ -919,12 +929,6 @@ static int split_post(struct split *sp, absorb_fn *absorb, combine_fn *combine, 
     absorb(reg, table, cw, data, n);
     return 0;
 }
-
-/* How a join went: this thread absorbed H1 and H2 (TOOK_ALL), or H2 while
- * the worker ran H1 (TOOK_H2), or the worker ran both, and the join waited
- * for it (WAITED) or found it done (DONE).  A split never posted, or joined
- * already, gives TOOK_ALL. */
-enum { TOOK_ALL, TOOK_H2, WAITED, DONE };
 
 /* Finish a posted split into its reg, from any thread; returns how it went.
  * A join that takes the job back moves the worker off this CPU if it is

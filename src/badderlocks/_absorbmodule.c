@@ -31,8 +31,8 @@
  *
  * There are two kinds of table, rows (absorb, fill) and carry-less (the
  * rest), and one register bound for both and for digest: w <= MAX_WORDS.
- * Both carry-less kernels read the same table, whose mu' fill_carryless
- * computes in place.  The clmul, vpclmul and fill_carryless functions exist
+ * Both carry-less kernels read the same table, whose mu' and sums
+ * fill_carryless computes in place.  The clmul, vpclmul and fill_carryless functions exist
  * on x86-64 only.
  */
 #define PY_SSIZE_T_CLEAN
@@ -497,8 +497,8 @@ typedef struct {
 
 /* The share rule: a split's q is 2^j, from 512 up to the largest power of two
  * <= n / 4, j = the engine's share cut to that range.  A join that found the
- * worker done lowers the share by one, any other raises it by one. */
-enum { SHARE_FLOOR = 9, SHARE_TOP = 8 * sizeof(size_t) - 1, DONE_AT_JOIN = 3 };
+ * worker DONE lowers the share by one, any other raises it by one. */
+enum { SHARE_FLOOR = 9, SHARE_TOP = 8 * sizeof(size_t) - 1 };
 
 static module_state *state_of(Engine *self) { return PyType_GetModuleState(Py_TYPE(self)); }
 
@@ -727,8 +727,8 @@ static int join(Engine *self)
     if (outcome == -1 && PyErr_Occurred())
         return -1;
     self->splits++;
-    self->splits_taken += outcome != 0;
-    if (outcome != DONE_AT_JOIN)
+    self->splits_taken += outcome != TOOK_ALL;
+    if (outcome != DONE)
         self->share++;
     else if (self->share > SHARE_FLOOR)
         self->share--;

@@ -11,11 +11,14 @@ be flushed through.  Output is bit-identical to classifier.classify.
 
 Absorb runs on one of four paths, which `CrcEngine.path` names:
 
-- "vpclmul": C with no table of rows, on AVX-512.  Codewords are packed
-  into 64-bit words.  A call of one block, 1 KiB, or more is reduced a
-  block at a time, by one Barrett step per block whose products, formed
-  with VPCLMULQDQ, do not wait on each other.  Shorter calls, and what
-  follows a call's last whole block, take the per-word Barrett step,
+- "vpclmul": C with no table of rows, on AVX-512 with VBMI.  Codewords are
+  packed into 64-bit words, 64 bytes at a time by byte permutations.  A
+  call of one block, 1 KiB, or more is reduced a block at a time, by one
+  Barrett step per block whose products, formed with VPCLMULQDQ, do not
+  wait on each other; square tiles of those products take Karatsuba, which
+  reads sums of the step's constants kept in the table, so a block step
+  issues a third fewer VPCLMULQDQ at 1744-4288 bits.  Shorter calls, and
+  what follows a call's last whole block, take the per-word Barrett step,
   ceil(degree / 64) + 1 carry-less multiplies per word, eight of them per
   pair of VPCLMULQDQ instructions.
 - "clmul": the per-word step with PCLMULQDQ, one multiply per instruction.
@@ -66,17 +69,24 @@ to one set of tests.
 
 On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
 threads where this process may run on two CPUs or more.  The chunk is cut
-into [H1 | H2 | T], H2 and T q bytes each, q being the largest power of two
-<= n / 4 and at least 512.  A persistent C worker thread continues the
-register through H1, then H2, while the calling thread absorbs T into a
-zeroed one and returns, so the caller's next work, such as hashing the same
-chunk, overlaps the worker's.  The engine keeps the split pending and joins
-it at its next entry point: absorb, finish, `register`, `_reg`, the `tables`
-setter, or when the engine is dropped.  A join takes H2 itself if the
-worker is not yet at it, then H1 too if the worker has not started, and
-otherwise waits for the worker; the C code joins the registers by
-reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, one combine on each side,
-so a join that finds the worker done only adds two registers.  A chunk
+into [H1 | H2 | T], H2 and T q bytes each.  A persistent C worker thread
+continues the register through H1, then H2, while the calling thread
+absorbs T into a zeroed one and returns, so the caller's next work, such as
+hashing the same chunk, overlaps the worker's.  The engine keeps the split
+pending and joins it at its next entry point: absorb, finish, `register`,
+`_reg`, the `tables` setter, or when the engine is dropped.  A join takes H2
+itself if the worker is not yet at it, then H1 too if the worker has not
+started, and otherwise waits for the worker; the C code joins the registers
+by reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, one combine on each side,
+so a join that finds the worker done only adds two registers.  The caller's
+share q follows the joins: it is a power of two from 512 up to the largest
+<= n / 4, where it starts; a join that found the worker done halves the
+engine's next q, and any other join doubles it.  So a caller that hashes
+between absorbs, and finds the worker done, leaves the worker nearly all of
+each chunk, while an absorb-only stream keeps q at n / 4.  A join that
+takes the job back from a worker that last ran on the caller's CPU moves
+the worker off it, for a scheduler that does not balance the two CPUs may
+keep both there.  A chunk
 that is not an exact `bytes` object may change once absorb returns, so it
 is joined before absorb returns.  The constants that move a register past
 2^j bytes are cached per generator on first use.  On vpclmul every part and the combine
@@ -231,7 +241,8 @@ class CrcTables(NamedTuple):
     and `digest(reg, degree)` returns the byte-aligned digest.  On the
     carry-less paths `split(reg, main, codewords, data, q, k, k2)`, the
     two-thread entry, returns a pending split whose `join()` writes reg
-    and returns how many parts the worker ran (0, 1 or 2), and
+    and returns how the join went: 0 the caller absorbed the whole chunk, 1
+    it took H2, 2 it waited for the worker, 3 the worker was done; and
     `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
     `_shift`); elsewhere both are None.
 
@@ -242,7 +253,8 @@ class CrcTables(NamedTuple):
       (one word), seven zero words, then G = (g - x^degree) * x^pad least
       significant word first, zero-padded to whole blocks of eight words
       (see `_barrett_constants`), then the module's `TAIL_WORDS`, into which
-      its `fill_carryless` writes the block step's constant.  `shifts`
+      its `fill_carryless` writes the block step's constants: mu' and the sums
+      of mu' and G that its Karatsuba tiles read.  `shifts`
       caches the packed combine constants by j; see `_shift`.
     """
 
