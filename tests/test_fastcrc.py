@@ -744,10 +744,11 @@ EDGE_WORDS = (1, 7, 8, 9, 15, 16, 17, 67, 71)
 
 class TestBlockStep:
     def test_matches_gf2poly_from_random_registers(self, path):
-        # at every register width: from a random register, 2 KiB and 100 bytes (two block
-        # steps on vpclmul, then the word step, and on the -split variants a split with
-        # q = 512) leave reg * x^(9n) + expand(m) * x^d mod g, by gf2poly.multiply; from a
-        # zero register, classify's digest.  Widths no registry entry has take custom entries
+        # at every register width, on both engine twins: from a random register, 2 KiB and
+        # 100 bytes (two block steps on vpclmul, then the word step, and on the -split
+        # variants a split with q = 512) leave reg * x^(9n) + expand(m) * x^d mod g, by
+        # gf2poly.multiply; from a zero register, classify's digest.  Widths no registry
+        # entry has take custom entries
         poly = gf2poly.BitPolynomial
         rng = random.Random(47)
         m = rng.randbytes(2 * BLOCK_BYTES + 100)
@@ -756,14 +757,17 @@ class TestBlockStep:
             by_width.setdefault(w, custom_entry(64 * w - 5))
         expanded = sbox.expand_message(m)
         for w, e in sorted(by_width.items()):
-            start = rng.getrandbits(e.degree)
-            eng = fastcrc.engine_init(e)
-            eng._reg = bytearray(fastcrc._to_words(start << 64 * w - e.degree, w).tobytes())
-            moved = gf2poly.multiply(poly(start), poly(1 << 9 * len(m)))
-            want = gf2poly.remainder(moved ^ gf2poly.shift_left(expanded, e.degree),
-                                     e.generator)
-            assert eng.absorb(m).register == want.value, (path, w)
-            assert fastcrc.engine_init(e).absorb(m).finish().data == reference(e, m), (path, w)
+            tables = fastcrc._tables_for(e)
+            for twin in {fastcrc.CrcEngine, fastcrc._PyCrcEngine}:
+                start = rng.getrandbits(e.degree)
+                eng = twin(e, tables)
+                eng._reg = bytearray(fastcrc._to_words(start << 64 * w - e.degree, w).tobytes())
+                moved = gf2poly.multiply(poly(start), poly(1 << 9 * len(m)))
+                want = gf2poly.remainder(moved ^ gf2poly.shift_left(expanded, e.degree),
+                                         e.generator)
+                assert eng.absorb(m).register == want.value, (path, twin, w)
+                digest = twin(e, tables).absorb(m).finish().data
+                assert digest == reference(e, m), (path, twin, w)
 
 
 class TestThreads:
