@@ -32,8 +32,8 @@
  * There are two kinds of table, rows (absorb, fill) and carry-less (the
  * rest), and one register bound for both and for digest: w <= MAX_WORDS.
  * Both carry-less kernels read the same table, whose mu' and sums
- * fill_carryless computes in place.  The clmul, vpclmul and fill_carryless functions exist
- * on x86-64 only.
+ * fill_carryless computes in place.  The clmul, vpclmul and fill_carryless
+ * functions exist on x86-64 only.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

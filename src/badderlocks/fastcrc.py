@@ -86,9 +86,8 @@ between absorbs, and finds the worker done, leaves the worker nearly all of
 each chunk, while an absorb-only stream keeps q at n / 4.  A join that
 takes the job back from a worker that last ran on the caller's CPU moves
 the worker off it, for a scheduler that does not balance the two CPUs may
-keep both there.  A chunk
-that is not an exact `bytes` object may change once absorb returns, so it
-is joined before absorb returns.  The constants that move a register past
+keep both there.  A chunk that is not an exact `bytes` object may change
+once absorb returns, so it is joined before absorb returns.  The constants that move a register past
 2^j bytes are cached per generator on first use.  On vpclmul every part and the combine
 take the block step.  A split asked while another engine owns the worker
 runs on the calling thread.  `splits` and `splits_taken` count, at each
