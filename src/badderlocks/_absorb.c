@@ -377,7 +377,8 @@ static tile_fn *const tiles[LEVELS + 1] = {NULL, tile1_vpclmul, tile2_vpclmul, t
 
 /* A product's plan: in order, whole tiles of 2^level rows from row o,
  * relative to the first row formed, and column i, and with level 0 the
- * columns i <= col < end of row o, one block product each. */
+ * columns i <= col < end of row o, one block product each.  No plan for
+ * w <= MAX_WORDS has more than 28 steps. */
 enum { PLAN_STEPS = 32 };
 struct step {
     uint8_t level, o, i, end;
