@@ -1138,7 +1138,7 @@ class TestDeferredJoin:
         # a stream that hashes or sleeps between absorbs finds the worker done at each
         # join, and its q falls by half a chunk to 512; an absorb-only stream joins while
         # the worker still runs, and its q stays at n / 4
-        e, want = self.entry_and_digest()
+        e, _ = self.entry_and_digest()
         shares = []
         record_splits(monkeypatch, lambda real, args: shares.append(args[4]) or real(*args))
 
@@ -1150,13 +1150,19 @@ class TestDeferredJoin:
             return eng
 
         assert self.until(lambda: 512 in shares, sleepy), shares
-        shares.clear()
-        eng = fastcrc.engine_init(e)
-        for _ in range(16):
-            eng.absorb(self.M)
-        eng.finish()
-        assert shares[0] == len(self.M) // 4
-        assert sorted(shares)[len(shares) // 2] == len(self.M) // 4, shares
+        medians = []
+
+        def absorb_only():
+            shares.clear()
+            eng = fastcrc.engine_init(e)
+            for _ in range(16):
+                eng.absorb(self.M)
+            eng.finish()
+            assert shares[0] == len(self.M) // 4
+            medians.append(sorted(shares)[len(shares) // 2])
+
+        # a caller that another process holds off the CPU may find the worker done
+        assert self.until(lambda: len(self.M) // 4 in medians, absorb_only), medians
 
     def test_engine_on_another_thread_while_one_owns_the_worker(self, split_twin,
                                                                 monkeypatch):
