@@ -53,7 +53,7 @@
  * -pthread.
  */
 #ifndef _GNU_SOURCE
-#define _GNU_SOURCE /* sched_getcpu and the thread affinity calls; Python.h defines it first */
+#define _GNU_SOURCE /* sched_getcpu and thread affinity on Linux; Python.h defines it first */
 #endif
 #include <stddef.h>
 #include <stdint.h>
@@ -770,6 +770,17 @@ static atomic_int state;
 static pid_t worker_pid; /* the process the worker runs in; 0 before the first split */
 static pthread_t worker; /* that thread, once worker_pid is set */
 static atomic_int worker_cpu; /* the CPU the worker last looked for a job on */
+
+/* This thread's CPU, where the system tells it: -1 elsewhere, which never
+ * moves the worker (move_worker_off). */
+static int this_cpu(void)
+{
+#if defined(__linux__)
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
 static struct split *job;
 static const uint64_t zero[MAX_WORDS];
 
@@ -794,13 +805,13 @@ static void sleep_for(int value)
 static void wait_for(int value)
 {
     for (int i = 0; i < SPINS; i++) {
-        atomic_store_explicit(&worker_cpu, sched_getcpu(), memory_order_relaxed);
+        atomic_store_explicit(&worker_cpu, this_cpu(), memory_order_relaxed);
         if (atomic_load_explicit(&state, memory_order_acquire) == value)
             return;
         sched_yield();
     }
     sleep_for(value);
-    atomic_store_explicit(&worker_cpu, sched_getcpu(), memory_order_relaxed);
+    atomic_store_explicit(&worker_cpu, this_cpu(), memory_order_relaxed);
 }
 
 /* The join's wait for the worker to finish its job. */
@@ -882,6 +893,7 @@ static int start_worker(void)
  * holds one CPU. */
 static void move_worker_off(int cpu)
 {
+#if defined(__linux__)
     cpu_set_t mask, others;
     if (cpu < 0 || atomic_load_explicit(&worker_cpu, memory_order_relaxed) != cpu ||
         pthread_getaffinity_np(worker, sizeof mask, &mask) || !CPU_ISSET(cpu, &mask) ||
@@ -891,6 +903,9 @@ static void move_worker_off(int cpu)
     CPU_CLR(cpu, &others);
     if (!pthread_setaffinity_np(worker, sizeof others, &others))
         pthread_setaffinity_np(worker, sizeof mask, &mask);
+#else
+    (void)cpu;
+#endif
 }
 
 /* Absorb n bytes of data into reg as a split with H2 and T q bytes each,
@@ -951,7 +966,7 @@ int split_join(struct split *sp)
     if (!forked) {
         if (atomic_compare_exchange_strong_explicit(&state, &seen, IDLE, memory_order_relaxed,
                                                     memory_order_relaxed))
-            move_worker_off(sched_getcpu());
+            move_worker_off(this_cpu());
         else if (took)
             outcome = TOOK_H2;
         else
