@@ -452,12 +452,14 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
     return arguments(nargs, 0, "carryless") ? PyLong_FromLong(carryless()) : NULL;
 }
 
-/* The engine type: fastcrc's CrcEngine class line for line, without the
- * interpreter's frames and attribute lookups on the engine itself, and
- * fastcrc's engine_init and _tables_for, likewise.  The engine calls its
- * tables' loop, split and digest by vectorcall, never the C loops directly,
- * so each call passes the checks above, and joins a pending split by its
- * join method, as the Python class does.  All three read fastcrc's
+/* The engine type: fastcrc's CrcEngine class, without the interpreter's
+ * frames and attribute lookups on the engine itself, and fastcrc's
+ * engine_init and _tables_for, likewise.  The type adds the two-thread
+ * split, which the Python class does not make: the split of a chunk, its
+ * join at the next entry point, the share rule and the split counters.  The
+ * engine calls its tables' loop, split and digest by vectorcall, never the
+ * C loops directly, so each call passes the checks above, and joins a
+ * pending split by its join method.  All three read fastcrc's
  * _SPLIT_BYTES, _shift, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
  * _table_cache and build_tables from the namespace bind() hands them, at
  * each call, so what is patched there reaches them; the codeword map

@@ -52,9 +52,10 @@ else the native path; the Python loop runs where the module cannot be
 built or imported.
 
 Where the module loads, `CrcEngine` is the module's engine type, which
-follows the Python class below line for line, as hashlib's objects wrap
-update and digest, and `engine_init` and `_tables_for` are the module's
-functions, so a short digest runs no Python frame of this library.  The
+follows the Python class below, as hashlib's objects wrap update and
+digest, and adds the two-thread split; `engine_init` and `_tables_for` are
+the module's functions, so a short digest runs no Python frame of this
+library.  The
 engine calls its tables' loop, split and digest by vectorcall, so each
 call passes the module's buffer checks, and its `finish` builds the
 `ClassifierDigest` with that class's length check but without the frame
@@ -65,10 +66,12 @@ or a tracer's wrapper there reaches them; the codeword map is still built
 on the first absorb.  The Python class and functions stay as their
 pure-Python twins, `_PyCrcEngine`, `_py_engine_init` and
 `_py_tables_for`, which run where the module does not; each pair is held
-to one set of tests.
+to one set of tests, but for the split, which only the module's type makes:
+the Python class calls its tables' loop alone, whatever tables it is given.
 
-On the two carry-less paths, a chunk of 16 KiB or more is absorbed on two
-threads where this process may run on two CPUs or more.  The chunk is cut
+On the two carry-less paths, the module's engine type absorbs a chunk of
+16 KiB or more on two threads where this process may run on two CPUs or
+more.  The chunk is cut
 into [H1 | H2 | T], H2 and T q bytes each.  A persistent C worker thread
 continues the register through H1, then H2, while the calling thread
 absorbs T into a zeroed one and returns, so the caller's next work, such as
@@ -92,8 +95,9 @@ once absorb returns, so it is joined before absorb returns.  The constants that 
 take the block step.  A split asked while another engine owns the worker
 runs on the calling thread.  `splits` and `splits_taken` count, at each
 join, the splits an engine asked for and those of which the worker ran a
-part.  Smaller chunks, the other paths and a one-CPU affinity mask run one
-thread, and every path gives the same digest.
+part; the Python class keeps both at 0.  Smaller chunks, the other paths,
+the Python class and a one-CPU affinity mask run one thread, and every
+path gives the same digest.
 """
 
 from __future__ import annotations
@@ -198,10 +202,6 @@ def _split_bytes() -> int:
 
 
 _SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
-# the share rule: a split's q is 2^j, from 512 up to the largest power of two <= n / 4, j the
-# engine's share cut to that range; a join that found the worker done (3) lowers the share by
-# one, any other join raises it by one
-_SHARE_FLOOR, _SHARE_TOP, _DONE_AT_JOIN = 9, 63, 3
 
 
 def _to_words(value: int, w: int) -> array:
@@ -230,8 +230,8 @@ def _python_digest(reg: bytearray, degree: int) -> bytes:
 class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
-    The engine, the module's type or its Python twin alike, calls `loop`,
-    `split` and `digest`; `_shift` calls `combine`.  The packed forms hold
+    The engine calls `loop` and `digest`, the module's engine type also
+    `split`; `_shift` calls `combine`.  The packed forms hold
     each value in `words` 64-bit words, most significant word first and
     shifted up by 64 * words - degree bits, and every path's register is
     one, in a bytearray.  `main` states its own
@@ -379,65 +379,29 @@ class CrcEngine:
     After absorbing a message of 8 or more bytes, `register` equals the
     classifier digest of that message as an integer.  This class is the
     pure-Python twin of the extension module's `CrcEngine` type, which
-    takes its name where the module loads.
+    takes its name where the module loads and adds the two-thread split.
+    This class calls its tables' loop alone, whatever tables it is given,
+    so it runs one thread, and its `splits` and `splits_taken` stay 0.
     """
 
-    __slots__ = ("entry", "_tables", "consumed", "splits", "splits_taken", "_share", "_finished",
-                 "_words", "_pending")
+    __slots__ = ("entry", "tables", "consumed", "splits", "splits_taken", "_finished", "_reg")
 
     def __init__(self, entry: GeneratorEntry, tables: CrcTables):
         self.entry = entry
-        self._tables = tables
+        self.tables = tables
         self.consumed = 0
-        self.splits = 0  # chunks absorbed on two threads, counted at their join
-        self.splits_taken = 0  # of those, the chunks of which the worker ran a part
-        self._share = _SHARE_TOP  # j of the last split's q = 2^j, moved by its join
+        self.splits = self.splits_taken = 0  # as `classify --stats` reads them: no split
         self._finished = False
-        self._words = bytearray(8 * tables.words)  # the register, laid out like a packed row
-        self._pending = None  # the split of the last chunk until its join
-
-    def _join(self) -> None:
-        """Join the split the last chunk left pending, if any, count it and move the share:
-        the entry points call this before they read or replace the register or its tables."""
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            outcome = pending.join()
-            self.splits += 1
-            self.splits_taken += outcome != 0
-            if outcome != _DONE_AT_JOIN:
-                self._share += 1
-            elif self._share > _SHARE_FLOOR:
-                self._share -= 1
-
-    @property
-    def tables(self) -> CrcTables:
-        return self._tables
-
-    @tables.setter
-    def tables(self, tables: CrcTables) -> None:
-        self._join()
-        self._tables = tables
-
-    @property
-    def _reg(self) -> bytearray:
-        self._join()
-        return self._words
-
-    @_reg.setter
-    def _reg(self, reg) -> None:
-        self._join()
-        self._words = reg
+        self._reg = bytearray(8 * tables.words)  # the register, laid out like a packed row
 
     @property
     def register(self) -> int:
-        self._join()
-        return int.from_bytes(self._tables.digest(self._words, self.entry.degree), "big")
+        return int.from_bytes(self.tables.digest(self._reg, self.entry.degree), "big")
 
     @property
     def path(self) -> str:
         """Which absorb loop this engine runs: "vpclmul", "clmul", "native" or "python"."""
-        return self._tables.path
+        return self.tables.path
 
     def __repr__(self) -> str:
         return (f"<CrcEngine entry={self.entry.index} bits={self.entry.aligned_bits} "
@@ -447,40 +411,25 @@ class CrcEngine:
         """Run one table cycle per byte of a bytes-like chunk; returns self for chaining."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        if type(chunk) is bytes:
-            n = len(chunk)
-        else:
-            # its raw bytes, whatever the item size, read in place where they are contiguous;
-            # a non-buffer raises TypeError here, before any state changes
-            view = memoryview(chunk)
-            n = view.nbytes
-            if not view.c_contiguous:
-                chunk = view.tobytes()
-        self._join()
-        tables = self._tables
-        if n >= _SPLIT_BYTES and tables.split is not None:
-            # H2 = T = q = 2^j by the share rule
-            j = self._share = max(_SHARE_FLOOR, min(self._share, (n // 4).bit_length() - 1))
-            self._pending = tables.split(self._words, tables.main, _codewords(), chunk, 1 << j,
-                                         _shift(self.entry, tables, j),
-                                         _shift(self.entry, tables, j + 1))
-        else:
-            tables.loop(self._words, tables.main, _codewords(), chunk)
-        self.consumed += n
-        if type(chunk) is not bytes:  # only bytes cannot change once this returns
-            self._join()
+        # its raw bytes, whatever the item size, read in place where they are contiguous;
+        # a non-buffer raises TypeError here, before any state changes
+        view = memoryview(chunk)
+        if not view.c_contiguous:
+            chunk = view.tobytes()
+        tables = self.tables
+        tables.loop(self._reg, tables.main, _codewords(), chunk)
+        self.consumed += view.nbytes
         return self
 
     def finish(self) -> ClassifierDigest:
         """Apply the filler rule and emit the byte-aligned digest."""
         if self._finished:
             raise RuntimeError("engine already finished")
-        self._join()
         self._finished = True
-        tables = self._tables
+        tables = self.tables
         if self.consumed < 8:  # one FILLER cycle for each byte short of 8
-            tables.loop(self._words, tables.main, _FILLER, bytes(8 - self.consumed))
-        return ClassifierDigest(tables.digest(self._words, self.entry.degree), self.entry)
+            tables.loop(self._reg, tables.main, _FILLER, bytes(8 - self.consumed))
+        return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
 
 
 def engine_init(e: GeneratorEntry, /) -> CrcEngine:

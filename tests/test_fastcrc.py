@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from badderlocks import classifier, fastcrc, gf2poly, params, sbox
+from badderlocks import classifier, cli, fastcrc, gf2poly, params, sbox
 from badderlocks.fastcrc import build_tables
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -746,9 +746,9 @@ class TestBlockStep:
     def test_matches_gf2poly_from_random_registers(self, path):
         # at every register width, on both engine twins: from a random register, 2 KiB and
         # 100 bytes (two block steps on vpclmul, then the word step, and on the -split
-        # variants a split with q = 512) leave reg * x^(9n) + expand(m) * x^d mod g, by
-        # gf2poly.multiply; from a zero register, classify's digest.  Widths no registry
-        # entry has take custom entries
+        # variants the module's engine splits with q = 512) leave reg * x^(9n) +
+        # expand(m) * x^d mod g, by gf2poly.multiply; from a zero register, classify's
+        # digest.  Widths no registry entry has take custom entries
         poly = gf2poly.BitPolynomial
         rng = random.Random(47)
         m = rng.randbytes(2 * BLOCK_BYTES + 100)
@@ -929,15 +929,11 @@ class TestThreads:
         assert inside() >= 2, kernel
 
 
-@pytest.fixture(params=[(variant, twin) for variant in ("vpclmul-split", "clmul-split")
-                        for twin in ("module", "python")], ids="-".join)
+@pytest.fixture(params=["vpclmul-split", "clmul-split"], ids=lambda variant: f"{variant}-module")
 def split_twin(request, monkeypatch):
-    """A "-split" variant with the module's engine type or its Python twin, which
-    splits over the same tables; returns the engine class."""
-    variant, twin = request.param
-    use_path(monkeypatch, variant)
-    if twin == "python":
-        monkeypatch.setattr(fastcrc, "CrcEngine", fastcrc._PyCrcEngine)
+    """A "-split" variant with the module's engine type, the one engine that splits;
+    returns the engine class."""
+    use_path(monkeypatch, request.param)
     return fastcrc.CrcEngine
 
 
@@ -960,7 +956,8 @@ def forked(child) -> object:
 
 class TestDeferredJoin:
     """A split absorb returns after the caller's part; the engine's next entry point joins
-    the worker's.  Each way a join can go gives classify's digest on both engine twins."""
+    the worker's.  Each way a join can go gives classify's digest on the module's engine
+    type, which alone splits (see TestPythonEngineRunsOneThread)."""
 
     E_BITS = 1744
     M = random.Random(50).randbytes(64 * 1024)  # H1 32 KiB, H2 and T 16 KiB each
@@ -1187,6 +1184,46 @@ class TestDeferredJoin:
         assert self.until(lambda: any(joins), lambda: self.once(e, want)), joins
 
 
+class TestPythonEngineRunsOneThread:
+    """The pure-Python engine calls its tables' loop alone, whatever tables it is given,
+    so over the module's carry-less tables it never splits and its counters stay 0."""
+
+    @pytest.mark.parametrize("variant", ["vpclmul-split", "clmul-split"])
+    def test_carryless_tables_take_no_split(self, monkeypatch, variant):
+        use_path(monkeypatch, variant)
+        calls = []
+        spy(monkeypatch, "split", lambda real, args: calls.append(args) or real(*args))
+        e = params.entry_for_aligned_bits(1744)
+        tables = fastcrc._tables_for(e)
+        m = random.Random(51).randbytes(4 * TEST_SPLIT_BYTES)
+        below, above = TEST_SPLIT_BYTES - 1, 3 * TEST_SPLIT_BYTES
+        # bytes, bytearray and non-contiguous views, each below and above the split floor
+        chunks = [m[:below], m[:above], bytearray(m[:below]), bytearray(m[:above]),
+                  memoryview(m)[:2 * below:2], memoryview(m)[::2]]
+        eng = fastcrc._PyCrcEngine(e, tables)
+        for chunk in chunks:
+            eng.absorb(chunk)
+        whole = b"".join(map(bytes, chunks))
+        assert calls == [] and eng.splits == eng.splits_taken == 0
+        assert eng.consumed == len(whole)
+        assert eng.finish() == classifier.classify(whole, e)
+        # the control: the module's engine over the same tables reaches the spy
+        assert fastcrc.CrcEngine(e, tables).absorb(m).finish() == classifier.classify(m, e)
+        assert len(calls) == 1
+
+    def test_classify_stats_reads_no_split(self, monkeypatch, capsys, tmp_path):
+        use_path(monkeypatch, "python")
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
+        f = tmp_path / "m.bin"
+        f.write_bytes(random.Random(52).randbytes(3 * TEST_SPLIT_BYTES))
+        assert cli.dispatch(["classify", "--bits", "1744", "--in", str(f), "--stats"]) == 0
+        out, err = capsys.readouterr()
+        want = classifier.classify(f.read_bytes(), params.entry_for_aligned_bits(1744))
+        assert out.strip() == want.hex()
+        fields = err.split()
+        assert "path=python" in fields and "splits=0/0" in fields
+
+
 @pytest.fixture(params=["vpclmul", "vpclmul-split", "clmul", "clmul-split", "native"])
 def kernel_path(request, monkeypatch):
     """The path fixture's variants that call the extension module."""
@@ -1393,17 +1430,10 @@ class TestKernelBuild:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
 
-    def test_sanitized_build_matches_vectors(self, tmp_path):
+    def test_sanitized_build_matches_vectors(self, sanitized):
         # warnings are errors, and any undefined behaviour (a shift by 64, an
         # out-of-range index) aborts the child
-        if shutil.which("cc") is None:
-            pytest.skip("no cc on PATH")
-        lib = tmp_path / "_absorb-ubsan.so"
-        build = subprocess.run(
-            ["cc", "-O1", "-g", "-shared", "-fPIC", "-pthread", "-Wall", "-Wextra", "-Werror",
-             "-fsanitize=undefined", "-fno-sanitize-recover=all", "-I", PYTHON_INCLUDE,
-             "-o", str(lib), str(fastcrc._SOURCES[0])], capture_output=True, text=True)
-        assert build.returncode == 0, build.stderr
+        lib = sanitized("undefined")
         run = subprocess.run([sys.executable, "-c", SANITIZED_SWEEP, str(lib)],
                              capture_output=True, text=True, timeout=600,
                              env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
@@ -1414,29 +1444,17 @@ class TestKernelBuild:
         splits = (30 * 5 + 1) * len([p for p in paths if p in CARRYLESS_PATHS])
         assert run.stdout.split() == [*paths, str(per_path * len(paths) + splits)]
 
-    def test_thread_sanitizer_finds_no_race(self, monkeypatch, tmp_path):
+    def test_thread_sanitizer_finds_no_race(self, sanitized):
         # CPython does not run under an LD_PRELOADed libtsan, so a C program
         # includes the kernel source, posts splits from two threads and joins them on
         # the posting thread or another one
-        kernel = first_carryless_path(monkeypatch)
-        # every part of 1 KiB (one block) or more takes the block step on vpclmul; in the
-        # last two cases H2 and T are under one block; q is one the share rule may pick,
-        # a power of two from 512 up to n / 4, the last case's the floor of 512
-        cases = []
-        for bits, n, q in ((64, 20000, 4096), (1744, 40000, 8192), (4288, 16384, 4096),
-                           (2784, 30000, 4096), (416, 3000, 512), (1744, 40000, 512)):
-            table, k, k2 = kernel_constants(params.entry_for_aligned_bits(bits), q)
-            cases.append("{%d, %d, %s, %s, %s}" % (n, q, c_words(table), c_words(k),
-                                                   c_words(k2)))
-        run = sanitized_program(tmp_path, "thread", TSAN_PROGRAM % {
-            "kernel": kernel, "codewords": c_words(fastcrc._codewords()),
-            "cases": ",\n    ".join(cases)}, "h2")
+        run = run_sanitized(sanitized("thread"), "h2")
         mismatches, *joins, plain, extra = map(int, run.stdout.split())
         # joins counts the posted splits by how the join went: 0 (the caller took it all
         # back), 1 (it took H2), 2 (it waited for the worker) or 3 (the worker was done);
         # the joins made at once took H2
         assert mismatches == 0 and joins[1] > 0
-        assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
+        assert sum(joins) + plain == (2 * 40 + 1) * len(TSAN_CASES) + extra
         # on one CPU a worker that has started is mostly off the CPU while the caller
         # joins, so the join spins, then sleeps until the worker is done
         if hasattr(os, "sched_setaffinity"):
@@ -1447,30 +1465,16 @@ class TestKernelBuild:
             assert again.returncode == 0, again.stdout + again.stderr
             mismatches, *joins, plain, extra = map(int, again.stdout.split())
             assert mismatches == 0 and joins[1] + joins[2] + joins[3] > 0
-            assert sum(joins) + plain == (2 * 40 + 1) * len(cases) + extra
+            assert sum(joins) + plain == (2 * 40 + 1) * len(TSAN_CASES) + extra
 
-    def test_address_sanitizer_finds_no_overread(self, monkeypatch, tmp_path):
+    def test_address_sanitizer_finds_no_overread(self, sanitized):
         # the kernels load whole blocks of eight words, up to seven words below each
         # constant and past its last word; a C program copies each table, constant, message
         # and register into buffers of exactly their size, so any such load past what
         # fastcrc builds is a heap-buffer-overflow
-        first_carryless_path(monkeypatch)
-        m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
-        cases = []
-        for bits in (64, 416, 512, 608, 1744, 2784, 4288):
-            e = params.entry_for_aligned_bits(bits)
-            table, k, k2 = kernel_constants(e, ASAN_SPLIT_PART)
-            pad = 64 * table[0] - e.degree
-            want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad,
-                                      table[0]) for n in ASAN_LENGTHS]
-            cases.append("{%d, %s, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
-                                                     c_words(k2), ", ".join(map(c_words, want))))
-        run = sanitized_program(tmp_path, "address", ASAN_PROGRAM % {
-            "codewords": c_words(fastcrc._codewords()), "message": c_words(m),
-            "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
-            "cases": ",\n    ".join(cases)})
+        run = run_sanitized(sanitized("address"))
         mismatches, runs = map(int, run.stdout.split())
-        assert mismatches == 0 and runs == 3 * len(cases) * HOST_LEVEL
+        assert mismatches == 0 and runs == 3 * len(ASAN_BITS) * HOST_LEVEL
 
     def test_avx512_stays_in_the_vpclmul_kernel(self):
         # a CPU with PCLMULQDQ but not AVX-512 runs every function but the vpclmul
@@ -1513,23 +1517,88 @@ def c_words(words) -> str:
     return "{%s}" % ", ".join(map(hex, words))
 
 
-def sanitized_program(tmp_path, sanitizer: str, source: str,
-                      *args: str) -> subprocess.CompletedProcess:
-    """Build a C program that includes the kernel source under -fsanitize=sanitizer and
-    run it with args; skip where that sanitizer does not build or run here."""
-    probe = tmp_path / "probe.c"
-    probe.write_text("int main(void) { return 0; }\n")
-    built = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-o", str(tmp_path / "probe"),
-                            str(probe)], capture_output=True)
-    if built.returncode or subprocess.run([str(tmp_path / "probe")]).returncode:
-        pytest.skip(f"no working -fsanitize={sanitizer} here")
-    (tmp_path / "program.c").write_text(source)
-    program = tmp_path / "program"
-    build = subprocess.run(
-        ["cc", "-O1", "-g", f"-fsanitize={sanitizer}", "-pthread", "-Wall", "-Wextra", "-Werror",
-         "-I", str(fastcrc._PACKAGE), "-o", str(program), str(tmp_path / "program.c")],
-        capture_output=True, text=True)
-    assert build.returncode == 0, build.stderr
+def tsan_source(kernel: str) -> str:
+    """The ThreadSanitizer program over TSAN_CASES on the given carry-less kernel."""
+    cases = []
+    for bits, n, q in TSAN_CASES:
+        table, k, k2 = kernel_constants(params.entry_for_aligned_bits(bits), q)
+        cases.append("{%d, %d, %s, %s, %s}" % (n, q, c_words(table), c_words(k), c_words(k2)))
+    return TSAN_PROGRAM % {"kernel": kernel, "codewords": c_words(fastcrc._codewords()),
+                           "cases": ",\n    ".join(cases)}
+
+
+def asan_source() -> str:
+    """The AddressSanitizer program over ASAN_BITS, which runs every carry-less kernel the
+    host runs over one table."""
+    m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
+    cases = []
+    for bits in ASAN_BITS:
+        e = params.entry_for_aligned_bits(bits)
+        table, k, k2 = kernel_constants(e, ASAN_SPLIT_PART)
+        pad = 64 * table[0] - e.degree
+        want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad, table[0])
+                for n in ASAN_LENGTHS]
+        cases.append("{%d, %s, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
+                                                 c_words(k2), ", ".join(map(c_words, want))))
+    return ASAN_PROGRAM % {
+        "codewords": c_words(fastcrc._codewords()), "message": c_words(m),
+        "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
+        "cases": ",\n    ".join(cases)}
+
+
+@pytest.fixture(scope="class")
+def sanitized(tmp_path_factory):
+    """A function from a sanitizer, "undefined", "thread" or "address", to its build of
+    the kernel: the UBSan extension module, or the TSan or ASan C program, which includes
+    the kernel source.  The three are compiled side by side, and all are done before this
+    fixture returns, so that no compile overlaps the timing-sensitive runs, which the
+    tests make one at a time.  A build this host cannot make skips the test that asks."""
+    tmp = tmp_path_factory.mktemp("sanitized")
+    builds, skips = {}, {}
+
+    def start(sanitizer: str, *command: str) -> None:
+        builds[sanitizer] = subprocess.Popen(
+            ["cc", "-O1", "-g", f"-fsanitize={sanitizer}", "-pthread", "-Wall", "-Wextra",
+             "-Werror", *command, "-o", str(tmp / sanitizer)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+    if shutil.which("cc") is None:
+        skips = dict.fromkeys(("undefined", "thread", "address"), "no cc on PATH")
+    else:  # the longest compile first, beside the programs' sources being written
+        start("undefined", "-shared", "-fPIC", "-fno-sanitize-recover=all",
+              "-I", PYTHON_INCLUDE, str(fastcrc._SOURCES[0]))
+    loaded = [p for p in CARRYLESS_PATHS if host_runs(p)]
+    sources = {"thread": lambda: tsan_source(loaded[0]), "address": asan_source}
+    for sanitizer, source in sources.items():
+        if sanitizer in skips:
+            continue
+        if not loaded:
+            skips[sanitizer] = "no carry-less kernel is loaded here"
+            continue
+        probe = tmp / f"probe-{sanitizer}"
+        probe.with_suffix(".c").write_text("int main(void) { return 0; }\n")
+        built = subprocess.run(["cc", f"-fsanitize={sanitizer}", "-o", str(probe),
+                                str(probe.with_suffix(".c"))], capture_output=True)
+        if built.returncode or subprocess.run([str(probe)]).returncode:
+            skips[sanitizer] = f"no working -fsanitize={sanitizer} here"
+            continue
+        with pytest.MonkeyPatch.context() as mp:  # the fastest carry-less path's tables
+            use_path(mp, loaded[0])
+            (tmp / f"{sanitizer}.c").write_text(source())
+        start(sanitizer, "-I", str(fastcrc._PACKAGE), str(tmp / f"{sanitizer}.c"))
+    errors = {name: build.communicate()[1] for name, build in builds.items()}
+
+    def build(sanitizer: str) -> Path:
+        if sanitizer in skips:
+            pytest.skip(skips[sanitizer])
+        assert builds[sanitizer].returncode == 0, errors[sanitizer]
+        return tmp / sanitizer
+
+    return build
+
+
+def run_sanitized(program: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run a sanitizer's program with args; it must exit 0 with no report."""
     run = subprocess.run([str(program), *args], capture_output=True, text=True, timeout=600)
     assert "Sanitizer" not in run.stderr, run.stderr
     assert run.returncode == 0, run.stdout + run.stderr
@@ -1663,6 +1732,13 @@ print(" ".join(paths), checked)
 """
 
 
+# The ThreadSanitizer program's cases, (bits, n, q): every part of 1 KiB (one block)
+# or more takes the block step on vpclmul; in the last two cases H2 and T are under
+# one block; q is one the share rule may pick, a power of two from 512 up to n / 4,
+# the last case's the floor of 512.
+TSAN_CASES = ((64, 20000, 4096), (1744, 40000, 8192), (4288, 16384, 4096),
+              (2784, 30000, 4096), (416, 3000, 512), (1744, 40000, 512))
+
 # Two threads each run every case 40 times: a plain absorb and a split one from
 # the same nonzero register, which must agree.  On even rounds the split is joined
 # at once, as by an absorb-only stream, whose joins take H2 while the worker is on
@@ -1772,6 +1848,8 @@ int main(int argc, char **argv)
 # on two threads, H2 and T ASAN_SPLIT_PART bytes each (two blocks), H1 the rest.
 ASAN_LENGTHS = (1000, 3000, 5000)
 ASAN_SPLIT_PART = 2048
+# the entry sizes the AddressSanitizer program runs
+ASAN_BITS = (64, 416, 512, 608, 1744, 2784, 4288)
 
 # Each case's table, K_j, message and register are copied into buffers of
 # exactly their size, one table for both kernels.  Prints mismatches against
