@@ -460,12 +460,12 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
  * engine calls its tables' loop, split and digest by vectorcall, never the
  * C loops directly, so each call passes the checks above, and joins a
  * pending split by its join method.  All three read fastcrc's
- * _SPLIT_BYTES, _shift, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
- * _table_cache and build_tables from the namespace bind() hands them, at
- * each call, so what is patched there reaches them; the codeword map
- * fastcrc._codewords() builds on the first absorb is kept.  The type is
- * mutable, as a class is: attributes set on it (a tracer's wrappers) take
- * the place of its methods until restored. */
+ * _SPLIT_BYTES, _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine,
+ * _tables_for, _table_cache and build_tables from the namespace bind()
+ * hands them, at each call, as the Python class reads them, so what is
+ * patched there reaches both.  The type is mutable, as a class is:
+ * attributes set on it (a tracer's wrappers) take the place of its methods
+ * until restored. */
 
 /* The names looked up: attributes of an engine's tables and entry and of a
  * digest, then globals of fastcrc; interned once per module. */
@@ -476,7 +476,7 @@ enum name {
 };
 static const char *const name_text[NAMES] = {
     "words", "main", "loop", "split", "digest", "path", "degree", "index", "aligned_bits",
-    "from_bytes", "big", "data", "entry", "join", "_SPLIT_BYTES", "_shift", "_codewords", "_FILLER",
+    "from_bytes", "big", "data", "entry", "join", "_SPLIT_BYTES", "_shift", "_CODEWORDS", "_FILLER",
     "ClassifierDigest", "CrcEngine", "_tables_for", "_table_cache", "build_tables",
 };
 
@@ -484,7 +484,6 @@ typedef struct {
     PyObject *engine_type;
     PyObject *split_type; /* NULL where the split entries are not compiled */
     PyObject *namespace; /* fastcrc's globals, from bind(); NULL until then */
-    PyObject *codewords; /* what fastcrc._codewords() returned on the first absorb */
     PyObject *names[NAMES];
 } module_state;
 
@@ -766,14 +765,7 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         if (split == Py_None)
             Py_CLEAR(split);
     }
-    if (!st->codewords) { /* another thread may fill it while _codewords() runs */
-        PyObject *built = call(st, NULL, CODEWORDS, NULL, 0);
-        if (!built)
-            goto done;
-        Py_XSETREF(st->codewords, built);
-    }
-    codewords = Py_NewRef(st->codewords);
-    if (!(main = attr(st, tables, MAIN)))
+    if (!(codewords = global(st, CODEWORDS)) || !(main = attr(st, tables, MAIN)))
         goto done;
     PyObject *looped;
     if (split) {
@@ -1125,7 +1117,6 @@ static int traverse_module(PyObject *module, visitproc visit, void *arg)
     Py_VISIT(st->engine_type);
     Py_VISIT(st->split_type);
     Py_VISIT(st->namespace);
-    Py_VISIT(st->codewords);
     return 0;
 }
 
@@ -1135,7 +1126,6 @@ static int clear_module(PyObject *module)
     Py_CLEAR(st->engine_type);
     Py_CLEAR(st->split_type);
     Py_CLEAR(st->namespace);
-    Py_CLEAR(st->codewords);
     for (int i = 0; i < NAMES; i++)
         Py_CLEAR(st->names[i]);
     return 0;

@@ -37,19 +37,19 @@ whose block-step constant the module computes when the table is built, and
 the block size is a constant of the C code.  `_absorbmodule.c` includes
 `_absorb.c` and makes it a CPython extension module whose functions take
 these as buffers, check their sizes before writing a word, and release the
-GIL for chunks of 4 KiB or more.  The first import compiles the module with
-`cc -pthread` and the interpreter's `Python.h` into this package's
-`__pycache__`, named by a hash of both sources, the compile command, the
-machine and the interpreter's extension suffix, and later imports load
-that file; a build deletes this interpreter's builds of earlier sources
-there.  The key names the interpreter by its installation prefix, not its
-include directory, so only a build imports sysconfig.  fastcrc calls the
-module's functions directly.  Its `carryless()` asks the CPU which
-carry-less instructions it runs, and `build_tables` reads that answer each
-time it builds a table: the vpclmul path is taken where the CPU reports
-AVX-512F and VPCLMULQDQ, else the clmul path where it reports PCLMULQDQ,
-else the native path; the Python loop runs where the module cannot be
-built or imported.
+GIL for chunks of 4 KiB or more.  The first import compiles the module as a
+release build, `cc -DNDEBUG -pthread`, against the interpreter's `Python.h`
+into this package's `__pycache__`, named by a hash of both sources, the
+compile command, the machine and the interpreter's extension suffix, and
+later imports load that file; a build deletes this interpreter's builds of
+earlier sources there.  The key names the interpreter by its installation
+prefix, not its include directory, so only a build imports sysconfig.
+fastcrc calls the module's functions directly.  Its `carryless()` asks the
+CPU which carry-less instructions it runs, and `build_tables` reads that
+answer each time it builds a table: the vpclmul path is taken where the CPU
+reports AVX-512F and VPCLMULQDQ, else the clmul path where it reports
+PCLMULQDQ, else the native path; the Python loop runs where the module
+cannot be built or imported.
 
 Where the module loads, `CrcEngine` is the module's engine type, which
 follows the Python class below, as hashlib's objects wrap update and
@@ -59,11 +59,11 @@ library.  The
 engine calls its tables' loop, split and digest by vectorcall, so each
 call passes the module's buffer checks, and its `finish` builds the
 `ClassifierDigest` with that class's length check but without the frame
-of its `__init__`.  All three read `_SPLIT_BYTES`, `_shift`, `_FILLER`,
-`ClassifierDigest`, `CrcEngine`, `_tables_for`, `_table_cache` and
-`build_tables` from this module at each call, through `bind`, so a patch
-or a tracer's wrapper there reaches them; the codeword map is still built
-on the first absorb.  The Python class and functions stay as their
+of its `__init__`.  All three read `_SPLIT_BYTES`, `_shift`, `_CODEWORDS`,
+`_FILLER`, `ClassifierDigest`, `CrcEngine`, `_tables_for`, `_table_cache`
+and `build_tables` from this module at each call, through `bind`, as the
+Python class and functions read them, so a patch or a tracer's wrapper
+there reaches both.  The Python class and functions stay as their
 pure-Python twins, `_PyCrcEngine`, `_py_engine_init` and
 `_py_tables_for`, which run where the module does not; each pair is held
 to one set of tests, but for the split, which only the module's type makes:
@@ -109,7 +109,6 @@ import os
 import sys
 from array import array
 from collections.abc import Callable
-from functools import cache
 from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
@@ -124,7 +123,8 @@ __all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 _PACKAGE = Path(__file__).parent
 _SOURCES = (_PACKAGE / "_absorbmodule.c", _PACKAGE / "_absorb.c")  # the first includes the second
 # no -march=native: the cached file must stay valid if the checkout moves to another host
-_COMPILE = ("-O3", "-shared", "-fPIC", "-pthread")
+# -DNDEBUG: a release build, without the asserts of CPython's header macros
+_COMPILE = ("-O3", "-DNDEBUG", "-shared", "-fPIC", "-pthread")
 
 
 def _compile(command: list[str], path: Path) -> bool:
@@ -364,12 +364,7 @@ def _tables_for(e: GeneratorEntry, /) -> CrcTables:
     return tables
 
 
-@cache
-def _codewords() -> array:
-    """Each byte value's S-box codeword, built on first absorb so that set-up does not pay."""
-    return array("H", codeword_table().entries)
-
-
+_CODEWORDS = array("H", codeword_table().entries)  # each byte value's S-box codeword
 _FILLER = array("H", [FILLER]) * 256  # every byte maps to FILLER
 
 
@@ -417,7 +412,7 @@ class CrcEngine:
         if not view.c_contiguous:
             chunk = view.tobytes()
         tables = self.tables
-        tables.loop(self._reg, tables.main, _codewords(), chunk)
+        tables.loop(self._reg, tables.main, _CODEWORDS, chunk)
         self.consumed += view.nbytes
         return self
 

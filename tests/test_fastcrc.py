@@ -540,6 +540,25 @@ class TestEngineClasses:
         digest = engine_class(e, fastcrc._tables_for(e)).absorb(FOX).finish()
         assert type(digest) is Tagged and digest.data == reference(e, FOX)
 
+    def test_absorb_and_finish_read_the_codeword_maps_at_each_call(self, engine_class,
+                                                                    monkeypatch):
+        # a map that sends every byte to byte 0's codeword turns what the next loop call
+        # reads into zero bytes; a chunk of TEST_SPLIT_BYTES or more takes the split where
+        # the module's type makes one, which reads the map too
+        e = params.entry_for_aligned_bits(1744)
+        tables = fastcrc._tables_for(e)
+        zero = array("H", [fastcrc._CODEWORDS[0]]) * 256
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
+        monkeypatch.setattr(fastcrc, "_FILLER", zero)
+        digest = engine_class(e, tables).absorb(FOX[:3]).finish()
+        assert digest.data == reference(e, FOX[:3] + bytes(5))
+        chunk = random.Random(45).randbytes(2 * TEST_SPLIT_BYTES)
+        eng = engine_class(e, tables).absorb(FOX)
+        monkeypatch.setattr(fastcrc, "_CODEWORDS", zero)
+        digest = eng.absorb(chunk).absorb(FOX).finish()
+        assert digest.data == reference(e, FOX + bytes(len(chunk) + len(FOX)))
+        assert eng.splits == (engine_class is not fastcrc._PyCrcEngine and tables.split is not None)
+
 
 @pytest.fixture(params=["module", "python"])
 def init_twin(request, monkeypatch):
@@ -1005,7 +1024,9 @@ class TestDeferredJoin:
         # in a forked child pinned to one CPU the child's worker, started there, shares
         # the caller's CPU, so a caller that joins at once mostly finds it not started;
         # one that sleeps a little first may find it started and off the CPU once the
-        # caller wakes, and waits for it; one that sleeps long enough finds it done
+        # caller wakes, and waits for it; one that sleeps long enough finds it done.
+        # Even time.sleep(0) blocks the caller for an instant, in which the worker takes
+        # the job, so a caller that joins at once does not call it
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no affinity masks here")
         e, want = self.entry_and_digest()
@@ -1013,7 +1034,8 @@ class TestDeferredJoin:
 
         def op(pause):
             eng = fastcrc.engine_init(e).absorb(self.M)
-            time.sleep(pause)
+            if pause:
+                time.sleep(pause)
             digests.add(eng.finish().data)
 
         def child():
@@ -1267,7 +1289,7 @@ class TestBinding:
         module = fastcrc._kernel
         e = params.entry_for_aligned_bits(1744)
         t = build_tables(e)
-        w, cw, loop = t.words, fastcrc._codewords(), t.loop
+        w, cw, loop = t.words, fastcrc._CODEWORDS, t.loop
         guarded = bytearray(8 * (w + 2))
         reg = memoryview(guarded)[8:8 + 8 * w]
         loop(reg, t.main, cw, FOX)
@@ -1503,6 +1525,11 @@ class TestKernelBuild:
                 assert not [i for i in instructions if avx512(i)], name
         for name in ("absorb", "fill"):
             assert not [i for i in functions[name] if "pclmul" in i[1]], name
+        # a release build: no assert of CPython's header macros is compiled in
+        calls = [i[1] for instructions in functions.values() for i in instructions
+                 if i[1].startswith("call")]
+        assert calls  # the check sees calls
+        assert not [c for c in calls if "<__assert_fail" in c]
 
 
 def kernel_constants(e, n2: int):
@@ -1523,7 +1550,7 @@ def tsan_source(kernel: str) -> str:
     for bits, n, q in TSAN_CASES:
         table, k, k2 = kernel_constants(params.entry_for_aligned_bits(bits), q)
         cases.append("{%d, %d, %s, %s, %s}" % (n, q, c_words(table), c_words(k), c_words(k2)))
-    return TSAN_PROGRAM % {"kernel": kernel, "codewords": c_words(fastcrc._codewords()),
+    return TSAN_PROGRAM % {"kernel": kernel, "codewords": c_words(fastcrc._CODEWORDS),
                            "cases": ",\n    ".join(cases)}
 
 
@@ -1541,7 +1568,7 @@ def asan_source() -> str:
         cases.append("{%d, %s, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
                                                  c_words(k2), ", ".join(map(c_words, want))))
     return ASAN_PROGRAM % {
-        "codewords": c_words(fastcrc._codewords()), "message": c_words(m),
+        "codewords": c_words(fastcrc._CODEWORDS), "message": c_words(m),
         "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
         "cases": ",\n    ".join(cases)}
 
