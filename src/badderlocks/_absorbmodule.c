@@ -38,6 +38,10 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "_absorb.c"
 
@@ -456,16 +460,20 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
  * frames and attribute lookups on the engine itself, and fastcrc's
  * engine_init and _tables_for, likewise.  The type adds the two-thread
  * split, which the Python class does not make: the split of a chunk, its
- * join at the next entry point, the share rule and the split counters.  The
- * engine calls its tables' loop, split and digest by vectorcall, never the
- * C loops directly, so each call passes the checks above, and joins a
- * pending split by its join method.  All three read fastcrc's
- * _SPLIT_BYTES, _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine,
- * _tables_for, _table_cache and build_tables from the namespace bind()
- * hands them, at each call, as the Python class reads them, so what is
- * patched there reaches both.  The type is mutable, as a class is:
- * attributes set on it (a tracer's wrappers) take the place of its methods
- * until restored. */
+ * join at the next entry point (absorb, finish, register, _reg or dealloc),
+ * the share rule and the split counters.  A chunk of _SPLIT_BYTES or more
+ * splits on a table that has a split entry where the calling thread may
+ * run on two CPUs or more, which it asks for that chunk.  An engine's
+ * entry, tables and register are fixed at construction and its counters
+ * are read-only, so its entry points read them in place.  The engine calls
+ * its tables' loop, split and digest by vectorcall, never the C loops
+ * directly, so each call passes the checks above, and joins a pending
+ * split by its join method.  All three read fastcrc's _SPLIT_BYTES,
+ * _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
+ * _table_cache and build_tables from the namespace bind() hands them, at
+ * each call, as the Python class reads them, so what is patched there
+ * reaches both.  The type is mutable, as a class is: attributes set on it
+ * (a tracer's wrappers) take the place of its methods until restored. */
 
 /* The names looked up: attributes of an engine's tables and entry and of a
  * digest, then globals of fastcrc; interned once per module. */
@@ -498,8 +506,9 @@ typedef struct {
 
 /* The share rule: a split's q is 2^j, from 512 up to the largest power of two
  * <= n / 4, j = the engine's share cut to that range.  A join that found the
- * worker DONE lowers the share by one, any other raises it by one. */
-enum { SHARE_FLOOR = 9, SHARE_TOP = 8 * sizeof(size_t) - 1 };
+ * worker DONE lowers the share by one, any other raises it by one.  A chunk
+ * under SPLIT_LEAST has no q with 2q <= n, so it never splits. */
+enum { SHARE_FLOOR = 9, SHARE_TOP = 8 * sizeof(size_t) - 1, SPLIT_LEAST = 2 << SHARE_FLOOR };
 
 static module_state *state_of(Engine *self) { return PyType_GetModuleState(Py_TYPE(self)); }
 
@@ -540,11 +549,12 @@ static PyObject *call(module_state *st, PyObject *owner, enum name name, PyObjec
     return result;
 }
 
-/* tables.digest(reg, entry.degree). */
-static PyObject *digest_of(module_state *st, PyObject *entry, PyObject *tables, PyObject *reg)
+/* tables.digest(reg, entry.degree), of an engine's. */
+static PyObject *digest_of(module_state *st, Engine *self)
 {
-    PyObject *degree = attr(st, entry, DEGREE);
-    PyObject *result = degree ? call(st, tables, DIGEST, (PyObject *[]){reg, degree}, 2) : NULL;
+    PyObject *degree = attr(st, self->entry, DEGREE);
+    PyObject *result = degree ? call(st, self->tables, DIGEST, (PyObject *[]){self->reg, degree}, 2)
+                              : NULL;
     Py_XDECREF(degree);
     return result;
 }
@@ -690,17 +700,14 @@ static void engine_dealloc(Engine *self)
     Py_DECREF(type);
 }
 
-/* The engine's entry, tables and register as new references, which a
- * call they make may reassign; 0 with AttributeError if one was deleted. */
-static int hold(Engine *self, PyObject **entry, PyObject **tables, PyObject **reg)
+/* Whether the engine still holds its entry, tables and register, which
+ * only engine_clear takes, all three at once, from an engine in a cycle the
+ * collector frees; AttributeError if not. */
+static int intact(Engine *self)
 {
-    *entry = Py_XNewRef(self->entry);
-    *tables = Py_XNewRef(self->tables);
-    *reg = Py_XNewRef(self->reg);
-    if (*entry && *tables && *reg)
+    if (self->reg)
         return 1;
-    PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'",
-                 !*entry ? "entry" : !*tables ? "tables" : "_reg");
+    PyErr_SetString(PyExc_AttributeError, "'CrcEngine' object has been cleared");
     return 0;
 }
 
@@ -713,10 +720,12 @@ static int unfinished(Engine *self)
 }
 
 /* Join the split the last chunk left pending, if any, count it and move
- * the share: the engine's entry points call this before they read or
- * replace the register or its tables.  -1 with the join's error. */
+ * the share: the engine's entry points call this before they read the
+ * register.  -1 with the join's error, or if the engine was cleared. */
 static int join(Engine *self)
 {
+    if (!intact(self))
+        return -1;
     PyObject *pending = self->pending;
     if (!pending)
         return 0;
@@ -736,6 +745,18 @@ static int join(Engine *self)
     return 0;
 }
 
+/* The CPUs the calling thread may run on: its affinity mask's where it has
+ * one (about 0.2 us a call on Linux), else those online. */
+static long cpus(void)
+{
+#if defined(__linux__)
+    cpu_set_t mask;
+    if (!sched_getaffinity(0, sizeof mask, &mask))
+        return CPU_COUNT(&mask);
+#endif
+    return sysconf(_SC_NPROCESSORS_ONLN);
+}
+
 PyDoc_STRVAR(absorb_doc, "Run one table cycle per byte of a bytes-like chunk; returns self for "
                          "chaining.");
 
@@ -751,21 +772,22 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
         data = Py_NewRef(chunk);
     } else if (!(data = raw_bytes(chunk, &n))) /* before any state changes */
         return NULL;
-    PyObject *entry = NULL, *tables = NULL, *reg = NULL, *floor = NULL, *split = NULL,
-             *main = NULL, *codewords = NULL, *q = NULL, *k = NULL, *k2 = NULL, *result = NULL;
-    if (join(self) < 0 || !hold(self, &entry, &tables, &reg) ||
-        !(floor = global(st, SPLIT_BYTES)))
+    PyObject *split = NULL, *main = NULL, *codewords = NULL, *q = NULL, *k = NULL, *k2 = NULL,
+             *result = NULL;
+    if (join(self) < 0)
         goto done;
-    Py_ssize_t split_bytes = PyLong_AsSsize_t(floor);
-    if (split_bytes == -1 && PyErr_Occurred())
-        goto done;
-    if (n >= split_bytes) {
-        if (!(split = attr(st, tables, SPLIT)))
+    if (n >= SPLIT_LEAST) {
+        PyObject *floor = global(st, SPLIT_BYTES);
+        Py_ssize_t split_bytes = floor ? PyLong_AsSsize_t(floor) : -1;
+        Py_XDECREF(floor);
+        if (split_bytes == -1 && PyErr_Occurred())
             goto done;
-        if (split == Py_None)
+        if (n >= split_bytes && !(split = attr(st, self->tables, SPLIT)))
+            goto done;
+        if (split == Py_None || (split && cpus() < 2))
             Py_CLEAR(split);
     }
-    if (!(codewords = global(st, CODEWORDS)) || !(main = attr(st, tables, MAIN)))
+    if (!(codewords = global(st, CODEWORDS)) || !(main = attr(st, self->tables, MAIN)))
         goto done;
     PyObject *looped;
     if (split) {
@@ -775,20 +797,21 @@ static PyObject *engine_absorb(Engine *self, PyObject *chunk)
             j++;
         self->share = j;
         PyObject *bits = PyLong_FromSize_t(j), *bits2 = PyLong_FromSize_t(j + 1);
-        if (bits && bits2 && (k = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits}, 3)))
-            k2 = call(st, NULL, SHIFT, (PyObject *[]){entry, tables, bits2}, 3);
+        if (bits && bits2 &&
+            (k = call(st, NULL, SHIFT, (PyObject *[]){self->entry, self->tables, bits}, 3)))
+            k2 = call(st, NULL, SHIFT, (PyObject *[]){self->entry, self->tables, bits2}, 3);
         Py_XDECREF(bits);
         Py_XDECREF(bits2);
         if (!k2 || !(q = PyLong_FromSize_t((size_t)1 << j)))
             goto done;
-        looped = PyObject_Vectorcall(split, (PyObject *[]){reg, main, codewords, data, q, k, k2},
-                                     7, NULL);
+        looped = PyObject_Vectorcall(
+            split, (PyObject *[]){self->reg, main, codewords, data, q, k, k2}, 7, NULL);
         if (looped) {
             Py_XSETREF(self->pending, looped);
             looped = Py_NewRef(Py_None);
         }
     } else
-        looped = call(st, tables, LOOP, (PyObject *[]){reg, main, codewords, data}, 4);
+        looped = call(st, self->tables, LOOP, (PyObject *[]){self->reg, main, codewords, data}, 4);
     if (looped) {
         Py_DECREF(looped);
         self->consumed += n;
@@ -804,10 +827,6 @@ done:
     Py_XDECREF(codewords);
     Py_XDECREF(main);
     Py_XDECREF(split);
-    Py_XDECREF(floor);
-    Py_XDECREF(reg);
-    Py_XDECREF(tables);
-    Py_XDECREF(entry);
     Py_DECREF(data);
     return result;
 }
@@ -821,31 +840,26 @@ static PyObject *engine_finish(Engine *self, PyObject *unused)
     if (!unfinished(self) || join(self) < 0)
         return NULL;
     self->finished = 1;
-    PyObject *entry, *tables, *reg, *main = NULL, *filler = NULL, *zeros = NULL, *data = NULL,
-             *result = NULL;
-    if (!hold(self, &entry, &tables, &reg))
-        goto done;
+    PyObject *main = NULL, *filler = NULL, *zeros = NULL, *data = NULL, *result = NULL;
     if (self->consumed < 8) { /* one FILLER cycle for each byte short of 8 */
         Py_ssize_t short_by = 8 - self->consumed;
-        if (!(main = attr(st, tables, MAIN)) || !(filler = global(st, FILLER_MAP)) ||
+        if (!(main = attr(st, self->tables, MAIN)) || !(filler = global(st, FILLER_MAP)) ||
             !(zeros = PyBytes_FromStringAndSize(NULL, short_by)))
             goto done;
         memset(PyBytes_AS_STRING(zeros), 0, (size_t)short_by);
-        PyObject *looped = call(st, tables, LOOP, (PyObject *[]){reg, main, filler, zeros}, 4);
+        PyObject *looped = call(st, self->tables, LOOP,
+                                (PyObject *[]){self->reg, main, filler, zeros}, 4);
         if (!looped)
             goto done;
         Py_DECREF(looped);
     }
-    if ((data = digest_of(st, entry, tables, reg)))
-        result = new_digest(st, data, entry);
+    if ((data = digest_of(st, self)))
+        result = new_digest(st, data, self->entry);
 done:
     Py_XDECREF(data);
     Py_XDECREF(zeros);
     Py_XDECREF(filler);
     Py_XDECREF(main);
-    Py_XDECREF(reg);
-    Py_XDECREF(tables);
-    Py_XDECREF(entry);
     return result;
 }
 
@@ -853,90 +867,37 @@ static PyObject *engine_register(Engine *self, void *closure)
 {
     (void)closure;
     module_state *st = state_of(self);
-    PyObject *entry = NULL, *tables = NULL, *reg = NULL, *data = NULL, *result = NULL;
-    if (join(self) == 0 && hold(self, &entry, &tables, &reg) &&
-        (data = digest_of(st, entry, tables, reg)))
+    PyObject *data = NULL, *result = NULL;
+    if (join(self) == 0 && (data = digest_of(st, self)))
         result = PyObject_CallMethodObjArgs((PyObject *)&PyLong_Type, st->names[FROM_BYTES], data,
                                             st->names[BIG], NULL);
     Py_XDECREF(data);
-    Py_XDECREF(reg);
-    Py_XDECREF(tables);
-    Py_XDECREF(entry);
     return result;
-}
-
-/* _reg and tables as members give and set them, but joined first where a
- * pending split would write the register under the caller: _reg's get and
- * set, and tables' set. */
-static PyObject *member(PyObject *value, const char *name)
-{
-    if (!value)
-        return PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'",
-                            name);
-    return Py_NewRef(value);
-}
-
-static int set_joined(Engine *self, PyObject **slot, PyObject *value, const char *name)
-{
-    if (join(self) < 0)
-        return -1;
-    if (!value && !*slot) {
-        PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute '%s'", name);
-        return -1;
-    }
-    Py_XSETREF(*slot, Py_XNewRef(value));
-    return 0;
 }
 
 static PyObject *engine_get_reg(Engine *self, void *closure)
 {
     (void)closure;
-    return join(self) < 0 ? NULL : member(self->reg, "_reg");
-}
-
-static int engine_set_reg(Engine *self, PyObject *value, void *closure)
-{
-    (void)closure;
-    return set_joined(self, &self->reg, value, "_reg");
-}
-
-static PyObject *engine_get_tables(Engine *self, void *closure)
-{
-    (void)closure;
-    return member(self->tables, "tables");
-}
-
-static int engine_set_tables(Engine *self, PyObject *value, void *closure)
-{
-    (void)closure;
-    return set_joined(self, &self->tables, value, "tables");
+    return join(self) < 0 ? NULL : Py_NewRef(self->reg);
 }
 
 static PyObject *engine_path(Engine *self, void *closure)
 {
     (void)closure;
-    PyObject *tables = Py_XNewRef(self->tables);
-    if (!tables)
-        return PyErr_Format(PyExc_AttributeError, "'CrcEngine' object has no attribute 'tables'");
-    PyObject *path = attr(state_of(self), tables, PATH);
-    Py_DECREF(tables);
-    return path;
+    return intact(self) ? attr(state_of(self), self->tables, PATH) : NULL;
 }
 
 static PyObject *engine_repr(Engine *self)
 {
     module_state *st = state_of(self);
-    PyObject *entry, *tables, *reg, *index = NULL, *bits = NULL, *path = NULL, *result = NULL;
-    if (hold(self, &entry, &tables, &reg) && (index = attr(st, entry, INDEX)) &&
-        (bits = attr(st, entry, ALIGNED_BITS)) && (path = attr(st, tables, PATH)))
+    PyObject *index = NULL, *bits = NULL, *path = NULL, *result = NULL;
+    if (intact(self) && (index = attr(st, self->entry, INDEX)) &&
+        (bits = attr(st, self->entry, ALIGNED_BITS)) && (path = attr(st, self->tables, PATH)))
         result = PyUnicode_FromFormat("<CrcEngine entry=%S bits=%S consumed=%zd path=%S>", index,
                                       bits, self->consumed, path);
     Py_XDECREF(path);
     Py_XDECREF(bits);
     Py_XDECREF(index);
-    Py_XDECREF(reg);
-    Py_XDECREF(tables);
-    Py_XDECREF(entry);
     return result;
 }
 
@@ -947,19 +908,19 @@ static PyMethodDef engine_methods[] = {
 };
 
 static PyMemberDef engine_members[] = {
-    {"entry", T_OBJECT_EX, offsetof(Engine, entry), 0, NULL},
-    {"consumed", T_PYSSIZET, offsetof(Engine, consumed), 0, NULL},
-    {"splits", T_PYSSIZET, offsetof(Engine, splits), 0,
+    {"entry", T_OBJECT_EX, offsetof(Engine, entry), READONLY, NULL},
+    {"tables", T_OBJECT_EX, offsetof(Engine, tables), READONLY, NULL},
+    {"consumed", T_PYSSIZET, offsetof(Engine, consumed), READONLY, NULL},
+    {"splits", T_PYSSIZET, offsetof(Engine, splits), READONLY,
      "Chunks absorbed on two threads, counted at their join."},
-    {"splits_taken", T_PYSSIZET, offsetof(Engine, splits_taken), 0,
+    {"splits_taken", T_PYSSIZET, offsetof(Engine, splits_taken), READONLY,
      "Of those, the chunks of which the worker thread absorbed a part."},
     {NULL, 0, 0, 0, NULL},
 };
 
 static PyGetSetDef engine_getset[] = {
     {"register", (getter)engine_register, NULL, NULL, NULL},
-    {"tables", (getter)engine_get_tables, (setter)engine_set_tables, NULL, NULL},
-    {"_reg", (getter)engine_get_reg, (setter)engine_set_reg, NULL, NULL},
+    {"_reg", (getter)engine_get_reg, NULL, NULL, NULL},
     {"path", (getter)engine_path, NULL,
      "Which absorb loop this engine runs: \"vpclmul\", \"clmul\", \"native\" or \"python\".", NULL},
     {NULL, NULL, NULL, NULL, NULL},

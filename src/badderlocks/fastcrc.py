@@ -53,9 +53,11 @@ cannot be built or imported.
 
 Where the module loads, `CrcEngine` is the module's engine type, which
 follows the Python class below, as hashlib's objects wrap update and
-digest, and adds the two-thread split; `engine_init` and `_tables_for` are
-the module's functions, so a short digest runs no Python frame of this
-library.  The
+digest, and adds the two-thread split.  The type fixes an engine's entry,
+tables and register at construction: its `entry`, `tables`, `_reg`,
+`consumed`, `splits` and `splits_taken` are read-only, where the Python
+class's are plain slots.  `engine_init` and `_tables_for` are the module's
+functions, so a short digest runs no Python frame of this library.  The
 engine calls its tables' loop, split and digest by vectorcall, so each
 call passes the module's buffer checks, and its `finish` builds the
 `ClassifierDigest` with that class's length check but without the frame
@@ -70,34 +72,37 @@ to one set of tests, but for the split, which only the module's type makes:
 the Python class calls its tables' loop alone, whatever tables it is given.
 
 On the two carry-less paths, the module's engine type absorbs a chunk of
-16 KiB or more on two threads where this process may run on two CPUs or
-more.  The chunk is cut
-into [H1 | H2 | T], H2 and T q bytes each.  A persistent C worker thread
-continues the register through H1, then H2, while the calling thread
-absorbs T into a zeroed one and returns, so the caller's next work, such as
-hashing the same chunk, overlaps the worker's.  The engine keeps the split
-pending and joins it at its next entry point: absorb, finish, `register`,
-`_reg`, the `tables` setter, or when the engine is dropped.  A join takes H2
-itself if the worker is not yet at it, then H1 too if the worker has not
-started, and otherwise waits for the worker; the C code joins the registers
-by reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod g, one combine on each side,
-so a join that finds the worker done only adds two registers.  The caller's
-share q follows the joins: it is a power of two from 512 up to the largest
-<= n / 4, where it starts; a join that found the worker done halves the
-engine's next q, and any other join doubles it.  So a caller that hashes
-between absorbs, and finds the worker done, leaves the worker nearly all of
-each chunk, while an absorb-only stream keeps q at n / 4.  A join that
-takes the job back from a worker that last ran on the caller's CPU moves
-the worker off it, for a scheduler that does not balance the two CPUs may
-keep both there.  A chunk that is not an exact `bytes` object may change
-once absorb returns, so it is joined before absorb returns.  The constants that move a register past
-2^j bytes are cached per generator on first use.  On vpclmul every part and the combine
-take the block step.  A split asked while another engine owns the worker
-runs on the calling thread.  `splits` and `splits_taken` count, at each
-join, the splits an engine asked for and those of which the worker ran a
-part; the Python class keeps both at 0.  Smaller chunks, the other paths,
-the Python class and a one-CPU affinity mask run one thread, and every
-path gives the same digest.
+16 KiB or more on two threads where the calling thread may run on two CPUs
+or more: it reads the thread's affinity mask (elsewhere the CPUs online)
+for each such chunk, so a process pinned to one CPU after import takes no
+split from then on.  The chunk is cut into [H1 | H2 | T], H2 and T q bytes
+each.  A persistent C worker thread continues the register through H1,
+then H2, while the calling thread absorbs T into a zeroed one and returns,
+so the caller's next work, such as hashing the same chunk, overlaps the
+worker's.  The engine keeps the split pending and joins it at its next
+entry point: absorb, finish, `register`, `_reg`, or when the engine is
+dropped.  A join takes H2 itself if the worker is not yet at it, then H1
+too if the worker has not started, and otherwise waits for the worker; the
+C code joins the registers by reg(A || B) = reg(A) * x^(9|B|) + reg(B) mod
+g, one combine on each side, so a join that finds the worker done only
+adds two registers.  The caller's share q follows the joins: it is a power
+of two from 512 up to the largest <= n / 4, where it starts; a join that
+found the worker done halves the engine's next q, and any other join
+doubles it.  So a caller that hashes between absorbs, and finds the worker
+done, leaves the worker nearly all of each chunk, while an absorb-only
+stream keeps q at n / 4.  A join that takes the job back from a worker
+that last ran on the caller's CPU moves the worker off it, for a scheduler
+that does not balance the two CPUs may keep both there.  A chunk that is
+not an exact `bytes` object may change once absorb returns, so it is
+joined before absorb returns.  The constants that move a register past 2^j
+bytes are cached per generator on first use.  On vpclmul every part and
+the combine take the block step.  A split asked while another engine owns
+the worker runs on the calling thread.  `splits` and `splits_taken` count,
+at each join, the splits an engine asked for and those of which the worker
+ran a part; the Python class keeps both at 0.  Smaller chunks, the other
+paths, the Python class and a one-CPU affinity mask run one thread, and
+every path gives the same digest.  No chunk under 1 KiB splits, whatever
+`_SPLIT_BYTES` holds, for a split's last two parts are 512 bytes or more.
 """
 
 from __future__ import annotations
@@ -195,13 +200,9 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
 _kernel = _load_kernel()
 
 
-def _split_bytes() -> int:
-    """The smallest chunk absorbed on two threads: 16 KiB where this process may run on two CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 16 * 1024 if (cpus or 1) >= 2 else sys.maxsize
-
-
-_SPLIT_BYTES = _split_bytes()  # the affinity mask is read once
+# the smallest chunk the module's engine type absorbs on two threads, where the calling
+# thread may run on two CPUs, which it asks at each such chunk
+_SPLIT_BYTES = 16 * 1024
 
 
 def _to_words(value: int, w: int) -> array:

@@ -560,6 +560,56 @@ class TestEngineClasses:
         assert eng.splits == (engine_class is not fastcrc._PyCrcEngine and tables.split is not None)
 
 
+def test_module_engine_attributes_are_fixed_at_construction(monkeypatch):
+    # the module's type has no setters: an engine's entry, tables, register and counters
+    # can be neither replaced nor deleted, even with a split pending, and the stream goes
+    # on to classify's digest.  The Python class keeps plain slots
+    if fastcrc._kernel is None:
+        pytest.skip("the C kernel is not loaded here (no working C compiler)")
+    monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", TEST_SPLIT_BYTES)
+    e = params.entry_for_aligned_bits(1744)
+    m = random.Random(53).randbytes(2 * TEST_SPLIT_BYTES)
+    eng = fastcrc.CrcEngine(e, fastcrc._tables_for(e)).absorb(m)
+    for name in ("entry", "tables", "_reg", "consumed", "splits", "splits_taken"):
+        value = getattr(eng, name)
+        with pytest.raises(AttributeError):
+            setattr(eng, name, value)
+        with pytest.raises(AttributeError):
+            delattr(eng, name)
+        assert getattr(eng, name) == value, name
+    assert eng.absorb(FOX).finish() == classifier.classify(m + FOX, e)
+
+
+def test_module_engine_cleared_by_the_collector_raises_attribute_error():
+    # the type's tp_clear, which the collector calls on an engine in a cycle, takes its
+    # entry, tables and register; every entry point then raises AttributeError, in a
+    # forked child, so that a NULL dereference fails the test rather than the run
+    if fastcrc._kernel is None:
+        pytest.skip("the C kernel is not loaded here (no working C compiler)")
+    import ctypes
+
+    get_slot = ctypes.pythonapi.PyType_GetSlot
+    get_slot.restype, get_slot.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_int]
+    tp_clear = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object)(  # holds the GIL
+        get_slot(fastcrc.CrcEngine, 51))  # Py_tp_clear
+    e = params.entry_for_aligned_bits(64)
+
+    def child():
+        eng = fastcrc.engine_init(e).absorb(FOX)
+        assert tp_clear(eng) == 0
+        raised = []
+        for op in (lambda: eng.absorb(FOX), eng.finish, lambda: eng.register,
+                   lambda: eng._reg, lambda: eng.path, lambda: repr(eng),
+                   lambda: eng.entry, lambda: eng.tables):
+            try:
+                op()
+            except AttributeError:
+                raised.append(True)
+        return len(raised), eng.consumed
+
+    assert forked(child) == (8, len(FOX))
+
+
 @pytest.fixture(params=["module", "python"])
 def init_twin(request, monkeypatch):
     """The module's engine_init and tables_for, or their pure-Python twins with the
@@ -780,7 +830,7 @@ class TestBlockStep:
             for twin in {fastcrc.CrcEngine, fastcrc._PyCrcEngine}:
                 start = rng.getrandbits(e.degree)
                 eng = twin(e, tables)
-                eng._reg = bytearray(fastcrc._to_words(start << 64 * w - e.degree, w).tobytes())
+                eng._reg[:] = fastcrc._to_words(start << 64 * w - e.degree, w).tobytes()
                 moved = gf2poly.multiply(poly(start), poly(1 << 9 * len(m)))
                 want = gf2poly.remainder(moved ^ gf2poly.shift_left(expanded, e.degree),
                                          e.generator)
@@ -857,19 +907,49 @@ class TestThreads:
         assert any(child_taken)  # the child's own worker ran
 
     def test_one_cpu_takes_no_split(self, monkeypatch):
+        # a forked child pinned to one CPU, after import, never calls the split entry
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity masks here")
         first_carryless_path(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", fastcrc._split_bytes())
         taken = record_splits(monkeypatch)
         e = params.entry_for_aligned_bits(1744)
         m = random.Random(41).randbytes(64 * 1024)
         want = unsplit(monkeypatch, e, m)
-        assert fastcrc.engine_init(e).absorb(m).finish().data == want
-        assert taken == []
-        # the control: from the two-CPU floor, the same spy sees the split
-        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 16 * 1024)
-        assert fastcrc.engine_init(e).absorb(m).finish().data == want
-        assert len(taken) == 1
+
+        def child():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            eng = fastcrc.engine_init(e).absorb(m)
+            return eng.finish().data, eng.splits, taken
+
+        assert forked(child) == (want, 0, [])
+        # the control: where this process may run on two CPUs, the same spy sees the split
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert fastcrc.engine_init(e).absorb(m).finish().data == want
+            assert len(taken) == 1
+
+    def test_affinity_is_read_at_each_chunk(self, monkeypatch):
+        # a child forked once the worker runs asks for a split while it may run on two
+        # CPUs, none once it pins itself to one, and splits again once it unpins
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity masks here")
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("this process may run on one CPU only")
+        first_carryless_path(monkeypatch)
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(49).randbytes(64 * 1024)
+        want = reference(e, m)
+        assert fastcrc.engine_init(e).absorb(m).finish().data == want  # starts the worker
+
+        def child():
+            splits = []
+            for mask in (allowed, {min(allowed)}, allowed):
+                os.sched_setaffinity(0, mask)
+                eng = fastcrc.engine_init(e).absorb(m)
+                splits.append((eng.finish().data == want, eng.splits))
+            return splits
+
+        assert forked(child) == [(True, 1), (True, 0), (True, 1)]
 
     def test_stranded_worker_moves_off_the_callers_cpu(self, monkeypatch):
         # in a forked child the caller and its worker are pinned to one CPU for a split,
@@ -896,7 +976,7 @@ class TestThreads:
             for mask in ({cpu}, allowed):  # a split while pinned wakes the worker there
                 for tid in (main, worker):
                     os.sched_setaffinity(tid, mask)
-                digests.add(fastcrc.engine_init(e).absorb(m).finish().data)
+                digests.add(split_directly(e, m)[0])
             where = [int(stat.read_text().rsplit(")", 1)[1].split()[36])]  # the CPU it ran on
             for _ in range(20):
                 digests.add(fastcrc.engine_init(e).absorb(m).finish().data)
@@ -954,6 +1034,22 @@ def split_twin(request, monkeypatch):
     returns the engine class."""
     use_path(monkeypatch, request.param)
     return fastcrc.CrcEngine
+
+
+def split_directly(e, m: bytes, pause: float = 0) -> tuple[bytes, int]:
+    """m through e's tables' split entry with q = len(m) / 4, an engine's first share,
+    joined after pause seconds: the digest and how the join went.  A thread that may run
+    on one CPU calls the entry itself, for its engine takes no split."""
+    t = fastcrc._tables_for(e)
+    q = len(m) // 4
+    j = q.bit_length() - 1
+    reg = bytearray(8 * t.words)
+    job = t.split(reg, t.main, fastcrc._CODEWORDS, m, q, fastcrc._shift(e, t, j),
+                  fastcrc._shift(e, t, j + 1))
+    if pause:
+        time.sleep(pause)
+    outcome = job.join()
+    return t.digest(reg, e.degree), outcome
 
 
 def forked(child) -> object:
@@ -1026,17 +1122,15 @@ class TestDeferredJoin:
         # one that sleeps a little first may find it started and off the CPU once the
         # caller wakes, and waits for it; one that sleeps long enough finds it done.
         # Even time.sleep(0) blocks the caller for an instant, in which the worker takes
-        # the job, so a caller that joins at once does not call it
+        # the job, so a caller that joins at once does not call it.  The child's engine
+        # takes no split on one CPU, so it calls the split entry itself
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no affinity masks here")
         e, want = self.entry_and_digest()
         joins, digests = record_splits(monkeypatch), set()
 
         def op(pause):
-            eng = fastcrc.engine_init(e).absorb(self.M)
-            if pause:
-                time.sleep(pause)
-            digests.add(eng.finish().data)
+            digests.add(split_directly(e, self.M, pause)[0])
 
         def child():
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -1048,6 +1142,19 @@ class TestDeferredJoin:
 
         digests, joins = forked(child)
         assert digests == {want} and 0 in joins and 3 in joins
+
+    def test_chunk_under_1kib_takes_no_split(self, split_twin, monkeypatch):
+        # a split's H2 and T are 512 bytes or more, so a chunk under 1 KiB takes the loop
+        # whatever the floor, and absorb does not look the floor up for it
+        e = params.entry_for_aligned_bits(self.E_BITS)
+        monkeypatch.setattr(fastcrc, "_SPLIT_BYTES", 512)
+        eng = fastcrc.engine_init(e).absorb(self.M[:600])
+        assert eng.finish() == classifier.classify(self.M[:600], e) and eng.splits == 0
+        monkeypatch.delattr(fastcrc, "_SPLIT_BYTES")
+        eng = fastcrc.engine_init(e).absorb(self.M[:1023])
+        with pytest.raises(NameError, match="_SPLIT_BYTES"):
+            eng.absorb(self.M[:1024])
+        assert eng.consumed == 1023
 
     def test_non_bytes_chunk_is_joined_before_absorb_returns(self, split_twin, monkeypatch):
         # a bytearray may change once absorb returns, so its split is joined first; a
@@ -1065,21 +1172,15 @@ class TestDeferredJoin:
         assert (eng.splits, eng.finish().data) == (1, want)
 
     def test_entry_points_join(self, split_twin, monkeypatch):
-        # _reg and the tables setter join a pending split, as absorb, finish and
-        # register do, so the register they hand over or keep is the whole chunk's
+        # _reg joins a pending split, as absorb, finish and register do, so the
+        # register it hands over is the whole chunk's
         e, want = self.entry_and_digest()
         joins = record_splits(monkeypatch)
         w = fastcrc._tables_for(e).words
         words = fastcrc._to_words(int.from_bytes(want, "big") << 64 * w - e.degree, w)
         eng = fastcrc.engine_init(e).absorb(self.M)
-        assert bytes(eng._reg) == words.tobytes() and len(joins) == 1
-        eng.absorb(self.M)
-        eng.tables = eng.tables
-        assert len(joins) == 2 and eng.splits == 2
-        eng.absorb(self.M)
-        eng._reg = bytearray(8 * w)  # the pending split writes the register it replaces
-        assert len(joins) == 3 and bytes(eng._reg) == bytes(8 * w)
-        assert eng.absorb(self.M).finish().data == want and eng.splits == 4
+        assert joins == [] and bytes(eng._reg) == words.tobytes() and len(joins) == 1
+        assert eng.finish().data == want and eng.splits == 1
 
     def test_dropped_engine_frees_the_worker(self, split_twin, monkeypatch):
         # the pending split is joined when the engine goes, and the worker serves the
@@ -1113,7 +1214,8 @@ class TestDeferredJoin:
     def test_fork_while_the_worker_runs(self, split_twin, monkeypatch):
         # the worker is on a long H1 at the fork; the child, pinned to one CPU, takes
         # its copy of the job all back, then its own worker serves splits whose callers
-        # sleep after absorb, so their joins find it started and wait for it
+        # sleep after the post, so their joins find it started and wait for it; the
+        # child's engines take no split on one CPU, so it calls the split entry itself
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no affinity masks here")
         e, want = self.entry_and_digest()
@@ -1128,12 +1230,8 @@ class TestDeferredJoin:
             joined = list(joins)
             joins.clear()
 
-            def op():
-                later = fastcrc.engine_init(e).absorb(self.M)
-                time.sleep(0.0002)
-                digests.add(later.finish().data)
-
-            self.until(lambda: any(joins), op)
+            self.until(lambda: any(joins),
+                       lambda: digests.add(split_directly(e, self.M, 0.0002)[0]))
             return digests, joined, joins
 
         digests, joined, later = forked(child)
@@ -1257,30 +1355,39 @@ class TestBinding:
     @pytest.mark.parametrize("case", ["short register", "long register", "read-only register",
                                       "short table", "non-buffer chunk"])
     def test_bad_input_raises_before_any_write(self, kernel_path, case):
-        # the module checks every buffer before it writes a word: a register too short for
-        # the table's word count sits between guard words that must stay zero; 5,000 bytes
-        # take the block step on vpclmul and the split entry on the -split variants
+        # the module checks every buffer before it writes a word, and the engine counts
+        # nothing: the register is resized in place, and an engine's tables, fixed at
+        # construction, are a table one word short, or a loop and split entry that hand
+        # the module a read-only view of the register; 5,000 bytes take the block step
+        # on vpclmul and the split entry on the -split variants
         e = params.entry_for_aligned_bits(1744)
         w = (e.degree + 63) // 64
+        t = fastcrc._tables_for(e)
+
+        def read_only(real):
+            return lambda reg, *args: real(memoryview(reg).toreadonly(), *args)
+
         for chunk in (FOX, random.Random(45).randbytes(5000)):
-            eng = fastcrc.engine_init(e).absorb(b"abc")
-            want = eng.register
-            guarded, error = bytearray(8 * (w + 3)), ValueError
-            if case == "short register":
-                eng._reg = memoryview(guarded)[8:8 * w]
-            elif case == "long register":
-                eng._reg = memoryview(guarded)[8:8 * (w + 2)]
+            tables, error = t, ValueError
+            if case == "short table":
+                tables = t._replace(main=t.main[:-1])
             elif case == "read-only register":
-                eng._reg, error = bytes(8 * w), TypeError
-            elif case == "short table":
-                eng.tables = eng.tables._replace(main=eng.tables.main[:-1])
-            else:
+                split = t.split and read_only(t.split)
+                tables, error = t._replace(loop=read_only(t.loop), split=split), TypeError
+            eng = fastcrc.CrcEngine(e, tables)
+            if tables is t:
+                eng.absorb(b"abc")
+            reg = eng._reg
+            if case == "short register":
+                del reg[8 * (w - 1):]
+            elif case == "long register":
+                reg.extend(bytes(16))
+            elif case == "non-buffer chunk":
                 chunk, error = 5, TypeError
+            consumed, before = eng.consumed, bytes(reg)
             with pytest.raises(error):
                 eng.absorb(chunk)
-            assert eng.consumed == 3 and guarded == bytearray(len(guarded)), case
-            if case in ("short table", "non-buffer chunk"):
-                assert eng.register == want, case
+            assert eng.consumed == consumed and eng._reg == before, case
 
     def test_each_argument_is_checked(self, kernel_path):
         # direct calls: each wrong argument raises, and neither the register nor the guard
@@ -1314,6 +1421,7 @@ class TestBinding:
             (ValueError, loop, (reg, claims_more, cw, FOX)),
             (ValueError, loop, (reg, t.main, cw[:255], FOX)),
             (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
+            (TypeError, loop, (bytes(8 * w), t.main, cw, FOX)),  # a read-only register
             (ValueError, loop, (wide_reg, too_wide, cw, FOX)),
             (ValueError, t.digest, (reg, 64 * w + 1)),
             (ValueError, t.digest, (wide_reg, 64 * wide)),
@@ -1340,6 +1448,7 @@ class TestBinding:
                 (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k, k2[:-1])),
                 (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k, reg)),  # reg is also k2
                 (TypeError, split, (reg, t.main, cw, bytes(n), 1024, k)),
+                (TypeError, split, (bytes(8 * w), t.main, cw, bytes(n), 1024, k, k2)),
                 (ValueError, combine, (reg, t.main, k, zero[:-8])),
                 (ValueError, combine, (reg, t.main, reg, zero)),  # reg is also k
             ]
