@@ -458,22 +458,22 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
 
 /* The engine type: fastcrc's CrcEngine class, without the interpreter's
  * frames and attribute lookups on the engine itself, and fastcrc's
- * engine_init and _tables_for, likewise.  The type adds the two-thread
- * split, which the Python class does not make: the split of a chunk, its
- * join at the next entry point (absorb, finish, register, _reg or dealloc),
- * the share rule and the split counters.  A chunk of _SPLIT_BYTES or more
- * splits on a table that has a split entry where the calling thread may
- * run on two CPUs or more, which it asks for that chunk.  An engine's
- * entry, tables and register are fixed at construction and its counters
- * are read-only, so its entry points read them in place.  The engine calls
- * its tables' loop, split and digest by vectorcall, never the C loops
- * directly, so each call passes the checks above, and joins a pending
- * split by its join method.  All three read fastcrc's _SPLIT_BYTES,
- * _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine, _tables_for,
- * _table_cache and build_tables from the namespace bind() hands them, at
- * each call, as the Python class reads them, so what is patched there
- * reaches both.  The type is mutable, as a class is: attributes set on it
- * (a tracer's wrappers) take the place of its methods until restored. */
+ * engine_init and _tables_for, likewise.  The type adds the two-thread split,
+ * which the Python class does not make: the split of a chunk, its join at
+ * the next entry point (absorb, finish, register, _reg or dealloc), the
+ * share rule and the split counters.  A chunk of _SPLIT_BYTES or more splits
+ * on a table that has a split entry where the calling thread may run on two
+ * CPUs or more, which it asks for that chunk.  The type's one constructor,
+ * its vectorcall (no tp_new), fixes an engine's entry, tables and register,
+ * and its counters are read-only, so its entry points read them in
+ * place.  The engine calls its tables' loop, split and digest by vectorcall,
+ * never the C loops directly, so each call passes the checks above, and
+ * joins a pending split by its join method.  All three read fastcrc's
+ * _SPLIT_BYTES, _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine,
+ * _tables_for, _table_cache and build_tables from the namespace bind() hands
+ * them, at each call, as the Python class reads them, so what is patched
+ * there reaches both.  The type is mutable, as a class is: attributes set on
+ * it (a tracer's wrappers) take the place of its methods until restored. */
 
 /* The names looked up: attributes of an engine's tables and entry and of a
  * digest, then globals of fastcrc; interned once per module. */
@@ -635,19 +635,9 @@ static PyObject *new_engine(PyTypeObject *type, PyObject *entry, PyObject *table
     return (PyObject *)self;
 }
 
-static const char *const engine_keywords[] = {"entry", "tables", NULL};
+static const char *const engine_keywords[] = {"entry", "tables"};
 
-static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    PyObject *entry, *tables;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:CrcEngine", (char **)engine_keywords, &entry,
-                                     &tables))
-        return NULL;
-    return new_engine(type, entry, tables);
-}
-
-/* CrcEngine(entry, tables) with no argument tuple: the type's vectorcall,
- * which the interpreter calls in place of engine_new. */
+/* CrcEngine(entry, tables), by position or keyword: the type's one constructor. */
 static PyObject *engine_vectorcall(PyObject *type, PyObject *const *args, size_t nargsf,
                                    PyObject *kwnames)
 {
@@ -934,7 +924,6 @@ PyDoc_STRVAR(engine_doc,
 
 static PyType_Slot engine_slots[] = {
     {Py_tp_doc, (void *)engine_doc},
-    {Py_tp_new, engine_new},
     {Py_tp_dealloc, engine_dealloc},
     {Py_tp_traverse, engine_traverse},
     {Py_tp_clear, engine_clear},
@@ -946,10 +935,12 @@ static PyType_Slot engine_slots[] = {
 };
 
 /* Mutable (no Py_TPFLAGS_IMMUTABLETYPE), and not a base class, so that
- * every instance's type is this one and holds the module state. */
+ * every instance's type is this one and holds the module state; without
+ * DISALLOW_INSTANTIATION, object.__new__ would make an empty engine. */
 static PyType_Spec engine_spec = {
     .name = "badderlocks.fastcrc.CrcEngine", .basicsize = sizeof(Engine),
-    .flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, .slots = engine_slots,
+    .flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_DISALLOW_INSTANTIATION,
+    .slots = engine_slots,
 };
 
 PyDoc_STRVAR(tables_for_doc,

@@ -12,8 +12,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
@@ -144,6 +142,8 @@ def _cmd_vectors(args) -> int:
 
 
 def _cmd_verify_params(args) -> int:
+    import json  # only this command pays for it
+
     level = "full" if args.full else "quick"
     failed = False
     for e in params.registry():
@@ -161,6 +161,8 @@ def _cmd_verify_params(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    import hashlib  # only this command pays for it
+
     message = _read_message(args)
     digest = hashlib.sha256(message).digest()
     try:

@@ -38,12 +38,13 @@ the block size is a constant of the C code.  `_absorbmodule.c` includes
 `_absorb.c` and makes it a CPython extension module whose functions take
 these as buffers, check their sizes before writing a word, and release the
 GIL for chunks of 4 KiB or more.  The first import compiles the module as a
-release build, `cc -DNDEBUG -pthread`, against the interpreter's `Python.h`
-into this package's `__pycache__`, named by a hash of both sources, the
-compile command, the machine and the interpreter's extension suffix, and
-later imports load that file; a build deletes this interpreter's builds of
-earlier sources there.  The key names the interpreter by its installation
-prefix, not its include directory, so only a build imports sysconfig.
+release build, `cc -DNDEBUG -pthread`, against the interpreter's
+`Python.h` into this package's `__pycache__`, named by two 32-bit
+checksums, CRC-32 and Adler-32, of both sources, the compile command, the
+machine and the interpreter's extension suffix, and later imports load
+that file; a build deletes this interpreter's builds of earlier sources
+there.  The key names the interpreter by its installation prefix, not its
+include directory, so only a build imports sysconfig.
 fastcrc calls the module's functions directly.  Its `carryless()` asks the
 CPU which carry-less instructions it runs, and `build_tables` reads that
 answer each time it builds a table: the vpclmul path is taken where the CPU
@@ -54,22 +55,24 @@ cannot be built or imported.
 Where the module loads, `CrcEngine` is the module's engine type, which
 follows the Python class below, as hashlib's objects wrap update and
 digest, and adds the two-thread split.  The type fixes an engine's entry,
-tables and register at construction: its `entry`, `tables`, `_reg`,
-`consumed`, `splits` and `splits_taken` are read-only, where the Python
-class's are plain slots.  `engine_init` and `_tables_for` are the module's
-functions, so a short digest runs no Python frame of this library.  The
-engine calls its tables' loop, split and digest by vectorcall, so each
-call passes the module's buffer checks, and its `finish` builds the
-`ClassifierDigest` with that class's length check but without the frame
-of its `__init__`.  All three read `_SPLIT_BYTES`, `_shift`, `_CODEWORDS`,
-`_FILLER`, `ClassifierDigest`, `CrcEngine`, `_tables_for`, `_table_cache`
-and `build_tables` from this module at each call, through `bind`, as the
-Python class and functions read them, so a patch or a tracer's wrapper
-there reaches both.  The Python class and functions stay as their
-pure-Python twins, `_PyCrcEngine`, `_py_engine_init` and
-`_py_tables_for`, which run where the module does not; each pair is held
-to one set of tests, but for the split, which only the module's type makes:
-the Python class calls its tables' loop alone, whatever tables it is given.
+tables and register at its one constructor, `CrcEngine(entry, tables)` by
+position or keyword: its `entry`, `tables`, `_reg`, `consumed`, `splits`
+and `splits_taken` are read-only, where the Python class's are plain
+slots, and `CrcEngine.__new__` raises TypeError.  `engine_init` and
+`_tables_for` are the module's functions, so a short digest runs no Python
+frame of this library.  The engine calls its tables' loop, split and digest
+by vectorcall, so each call passes the module's buffer checks, and its
+`finish` builds the `ClassifierDigest` with that class's length check but
+without the frame of its `__init__`.  All three read `_SPLIT_BYTES`,
+`_shift`, `_CODEWORDS`, `_FILLER`, `ClassifierDigest`, `CrcEngine`,
+`_tables_for`, `_table_cache` and `build_tables` from this module at each
+call, through `bind`, as the Python class and functions read them, so a
+patch or a tracer's wrapper there reaches both.  The Python class and
+functions stay as their pure-Python twins, `_PyCrcEngine`,
+`_py_engine_init` and `_py_tables_for`, which run where the module does
+not; each pair is held to one set of tests, but for the split, which only
+the module's type makes: the Python class calls its tables' loop alone,
+whatever tables it is given.
 
 On the two carry-less paths, the module's engine type absorbs a chunk of
 16 KiB or more on two threads where the calling thread may run on two CPUs
@@ -107,7 +110,6 @@ every path gives the same digest.  No chunk under 1 KiB splits, whatever
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
@@ -176,13 +178,15 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
     interpreter's) unless already there; None if that fails.  Which of its loops a table
     uses is read from its CPU probe, `carryless()`, when the table is built."""
     try:
+        import zlib  # names the build: its import costs far less than hashlib's
+
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
         # the interpreter's prefix stands for its default include directory, so that a load
         # from the cache need not import sysconfig; the suffix pins the ABI
         key = b"\0".join([*(source.read_bytes() for source in _SOURCES),
                           " ".join([cc, *_COMPILE, "-I", include or sys.base_prefix]).encode(),
                           os.uname().machine.encode(), suffix.encode()])
-        path = cache_dir / f"_absorb-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
+        path = cache_dir / f"_absorb-{zlib.crc32(key):08x}{zlib.adler32(key):08x}{suffix}"
         if not path.is_file():
             if include is None:
                 import sysconfig  # only a cache miss pays for it
@@ -192,7 +196,7 @@ def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
                 return None
             _prune(path, suffix)
         return _import(path)
-    # no compiler or Python.h, an unwritable directory, or a file that does not import
+    # no zlib, compiler or Python.h, an unwritable directory, or a file that does not import
     except (OSError, ImportError):
         return None
 
@@ -232,15 +236,15 @@ class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
     The engine calls `loop` and `digest`, the module's engine type also
-    `split`; `_shift` calls `combine`.  The packed forms hold
-    each value in `words` 64-bit words, most significant word first and
-    shifted up by 64 * words - degree bits, and every path's register is
-    one, in a bytearray.  `main` states its own
-    size first, which the loop reads in place of an argument.  `loop(reg,
-    main, codewords, data)` appends the codeword each byte of data maps to,
-    and `digest(reg, degree)` returns the byte-aligned digest.  On the
-    carry-less paths `split(reg, main, codewords, data, q, k, k2)`, the
-    two-thread entry, returns a pending split whose `join()` writes reg
+    `split`; `_shift` calls `combine`.  The packed forms hold each value in
+    `words` 64-bit words, most significant word first and shifted up by
+    64 * words - degree bits, for g's degree, which the engine reads from
+    its entry, and every path's register is one, in a bytearray.  `main`
+    states its own size first, which the loop reads in place of an argument.
+    `loop(reg, main, codewords, data)` appends the codeword each byte of
+    data maps to, and `digest(reg, degree)` returns the byte-aligned digest.
+    On the carry-less paths `split(reg, main, codewords, data, q, k, k2)`,
+    the two-thread entry, returns a pending split whose `join()` writes reg
     and returns how the join went: 0 the caller absorbed the whole chunk, 1
     it took H2, 2 it waited for the worker, 3 the worker was done; and
     `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
@@ -258,7 +262,6 @@ class CrcTables(NamedTuple):
       caches the packed combine constants by j; see `_shift`.
     """
 
-    degree: int
     words: int  # 64-bit words per packed row, and per register: ceil(degree / 64)
     main: tuple[int, tuple[int, ...]] | array
     path: str
@@ -303,8 +306,8 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
                          f"aligned_bits {e.aligned_bits}")
     w = (e.degree + 63) // 64
     if _kernel is None:
-        return CrcTables(e.degree, w, (e.degree, reduction_rows(e.generator, 9)), "python",
-                         _python_loop, _python_digest, {})
+        return CrcTables(w, (e.degree, reduction_rows(e.generator, 9)), "python", _python_loop,
+                         _python_digest, {})
     path, pad = ("native", "clmul", "vpclmul")[_kernel.carryless()], 64 * w - e.degree
     if path == "native":
         rows = array("Q", bytes(8 * (1 + 512 * w)))
@@ -312,16 +315,15 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
         for j, basis in enumerate(reduction_basis(e.generator, 9)):
             rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
         _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
-        return CrcTables(e.degree, w, rows, path, _kernel.absorb, _kernel.digest, {})
+        return CrcTables(w, rows, path, _kernel.absorb, _kernel.digest, {})
     mu, low = _barrett_constants(e)
     # G, then the tail, least significant word first, as the carry-less kernels read them
     # (they run only on x86-64, which is little-endian)
     n = 8 * (7 + 8 * ((w + 7) // 8) + _kernel.TAIL_WORDS)
     consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
     _kernel.fill_carryless(consts)
-    return CrcTables(e.degree, w, consts, path, getattr(_kernel, f"absorb_{path}"),
-                     _kernel.digest, {}, getattr(_kernel, f"absorb_split_{path}"),
-                     getattr(_kernel, f"combine_{path}"))
+    return CrcTables(w, consts, path, getattr(_kernel, f"absorb_{path}"), _kernel.digest, {},
+                     getattr(_kernel, f"absorb_split_{path}"), getattr(_kernel, f"combine_{path}"))
 
 
 def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:

@@ -84,11 +84,14 @@ def _digit_tables() -> tuple[bytes, ...]:
 def expand_message(m: bytes) -> BitPolynomial:
     """S-box expansion of a byte string into a message polynomial.
 
+    m is any bytes-like object, read as its raw bytes, as the engine reads it.
     Codewords concatenate MSB-first (the first byte lands in the highest
     9 coefficients).  Messages shorter than 8 bytes get filler codewords
     appended on the low-order side so the result is exactly 72 bits; longer
     messages expand to 9 bits per byte with no filler.
     """
+    if not isinstance(m, (bytes, bytearray)):  # those two are read in place
+        m = memoryview(m).tobytes()
     # one ASCII digit per bit, written digit position by digit position so no
     # per-byte object is made: the peak is the 9 bytes per input byte here
     # plus one translated copy of the message

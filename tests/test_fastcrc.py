@@ -211,24 +211,24 @@ def family_sums(c: list[int]) -> list[list[int]]:
     return sums
 
 
-def value(t, words) -> int:
-    """The value held in words laid out like t's register: t's digest of them."""
-    return int.from_bytes(t.digest(words, t.degree), "big")
+def value(e, t, words) -> int:
+    """The value held in words laid out like the register of e's tables t: t's digest of them."""
+    return int.from_bytes(t.digest(words, e.degree), "big")
 
 
-def row(t, v: int) -> int:
-    """Row v of a "python" or "native" table: the register one cycle takes from zero with
+def row(e, t, v: int) -> int:
+    """Row v of e's "python" or "native" table t: the register one cycle takes from zero with
     codeword v, which every byte maps to."""
     reg = bytearray(8 * t.words)
     t.loop(reg, t.main, array("H", [v]) * 256, b"\0")
-    return value(t, reg)
+    return value(e, t, reg)
 
 
 class TestTables:
     def test_row_zero_is_zero(self):
         for e in params.registry()[:5]:
             for t in row_forms(e):
-                assert row(t, 0) == 0
+                assert row(e, t, 0) == 0
 
     def test_rows_match_remainder_oracle(self):
         # degree 63 fits one word; degree 1740 spans 28 words, 52 bits of padding
@@ -240,7 +240,7 @@ class TestTables:
                 for v in rows:
                     expected = gf2poly.remainder(
                         gf2poly.BitPolynomial(v << e.degree), e.generator)
-                    assert row(t, v) == expected.value, (bits, t.path, v)
+                    assert row(e, t, v) == expected.value, (bits, t.path, v)
 
     def test_barrett_constants_reduce_a_word(self):
         # t * x^d mod g == low d bits of q * (g - x^d), q = t ^ (t * mu >> 64)
@@ -296,7 +296,7 @@ class TestTables:
             power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
             for j in range(16):
                 if j in (j0, j0 + 1, 14, 15):
-                    k = value(t, fastcrc._shift(e, t, j))
+                    k = value(e, t, fastcrc._shift(e, t, j))
                     assert k >> e.degree == 0, (e.index, j)
                     moved = gf2poly.remainder(poly(k << 2 * pad + e.degree), e.generator)
                     assert moved == power, (e.index, j)
@@ -464,6 +464,9 @@ class TestEngineClasses:
         assert engine_class(tables=tables, entry=e).entry is e
         with pytest.raises(TypeError):
             engine_class(e)
+        if engine_class is not fastcrc._PyCrcEngine:  # the module's type has one constructor
+            with pytest.raises(TypeError):
+                engine_class.__new__(engine_class)
         assert eng.entry is e and eng.tables is tables and eng.consumed == 0
         assert type(eng._reg) is bytearray and eng._reg == bytes(8 * tables.words)
         assert eng.register == 0 and eng.path == tables.path
@@ -500,6 +503,25 @@ class TestEngineClasses:
             eng = engine_class(e, fastcrc._tables_for(e)).absorb(chunk)
             assert eng.consumed == len(m), type(chunk)
             assert eng.finish().data == reference(e, m), type(chunk)
+
+    @pytest.mark.parametrize("bits", [64, 1744])
+    def test_classify_takes_what_absorb_takes(self, engine_class, bits):
+        # the reference reads any bytes-like message by its raw bytes, as absorb does, and
+        # refuses a str or an int with the same exception
+        e = params.entry_for_aligned_bits(bits)
+        halves = array("H", FOX[:42])
+        for m, raw in ((memoryview(FOX), FOX), (memoryview(FOX)[:5], FOX[:5]),
+                       (memoryview(FOX)[::2], FOX[::2]), (halves, FOX[:42]),
+                       (memoryview(halves)[::3], halves[::3].tobytes()),
+                       (bytearray(FOX), FOX)):
+            want = classifier.classify(raw, e)
+            assert classifier.classify(m, e) == want, (bits, type(m))
+            assert engine_class(e, fastcrc._tables_for(e)).absorb(m).finish() == want, type(m)
+        for m in ("abc", 5):
+            with pytest.raises(TypeError):
+                classifier.classify(m, e)
+            with pytest.raises(TypeError):
+                engine_class(e, fastcrc._tables_for(e)).absorb(m)
 
     @pytest.mark.parametrize("bits", [64, 1744, 4288])
     def test_filler_edges_match_classify(self, engine_class, bits):
@@ -1551,15 +1573,62 @@ class TestKernelBuild:
 
     def test_warm_import_loads_no_dataclasses_or_sysconfig(self):
         # with the module cached, importing the package builds nothing, so it needs
-        # neither sysconfig (for Python.h) nor dataclasses and the inspect they pull in
+        # neither sysconfig (for Python.h) nor dataclasses and the inspect they pull in;
+        # the build is named without hashlib, and the CLI imports hashlib and json only in
+        # the commands that use them
         if fastcrc._kernel is None:
             pytest.skip("no kernel is cached here, so every import tries a build")
-        probe = ("import sys; before = set(sys.modules); import badderlocks; "
-                 "print(sorted({'dataclasses', 'inspect', 'sysconfig'} & set(sys.modules) - before))")
+        probe = ("import sys; before = set(sys.modules); import badderlocks\n"
+                 "print(sorted({'dataclasses', 'inspect', 'sysconfig', 'hashlib', '_hashlib'}\n"
+                 "             & set(sys.modules) - before))\n"
+                 "import badderlocks.cli\n"
+                 "print(sorted({'hashlib', '_hashlib', 'json'} & set(sys.modules) - before))")
         run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert run.stdout.split("\n") == ["[]", "[]", ""]
+
+    def test_build_name_covers_every_input(self, monkeypatch, tmp_path):
+        # the build's name changes with either C source, the compile command, the machine
+        # and the interpreter's suffix, and stays the same while none of them changes;
+        # no build is made here
+        names = []
+
+        def no_compile(command, path):
+            names.append(path.name)
+            return False
+
+        def name_with(*patch):
+            """The build's name, with (owner, attribute, value) patched if given."""
+            with pytest.MonkeyPatch.context() as mp:
+                if patch:
+                    mp.setattr(*patch)
+                assert fastcrc._load_kernel(tmp_path, "cc", PYTHON_INCLUDE) is None
+            return names[-1]
+
+        monkeypatch.setattr(fastcrc, "_compile", no_compile)
+        sources = []
+        for source in fastcrc._SOURCES:
+            (tmp_path / source.name).write_bytes(source.read_bytes())
+            sources.append(tmp_path / source.name)
+        monkeypatch.setattr(fastcrc, "_SOURCES", tuple(sources))
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        base = name_with()
+        assert re.fullmatch(rf"_absorb-[0-9a-f]{{16}}{re.escape(suffix)}", base)
+        assert name_with() == base
+        renamed = []
+        for source in sources:
+            text = source.read_bytes()
+            source.write_bytes(text + b"\n")
+            renamed.append(name_with())
+            source.write_bytes(text)
+        renamed.append(name_with(fastcrc, "_COMPILE", (*fastcrc._COMPILE, "-g")))
+        machine = os.uname_result((*os.uname()[:4], "elsewhere"))
+        renamed.append(name_with(os, "uname", lambda: machine))
+        renamed.append(name_with(importlib.machinery, "EXTENSION_SUFFIXES", [".other" + suffix]))
+        assert name_with() == base
+        stems = [name[:len("_absorb-") + 16] for name in [base, *renamed]]
+        assert len(set(stems)) == len(stems), renamed
 
     def test_sanitized_build_matches_vectors(self, sanitized):
         # warnings are errors, and any undefined behaviour (a shift by 64, an

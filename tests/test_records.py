@@ -33,7 +33,7 @@ RECORDS = {
     "RepresentativeLayout": lambda: (reefshoal.plan_layout(2048, 256),
                                      reefshoal.plan_layout(2048, 256)._replace(), "entry"),
     "CrcTables": lambda: (fastcrc.build_tables(params.registry()[16]),
-                          fastcrc.build_tables(params.registry()[16]), "degree"),
+                          fastcrc.build_tables(params.registry()[16]), "words"),
 }
 
 
