@@ -19,8 +19,6 @@
  *       worker had finished them
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
- *   digest (reg, degree) -> the register's degree-bit value as
- *       ceil(degree / 8) big-endian bytes
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
  *   TAIL_WORDS, the words of a carry-less table after G's whole blocks
  *   CrcEngine (entry, tables), fastcrc's engine over those functions
@@ -30,7 +28,8 @@
  *       three read fastcrc's names there
  *
  * There are two kinds of table, rows (absorb, fill) and carry-less (the
- * rest), and one register bound for both and for digest: w <= MAX_WORDS.
+ * rest), and one register bound for both and for the engine's read of its
+ * register: w <= MAX_WORDS.
  * Both carry-less kernels read the same table, whose mu' and sums
  * fill_carryless computes in place.  The clmul, vpclmul and fill_carryless
  * functions exist on x86-64 only.
@@ -260,16 +259,15 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
         PyErr_SetString(PyExc_ValueError, "codewords must map all 256 byte values");
         goto done;
     }
-    size_t n = (size_t)data->len, q = 0;
+    size_t n = (size_t)data->len;
+    Py_ssize_t q = 0;
     if (split_type) {
-        Py_ssize_t given = PyLong_AsSsize_t(args[4]);
-        if (given == -1 && PyErr_Occurred())
+        if ((q = PyLong_AsSsize_t(args[4])) == -1 && PyErr_Occurred())
             goto done;
-        if (given < 0 || (size_t)given > n / 2) {
+        if (q < 0 || (size_t)q > n / 2) {
             PyErr_SetString(PyExc_ValueError, "q must be from 0 to half the data's length");
             goto done;
         }
-        q = (size_t)given;
         if (!(k = take(v, args[5], "k", 0, 8)) || !holds_words(k, w, "k") ||
             !(k2 = take(v, args[6], "k2", 0, 8)) || !holds_words(k2, w, "k2"))
             goto done;
@@ -281,8 +279,8 @@ static PyObject *absorb_call(const struct path *p, PyTypeObject *split_type, PyO
     PyThreadState *released = n >= RELEASE_BYTES ? PyEval_SaveThread() : NULL;
 #if defined(__x86_64__)
     if (job)
-        posted = p->split(&job->sp, reg->buf, table->buf, cw->buf, data->buf, n, q, k->buf,
-                          k2->buf);
+        posted = p->split(&job->sp, reg->buf, table->buf, cw->buf, data->buf, n, (size_t)q,
+                          k->buf, k2->buf);
     else
 #endif
         p->loop(reg->buf, table->buf, cw->buf, data->buf, n);
@@ -297,32 +295,6 @@ done:
     if (!posted)
         release(v);
     Py_XDECREF(job);
-    return result;
-}
-
-/* (reg, table, k, s): reg = reg * k * x^d + s mod g. */
-static PyObject *combine_call(const struct path *p, PyObject *const *args, Py_ssize_t nargs,
-                              const char *name)
-{
-    if (!arguments(nargs, 4, name))
-        return NULL;
-    struct views v = {.held = 0};
-    PyObject *result = NULL;
-    Py_buffer *reg, *table, *k, *s;
-    if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
-        goto done;
-    size_t w = table_words(table, p->kind);
-    if (!w || !holds_words(reg, w, "reg") || !(k = take(&v, args[2], "k", 0, 8)) ||
-        !holds_words(k, w, "k") || !(s = take(&v, args[3], "s", 0, 8)) ||
-        !holds_words(s, w, "s"))
-        goto done;
-    for (int i = 1; i < v.held; i++)
-        if (!apart(reg, &v.view[i]))
-            goto done;
-    p->combine(reg->buf, table->buf, k->buf, s->buf);
-    result = Py_NewRef(Py_None);
-done:
-    release(&v);
     return result;
 }
 
@@ -357,6 +329,32 @@ static PyObject *py_absorb_split_vpclmul(PyObject *module, PyObject *const *args
 {
     return absorb_call(&vpclmul_path, split_type_of(module), args, nargs,
                        "absorb_split_vpclmul");
+}
+
+/* (reg, table, k, s): reg = reg * k * x^d + s mod g. */
+static PyObject *combine_call(const struct path *p, PyObject *const *args, Py_ssize_t nargs,
+                              const char *name)
+{
+    if (!arguments(nargs, 4, name))
+        return NULL;
+    struct views v = {.held = 0};
+    PyObject *result = NULL;
+    Py_buffer *reg, *table, *k, *s;
+    if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
+        goto done;
+    size_t w = table_words(table, p->kind);
+    if (!w || !holds_words(reg, w, "reg") || !(k = take(&v, args[2], "k", 0, 8)) ||
+        !holds_words(k, w, "k") || !(s = take(&v, args[3], "s", 0, 8)) ||
+        !holds_words(s, w, "s"))
+        goto done;
+    for (int i = 1; i < v.held; i++)
+        if (!apart(reg, &v.view[i]))
+            goto done;
+    p->combine(reg->buf, table->buf, k->buf, s->buf);
+    result = Py_NewRef(Py_None);
+done:
+    release(&v);
+    return result;
 }
 
 static PyObject *py_combine_clmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -403,52 +401,6 @@ static PyObject *py_fill_carryless(PyObject *module, PyObject *const *args, Py_s
 }
 #endif
 
-/* (reg, degree): the register moved down pad = 64w - degree bits, as
- * size = ceil(degree / 8) big-endian bytes, written from the least
- * significant word up; the value has degree bits, so the top 8w - size bytes
- * it drops are zero. */
-static PyObject *py_digest(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (!arguments(nargs, 2, "digest"))
-        return NULL;
-    struct views v = {.held = 0};
-    PyObject *result = NULL;
-    Py_buffer *view = take(&v, args[0], "reg", 0, 8);
-    if (!view)
-        goto done;
-    size_t w = items(view, 8);
-    Py_ssize_t degree = PyLong_AsSsize_t(args[1]);
-    if (degree == -1 && PyErr_Occurred())
-        goto done;
-    if (w < 1 || w > MAX_WORDS || degree <= 64 * ((Py_ssize_t)w - 1) ||
-        degree > 64 * (Py_ssize_t)w) {
-        PyErr_Format(PyExc_ValueError, "reg must hold ceil(degree / 64) words, 1 to %d",
-                     MAX_WORDS);
-        goto done;
-    }
-    Py_ssize_t size = (degree + 7) / 8;
-    if (!(result = PyBytes_FromStringAndSize(NULL, size)))
-        goto done;
-    const uint64_t *reg = view->buf;
-    uint8_t *out = (uint8_t *)PyBytes_AS_STRING(result);
-    unsigned pad = (unsigned)(64 * w - (size_t)degree);
-    size_t at = (size_t)size;
-    for (size_t i = w; i-- > 0 && at;) {
-        uint64_t word = pad ? reg[i] >> pad | (i ? reg[i - 1] << (64 - pad) : 0) : reg[i];
-        if (at >= 8) {
-            at -= 8;
-            for (unsigned j = 8; j-- > 0; word >>= 8)
-                out[at + j] = (uint8_t)word;
-        } else
-            for (; at; word >>= 8)
-                out[--at] = (uint8_t)word;
-    }
-done:
-    release(&v);
-    return result;
-}
-
 static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -465,10 +417,11 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
  * on a table that has a split entry where the calling thread may run on two
  * CPUs or more, which it asks for that chunk.  The type's one constructor,
  * its vectorcall (no tp_new), fixes an engine's entry, tables and register,
- * and its counters are read-only, so its entry points read them in
- * place.  The engine calls its tables' loop, split and digest by vectorcall,
- * never the C loops directly, so each call passes the checks above, and
- * joins a pending split by its join method.  All three read fastcrc's
+ * and its counters are read-only, so its entry points read them in place.
+ * The engine calls its tables' loop and split by vectorcall, never the C
+ * loops directly, so each call passes the checks above, and joins a pending
+ * split by its join method.  It reads its register itself (digest_of), which
+ * every path lays out alike, with the same checks.  All three read fastcrc's
  * _SPLIT_BYTES, _shift, _CODEWORDS, _FILLER, ClassifierDigest, CrcEngine,
  * _tables_for, _table_cache and build_tables from the namespace bind() hands
  * them, at each call, as the Python class reads them, so what is patched
@@ -478,13 +431,13 @@ static PyObject *py_carryless(PyObject *module, PyObject *const *args, Py_ssize_
 /* The names looked up: attributes of an engine's tables and entry and of a
  * digest, then globals of fastcrc; interned once per module. */
 enum name {
-    WORDS, MAIN, LOOP, SPLIT, DIGEST, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG, DATA,
-    ENTRY, JOIN, SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, CRC_ENGINE,
-    TABLES_FOR, TABLE_CACHE, BUILD_TABLES, NAMES
+    WORDS, MAIN, LOOP, SPLIT, PATH, DEGREE, INDEX, ALIGNED_BITS, FROM_BYTES, BIG, DATA, ENTRY,
+    JOIN, SPLIT_BYTES, SHIFT, CODEWORDS, FILLER_MAP, CLASSIFIER_DIGEST, CRC_ENGINE, TABLES_FOR,
+    TABLE_CACHE, BUILD_TABLES, NAMES
 };
 static const char *const name_text[NAMES] = {
-    "words", "main", "loop", "split", "digest", "path", "degree", "index", "aligned_bits",
-    "from_bytes", "big", "data", "entry", "join", "_SPLIT_BYTES", "_shift", "_CODEWORDS", "_FILLER",
+    "words", "main", "loop", "split", "path", "degree", "index", "aligned_bits", "from_bytes",
+    "big", "data", "entry", "join", "_SPLIT_BYTES", "_shift", "_CODEWORDS", "_FILLER",
     "ClassifierDigest", "CrcEngine", "_tables_for", "_table_cache", "build_tables",
 };
 
@@ -549,13 +502,48 @@ static PyObject *call(module_state *st, PyObject *owner, enum name name, PyObjec
     return result;
 }
 
-/* tables.digest(reg, entry.degree), of an engine's. */
+/* An engine's register, read at its entry's degree: moved down pad = 64w -
+ * degree bits, as size = ceil(degree / 8) big-endian bytes, written from the
+ * least significant word up; the value has degree bits, so the top 8w - size
+ * bytes it drops are zero.  ValueError unless the register holds
+ * ceil(degree / 64) whole aligned words, 1 to MAX_WORDS. */
 static PyObject *digest_of(module_state *st, Engine *self)
 {
-    PyObject *degree = attr(st, self->entry, DEGREE);
-    PyObject *result = degree ? call(st, self->tables, DIGEST, (PyObject *[]){self->reg, degree}, 2)
-                              : NULL;
-    Py_XDECREF(degree);
+    struct views v = {.held = 0};
+    PyObject *entry_degree = attr(st, self->entry, DEGREE), *result = NULL;
+    Py_buffer *view;
+    if (!entry_degree || !(view = take(&v, self->reg, "reg", 0, 8)))
+        goto done;
+    size_t w = items(view, 8);
+    Py_ssize_t degree = PyLong_AsSsize_t(entry_degree);
+    if (degree == -1 && PyErr_Occurred())
+        goto done;
+    if (w < 1 || w > MAX_WORDS || degree <= 64 * ((Py_ssize_t)w - 1) ||
+        degree > 64 * (Py_ssize_t)w) {
+        PyErr_Format(PyExc_ValueError, "reg must hold ceil(degree / 64) words, 1 to %d",
+                     MAX_WORDS);
+        goto done;
+    }
+    Py_ssize_t size = (degree + 7) / 8;
+    if (!(result = PyBytes_FromStringAndSize(NULL, size)))
+        goto done;
+    const uint64_t *reg = view->buf;
+    uint8_t *out = (uint8_t *)PyBytes_AS_STRING(result);
+    unsigned pad = (unsigned)(64 * w - (size_t)degree);
+    size_t at = (size_t)size;
+    for (size_t i = w; i-- > 0 && at;) {
+        uint64_t word = pad ? reg[i] >> pad | (i ? reg[i - 1] << (64 - pad) : 0) : reg[i];
+        if (at >= 8) {
+            at -= 8;
+            for (unsigned j = 8; j-- > 0; word >>= 8)
+                out[at + j] = (uint8_t)word;
+        } else
+            for (; at; word >>= 8)
+                out[--at] = (uint8_t)word;
+    }
+done:
+    release(&v);
+    Py_XDECREF(entry_degree);
     return result;
 }
 
@@ -1036,7 +1024,6 @@ static PyMethodDef methods[] = {
     FASTCALL("fill_carryless", py_fill_carryless),
 #endif
     FASTCALL("fill", py_fill),
-    FASTCALL("digest", py_digest),
     FASTCALL("carryless", py_carryless),
     {"tables_for", py_tables_for, METH_O, tables_for_doc},
     {"engine_init", py_engine_init, METH_O, engine_init_doc},

@@ -36,6 +36,8 @@ _CHUNK = 64 * 1024
 
 def _read_chunks(args) -> Iterator[bytes]:
     """The input (--in FILE, else stdin) in pieces of at most _CHUNK bytes."""
+    if not args.infile and sys.stdin is None:  # the process started with fd 0 closed
+        _usage_error("standard input is closed")
     try:
         with open(args.infile, "rb") if args.infile else nullcontext(sys.stdin.buffer) as f:
             while chunk := f.read(_CHUNK):

@@ -30,8 +30,9 @@ and one register layout, a bytearray of ceil(degree / 64) native 64-bit
 words.  `build_tables` admits the same entries on every path and host:
 those whose generator has their degree, from 9 to 4544, so at most 71
 words.  Each table states its size first, which the C paths check is at
-most 72 words, so no call passes it, and carries its path's loop and
-digest (see `CrcTables`), so the engine never asks which path it runs.
+most 72 words, so no call passes it, and carries its path's loop (see
+`CrcTables`), so the engine never asks which path it runs.  Each engine
+reads its register with its own routine, for every path lays it out alike.
 `_absorb.c` holds the three C loops; both carry-less paths read one table,
 whose block-step constant the module computes when the table is built, and
 the block size is a constant of the C code.  `_absorbmodule.c` includes
@@ -60,14 +61,15 @@ position or keyword: its `entry`, `tables`, `_reg`, `consumed`, `splits`
 and `splits_taken` are read-only, where the Python class's are plain
 slots, and `CrcEngine.__new__` raises TypeError.  `engine_init` and
 `_tables_for` are the module's functions, so a short digest runs no Python
-frame of this library.  The engine calls its tables' loop, split and digest
-by vectorcall, so each call passes the module's buffer checks, and its
-`finish` builds the `ClassifierDigest` with that class's length check but
-without the frame of its `__init__`.  All three read `_SPLIT_BYTES`,
-`_shift`, `_CODEWORDS`, `_FILLER`, `ClassifierDigest`, `CrcEngine`,
-`_tables_for`, `_table_cache` and `build_tables` from this module at each
-call, through `bind`, as the Python class and functions read them, so a
-patch or a tracer's wrapper there reaches both.  The Python class and
+frame of this library.  The engine calls its tables' loop and split by
+vectorcall, so each call passes the module's buffer checks, reads its
+register in C with the same checks, and its `finish` builds the
+`ClassifierDigest` with that class's length check but without the frame
+of its `__init__`.  All three read `_SPLIT_BYTES`, `_shift`, `_CODEWORDS`,
+`_FILLER`, `ClassifierDigest`, `CrcEngine`, `_tables_for`, `_table_cache`
+and `build_tables` from this module at each call, through `bind`, as the
+Python class and functions read them, so a patch or a tracer's wrapper
+there reaches both.  The Python class and
 functions stay as their pure-Python twins, `_PyCrcEngine`,
 `_py_engine_init` and `_py_tables_for`, which run where the module does
 not; each pair is held to one set of tests, but for the split, which only
@@ -227,7 +229,8 @@ def _python_loop(reg: bytearray, table: tuple[int, tuple[int, ...]], codewords, 
 
 
 def _python_digest(reg: bytearray, degree: int) -> bytes:
-    """The module's digest in Python: the register's value as ceil(degree / 8) bytes, big-endian."""
+    """The register's value as ceil(degree / 8) bytes, big-endian: how the Python engine and loop
+    read a register of any path, as the module's engine type reads it in C."""
     value = int.from_bytes(b"".join(w.to_bytes(8, "big") for w in memoryview(reg).cast("Q")), "big")
     return (value >> 8 * len(reg) - degree).to_bytes((degree + 7) // 8, "big")
 
@@ -235,18 +238,18 @@ def _python_digest(reg: bytearray, degree: int) -> bytes:
 class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
-    The engine calls `loop` and `digest`, the module's engine type also
-    `split`; `_shift` calls `combine`.  The packed forms hold each value in
-    `words` 64-bit words, most significant word first and shifted up by
-    64 * words - degree bits, for g's degree, which the engine reads from
-    its entry, and every path's register is one, in a bytearray.  `main`
-    states its own size first, which the loop reads in place of an argument.
-    `loop(reg, main, codewords, data)` appends the codeword each byte of
-    data maps to, and `digest(reg, degree)` returns the byte-aligned digest.
-    On the carry-less paths `split(reg, main, codewords, data, q, k, k2)`,
-    the two-thread entry, returns a pending split whose `join()` writes reg
-    and returns how the join went: 0 the caller absorbed the whole chunk, 1
-    it took H2, 2 it waited for the worker, 3 the worker was done; and
+    The engine calls `loop`, the module's engine type also `split`; `_shift`
+    calls `combine`.  The packed forms hold each value in `words` 64-bit
+    words, most significant word first and shifted up by 64 * words - degree
+    bits, for g's degree, which the engine reads from its entry, and every
+    path's register is one, in a bytearray, which each engine reads itself.
+    `main` states its own size first, which the loop reads in place of an
+    argument.  `loop(reg, main, codewords, data)` appends the codeword each
+    byte of data maps to.  On the carry-less paths
+    `split(reg, main, codewords, data, q, k, k2)`, the two-thread entry,
+    returns a pending split whose `join()` writes reg and returns how the
+    join went: 0 the caller absorbed the whole chunk, 1 it took H2, 2 it
+    waited for the worker, 3 the worker was done; and
     `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
     `_shift`); elsewhere both are None.
 
@@ -266,7 +269,6 @@ class CrcTables(NamedTuple):
     main: tuple[int, tuple[int, ...]] | array
     path: str
     loop: Callable
-    digest: Callable[[bytearray, int], bytes]
     shifts: dict[int, array]  # each build passes its own; a default would be shared
     split: Callable | None = None
     combine: Callable | None = None
@@ -306,8 +308,7 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
                          f"aligned_bits {e.aligned_bits}")
     w = (e.degree + 63) // 64
     if _kernel is None:
-        return CrcTables(w, (e.degree, reduction_rows(e.generator, 9)), "python", _python_loop,
-                         _python_digest, {})
+        return CrcTables(w, (e.degree, reduction_rows(e.generator, 9)), "python", _python_loop, {})
     path, pad = ("native", "clmul", "vpclmul")[_kernel.carryless()], 64 * w - e.degree
     if path == "native":
         rows = array("Q", bytes(8 * (1 + 512 * w)))
@@ -315,14 +316,14 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
         for j, basis in enumerate(reduction_basis(e.generator, 9)):
             rows[1 + (w << j):1 + (w << j) + w] = _to_words(basis << pad, w)
         _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
-        return CrcTables(w, rows, path, _kernel.absorb, _kernel.digest, {})
+        return CrcTables(w, rows, path, _kernel.absorb, {})
     mu, low = _barrett_constants(e)
     # G, then the tail, least significant word first, as the carry-less kernels read them
     # (they run only on x86-64, which is little-endian)
     n = 8 * (7 + 8 * ((w + 7) // 8) + _kernel.TAIL_WORDS)
     consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
     _kernel.fill_carryless(consts)
-    return CrcTables(w, consts, path, getattr(_kernel, f"absorb_{path}"), _kernel.digest, {},
+    return CrcTables(w, consts, path, getattr(_kernel, f"absorb_{path}"), {},
                      getattr(_kernel, f"absorb_split_{path}"), getattr(_kernel, f"combine_{path}"))
 
 
@@ -394,7 +395,7 @@ class CrcEngine:
 
     @property
     def register(self) -> int:
-        return int.from_bytes(self.tables.digest(self._reg, self.entry.degree), "big")
+        return int.from_bytes(_python_digest(self._reg, self.entry.degree), "big")
 
     @property
     def path(self) -> str:
@@ -427,7 +428,7 @@ class CrcEngine:
         tables = self.tables
         if self.consumed < 8:  # one FILLER cycle for each byte short of 8
             tables.loop(self._reg, tables.main, _FILLER, bytes(8 - self.consumed))
-        return ClassifierDigest(tables.digest(self._reg, self.entry.degree), self.entry)
+        return ClassifierDigest(_python_digest(self._reg, self.entry.degree), self.entry)
 
 
 def engine_init(e: GeneratorEntry, /) -> CrcEngine:

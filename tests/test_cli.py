@@ -273,3 +273,16 @@ class TestAssemble:
             run(capsys, monkeypatch,
                 ["assemble", "--modulus-bits", "336", "--hash", "md5"], stdin=FOX)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["classify", "--bits", "64"], ["expand"],
+                                  ["assemble", "--modulus-bits", "2048"]])
+def test_closed_stdin_is_unreadable_input(argv):
+    # `badderlocks ... <&-`: the interpreter starts with fd 0 closed, so sys.stdin is None,
+    # which each command that reads the input reports as unreadable, without a traceback
+    src = Path(fastcrc.__file__).parents[1]
+    child = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m",
+                            "badderlocks", *argv], capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr

@@ -211,9 +211,10 @@ def family_sums(c: list[int]) -> list[list[int]]:
     return sums
 
 
-def value(e, t, words) -> int:
-    """The value held in words laid out like the register of e's tables t: t's digest of them."""
-    return int.from_bytes(t.digest(words, e.degree), "big")
+def value(e, words) -> int:
+    """The value held in words laid out like e's register, as the Python engine reads it: so
+    the Python reader is checked on the registers and constants each C kernel writes."""
+    return int.from_bytes(fastcrc._python_digest(bytes(words), e.degree), "big")
 
 
 def row(e, t, v: int) -> int:
@@ -221,7 +222,7 @@ def row(e, t, v: int) -> int:
     codeword v, which every byte maps to."""
     reg = bytearray(8 * t.words)
     t.loop(reg, t.main, array("H", [v]) * 256, b"\0")
-    return value(e, t, reg)
+    return value(e, reg)
 
 
 class TestTables:
@@ -296,7 +297,7 @@ class TestTables:
             power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
             for j in range(16):
                 if j in (j0, j0 + 1, 14, 15):
-                    k = value(e, t, fastcrc._shift(e, t, j))
+                    k = value(e, fastcrc._shift(e, t, j))
                     assert k >> e.degree == 0, (e.index, j)
                     moved = gf2poly.remainder(poly(k << 2 * pad + e.degree), e.generator)
                     assert moved == power, (e.index, j)
@@ -1071,7 +1072,7 @@ def split_directly(e, m: bytes, pause: float = 0) -> tuple[bytes, int]:
     if pause:
         time.sleep(pause)
     outcome = job.join()
-    return t.digest(reg, e.degree), outcome
+    return fastcrc._python_digest(reg, e.degree), outcome
 
 
 def forked(child) -> object:
@@ -1411,6 +1412,32 @@ class TestBinding:
                 eng.absorb(chunk)
             assert eng.consumed == consumed and eng._reg == before, case
 
+    def test_register_is_checked_at_each_read(self, kernel_path):
+        # the engine reads its register itself, with the module's checks, and no table or
+        # module function reads it: a register one word short or long, resized in place after
+        # 5,000 bytes (a block step on vpclmul, a split on the -split variants), makes
+        # `register` and `finish` raise and keeps its bytes, and so do tables of another size
+        e = params.entry_for_aligned_bits(1744)
+        m = random.Random(46).randbytes(5000)
+        for longer in (True, False):
+            eng = fastcrc.CrcEngine(e, fastcrc._tables_for(e)).absorb(m)
+            reg = eng._reg
+            if longer:
+                reg.extend(bytes(8))
+            else:
+                del reg[-8:]
+            before = bytes(reg)
+            with pytest.raises(ValueError, match="^reg must hold ceil"):
+                eng.register
+            with pytest.raises(ValueError, match="^reg must hold ceil"):
+                eng.finish()
+            assert eng._reg == before
+        narrow = fastcrc._tables_for(params.entry_for_aligned_bits(64))
+        with pytest.raises(ValueError, match="^reg must hold ceil"):
+            fastcrc.CrcEngine(e, narrow).register
+        assert "digest" not in fastcrc.CrcTables._fields
+        assert not hasattr(fastcrc._kernel, "digest")
+
     def test_each_argument_is_checked(self, kernel_path):
         # direct calls: each wrong argument raises, and neither the register nor the guard
         # words around it are written
@@ -1445,8 +1472,6 @@ class TestBinding:
             (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
             (TypeError, loop, (bytes(8 * w), t.main, cw, FOX)),  # a read-only register
             (ValueError, loop, (wide_reg, too_wide, cw, FOX)),
-            (ValueError, t.digest, (reg, 64 * w + 1)),
-            (ValueError, t.digest, (wide_reg, 64 * wide)),
             (ValueError, module.fill, (array("Q", [w]) * (512 * w),)),
             (TypeError, module.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
@@ -1548,6 +1573,33 @@ class TestKernelBuild:
         assert kernel is not None and kernel.carryless() == HOST_LEVEL
         (built,) = {f.name for f in cache.iterdir()} - kept
         assert built.startswith("_absorb-") and built.endswith(suffix) and built not in stale
+
+    def test_portable_branch_builds_clean_and_matches(self, tmp_path):
+        # off x86-64 the module compiles only its portable branch, whose table walk is the
+        # one C path there: built here with __x86_64__ undefined after the system headers,
+        # it compiles without a warning, has no carry-less function, and its engine gives
+        # classify's digest on every entry, bound in a child process
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        wrapper = tmp_path / "portable.c"
+        wrapper.write_text(PORTABLE_WRAPPER)
+        built = tmp_path / f"portable{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        run = subprocess.run(["cc", *fastcrc._COMPILE, "-Wall", "-Wextra", "-Werror",
+                              "-I", PYTHON_INCLUDE, "-I", str(fastcrc._PACKAGE),
+                              "-o", str(built), str(wrapper)], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        module = fastcrc._import(built)
+        assert module.carryless() == 0
+        names = dir(module)
+        assert {"absorb", "fill", "carryless", "bind", "CrcEngine"} <= set(names)  # it sees them
+        assert not [name for name in names if name.startswith(("absorb_split_", "combine_"))
+                    or name.endswith("clmul") or name == "fill_carryless"]
+        sweep = subprocess.run([sys.executable, "-c", PORTABLE_SWEEP, str(built)],
+                               capture_output=True, text=True, timeout=600,
+                               env={**os.environ,
+                                    "PYTHONPATH": str(Path(fastcrc.__file__).parents[1])})
+        assert sweep.returncode == 0, sweep.stderr
+        assert sweep.stdout.split() == [str(len(params.registry()) * 6)]
 
     def test_no_compiler_runs_the_python_twin(self, tmp_path):
         # a fresh interpreter over a copy of the package with no build cached and no cc on
@@ -1833,6 +1885,45 @@ def avx512(instruction: tuple[bytes, str]) -> bool:
     encoding, text = instruction
     opcode = next((b for b in encoding if b not in LEGACY_PREFIXES), None)
     return opcode == 0x62 or bool(AVX512_REGISTERS.search(text))
+
+
+# The module's portable branch, which hosts other than x86-64 compile, built on any host:
+# the system and Python headers, then the module source with __x86_64__ undefined.
+PORTABLE_WRAPPER = """
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+#include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
+#undef __x86_64__
+#include "_absorbmodule.c"
+"""
+
+# Run in a child process against the portable build: every entry at the filler's edges
+# and over a chunk of more than _SPLIT_BYTES, which the table walk takes on one thread.
+PORTABLE_SWEEP = """
+import random, sys
+from badderlocks import classifier, fastcrc, params
+fastcrc._kernel = fastcrc._import(sys.argv[1])
+fastcrc.CrcEngine, fastcrc.engine_init, fastcrc._tables_for = fastcrc._kernel.bind(vars(fastcrc))
+fastcrc._table_cache.clear()
+rng = random.Random(47)
+checked = 0
+for e in params.registry():
+    for n in (0, 7, 8, 9, 100, 20000):
+        m = rng.randbytes(n)
+        eng = fastcrc.engine_init(e)
+        assert type(eng) is fastcrc.CrcEngine and eng.path == "native", eng
+        assert eng.absorb(m).finish() == classifier.classify(m, e), (e.index, n)
+        assert eng.splits == 0, (e.index, n)
+        checked += 1
+print(checked)
+"""
 
 
 # Run in a child process against a sanitizer build of the kernel, so that
