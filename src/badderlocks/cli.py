@@ -3,10 +3,10 @@
 Subcommands: classify, expand, vectors, verify-params, assemble.
 Message input is always raw bytes from stdin or a file, never an argument,
 so shell escaping cannot corrupt it.  Exit status 0 means success, 1 means
-a verification or vector mismatch, 2 a usage error or unreadable input.
-If the reader of stdout closes it early (`| head -1`), the command stops
-with status 141 (128 + SIGPIPE, as `yes | head -1` reports) and prints no
-error.
+a verification or vector mismatch, 2 a usage error, unreadable input or a
+closed stdout; error lines go to stderr alone.  If the reader of stdout
+closes it early (`| head -1`), the command stops with status 141 (128 +
+SIGPIPE, as `yes | head -1` reports) and prints no error.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
-from importlib import resources
+from contextlib import nullcontext, suppress
 from typing import Iterator, NoReturn
 
 from . import classifier, fastcrc, gf2poly, params, reefshoal, sbox
@@ -37,30 +36,32 @@ _CHUNK = 64 * 1024
 def _read_chunks(args) -> Iterator[bytes]:
     """The input (--in FILE, else stdin) in pieces of at most _CHUNK bytes."""
     if not args.infile and sys.stdin is None:  # the process started with fd 0 closed
-        _usage_error("standard input is closed")
+        _fail("standard input is closed")
     try:
         with open(args.infile, "rb") if args.infile else nullcontext(sys.stdin.buffer) as f:
             while chunk := f.read(_CHUNK):
                 yield chunk
     except OSError as exc:
-        _usage_error(str(exc))
+        _fail(str(exc))
 
 
 def _read_message(args) -> bytes:
     return b"".join(_read_chunks(args))
 
 
-def _usage_error(message: str) -> NoReturn:
-    # an invalid size or unreadable input is a usage error, same exit class as bad flags
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+def _fail(message: str, status: int = 2) -> NoReturn:
+    # the line goes to stderr only, or nowhere if it is closed; bad input exits 2, as bad flags do
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        with suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(status)
 
 
 def _entry_for_bits(bits: int) -> params.GeneratorEntry:
     try:
         return params.entry_for_aligned_bits(bits)
     except KeyError as exc:
-        _usage_error(exc.args[0])
+        _fail(exc.args[0])
 
 
 def _positive_byte_multiple(text: str) -> int:
@@ -88,7 +89,7 @@ def _cmd_classify(args) -> int:
     elapsed = time.perf_counter() - start
     value = gf2poly.BitPolynomial(int.from_bytes(digest.data, "big"))
     print(gf2poly.render_hex(value, group=args.grouped, width=2 * len(digest.data)))
-    if args.stats:
+    if args.stats and sys.stderr is not None:  # print(file=None) would write to stdout
         print(f"entry={entry.index} bits={entry.aligned_bits} degree={entry.degree} "
               f"path={engine.path} bytes={engine.consumed} elapsed_s={elapsed:.6f} "
               f"mib_per_s={engine.consumed / elapsed / 2**20:.3f} "
@@ -101,10 +102,14 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+def _suite_text(name: str) -> str:
+    with open(os.path.join(os.path.dirname(__file__), "data", _SUITES[name])) as f:
+        return f.read()
+
+
 def _load_suite(name: str) -> list[tuple[int, bytes, str]]:
     rows = []
-    text = resources.files("badderlocks.data").joinpath(_SUITES[name]).read_text()
-    for line in text.splitlines():
+    for line in _suite_text(name).splitlines():
         bits_s, input_spec, expected = line.split("\t")
         if input_spec.startswith("hex:"):
             message = bytes.fromhex(input_spec[4:])
@@ -126,11 +131,10 @@ def _vector_results(suite: str, bits: int, message: bytes) -> dict[str, str]:
 
 
 def _cmd_vectors(args) -> int:
-    rows = _load_suite(args.suite)
     if not args.check:
-        text = resources.files("badderlocks.data").joinpath(_SUITES[args.suite]).read_text()
-        sys.stdout.write(text)
+        sys.stdout.write(_suite_text(args.suite))
         return 0
+    rows = _load_suite(args.suite)
     failures = 0
     for bits, message, expected in rows:
         wrong = {name: got for name, got in _vector_results(args.suite, bits, message).items()
@@ -171,7 +175,7 @@ def _cmd_assemble(args) -> int:
         layout = reefshoal.plan_layout(args.modulus_bits, 8 * len(digest),
                                        reserve_bits=args.reserve_bits)
     except ValueError as exc:  # the flags parse, but no classifier fits between them
-        _usage_error(str(exc))
+        _fail(str(exc))
     print(reefshoal.assemble(message, digest, layout).hex().upper())
     return 0
 
@@ -227,6 +231,8 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if sys.stdout is None:  # the process started with fd 1 closed, where every command writes
+        _fail("standard output is closed")
     try:
         status = dispatch(sys.argv[1:])
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
@@ -235,8 +241,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(141)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+        _fail(str(exc), 1)
     sys.exit(status)
 
 

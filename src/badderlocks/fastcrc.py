@@ -45,7 +45,8 @@ checksums, CRC-32 and Adler-32, of both sources, the compile command, the
 machine and the interpreter's extension suffix, and later imports load
 that file; a build deletes this interpreter's builds of earlier sources
 there.  The key names the interpreter by its installation prefix, not its
-include directory, so only a build imports sysconfig.
+include directory, so only a build imports sysconfig; `os.path` finds both
+sources and the cache next to this file, so finding them imports nothing.
 fastcrc calls the module's functions directly.  Its `carryless()` asks the
 CPU which carry-less instructions it runs, and `build_tables` reads that
 answer each time it builds a table: the vpclmul path is taken where the CPU
@@ -118,7 +119,7 @@ import os
 import sys
 from array import array
 from collections.abc import Callable
-from pathlib import Path
+from contextlib import suppress
 from types import ModuleType
 from typing import NamedTuple
 
@@ -129,30 +130,36 @@ from .sbox import FILLER, codeword_table
 
 __all__ = ["CrcTables", "CrcEngine", "build_tables", "engine_init"]
 
-_PACKAGE = Path(__file__).parent
-_SOURCES = (_PACKAGE / "_absorbmodule.c", _PACKAGE / "_absorb.c")  # the first includes the second
+_PACKAGE = os.path.dirname(__file__)
+# the first includes the second
+_SOURCES = (os.path.join(_PACKAGE, "_absorbmodule.c"), os.path.join(_PACKAGE, "_absorb.c"))
 # no -march=native: the cached file must stay valid if the checkout moves to another host
 # -DNDEBUG: a release build, without the asserts of CPython's header macros
 _COMPILE = ("-O3", "-DNDEBUG", "-shared", "-fPIC", "-pthread")
 
 
-def _compile(command: list[str], path: Path) -> bool:
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _compile(command: list[str], path: str) -> bool:
     """Build the module at path; a temporary name keeps a half-written file from being loaded."""
     import subprocess  # only a cache miss pays for it
 
-    path.parent.mkdir(exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        if subprocess.run([*command, "-o", str(tmp), str(_SOURCES[0])],
-                          capture_output=True).returncode:
+        if subprocess.run([*command, "-o", tmp, _SOURCES[0]], capture_output=True).returncode:
             return False
         os.replace(tmp, path)
         return True
     finally:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
-def _import(path: Path | str) -> ModuleType:
+def _import(path: str | os.PathLike) -> ModuleType:
     """The extension module in the shared object at path."""
     name = "badderlocks._absorb"
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
@@ -162,34 +169,36 @@ def _import(path: Path | str) -> ModuleType:
     return module
 
 
-def _prune(built: Path, suffix: str) -> None:
+def _prune(built: str, suffix: str) -> None:
     """Delete the other builds with this interpreter's suffix, or an older bare .so, in built's
     directory: each edit of the sources leaves one.  Another interpreter's builds stay, so
     that two sharing a checkout do not rebuild in turn."""
     import re  # only a build pays for it
 
-    for other in built.parent.glob("_absorb-*.so"):
-        if other != built and re.fullmatch(rf"_absorb-[0-9a-f]{{16}}({re.escape(suffix)}|\.so)",
-                                           other.name):
-            other.unlink(missing_ok=True)
+    directory, name = os.path.split(built)
+    for other in os.listdir(directory):
+        if other != name and re.fullmatch(rf"_absorb-[0-9a-f]{{16}}({re.escape(suffix)}|\.so)",
+                                          other):
+            with suppress(FileNotFoundError):  # another process may have pruned it first
+                os.unlink(os.path.join(directory, other))
 
 
-def _load_kernel(cache_dir: Path = _PACKAGE / "__pycache__", cc: str = "cc",
-                 include: str | None = None) -> ModuleType | None:
+def _load_kernel(cache_dir: str | os.PathLike = os.path.join(_PACKAGE, "__pycache__"),
+                 cc: str = "cc", include: str | None = None) -> ModuleType | None:
     """The extension module, built into cache_dir against include's Python.h (by default the
     interpreter's) unless already there; None if that fails.  Which of its loops a table
     uses is read from its CPU probe, `carryless()`, when the table is built."""
     try:
-        import zlib  # names the build: its import costs far less than hashlib's
+        from zlib import adler32, crc32  # name the build, far cheaper to import than hashlib
 
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
         # the interpreter's prefix stands for its default include directory, so that a load
         # from the cache need not import sysconfig; the suffix pins the ABI
-        key = b"\0".join([*(source.read_bytes() for source in _SOURCES),
+        key = b"\0".join([*map(_read, _SOURCES),
                           " ".join([cc, *_COMPILE, "-I", include or sys.base_prefix]).encode(),
                           os.uname().machine.encode(), suffix.encode()])
-        path = cache_dir / f"_absorb-{zlib.crc32(key):08x}{zlib.adler32(key):08x}{suffix}"
-        if not path.is_file():
+        path = os.path.join(cache_dir, f"_absorb-{crc32(key):08x}{adler32(key):08x}{suffix}")
+        if not os.path.isfile(path):
             if include is None:
                 import sysconfig  # only a cache miss pays for it
 

@@ -10,8 +10,8 @@ byte-alignment law, so a transcription typo cannot load silently.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from . import gf2poly
@@ -67,7 +67,8 @@ def size_for_index(i: int) -> int:
 def registry() -> tuple[GeneratorEntry, ...]:
     """All 30 generator entries, quick-verified at load time."""
     entries = []
-    data = resources.files("badderlocks.data").joinpath("generators.txt").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", "generators.txt")) as f:
+        data = f.read()
     for line in data.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from badderlocks import classifier, fastcrc, params
+from badderlocks import classifier, cli, fastcrc, params
 from badderlocks.cli import dispatch
 
 FOX = b"The quick brown fox jumps over the lazy dog"
@@ -286,3 +286,72 @@ def test_closed_stdin_is_unreadable_input(argv):
                            env={**os.environ, "PYTHONPATH": str(src)})
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv", [["classify", "--bits", "64"], ["expand"],
+                                  ["vectors", "--suite", "c1"], ["verify-params"],
+                                  ["assemble", "--modulus-bits", "2048"]])
+def test_closed_stdout_is_a_usage_error(argv):
+    # `badderlocks ... >&-`: the interpreter starts with fd 1 closed, so sys.stdout is None,
+    # where every command writes; each says so on stderr and exits 2, without a traceback
+    src = Path(fastcrc.__file__).parents[1]
+    child = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                            "badderlocks", *argv], input=b"abc", capture_output=True,
+                           timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 2, child.stderr
+    assert child.stderr == b"error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["classify", "--bits", "99"], 2, b""),
+    (["assemble", "--modulus-bits", "8"], 2, b""),
+    (["classify", "--bits", "64", "--stats"], 0, b"4571064C14E8916E\n"),
+])
+def test_closed_stderr_keeps_stdout_to_the_output(argv, code, out):
+    # `badderlocks ... 2>&-`: sys.stderr is None, and print(file=None) would write an error
+    # line or the --stats line to stdout; each is dropped, and the status stays
+    src = Path(fastcrc.__file__).parents[1]
+    child = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
+                            "badderlocks", *argv], input=b"abc", capture_output=True,
+                           timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, b"")
+
+
+@pytest.mark.parametrize("argv,fault,code", [
+    (["classify", "--bits", "99"], None, 2),
+    (["verify-params"], OSError("unreadable"), 1),
+])
+def test_unwritable_stderr_gives_no_traceback(capsys, monkeypatch, argv, fault, code):
+    # a stderr on a descriptor that is no longer open, as some shells leave it: writing the
+    # error line raises OSError, which main neither reports twice nor lets through
+    def fail(*args):
+        raise fault
+
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError(9, "Bad file descriptor")
+
+    if fault:
+        monkeypatch.setattr(cli, "dispatch", fail)
+    monkeypatch.setattr("sys.argv", ["badderlocks", *argv])
+    monkeypatch.setattr("sys.stderr", Unwritable())
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == ""
+
+
+def test_no_site_run_imports_neither_resources_nor_pathlib():
+    # the package finds its data and C sources by os.path next to its modules, so a run
+    # without site, which imports neither itself, loads neither importlib.resources nor
+    # pathlib with its urllib.parse; -S also drops an editable install, hence PYTHONPATH
+    src = Path(fastcrc.__file__).parents[1]
+    probe = ("import sys\n"
+             "from badderlocks import cli\n"
+             "assert cli.dispatch(['vectors', '--suite', 'c1', '--check']) == 0\n"
+             "assert cli.dispatch(['classify', '--bits', '1744', '--in', cli.__file__]) == 0\n"
+             "print(sorted({'importlib.resources', 'pathlib', 'urllib.parse'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                           timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"

@@ -1574,6 +1574,14 @@ class TestKernelBuild:
         (built,) = {f.name for f in cache.iterdir()} - kept
         assert built.startswith("_absorb-") and built.endswith(suffix) and built not in stale
 
+    def test_prune_skips_a_build_already_deleted(self, monkeypatch, tmp_path):
+        # another process pruning the same directory may delete a stale build between the
+        # listing and the unlink: that is not an error, which would send the load to Python
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        gone = f"_absorb-0123456789abcdef{suffix}"
+        monkeypatch.setattr(os, "listdir", lambda directory: [gone])
+        fastcrc._prune(str(tmp_path / f"_absorb-fedcba9876543210{suffix}"), suffix)
+
     def test_portable_branch_builds_clean_and_matches(self, tmp_path):
         # off x86-64 the module compiles only its portable branch, whose table walk is the
         # one C path there: built here with __x86_64__ undefined after the system headers,
@@ -1647,7 +1655,7 @@ class TestKernelBuild:
         names = []
 
         def no_compile(command, path):
-            names.append(path.name)
+            names.append(os.path.basename(path))
             return False
 
         def name_with(*patch):
@@ -1661,8 +1669,8 @@ class TestKernelBuild:
         monkeypatch.setattr(fastcrc, "_compile", no_compile)
         sources = []
         for source in fastcrc._SOURCES:
-            (tmp_path / source.name).write_bytes(source.read_bytes())
-            sources.append(tmp_path / source.name)
+            sources.append(tmp_path / os.path.basename(source))
+            sources[-1].write_bytes(Path(source).read_bytes())
         monkeypatch.setattr(fastcrc, "_SOURCES", tuple(sources))
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
         base = name_with()
