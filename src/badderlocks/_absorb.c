@@ -18,9 +18,9 @@
  * that a PCLMULQDQ-only CPU runs; carryless() reports which kernels this
  * CPU can run.
  *
- * Both carry-less kernels read one table, least significant word first: w,
- * mu, seven zero words, G = (g - x^d) * x^pad zero-padded to whole blocks
- * of eight words, then the block step's tail: mu' (B words) one word up and
+ * A carry-less table holds, least significant word first: w, mu, seven zero
+ * words, G = (g - x^d) * x^pad zero-padded to whole blocks of eight words,
+ * and on vpclmul only the block step's tail: mu' (B words) one word up and
  * G again, each with the family of sums its Karatsuba tiles read (see
  * fill_sums and the block step).  A product eight words at a time reads a
  * constant shifted up s < 8 words by one unaligned load at offset -s, which
@@ -36,7 +36,7 @@
  * blocks, by plans that depend on w alone, made when the library loads;
  * its codewords are packed 64 bytes at a time by AVX-512 byte permutations.
  * fill_carryless computes mu' by the word step and both families of sums
- * when the table is built; absorb_clmul reads neither.
+ * when a vpclmul table is built.
  *
  * Each carry-less kernel also has a two-thread entry, absorb_split_clmul and
  * absorb_split_vpclmul, and split_join finishes what they start.  One
@@ -100,12 +100,12 @@ void fill(uint64_t *table)
 enum { B = 144, BLOCK_BYTES = 64 * B / 9, MAX_WORDS = B / 2 };
 
 /* Offsets in a carry-less table, which the module checks on every platform:
- * G after w, mu and seven zero words; the tail after G's whole blocks of
- * eight words, TAIL_WORDS long.  The tail holds two families of SUMS
- * sequences, one slot each: first mu' one word up in MU_BLOCKS blocks, then
- * G in G_BLOCKS, each followed by the sums Karatsuba reads (see fill_sums).
- * A slot is eight words below the sequence's origin, room for a load
- * shifted down s < 8 words, then its whole blocks. */
+ * G after w, mu and seven zero words; on vpclmul only, the tail after G's
+ * whole blocks of eight words, TAIL_WORDS long.  The tail holds two families
+ * of SUMS sequences, one slot each: first mu' one word up in MU_BLOCKS
+ * blocks, then G in G_BLOCKS, each followed by the sums Karatsuba reads (see
+ * fill_sums).  A slot is eight words below the sequence's origin, room for a
+ * load shifted down s < 8 words, then its whole blocks. */
 #define G_AT 9
 #define TAIL_AT(w) (G_AT + 8 * (((w) + 7) / 8))
 enum { LEVELS = 3, SUMS = 1 << LEVELS };
@@ -122,6 +122,11 @@ enum { LEVELS = 3, SUMS = 1 << LEVELS };
  * join waited for it (WAITED) or found it done (DONE).  A split never
  * posted, or joined already, gives TOOK_ALL. */
 enum { TOOK_ALL, TOOK_H2, WAITED, DONE };
+
+typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
+                       const uint8_t *data, size_t n);
+typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
+                        const uint64_t *s);
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -153,8 +158,6 @@ static void fill_sums(uint64_t *c, size_t stride, size_t blocks)
 }
 
 #define VPCLMUL __attribute__((target("pclmul,avx512f,avx512bw,avx512vbmi,vpclmulqdq")))
-/* the hot kernels start on a cache line, so an edit elsewhere does not move their loops */
-#define HOT __attribute__((aligned(64)))
 
 __attribute__((target("pclmul"))) static inline __m128i clmul(uint64_t a, uint64_t b)
 {
@@ -355,20 +358,20 @@ tile(__m512i *acc, const uint64_t *x, const uint64_t *c, size_t stride, size_t j
         acc[k] = rows[k];
 }
 
-VPCLMUL HOT static void tile1_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
-                                      size_t stride, size_t j)
+VPCLMUL static void tile1_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                  size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 1, kara1);
 }
 
-VPCLMUL HOT static void tile2_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
-                                      size_t stride, size_t j)
+VPCLMUL static void tile2_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                  size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 2, kara2);
 }
 
-VPCLMUL HOT static void tile3_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
-                                      size_t stride, size_t j)
+VPCLMUL static void tile3_vpclmul(__m512i *acc, const uint64_t *x, const uint64_t *c,
+                                  size_t stride, size_t j)
 {
     tile(acc, x, c, stride, j, 4, kara3);
 }
@@ -479,7 +482,7 @@ __attribute__((constructor)) static void make_block_plans(void)
  * word B of T * mu', the lowest that reaches Q, would otherwise be the short
  * lowest word of a block.  The low w words of Q * G read only G's first
  * (w + 7) / 8 blocks. */
-VPCLMUL HOT __attribute__((noinline, noclone)) static void
+VPCLMUL __attribute__((noinline, noclone)) static void
 block_step_vpclmul(uint64_t *r, const uint64_t *table, const uint64_t *T, size_t n,
                    const struct plan *mu_plan)
 {
@@ -602,7 +605,7 @@ absorb_carryless(uint64_t *restrict reg, const uint64_t *restrict table, const u
         reg[i] = r[w - 1 - i];
 }
 
-__attribute__((target("pclmul"))) HOT void absorb_clmul(uint64_t *restrict reg,
+__attribute__((target("pclmul"))) void absorb_clmul(uint64_t *restrict reg,
                                                     const uint64_t *restrict table,
                                                     const uint16_t *cw, const uint8_t *data,
                                                     size_t n)
@@ -612,7 +615,7 @@ __attribute__((target("pclmul"))) HOT void absorb_clmul(uint64_t *restrict reg,
 }
 
 /* Whole blocks first, then the word step. */
-VPCLMUL HOT void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
+VPCLMUL void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict table,
                             const uint16_t *cw, const uint8_t *data, size_t n)
 {
     /* whole 8-word blocks, unmasked: a masked store does not forward to the
@@ -622,11 +625,10 @@ VPCLMUL HOT void absorb_vpclmul(uint64_t *restrict reg, const uint64_t *restrict
     absorb_carryless(reg, table, cw, data, n, r, shift_add_vpclmul, pack_and_step_vpclmul);
 }
 
-/* mu' and the sums into a carry-less table whose tail is zero.
+/* mu' and the sums into a vpclmul table whose tail is zero.
  * x^(d + 64B) = g * x^(64B) + (g - x^d) * x^(64B), so mu' is
- * floor((g - x^d) * x^(64B) / g): the B quotients of the word step from the
- * register r = G through B zero words, the first one highest.  PCLMULQDQ
- * alone, so every carry-less table is built the same on either kernel.
+ * floor((g - x^d) * x^(64B) / g): the B quotients of the clmul word step
+ * from the register r = G through B zero words, the first one highest.
  * Then G is copied into its family, and both families take their sums. */
 __attribute__((target("pclmul"))) void fill_carryless(uint64_t *table)
 {
@@ -731,11 +733,7 @@ VPCLMUL void combine_vpclmul(uint64_t *reg, const uint64_t *restrict table, cons
  * wake: pause in place of sched_yield there ran 3x slower than one thread
  * when another busy process shared the two CPUs.  This code is compiled
  * for the baseline instruction set: it reaches the kernels only through
- * pointers. */
-typedef void absorb_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
-                       const uint8_t *data, size_t n);
-typedef void combine_fn(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
-                        const uint64_t *s);
+ * absorb_fn and combine_fn pointers. */
 
 /* One split chunk, [H1 | H2 | T], from its post to its join: work is the
  * register the worker continues through H1 (n1 bytes) and H2, s the

@@ -20,19 +20,19 @@
  *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
- *   TAIL_WORDS, the words of a carry-less table after G's whole blocks
+ *   TAIL_WORDS, the words of a vpclmul table after G's whole blocks
  *   CrcEngine (entry, tables), fastcrc's engine over those functions
  *   tables_for (e) -> e's tables, from fastcrc's cache or build_tables
  *   engine_init (e) -> CrcEngine(e, _tables_for(e)), by fastcrc's names
  *   bind (namespace) -> (CrcEngine, engine_init, tables_for), once the
  *       three read fastcrc's names there
  *
- * There are two kinds of table, rows (absorb, fill) and carry-less (the
- * rest), and one register bound for both and for the engine's read of its
- * register: w <= MAX_WORDS.
- * Both carry-less kernels read the same table, whose mu' and sums
- * fill_carryless computes in place.  The clmul, vpclmul and fill_carryless
- * functions exist on x86-64 only.
+ * Each function checks that its table holds what its kernel reads: rows
+ * (absorb, fill), clmul's constants up to G's whole blocks, or vpclmul's,
+ * which go on with the block step's tail that fill_carryless fills in place;
+ * and one register bound, w <= MAX_WORDS, for all three and for the engine's
+ * read of its register.  The clmul, vpclmul and fill_carryless functions
+ * exist on x86-64 only.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -50,33 +50,29 @@
  * other threads far less than the interpreter's 5 ms switch interval. */
 #define RELEASE_BYTES 4096
 
-typedef void loop_fn(uint64_t *restrict reg, const uint64_t *restrict table, const uint16_t *cw,
-                     const uint8_t *data, size_t n);
 struct split; /* _absorb.c's, on x86-64 */
 typedef int split_fn(struct split *sp, uint64_t *reg, const uint64_t *table, const uint16_t *cw,
                      const uint8_t *data, size_t n, size_t q, const uint64_t *k,
                      const uint64_t *k2);
-typedef void combine_step(uint64_t *reg, const uint64_t *restrict table, const uint64_t *k,
-                          const uint64_t *s);
 
-/* The kinds of table: the table walk's and the carry-less kernels'. */
-enum kind { ROWS_TABLE, CARRYLESS_TABLE };
+/* The kinds of table: the table walk's, the clmul kernel's and the vpclmul kernel's. */
+enum kind { ROWS_TABLE, CLMUL_TABLE, VPCLMUL_TABLE };
 
 /* One absorb path: its loop and, on the carry-less paths, its two-thread
  * entry and combine step, and the kind of table it reads. */
 struct path {
-    loop_fn *loop;
+    absorb_fn *loop;
     split_fn *split;
-    combine_step *combine;
+    combine_fn *combine;
     enum kind kind;
 };
 
 static const struct path table_path = {absorb, NULL, NULL, ROWS_TABLE};
 #if defined(__x86_64__)
 static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, combine_clmul,
-                                       CARRYLESS_TABLE};
+                                       CLMUL_TABLE};
 static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, combine_vpclmul,
-                                         CARRYLESS_TABLE};
+                                         VPCLMUL_TABLE};
 #endif
 
 /* The buffers a call holds, released together. */
@@ -123,13 +119,14 @@ static int apart(const Py_buffer *reg, const Py_buffer *read)
 
 /* w, the word count the table starts with, if it is 1 to MAX_WORDS and the
  * table is long enough for it on the given kind of path; 0 with ValueError
- * if not.  The table walk reads 1 + 512w words, the carry-less loops
+ * if not.  The table walk reads 1 + 512w words, clmul TAIL_AT(w) and vpclmul
  * CARRYLESS_WORDS(w). */
 static size_t table_words(const Py_buffer *table, enum kind kind)
 {
     const uint64_t *t = table->buf;
     size_t n = items(table, 8), w = n ? t[0] : 0;
-    if (w < 1 || w > MAX_WORDS || n < (kind == ROWS_TABLE ? 1 + 512 * w : CARRYLESS_WORDS(w))) {
+    if (w < 1 || w > MAX_WORDS || n < (kind == ROWS_TABLE ? 1 + 512 * w
+                                       : kind == CLMUL_TABLE ? TAIL_AT(w) : CARRYLESS_WORDS(w))) {
         PyErr_Format(PyExc_ValueError,
                      "table must start with a word count from 1 to %d and hold the words "
                      "that count needs", MAX_WORDS);
@@ -393,11 +390,11 @@ static PyObject *py_fill(PyObject *module, PyObject *const *args, Py_ssize_t nar
 }
 
 #if defined(__x86_64__)
-/* (table): mu' into a carry-less table's zero tail. */
+/* (table): mu' and the sums into a vpclmul table's zero tail. */
 static PyObject *py_fill_carryless(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    return fill_call(fill_carryless, CARRYLESS_TABLE, args, nargs, "fill_carryless");
+    return fill_call(fill_carryless, VPCLMUL_TABLE, args, nargs, "fill_carryless");
 }
 #endif
 

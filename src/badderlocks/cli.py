@@ -49,12 +49,15 @@ def _read_message(args) -> bytes:
     return b"".join(_read_chunks(args))
 
 
-def _fail(message: str, status: int = 2) -> NoReturn:
-    # the line goes to stderr only, or nowhere if it is closed; bad input exits 2, as bad flags do
+def _to_stderr(line: str) -> None:  # to stderr only, and nowhere if it is closed or refuses it
     if sys.stderr is not None:  # print(file=None) would write to stdout
         with suppress(OSError):
-            print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(status)
+            print(line, file=sys.stderr)
+
+
+def _fail(message: str, status: int = 2) -> NoReturn:
+    _to_stderr(f"error: {message}")
+    raise SystemExit(status)  # bad input exits 2, as bad flags do
 
 
 def _entry_for_bits(bits: int) -> params.GeneratorEntry:
@@ -89,11 +92,11 @@ def _cmd_classify(args) -> int:
     elapsed = time.perf_counter() - start
     value = gf2poly.BitPolynomial(int.from_bytes(digest.data, "big"))
     print(gf2poly.render_hex(value, group=args.grouped, width=2 * len(digest.data)))
-    if args.stats and sys.stderr is not None:  # print(file=None) would write to stdout
-        print(f"entry={entry.index} bits={entry.aligned_bits} degree={entry.degree} "
-              f"path={engine.path} bytes={engine.consumed} elapsed_s={elapsed:.6f} "
-              f"mib_per_s={engine.consumed / elapsed / 2**20:.3f} "
-              f"splits={engine.splits_taken}/{engine.splits}", file=sys.stderr)
+    if args.stats:
+        _to_stderr(f"entry={entry.index} bits={entry.aligned_bits} degree={entry.degree} "
+                   f"path={engine.path} bytes={engine.consumed} elapsed_s={elapsed:.6f} "
+                   f"mib_per_s={engine.consumed / elapsed / 2**20:.3f} "
+                   f"splits={engine.splits_taken}/{engine.splits}")
     return 0
 
 

@@ -33,8 +33,8 @@ words.  Each table states its size first, which the C paths check is at
 most 72 words, so no call passes it, and carries its path's loop (see
 `CrcTables`), so the engine never asks which path it runs.  Each engine
 reads its register with its own routine, for every path lays it out alike.
-`_absorb.c` holds the three C loops; both carry-less paths read one table,
-whose block-step constant the module computes when the table is built, and
+`_absorb.c` holds the three C loops; a vpclmul table is the clmul one plus
+the block step's constants, which the module computes at its build, and
 the block size is a constant of the C code.  `_absorbmodule.c` includes
 `_absorb.c` and makes it a CPython extension module whose functions take
 these as buffers, check their sizes before writing a word, and release the
@@ -135,7 +135,8 @@ _PACKAGE = os.path.dirname(__file__)
 _SOURCES = (os.path.join(_PACKAGE, "_absorbmodule.c"), os.path.join(_PACKAGE, "_absorb.c"))
 # no -march=native: the cached file must stay valid if the checkout moves to another host
 # -DNDEBUG: a release build, without the asserts of CPython's header macros
-_COMPILE = ("-O3", "-DNDEBUG", "-shared", "-fPIC", "-pthread")
+# -falign-functions=64: each function starts a cache line, so no edit elsewhere moves a kernel
+_COMPILE = ("-O3", "-DNDEBUG", "-falign-functions=64", "-shared", "-fPIC", "-pthread")
 
 
 def _read(path: str) -> bytes:
@@ -265,13 +266,13 @@ class CrcTables(NamedTuple):
     - "python": `main` is (degree, rows), rows a tuple of 512 ints,
       row v = (v << degree) mod g.
     - "native": `main` is an array("Q"): `words`, then those 512 rows, packed.
-    - "vpclmul" and "clmul": both read one array("Q").  `main` is `words`, mu
-      (one word), seven zero words, then G = (g - x^degree) * x^pad least
-      significant word first, zero-padded to whole blocks of eight words
-      (see `_barrett_constants`), then the module's `TAIL_WORDS`, into which
-      its `fill_carryless` writes the block step's constants: mu' and the sums
-      of mu' and G that its Karatsuba tiles read.  `shifts`
-      caches the packed combine constants by j; see `_shift`.
+    - "clmul": `main` is an array("Q"): `words`, mu (one word), seven zero
+      words, then G = (g - x^degree) * x^pad least significant word first,
+      zero-padded to whole blocks of eight words (see `_barrett_constants`).
+    - "vpclmul": the same, then the module's `TAIL_WORDS`, into which its
+      `fill_carryless` writes the block step's constants: mu' and the sums of
+      mu' and G that its Karatsuba tiles read.
+    On both, `shifts` caches the packed combine constants by j; see `_shift`.
     """
 
     words: int  # 64-bit words per packed row, and per register: ceil(degree / 64)
@@ -327,11 +328,12 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
         _kernel.fill(rows)  # the other 503 rows, from these 9 and the zero row
         return CrcTables(w, rows, path, _kernel.absorb, {})
     mu, low = _barrett_constants(e)
-    # G, then the tail, least significant word first, as the carry-less kernels read them
-    # (they run only on x86-64, which is little-endian)
-    n = 8 * (7 + 8 * ((w + 7) // 8) + _kernel.TAIL_WORDS)
+    # G, then on vpclmul the tail, least significant word first, as the carry-less kernels
+    # read them (they run only on x86-64, which is little-endian)
+    n = 8 * (7 + 8 * ((w + 7) // 8) + (_kernel.TAIL_WORDS if path == "vpclmul" else 0))
     consts = array("Q", [w, mu]) + array("Q", (low << pad + 64 * 7).to_bytes(n, "little"))
-    _kernel.fill_carryless(consts)
+    if path == "vpclmul":
+        _kernel.fill_carryless(consts)
     return CrcTables(w, consts, path, getattr(_kernel, f"absorb_{path}"), {},
                      getattr(_kernel, f"absorb_split_{path}"), getattr(_kernel, f"combine_{path}"))
 

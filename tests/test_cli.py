@@ -320,10 +320,12 @@ def test_closed_stderr_keeps_stdout_to_the_output(argv, code, out):
 @pytest.mark.parametrize("argv,fault,code", [
     (["classify", "--bits", "99"], None, 2),
     (["verify-params"], OSError("unreadable"), 1),
+    (["classify", "--bits", "64", "--stats"], None, 0),
 ])
 def test_unwritable_stderr_gives_no_traceback(capsys, monkeypatch, argv, fault, code):
     # a stderr on a descriptor that is no longer open, as some shells leave it: writing the
-    # error line raises OSError, which main neither reports twice nor lets through
+    # error line or the --stats line raises OSError, which main neither reports twice nor
+    # lets through; a command that succeeds prints the digest of stdin's "abc" and exits 0
     def fail(*args):
         raise fault
 
@@ -334,11 +336,12 @@ def test_unwritable_stderr_gives_no_traceback(capsys, monkeypatch, argv, fault, 
     if fault:
         monkeypatch.setattr(cli, "dispatch", fail)
     monkeypatch.setattr("sys.argv", ["badderlocks", *argv])
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"abc")))
     monkeypatch.setattr("sys.stderr", Unwritable())
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == code
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out == ("4571064C14E8916E\n" if code == 0 else "")
 
 
 def test_no_site_run_imports_neither_resources_nor_pathlib():

@@ -260,8 +260,9 @@ class TestTables:
     def test_clmul_tables_pack_the_constants(self, monkeypatch):
         # w, mu, seven zero words, then G = (g - x^d) * x^pad least significant word first,
         # zero-padded to whole blocks of eight words: the kernels' shifted loads read the
-        # zeros.  The module's tail follows, which holds mu'.  Where the CPU runs both
-        # carry-less kernels, they read the same table
+        # zeros.  That is all of a clmul table; on vpclmul the module's tail follows, which
+        # holds mu'.  Where the CPU runs both carry-less kernels, the clmul table is the
+        # vpclmul table's start
         tables = {}
         for kernel in CARRYLESS_PATHS:
             if not host_runs(kernel):
@@ -278,9 +279,11 @@ class TestTables:
                 assert t.main[9 + w:at].tolist() == [0] * (at - 9 - w)
                 g = int.from_bytes(bytes(memoryview(t.main)[9:9 + w]), sys.byteorder)
                 assert g == low << 64 * w - e.degree, e.index
-                assert len(t.main) == at + fastcrc._kernel.TAIL_WORDS, e.index
+                tail = fastcrc._kernel.TAIL_WORDS if kernel == "vpclmul" else 0
+                assert len(t.main) == at + tail, (kernel, e.index)
         if len(tables) == 2:
-            assert [t.main for t in tables["clmul"]] == [t.main for t in tables["vpclmul"]]
+            for c, v in zip(tables["clmul"], tables["vpclmul"]):
+                assert c.main == v.main[:len(c.main)], c.main[0]
 
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
@@ -308,43 +311,36 @@ class TestTables:
         # word up, zeros after it to the end of its slot: (mu' + x^(64B)) * g + x^(d + 64B)
         # mod g == x^(d + 64B).  The block step: for T of B words, Q = low w words of
         # T ^ (T * mu' >> 64B) and the low w words of Q * G are T * x^(64w) mod g * x^pad.
-        # Both families of sums follow (see family_sums)
-        first_carryless_path(monkeypatch)
+        # Both families of sums follow (see family_sums).  Only a vpclmul table has the tail
+        use_path(monkeypatch, "vpclmul")
         poly = gf2poly.BitPolynomial
         b = 9 * BLOCK_BYTES // 64
-        for kernel in CARRYLESS_PATHS:
-            if not host_runs(kernel):
-                continue
-            rng = random.Random(42)
-            with pytest.MonkeyPatch.context() as mp:
-                use_path(mp, kernel)
-                tables = [build_tables(e) for e in params.registry()]
-            for e, t in zip(params.registry(), tables):
-                w = t.words
-                at = 9 + 8 * ((w + 7) // 8)  # the tail
-                mu_at, g_at = at + 8, at + 8 + SUMS * MU_SLOT  # the two families
-                assert not any(t.main[at:at + 9]), e.index
-                assert not any(t.main[mu_at + 1 + b:at + MU_SLOT]), e.index
-                mu = int.from_bytes(bytes(memoryview(t.main)[at + 9:at + 9 + b]), sys.byteorder)
-                assert t.main[g_at - 8:g_at + 8 * G_BLOCKS].tolist() == \
-                    [0] * 8 + t.main[9:9 + w].tolist() + [0] * (8 * G_BLOCKS - w), e.index
-                assert len(t.main) == g_at - 8 + SUMS * G_SLOT, e.index
-                for origin, slot, blocks in ((mu_at, MU_SLOT, MU_BLOCKS),
-                                             (g_at, G_SLOT, G_BLOCKS)):
-                    got = [t.main[origin + s * slot - 7:origin + s * slot + 8 * blocks].tolist()
-                           for s in range(SUMS)]
-                    assert got == family_sums(got[0]), (kernel, e.index, origin)
-                pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
-                assert 2 * w <= b, e.index
-                power = poly(1 << e.degree + 64 * b)
-                product = gf2poly.multiply(poly(mu ^ 1 << 64 * b), e.generator)
-                assert product ^ gf2poly.remainder(power, e.generator) == power, e.index
-                g = fastcrc._barrett_constants(e)[1] << pad
-                for m in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
-                    q = (m ^ gf2poly.multiply(poly(m), poly(mu)).value >> 64 * b) & low_w
-                    want = gf2poly.remainder(poly(m << 64 * w), poly(e.generator.value << pad))
-                    assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, \
-                        (kernel, e.index)
+        rng = random.Random(42)
+        for e in params.registry():
+            t = build_tables(e)
+            w = t.words
+            at = 9 + 8 * ((w + 7) // 8)  # the tail
+            mu_at, g_at = at + 8, at + 8 + SUMS * MU_SLOT  # the two families
+            assert not any(t.main[at:at + 9]), e.index
+            assert not any(t.main[mu_at + 1 + b:at + MU_SLOT]), e.index
+            mu = int.from_bytes(bytes(memoryview(t.main)[at + 9:at + 9 + b]), sys.byteorder)
+            assert t.main[g_at - 8:g_at + 8 * G_BLOCKS].tolist() == \
+                [0] * 8 + t.main[9:9 + w].tolist() + [0] * (8 * G_BLOCKS - w), e.index
+            assert len(t.main) == g_at - 8 + SUMS * G_SLOT, e.index
+            for origin, slot, blocks in ((mu_at, MU_SLOT, MU_BLOCKS), (g_at, G_SLOT, G_BLOCKS)):
+                got = [t.main[origin + s * slot - 7:origin + s * slot + 8 * blocks].tolist()
+                       for s in range(SUMS)]
+                assert got == family_sums(got[0]), (e.index, origin)
+            pad, low_w = 64 * w - e.degree, (1 << 64 * w) - 1
+            assert 2 * w <= b, e.index
+            power = poly(1 << e.degree + 64 * b)
+            product = gf2poly.multiply(poly(mu ^ 1 << 64 * b), e.generator)
+            assert product ^ gf2poly.remainder(power, e.generator) == power, e.index
+            g = fastcrc._barrett_constants(e)[1] << pad
+            for m in [(1 << 64 * b) - 1] + [rng.getrandbits(64 * b) for _ in range(2)]:
+                q = (m ^ gf2poly.multiply(poly(m), poly(mu)).value >> 64 * b) & low_w
+                want = gf2poly.remainder(poly(m << 64 * w), poly(e.generator.value << pad))
+                assert gf2poly.multiply(poly(q), poly(g)).value & low_w == want.value, e.index
 
     def test_large_absorbs_split_where_two_cpus_run(self, monkeypatch):
         # a worker that never starts or a guard that is never free falls back to one
@@ -1453,14 +1449,15 @@ class TestBinding:
         misaligned = memoryview(bytearray(8 * w + 8))[1:1 + 8 * w]
         claims_more = array("Q", t.main)
         claims_more[0] = w + 8
-        # a 73-word register and a table long enough for it: one word past the bound of
-        # B / 2 = 72 that every call checks
+        # a 73-word register and tables long enough for it on each path: one word past the
+        # bound of B / 2 = 72 that every call checks
         wide = 73
         guarded_wide = bytearray(8 * (wide + 2))
         wide_reg = memoryview(guarded_wide)[8:8 + 8 * wide]
-        too_wide = array("Q", bytes(8 * (1 + 512 * wide if path == "native" else
-                                         9 + 8 * ((wide + 7) // 8) + module.TAIL_WORDS)))
-        too_wide[0] = wide
+        wide_tail = 9 + 8 * ((wide + 7) // 8)
+        too_wide = {kind: array("Q", [wide]) + array("Q", bytes(8 * (words - 1)))
+                    for kind, words in (("native", 1 + 512 * wide), ("clmul", wide_tail),
+                                        ("vpclmul", wide_tail + module.TAIL_WORDS))}
         calls = [
             (TypeError, loop, (reg, t.main, cw)),
             (TypeError, loop, (reg, t.main, cw, 5)),
@@ -1471,19 +1468,25 @@ class TestBinding:
             (ValueError, loop, (reg, t.main, cw[:255], FOX)),
             (ValueError, loop, (reg, t.main, cw, reg)),  # reg overlaps the data
             (TypeError, loop, (bytes(8 * w), t.main, cw, FOX)),  # a read-only register
-            (ValueError, loop, (wide_reg, too_wide, cw, FOX)),
+            (ValueError, loop, (wide_reg, too_wide[path], cw, FOX)),
             (ValueError, module.fill, (array("Q", [w]) * (512 * w),)),
             (TypeError, module.fill, (bytes(8 * (1 + 512 * w)),)),
         ]
         bad_tables = []
-        if path != "native":  # a table cut after G, then inside mu''s sums and G's
+        if path != "native":
             tail = 9 + 8 * ((w + 7) // 8)
-            bad_tables += [t.main[:tail], t.main[:tail + 8 + 3 * MU_SLOT + 5],
-                           t.main[:tail + 8 + SUMS * MU_SLOT + 6 * G_SLOT]]
-            calls += [(ValueError, module.fill_carryless, (bad,)) for bad in bad_tables]
+            if path == "clmul":  # a clmul table ends after G: cut it one word short
+                bad_tables.append(t.main[:tail - 1])
+            else:  # a table cut after G, inside mu''s sums and G's, and one word short
+                bad_tables += [t.main[:tail], t.main[:tail + 8 + 3 * MU_SLOT + 5],
+                               t.main[:tail + 8 + SUMS * MU_SLOT + 6 * G_SLOT], t.main[:-1]]
+            # fill_carryless writes a vpclmul table's tail: a clmul table has none
+            calls += [(ValueError, module.fill_carryless, (bad,))
+                      for bad in [*bad_tables, t.main[:tail]]]
             calls.append((TypeError, module.fill_carryless, (t.main.tobytes(),)))
-        fill = module.fill if path == "native" else module.fill_carryless
-        calls.append((ValueError, fill, (too_wide,)))
+            calls.append((ValueError, module.fill_carryless, (too_wide["vpclmul"],)))
+        else:
+            calls.append((ValueError, module.fill, (too_wide["native"],)))
         calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
         if t.split is not None:
             split, combine = t.split, t.combine
@@ -1729,9 +1732,10 @@ class TestKernelBuild:
 
     def test_address_sanitizer_finds_no_overread(self, sanitized):
         # the kernels load whole blocks of eight words, up to seven words below each
-        # constant and past its last word; a C program copies each table, constant, message
-        # and register into buffers of exactly their size, so any such load past what
-        # fastcrc builds is a heap-buffer-overflow
+        # constant and past its last word; a C program copies each kernel's table, each
+        # constant, message and register into buffers of exactly their size, so any such
+        # load past what fastcrc builds, a clmul load past G's blocks too, is a
+        # heap-buffer-overflow
         run = run_sanitized(sanitized("address"))
         mismatches, runs = map(int, run.stdout.split())
         assert mismatches == 0 and runs == 3 * len(ASAN_BITS) * HOST_LEVEL
@@ -1752,9 +1756,17 @@ class TestKernelBuild:
         functions = disassembly(listing)
         for name in ("absorb_vpclmul", "block_step_vpclmul"):
             assert any(avx512(i) for i in functions[name]), name  # the check sees AVX-512
-            # the hot kernels start on a cache line, wherever an edit elsewhere puts them
-            start, = re.findall(rf"^([0-9a-f]+) <{name}>:$", listing, re.M)
-            assert int(start, 16) % 64 == 0, name
+        # one placement rule: every function the two sources define, clones included,
+        # starts on a cache line, wherever an edit elsewhere puts it.  The C runtime's and
+        # libgcc's (__cpu_indicator_init, has_cpu_feature, set_cpu_feature) are not theirs
+        source = "".join(map(Path.read_text, map(Path, fastcrc._SOURCES)))
+        named = set(re.findall(r"\b(\w+)\(", source))
+        starts = {name: int(at, 16) for at, name in
+                  re.findall(r"^([0-9a-f]+) <([^>]+)>:$", listing, re.M)
+                  if name.partition(".")[0] in named}
+        assert {"absorb_vpclmul", "block_step_vpclmul", "combine_vpclmul", "combine_clmul",
+                "split_join", "absorb", "PyInit__absorb"} <= set(starts)  # the check sees them
+        assert not [name for name, at in starts.items() if at % 64], starts
         for name in ("PyInit__absorb", "py_absorb_vpclmul", "py_absorb_split_vpclmul",
                      "fill_carryless", "py_fill_carryless"):
             assert name in functions, name  # the check sees them
@@ -1792,19 +1804,29 @@ def tsan_source(kernel: str) -> str:
                            "cases": ",\n    ".join(cases)}
 
 
+def path_table(e, path: str) -> array:
+    """e's table as build_tables makes it on the given kernel path, whatever this CPU runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastcrc._kernel, "carryless", lambda: LEVELS[path])
+        return build_tables(e).main
+
+
 def asan_source() -> str:
     """The AddressSanitizer program over ASAN_BITS, which runs every carry-less kernel the
-    host runs over one table."""
+    host runs, each over its own table: the clmul table is the vpclmul table's start."""
     m = random.Random(44).randbytes(ASAN_LENGTHS[-1])
     cases = []
     for bits in ASAN_BITS:
         e = params.entry_for_aligned_bits(bits)
-        table, k, k2 = kernel_constants(e, ASAN_SPLIT_PART)
+        _, k, k2 = kernel_constants(e, ASAN_SPLIT_PART)
+        clmul, table = path_table(e, "clmul"), path_table(e, "vpclmul")
+        assert clmul == table[:len(clmul)], bits
         pad = 64 * table[0] - e.degree
         want = [fastcrc._to_words(int.from_bytes(reference(e, m[:n]), "big") << pad, table[0])
                 for n in ASAN_LENGTHS]
-        cases.append("{%d, %s, %s, %s, {%s}}" % (len(table), c_words(table), c_words(k),
-                                                 c_words(k2), ", ".join(map(c_words, want))))
+        cases.append("{{%d, %d}, %s, %s, %s, {%s}}" % (
+            len(clmul), len(table), c_words(table), c_words(k), c_words(k2),
+            ", ".join(map(c_words, want))))
     return ASAN_PROGRAM % {
         "codewords": c_words(fastcrc._CODEWORDS), "message": c_words(m),
         "lengths": ", ".join(map(str, ASAN_LENGTHS)), "part": ASAN_SPLIT_PART,
@@ -2169,7 +2191,7 @@ static const uint16_t codewords[256] = %(codewords)s;
 static const uint8_t message[] = %(message)s;
 static const size_t lengths[3] = {%(lengths)s};
 static const struct {
-    size_t table_words;
+    size_t table_words[2]; /* clmul's and vpclmul's, the start of table and all of it */
     uint64_t table[MAX_TABLE], k[MAX_W], k2[MAX_W], want[3][MAX_W];
 } cases[] = {
     %(cases)s
@@ -2192,7 +2214,7 @@ int main(void)
     for (int kernel = 0; kernel < carryless(); kernel++)
         for (size_t c = 0; c < sizeof cases / sizeof cases[0]; c++) {
             size_t w = cases[c].table[0];
-            uint64_t *table = exactly(cases[c].table, cases[c].table_words * 8);
+            uint64_t *table = exactly(cases[c].table, cases[c].table_words[kernel] * 8);
             uint64_t *k = exactly(cases[c].k, w * 8), *k2 = exactly(cases[c].k2, w * 8);
             for (int run = 0; run < 3; run++) {
                 uint8_t *data = exactly(message, lengths[run]);
