@@ -17,6 +17,7 @@
  *       went: 0 this thread absorbed the whole chunk, 1 it took the second
  *       part, 2 it waited for the worker thread to finish both parts, 3 the
  *       worker had finished them
+ *   combine_clmul, combine_vpclmul (reg, table, k, s)
  *   fill (table), fill_carryless (table)
  *   carryless () -> 0, 1 or 2, which carry-less loops this CPU runs
  *   TAIL_WORDS, the words of a vpclmul table after G's whole blocks
@@ -58,17 +59,20 @@ typedef int split_fn(struct split *sp, uint64_t *reg, const uint64_t *table, con
 enum kind { ROWS_TABLE, CLMUL_TABLE, VPCLMUL_TABLE };
 
 /* One absorb path: its loop and, on the carry-less paths, its two-thread
- * entry, and the kind of table it reads. */
+ * entry and combine step, and the kind of table it reads. */
 struct path {
     absorb_fn *loop;
     split_fn *split;
+    combine_fn *combine;
     enum kind kind;
 };
 
-static const struct path table_path = {absorb, NULL, ROWS_TABLE};
+static const struct path table_path = {absorb, NULL, NULL, ROWS_TABLE};
 #if defined(__x86_64__)
-static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, CLMUL_TABLE};
-static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, VPCLMUL_TABLE};
+static const struct path clmul_path = {absorb_clmul, absorb_split_clmul, combine_clmul,
+                                       CLMUL_TABLE};
+static const struct path vpclmul_path = {absorb_vpclmul, absorb_split_vpclmul, combine_vpclmul,
+                                         VPCLMUL_TABLE};
 #endif
 
 /* The buffers a call holds, released together. */
@@ -322,6 +326,44 @@ static PyObject *py_absorb_split_vpclmul(PyObject *module, PyObject *const *args
 {
     return absorb_call(&vpclmul_path, split_type_of(module), args, nargs,
                        "absorb_split_vpclmul");
+}
+
+/* (reg, table, k, s): reg = reg * k * x^d + s mod g. */
+static PyObject *combine_call(const struct path *p, PyObject *const *args, Py_ssize_t nargs,
+                              const char *name)
+{
+    if (!arguments(nargs, 4, name))
+        return NULL;
+    struct views v = {.held = 0};
+    PyObject *result = NULL;
+    Py_buffer *reg, *table, *k, *s;
+    if (!(reg = take(&v, args[0], "reg", 1, 8)) || !(table = take(&v, args[1], "table", 0, 8)))
+        goto done;
+    size_t w = table_words(table, p->kind);
+    if (!w || !holds_words(reg, w, "reg") || !(k = take(&v, args[2], "k", 0, 8)) ||
+        !holds_words(k, w, "k") || !(s = take(&v, args[3], "s", 0, 8)) ||
+        !holds_words(s, w, "s"))
+        goto done;
+    for (int i = 1; i < v.held; i++)
+        if (!apart(reg, &v.view[i]))
+            goto done;
+    p->combine(reg->buf, table->buf, k->buf, s->buf);
+    result = Py_NewRef(Py_None);
+done:
+    release(&v);
+    return result;
+}
+
+static PyObject *py_combine_clmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    return combine_call(&clmul_path, args, nargs, "combine_clmul");
+}
+
+static PyObject *py_combine_vpclmul(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    return combine_call(&vpclmul_path, args, nargs, "combine_vpclmul");
 }
 #endif
 
@@ -974,6 +1016,8 @@ static PyMethodDef methods[] = {
     FASTCALL("absorb_vpclmul", py_absorb_vpclmul),
     FASTCALL("absorb_split_clmul", py_absorb_split_clmul),
     FASTCALL("absorb_split_vpclmul", py_absorb_split_vpclmul),
+    FASTCALL("combine_clmul", py_combine_clmul),
+    FASTCALL("combine_vpclmul", py_combine_vpclmul),
     FASTCALL("fill_carryless", py_fill_carryless),
 #endif
     FASTCALL("fill", py_fill),

@@ -101,15 +101,14 @@ that last ran on the caller's CPU moves the worker off it, for a scheduler
 that does not balance the two CPUs may keep both there.  A chunk that is
 not an exact `bytes` object may change once absorb returns, so it is
 joined before absorb returns.  The constants that move a register past 2^j
-bytes are built by the tables' own loop and cached per generator on first
-use.  On vpclmul every part and the combine take the block step.  A split
-asked while another engine owns the worker runs on the calling thread.
-`splits` and `splits_taken` count, at each join, the splits an engine
-asked for and those of which the worker ran a part; the Python class keeps
-both at 0.  Smaller chunks, the other paths, the Python class and a
-one-CPU affinity mask run one thread, and every path gives the same
-digest.  No chunk under 1 KiB splits, whatever `_SPLIT_BYTES` holds, for
-a split's last two parts are 512 bytes or more.
+bytes are cached per generator on first use.  On vpclmul every part and
+the combine take the block step.  A split asked while another engine owns
+the worker runs on the calling thread.  `splits` and `splits_taken` count,
+at each join, the splits an engine asked for and those of which the worker
+ran a part; the Python class keeps both at 0.  Smaller chunks, the other
+paths, the Python class and a one-CPU affinity mask run one thread, and
+every path gives the same digest.  No chunk under 1 KiB splits, whatever
+`_SPLIT_BYTES` holds, for a split's last two parts are 512 bytes or more.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ _PACKAGE = os.path.dirname(__file__)
 _SOURCES = (os.path.join(_PACKAGE, "_absorbmodule.c"), os.path.join(_PACKAGE, "_absorb.c"))
 # no -march=native: the cached file must stay valid if the checkout moves to another host
 # -DNDEBUG: a release build, without the asserts of CPython's header macros
-# -falign-functions=64: each function starts a cache line, so an edit elsewhere may move a
-# kernel but keeps its loops' alignment
+# -falign-functions=64: each function starts a cache line; an edit may still move a kernel
 _COMPILE = ("-O3", "-DNDEBUG", "-falign-functions=64", "-shared", "-fPIC", "-pthread")
 
 
@@ -250,8 +248,8 @@ def _python_digest(reg: bytearray, degree: int) -> bytes:
 class CrcTables(NamedTuple):
     """Precomputed reduction data for one generator g, and its path's callables.
 
-    The engine and `_shift` call `loop`, the module's engine type also
-    `split`.  The packed forms hold each value in `words` 64-bit
+    The engine calls `loop`, the module's engine type also `split`; `_shift`
+    calls `combine`.  The packed forms hold each value in `words` 64-bit
     words, most significant word first and shifted up by 64 * words - degree
     bits, for g's degree, which the engine reads from its entry, and every
     path's register is one, in a bytearray, which each engine reads itself.
@@ -261,7 +259,9 @@ class CrcTables(NamedTuple):
     `split(reg, main, codewords, data, q, k, k2)`, the two-thread entry,
     returns a pending split whose `join()` writes reg and returns how the
     join went: 0 the caller absorbed the whole chunk, 1 it took H2, 2 it
-    waited for the worker, 3 the worker was done; elsewhere it is None.
+    waited for the worker, 3 the worker was done; and
+    `combine(reg, main, k, zero)` moves a register past 2^j bytes (see
+    `_shift`); elsewhere both are None.
 
     - "python": `main` is (degree, rows), rows a tuple of 512 ints,
       row v = (v << degree) mod g.
@@ -272,8 +272,7 @@ class CrcTables(NamedTuple):
     - "vpclmul": the same, then the module's `TAIL_WORDS`, into which its
       `fill_carryless` writes the block step's constants: mu' and the sums of
       mu' and G that its Karatsuba tiles read.
-    On both, `shifts` caches the packed constants K_j that the split's C
-    combine reads, by j, which `_shift` builds with `loop`.
+    On both, `shifts` caches the packed combine constants by j; see `_shift`.
     """
 
     words: int  # 64-bit words per packed row, and per register: ceil(degree / 64)
@@ -282,6 +281,7 @@ class CrcTables(NamedTuple):
     loop: Callable
     shifts: dict[int, array]  # each build passes its own; a default would be shared
     split: Callable | None = None
+    combine: Callable | None = None
 
 
 def _barrett_constants(e: GeneratorEntry) -> tuple[int, int]:
@@ -335,30 +335,35 @@ def build_tables(e: GeneratorEntry) -> CrcTables:
     if path == "vpclmul":
         _kernel.fill_carryless(consts)
     return CrcTables(w, consts, path, getattr(_kernel, f"absorb_{path}"), {},
-                     getattr(_kernel, f"absorb_split_{path}"))
+                     getattr(_kernel, f"absorb_split_{path}"), getattr(_kernel, f"combine_{path}"))
 
 
 def _shift(e: GeneratorEntry, tables: CrcTables, j: int) -> array:
     """K_j = x^(9 * 2^j - 2 * pad - d) mod g, packed, on a carry-less path.
 
     The combine step turns a register r and K_j into r * x^(9 * 2^j) mod g,
-    r moved past 2^j bytes.  A register holding x^r that absorbs z bytes
-    whose codeword is 0 holds x^(r + 9z) mod g, so the tables' own loop builds
-    K_j from x^r, r = 9s - 2 * pad - d below 9, over 2^j - s zero bytes, for
-    s = ceil((2 * pad + d) / 9).  That count is never negative, for s <= 512
-    <= 2^j: a split's parts H2 and T are q = 2^j >= 512 bytes, and 2 * pad +
-    d = 128 * w - d is below 9 * 512 for every entry `build_tables` admits.
-    Its largest value there is 4607, at degree 4481 (71 words, pad 63),
-    where s = 512 and K_9 absorbs no byte; degree 4545 (72 words) would give
-    4671.
+    r moved past 2^j bytes.  A register holding x^r that absorbs z zero
+    codewords holds x^(r + 9z) mod g, so the loop builds K_9 from x^r, r =
+    9s - 2 * pad - d below 9, over 512 - s zero bytes, s = ceil((2 * pad +
+    d) / 9) <= 512, for 2 * pad + d = 128 * w - d is at most 4607 for every
+    entry `build_tables` admits (degree 4481, 71 words; degree 4545, 72
+    words, would give 4671).  No split asks for j < 9: its parts H2 and T are
+    q = 2^j >= 512 bytes.  Each later K_j is the combine step squaring
+    K_(j-1), where the loop would absorb 2^j - s zero bytes for each new j.
     """
     k = tables.shifts.get(j)
     if k is None:
-        pad = 64 * tables.words - e.degree
-        s = -(-(2 * pad + e.degree) // 9)
-        r = 9 * s - 2 * pad - e.degree
-        k = _to_words(1 << r + pad, tables.words)
-        tables.loop(k, tables.main, array("H", bytes(512)), bytes((1 << j) - s))
+        w = tables.words
+        if j > 9:
+            half = _shift(e, tables, j - 1)
+            k = array("Q", half)
+            tables.combine(k, tables.main, half, array("Q", bytes(8 * w)))
+        else:
+            pad = 64 * w - e.degree
+            s = -(-(2 * pad + e.degree) // 9)
+            r = 9 * s - 2 * pad - e.degree
+            k = _to_words(1 << r + pad, w)
+            tables.loop(k, tables.main, array("H", bytes(512)), bytes((1 << j) - s))
         tables.shifts[j] = k
     return k
 

@@ -288,19 +288,22 @@ class TestTables:
     @pytest.mark.parametrize("kernel", CARRYLESS_PATHS)
     def test_combine_constants_match_gf2poly(self, monkeypatch, kernel):
         # K_j = x^(9 * 2^j - 2pad - d) mod g: K_j * x^(2pad + d) = x^(9 * 2^j) mod g, deg K_j < d,
-        # for every j a split takes, 9 to 15; the kernel's own loop builds each from x^r, r < 9,
-        # over 2^j - s zero codewords, s = ceil((2pad + d) / 9).  Degrees 9, 4481 and 4544 are
-        # the smallest, the one with the largest 2pad + d, where j = 9 absorbs no byte, and
-        # the largest.  A split's second part has TEST_SPLIT_BYTES // 2 bytes or more, so its
-        # exponent is never negative
+        # for j from 9 to 15 on the registry and from 9 to 63, past any j a split of a 64-bit
+        # size takes, at degrees 9, 4481 and 4544: the smallest, the one with the largest
+        # 2pad + d, where K_9 absorbs no byte, and the largest.  The kernel's own loop builds
+        # K_9 from x^r, r < 9, over 512 - s zero codewords, s = ceil((2pad + d) / 9); each later
+        # K_j is the kernel's combine step squaring K_(j-1), where the loop would absorb
+        # 2^j - s zero bytes.  A split's second part has TEST_SPLIT_BYTES // 2 bytes or more, so
+        # its exponent is never negative
         use_path(monkeypatch, kernel)
         poly = gf2poly.BitPolynomial
-        for e in [*params.registry(), *map(custom_entry, (9, 4481, 4544))]:
+        registry = params.registry()
+        for e in [*registry, *map(custom_entry, (9, 4481, 4544))]:
             t = build_tables(e)
             pad = 64 * t.words - e.degree
             assert 9 * (TEST_SPLIT_BYTES // 2) > 2 * pad + e.degree, e.degree
             power = gf2poly.remainder(poly(1 << 9), e.generator)  # x^(9 * 2^j) mod g
-            for j in range(16):
+            for j in range(16 if e in registry else 64):
                 if j >= 9:
                     k = value(e, fastcrc._shift(e, t, j))
                     assert k >> e.degree == 0, (e.degree, j)
@@ -380,9 +383,6 @@ class TestTables:
             vpclmul = {"avx512f", "avx512bw", "avx512vbmi", "vpclmulqdq"}
             assert path == ("vpclmul" if vpclmul <= flags
                             else "clmul" if "pclmulqdq" in flags else "native")
-        # the split's C join combines registers itself: Python gets no combine to call
-        assert not [name for name in dir(fastcrc._kernel) if name.startswith("combine_")]
-        assert "combine" not in fastcrc.CrcTables._fields
 
 
 class TestEngine:
@@ -1494,8 +1494,8 @@ class TestBinding:
             calls.append((ValueError, module.fill, (too_wide["native"],)))
         calls += [(ValueError, loop, (reg, bad, cw, FOX)) for bad in bad_tables]
         if t.split is not None:
-            split = t.split
-            k, k2 = fastcrc._shift(e, t, 10), fastcrc._shift(e, t, 11)
+            split, combine = t.split, t.combine
+            k, k2, zero = fastcrc._shift(e, t, 10), fastcrc._shift(e, t, 11), bytes(8 * w)
             n = 3 * 1024
             calls += [
                 (ValueError, split, (reg, t.main, cw, bytes(n), n // 2 + 1, k, k2)),
@@ -1504,9 +1504,12 @@ class TestBinding:
                 (ValueError, split, (reg, t.main, cw, bytes(n), 1024, k, reg)),  # reg is also k2
                 (TypeError, split, (reg, t.main, cw, bytes(n), 1024, k)),
                 (TypeError, split, (bytes(8 * w), t.main, cw, bytes(n), 1024, k, k2)),
+                (ValueError, combine, (reg, t.main, k, zero[:-8])),
+                (ValueError, combine, (reg, t.main, reg, zero)),  # reg is also k
             ]
             calls += [(ValueError, split, (reg, bad, cw, bytes(n), 1024, k, k2))
                       for bad in bad_tables]
+            calls += [(ValueError, combine, (reg, bad, k, zero)) for bad in bad_tables]
         for error, function, args in calls:
             with pytest.raises(error):
                 function(*args)
